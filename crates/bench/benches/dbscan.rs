@@ -1,10 +1,12 @@
 //! Criterion: DBSCAN and refinement over precomputed matrices, plus the
-//! neighbor-index ε-region query path against the matrix scan.
+//! matrix backend's neighbor-stage costs (k-NN table sweep, row-scan
+//! DBSCAN) at session sizes.
 
-use cluster::dbscan::{dbscan, dbscan_with_index};
+use cluster::autoconf::required_k_max;
+use cluster::dbscan::dbscan;
 use cluster::refine::{merge_clusters, split_clusters, RefineParams};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dissim::{CondensedMatrix, DissimArtifact};
+use dissim::CondensedMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,32 +29,18 @@ fn bench_dbscan(c: &mut Criterion) {
     group.finish();
 }
 
-/// Matrix-scan DBSCAN vs the `NeighborIndex`-backed variant. The two
-/// produce identical clusterings (pinned by tests in `cluster`); the
-/// question is the ε-region query cost: a full-row scan per query vs a
-/// binary search on the presorted neighbor list. The index variant is
-/// benchmarked both with a prebuilt index (the session reuses one index
-/// across autoconf, DBSCAN, and refinement, so clustering itself never
-/// pays the build) and with the O(n² log n) build included (plus a
-/// matrix clone, as `DissimArtifact` owns its matrix).
-fn bench_neighbor_index(c: &mut Criterion) {
-    let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let mut group = c.benchmark_group("dbscan_region_query");
+/// What the matrix backend pays after the matrix build: one linear
+/// sweep of the condensed triangle into the k-NN table autoconf reads,
+/// and a DBSCAN pass whose ε-regions are row scans.
+fn bench_matrix_queries(c: &mut Criterion) {
+    let mut group = c.benchmark_group("matrix_queries");
     for n in [1000usize, 2000, 3000] {
         let m = blobs(n);
-        let mut artifact = DissimArtifact::from_matrix(m.clone(), threads);
-        artifact.neighbors();
-        group.bench_with_input(BenchmarkId::new("matrix_scan", n), &m, |b, m| {
+        group.bench_with_input(BenchmarkId::new("knn_table", n), &m, |b, m| {
+            b.iter(|| m.knn_table(required_k_max(n)))
+        });
+        group.bench_with_input(BenchmarkId::new("dbscan_row_scan", n), &m, |b, m| {
             b.iter(|| dbscan(m, 0.5, 5))
-        });
-        group.bench_with_input(BenchmarkId::new("neighbor_index", n), &artifact, |b, a| {
-            b.iter(|| dbscan_with_index(a.neighbors_built().expect("prebuilt"), 0.5, 5))
-        });
-        group.bench_with_input(BenchmarkId::new("index_build_and_dbscan", n), &m, |b, m| {
-            b.iter(|| {
-                let mut a = DissimArtifact::from_matrix(m.clone(), threads);
-                dbscan_with_index(a.neighbors(), 0.5, 5)
-            })
         });
     }
     group.finish();
@@ -74,5 +62,5 @@ fn bench_refine(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_dbscan, bench_neighbor_index, bench_refine);
+criterion_group!(benches, bench_dbscan, bench_matrix_queries, bench_refine);
 criterion_main!(benches);

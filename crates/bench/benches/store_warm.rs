@@ -101,14 +101,10 @@ fn bench_store_ladder(c: &mut Criterion) {
             b.iter(|| CondensedMatrix::build_segments(values, &params, threads))
         });
 
-        // Warm: one store read of the persisted matrix + neighbor index.
+        // Warm: one store read of the persisted matrix.
         let store = ArtifactStore::open(root.join(format!("warm-{u}"))).expect("open store");
         let key = bench_key(u);
-        let mut artifact = DissimArtifact::from_matrix(
-            CondensedMatrix::build_segments(&values, &params, threads),
-            threads,
-        );
-        artifact.neighbors();
+        let artifact = DissimArtifact::compute_segments(&values, &params, threads);
         assert!(store.put(&key, &artifact));
         group.bench_with_input(BenchmarkId::new("warm_artifact", u), &key, |b, key| {
             b.iter(|| store.get::<DissimArtifact>(key).expect("cache hit"))

@@ -1,16 +1,18 @@
 //! Criterion: the tiled dissimilarity build and the clustering-stage
 //! ladder — serial matrix scans vs the tiled build's merged k-NN table
-//! plus the neighbor index — on the same mixed-length segment corpora
-//! as `canberra_kernel` at u = 500 / 1000 / 2000 unique segments.
+//! — on the same mixed-length segment corpora as `canberra_kernel` at
+//! u = 500 / 1000 / 2000 unique segments.
 //!
 //! The `cluster_stages` pair measures everything downstream of the
 //! dissimilarity artifact (ε auto-configuration, weighted DBSCAN,
 //! merge + split refinement): `serial_scan` drives each stage off raw
-//! matrix scans, `tiled_indexed` off the per-tile k-NN partials and the
-//! neighbor index the tiled session keeps. Both are pinned
+//! matrix scans on one thread, `tiled_knn` reads ε off the per-tile
+//! k-NN partials and runs DBSCAN and refinement on the parallel
+//! row-scan entries, as the tiled session does. Both are pinned
 //! bit-identical (cluster unit tests + fieldclust session-equivalence
-//! tests), so the ladder isolates pure wall-clock. Medians are
-//! recorded in `BENCH_tiled.json`.
+//! tests), so the ladder isolates pure wall-clock. Medians from before
+//! the presorted neighbor index was retired are recorded in
+//! `BENCH_tiled.json` (as `tiled_indexed`).
 //!
 //! A second, sampled group (`tiled_matrix_sampled`) extends the ladder
 //! to u = 5000 / 10 000 / 50 000 without ever paying the full O(u²)
@@ -20,10 +22,10 @@
 //! `strip_rows × u/2` (linear in u), so the rungs stay time-boxed.
 
 use cluster::autoconf::{auto_configure, auto_configure_with_knn, required_k_max, AutoConfig};
-use cluster::dbscan::{dbscan_weighted, dbscan_weighted_parallel_with_index};
-use cluster::refine::{merge_clusters, merge_clusters_parallel, split_clusters, RefineParams};
+use cluster::dbscan::{dbscan_weighted, dbscan_weighted_parallel_with_provider};
+use cluster::refine::{merge_clusters, merge_clusters_with_provider, split_clusters, RefineParams};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dissim::{CondensedMatrix, DissimParams, KnnTable, NeighborIndex, TiledMatrix};
+use dissim::{CondensedMatrix, DissimParams, KnnTable, MatrixProvider, TiledMatrix};
 use rand::{Rng, SeedableRng, StdRng};
 
 /// Same corpus shape as the `canberra_kernel` bench (see there).
@@ -67,7 +69,6 @@ fn occurrence_weights(u: usize, seed: u64) -> Vec<usize> {
 
 struct Stage {
     matrix: CondensedMatrix,
-    index: NeighborIndex,
     knn: KnnTable,
     weights: Vec<usize>,
     min_samples: usize,
@@ -80,13 +81,11 @@ fn prepare(u: usize, threads: usize) -> Stage {
     let tiled = TiledMatrix::build_segments(&values, &params, 256, threads);
     let knn = tiled.knn_table(required_k_max(u), threads);
     let matrix = tiled.assemble();
-    let index = NeighborIndex::build_parallel(&matrix, threads);
     let weights = occurrence_weights(u, 11);
     let total: usize = weights.iter().sum();
     let min_samples = ((total as f64).ln().round() as usize).max(2);
     Stage {
         matrix,
-        index,
         knn,
         weights,
         min_samples,
@@ -106,24 +105,19 @@ fn cluster_stages_scan(s: &Stage) -> u32 {
 }
 
 /// The tiled session's path: ε from the merged per-tile k-NN table,
-/// DBSCAN and refinement from the neighbor index (parallel entries).
-fn cluster_stages_indexed(s: &Stage, threads: usize) -> u32 {
+/// DBSCAN and refinement from parallel matrix row scans.
+fn cluster_stages_knn(s: &Stage, threads: usize) -> u32 {
     let selected = auto_configure_with_knn(&s.knn, &AutoConfig::default()).expect("knee");
-    let clustering = dbscan_weighted_parallel_with_index(
-        &s.index,
+    let provider = MatrixProvider::new(&s.matrix);
+    let clustering = dbscan_weighted_parallel_with_provider(
+        &provider,
         selected.epsilon,
         s.min_samples,
         &s.weights,
         threads,
     );
     let refined = split_clusters(
-        &merge_clusters_parallel(
-            &clustering,
-            &s.matrix,
-            &s.index,
-            &RefineParams::default(),
-            threads,
-        ),
+        &merge_clusters_with_provider(&clustering, &provider, &RefineParams::default(), threads),
         &s.weights,
         &RefineParams::default(),
     );
@@ -152,7 +146,7 @@ fn bench_tiled_matrix(c: &mut Criterion) {
         // Sanity: both chains must agree before we time them.
         assert_eq!(
             cluster_stages_scan(&stage),
-            cluster_stages_indexed(&stage, threads)
+            cluster_stages_knn(&stage, threads)
         );
         group.bench_with_input(
             BenchmarkId::new("cluster_stages_serial_scan", u),
@@ -160,9 +154,9 @@ fn bench_tiled_matrix(c: &mut Criterion) {
             |b, s| b.iter(|| cluster_stages_scan(s)),
         );
         group.bench_with_input(
-            BenchmarkId::new("cluster_stages_tiled_indexed", u),
+            BenchmarkId::new("cluster_stages_tiled_knn", u),
             &stage,
-            |b, s| b.iter(|| cluster_stages_indexed(s, threads)),
+            |b, s| b.iter(|| cluster_stages_knn(s, threads)),
         );
     }
     group.finish();

@@ -11,10 +11,10 @@
 
 use cluster::autoconf::{auto_configure, AutoConfig};
 use cluster::dbscan::{dbscan, dbscan_weighted, Clustering, Label};
-use cluster::hdbscan::{hdbscan_with_index, HdbscanParams};
-use cluster::optics::optics_with_index;
+use cluster::hdbscan::{hdbscan, HdbscanParams};
+use cluster::optics::optics;
 use cluster::refine::{merge_clusters, split_clusters, RefineParams};
-use dissim::{CondensedMatrix, DissimParams, NeighborIndex};
+use dissim::{CondensedMatrix, DissimParams};
 use evalkit::{pair_counts, ClusterMetrics};
 use fieldclust::truth::{label_store, truth_segmentation};
 use fieldclust::{AnalysisSession, FieldTypeClusterer};
@@ -37,7 +37,6 @@ struct Prepared {
     labels: Vec<FieldKind>,
     weights: Vec<usize>,
     matrix: CondensedMatrix,
-    index: NeighborIndex,
     min_samples: usize,
 }
 
@@ -58,9 +57,6 @@ fn prepare(protocol: Protocol, n: usize, penalty: f64) -> Prepared {
         .expect("enough segments")
         .occurrence_counts();
     let matrix = session.matrix().expect("enough segments").clone();
-    // The session's neighbor index rides along so the OPTICS / HDBSCAN
-    // variants query it instead of re-scanning matrix rows.
-    let index = session.neighbors().expect("enough segments").clone();
     let total: usize = weights.iter().sum();
     let min_samples = ((total as f64).ln().round() as usize).max(2);
     Prepared {
@@ -68,7 +64,6 @@ fn prepare(protocol: Protocol, n: usize, penalty: f64) -> Prepared {
         labels,
         weights,
         matrix,
-        index,
         min_samples,
     }
 }
@@ -140,13 +135,12 @@ fn main() {
         rows.push(score(&p, &unweighted, "unweighted DBSCAN"));
         print_row(rows.last().unwrap());
 
-        let optics_cut = optics_with_index(&p.index, 1.0, p.min_samples).extract_dbscan(eps);
+        let optics_cut = optics(&p.matrix, 1.0, p.min_samples).extract_dbscan(eps);
         rows.push(score(&p, &optics_cut, "OPTICS eps-cut (unweighted)"));
         print_row(rows.last().unwrap());
 
-        let h = hdbscan_with_index(
+        let h = hdbscan(
             &p.matrix,
-            &p.index,
             &HdbscanParams {
                 min_samples: p.min_samples.min(8),
                 min_cluster_size: 5,

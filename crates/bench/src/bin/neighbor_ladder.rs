@@ -9,10 +9,9 @@
 //!   O(u²) condensed triangle (peak memory is O(u) nodes);
 //! - `vptree+swar` — the same forest with the opt-in SWAR kernel fast
 //!   path (pinned bit-identical);
-//! - `matrix` — [`CondensedMatrix`] + [`NeighborIndex`] +
-//!   [`IndexedProvider`], the exact oracle, capped at `MATRIX_CAP`
-//!   segments (the 50k triangle alone would be ~10 GB; the sorted index
-//!   doubles that).
+//! - `matrix` — [`CondensedMatrix`] + [`MatrixProvider`] row scans, the
+//!   exact oracle, capped at `MATRIX_CAP` segments (the 50k triangle
+//!   alone would be ~10 GB).
 //!
 //! The classic ladder's corpus is uniform-length (8-byte segments), so
 //! the Canberra dissimilarity is a true metric and the vp-tree runs its
@@ -62,15 +61,15 @@
 //! [`ArtifactStore`] and faults them back in on re-runs — the big rungs
 //! (u ≥ 100k) then pay their forest build once, not per invocation.
 //! `--max-memory BYTES` guards the matrix oracle by *projection*: a
-//! rung whose condensed triangle + sorted index would exceed the cap is
+//! rung whose condensed triangle would exceed the cap is
 //! skipped (and logged) before a byte of it is allocated, instead of
 //! blowing past the budget mid-build.
 
 use cluster::autoconf::required_k_max;
 use dissim::vptree::DEFAULT_CHUNK;
 use dissim::{
-    CondensedMatrix, DissimParams, IndexedProvider, NeighborIndex, NeighborProvider, QueryCounters,
-    StrataIndex, StratifiedProvider, VpForest, VpProvider, VpTree,
+    CondensedMatrix, DissimParams, MatrixProvider, NeighborProvider, QueryCounters, StrataIndex,
+    StratifiedProvider, VpForest, VpProvider, VpTree,
 };
 use protocols::{corpus, Protocol};
 use rand::{Rng, SeedableRng, StdRng};
@@ -329,11 +328,10 @@ fn build_strata(
 }
 
 /// Projected footprint of the matrix oracle at `u` segments: the
-/// condensed triangle (`u(u-1)/2` f64s) plus the sorted neighbor index
-/// (both directions of every pair as padded `(f64, u32)` entries).
+/// condensed triangle (`u(u-1)/2` f64s).
 fn projected_matrix_bytes(u: usize) -> u64 {
     let u = u as u64;
-    u * (u - 1) / 2 * 8 + u * (u - 1) * 16
+    u * (u - 1) / 2 * 8
 }
 
 fn rung_line(u: usize, backend: &str, wall: std::time::Duration, eps: f64, count: usize) {
@@ -547,9 +545,8 @@ fn main() {
         } else if u <= MATRIX_CAP && budget.is_none() {
             let start = Instant::now();
             let matrix = CondensedMatrix::build_segments(&values, &params, threads);
-            let index = NeighborIndex::build_parallel(&matrix, threads);
-            let indexed = IndexedProvider::new(&matrix, &index);
-            let (_, m_sum, m_count) = run_queries(&indexed, &sample, k_max, Some(eps));
+            let provider = MatrixProvider::new(&matrix);
+            let (_, m_sum, m_count) = run_queries(&provider, &sample, k_max, Some(eps));
             let wall = start.elapsed();
             assert_eq!(
                 (vp_sum.to_bits(), vp_count),
@@ -592,9 +589,8 @@ fn main() {
             let sample = sample_indices(u, samples);
             let start = Instant::now();
             let matrix = CondensedMatrix::build_segments(&values, &params, threads);
-            let index = NeighborIndex::build_parallel(&matrix, threads);
-            let indexed = IndexedProvider::new(&matrix, &index);
-            let (_, m_sum, m_count) = run_queries(&indexed, &sample, k_max, Some(eps));
+            let provider = MatrixProvider::new(&matrix);
+            let (_, m_sum, m_count) = run_queries(&provider, &sample, k_max, Some(eps));
             let wall = start.elapsed();
             assert_eq!(
                 (s_sum.to_bits(), s_count),

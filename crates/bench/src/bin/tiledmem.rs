@@ -62,7 +62,7 @@ fn main() {
         threads,
         |_, _| None,
         |_, tile, _| {
-            acc.consume_tile(&tile);
+            tile.feed(&mut acc);
             tiles += 1;
         },
     );

@@ -8,9 +8,7 @@
 //! `min_samples` is `round(ln n)`, which the paper found sufficient to
 //! avoid scattering large traces into many small clusters.
 
-use dissim::{
-    CondensedMatrix, IndexProvider, KnnTable, MatrixProvider, NeighborIndex, NeighborProvider,
-};
+use dissim::{CondensedMatrix, KnnTable, MatrixProvider, NeighborProvider};
 use mathkit::kneedle::{detect_knees, KneedleParams};
 use mathkit::SmoothingSpline;
 
@@ -118,25 +116,9 @@ pub fn auto_configure(
     auto_configure_with_provider(&MatrixProvider::new(matrix), config)
 }
 
-/// Runs Algorithm 1 with k-NN dissimilarities read off a prebuilt
-/// [`NeighborIndex`] instead of scanning matrix rows.
-///
-/// The k-th neighbor dissimilarity is the same order statistic either
-/// way, so this selects exactly the parameters [`auto_configure`] would.
-///
-/// # Errors
-///
-/// See [`AutoConfError`].
-pub fn auto_configure_with_index(
-    index: &NeighborIndex,
-    config: &AutoConfig,
-) -> Result<SelectedParams, AutoConfError> {
-    auto_configure_with_provider(&IndexProvider::new(index), config)
-}
-
 /// Runs Algorithm 1 with k-NN dissimilarities answered by any
-/// [`NeighborProvider`] backend — the entry point the matrix and index
-/// variants funnel into.
+/// [`NeighborProvider`] backend — the entry point [`auto_configure`]
+/// funnels into.
 ///
 /// The k-th neighbor dissimilarity is the same order statistic for
 /// every backend, so all of them select exactly the parameters
@@ -186,8 +168,9 @@ pub fn required_k_max(n: usize) -> usize {
 }
 
 /// Runs Algorithm 1 with k-NN dissimilarities read off a precomputed
-/// [`KnnTable`] (built from a tiled matrix without materializing the
-/// full matrix or neighbor lists).
+/// [`KnnTable`] — one linear sweep of a condensed matrix
+/// ([`CondensedMatrix::knn_table`]) or merged per-tile partials — in
+/// place of a row selection per item and candidate `k`.
 ///
 /// The table holds the same k-th order statistics a matrix scan
 /// produces, so this selects exactly the parameters [`auto_configure`]
@@ -355,28 +338,9 @@ mod tests {
     }
 
     #[test]
-    fn index_backed_autoconf_matches_matrix_scan() {
-        let m = blobs(4, 18, 0.08, 7.0, 5);
-        let idx = dissim::NeighborIndex::build(&m);
-        for config in [
-            AutoConfig::default(),
-            AutoConfig {
-                max_dissimilarity: Some(1.0),
-                ..AutoConfig::default()
-            },
-        ] {
-            assert_eq!(
-                auto_configure(&m, &config),
-                auto_configure_with_index(&idx, &config)
-            );
-        }
-    }
-
-    #[test]
     fn parallel_autoconf_matches_serial() {
         let m = blobs(4, 18, 0.08, 7.0, 5);
-        let idx = dissim::NeighborIndex::build(&m);
-        let provider = dissim::IndexedProvider::new(&m, &idx);
+        let provider = MatrixProvider::new(&m);
         for config in [
             AutoConfig::default(),
             AutoConfig {
@@ -407,16 +371,7 @@ mod tests {
     #[test]
     fn knn_table_autoconf_matches_matrix_scan() {
         let m = blobs(4, 18, 0.08, 7.0, 5);
-        let n = m.len();
-        let mut acc = dissim::KnnAccumulator::new(n, required_k_max(n));
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let d = m.get(i, j);
-                acc.push(i, d);
-                acc.push(j, d);
-            }
-        }
-        let table = acc.finish();
+        let table = m.knn_table(required_k_max(m.len()));
         for config in [
             AutoConfig::default(),
             AutoConfig {

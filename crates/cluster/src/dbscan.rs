@@ -7,7 +7,7 @@
 //! classic region-growing formulation with scikit-learn's convention that
 //! `min_samples` counts the point itself.
 
-use dissim::{CondensedMatrix, IndexProvider, MatrixProvider, NeighborIndex, NeighborProvider};
+use dissim::{CondensedMatrix, MatrixProvider, NeighborProvider};
 
 /// Cluster assignment of one item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -108,33 +108,6 @@ pub fn dbscan(matrix: &CondensedMatrix, eps: f64, min_samples: usize) -> Cluster
     dbscan_weighted(matrix, eps, min_samples, &weights)
 }
 
-/// Runs DBSCAN with ε-region queries answered by a prebuilt
-/// [`NeighborIndex`] (binary-searched sorted neighbor lists) instead of
-/// matrix row scans.
-///
-/// Produces exactly the same clustering as [`dbscan`]: the region query
-/// returns neighbors ordered by dissimilarity instead of index, and
-/// DBSCAN's density-reachable sets are invariant under that permutation.
-pub fn dbscan_with_index(index: &NeighborIndex, eps: f64, min_samples: usize) -> Clustering {
-    let weights = vec![1usize; index.len()];
-    dbscan_weighted_with_index(index, eps, min_samples, &weights)
-}
-
-/// Weighted DBSCAN (see [`dbscan_weighted`]) over a prebuilt
-/// [`NeighborIndex`].
-///
-/// # Panics
-///
-/// Panics if `weights` is shorter than the index.
-pub fn dbscan_weighted_with_index(
-    index: &NeighborIndex,
-    eps: f64,
-    min_samples: usize,
-    weights: &[usize],
-) -> Clustering {
-    dbscan_weighted_with_provider(&IndexProvider::new(index), eps, min_samples, weights)
-}
-
 /// Weighted DBSCAN with ε-region queries answered by any
 /// [`NeighborProvider`] backend — the entry point every other DBSCAN
 /// function funnels into.
@@ -155,48 +128,6 @@ pub fn dbscan_weighted_with_provider<P: NeighborProvider + ?Sized>(
         provider.neighbors_within(i, eps, &mut nb);
         out.extend(nb.iter().map(|&(_, j)| j as usize));
     })
-}
-
-/// [`dbscan_with_index`] with the per-item core predicate evaluated in
-/// parallel on the `parkit` scheduler before the (serial, deterministic)
-/// region growing.
-pub fn dbscan_parallel_with_index(
-    index: &NeighborIndex,
-    eps: f64,
-    min_samples: usize,
-    threads: usize,
-) -> Clustering {
-    let weights = vec![1usize; index.len()];
-    dbscan_weighted_parallel_with_index(index, eps, min_samples, &weights, threads)
-}
-
-/// [`dbscan_weighted_with_index`] with the per-item core predicate
-/// evaluated in parallel on the `parkit` scheduler.
-///
-/// Whether an item is core — its ε-neighborhood weight reaches
-/// `min_samples` — is an integer sum over its own index row, written to
-/// its own slot, so the predicate vector is exact and independent of
-/// scheduling; the region growing then consumes it in the same serial
-/// index order as the other entry points. The clustering is therefore
-/// identical to [`dbscan_weighted_with_index`] for any thread count.
-///
-/// # Panics
-///
-/// Panics if `weights` is shorter than the index.
-pub fn dbscan_weighted_parallel_with_index(
-    index: &NeighborIndex,
-    eps: f64,
-    min_samples: usize,
-    weights: &[usize],
-    threads: usize,
-) -> Clustering {
-    dbscan_weighted_parallel_with_provider(
-        &IndexProvider::new(index),
-        eps,
-        min_samples,
-        weights,
-        threads,
-    )
 }
 
 /// [`dbscan_weighted_with_provider`] with every ε-range query answered
@@ -284,10 +215,13 @@ pub fn dbscan_weighted(
     dbscan_weighted_with_provider(&MatrixProvider::new(matrix), eps, min_samples, weights)
 }
 
-/// The region-growing core shared by the matrix-scan and neighbor-index
-/// entry points. `region` appends the ε-neighbors of an item to the
-/// provided scratch buffer (self excluded); the reported clustering does
-/// not depend on the order it emits them in.
+/// The region-growing core of the serial entry points. `region`
+/// appends the ε-neighbors of an item to the provided scratch buffer
+/// (self excluded); the reported clustering does not depend on the
+/// order it emits them in: clusters grow one at a time from seeds taken
+/// in index order, each to completion before the next seed, so the
+/// cluster that claims a border point is the first whose density-
+/// connected set reaches it, whatever order the regions list it in.
 fn dbscan_impl(
     n: usize,
     min_samples: usize,
@@ -519,22 +453,24 @@ mod tests {
     }
 
     #[test]
-    fn index_backed_dbscan_matches_matrix_scan() {
+    fn emission_order_does_not_change_labels() {
         let pts = [0.0, 0.1, 0.2, 1.5, 10.0, 10.1, 10.2, 55.0, 55.3];
         let m = line_matrix(&pts);
-        let idx = dissim::NeighborIndex::build(&m);
+        let farthest_first = crate::testkit::FarthestFirst(MatrixProvider::new(&m));
         let w = [7, 1, 1, 1, 3, 1, 1, 2, 1];
         for (eps, ms) in [(0.5, 2), (0.5, 3), (0.35, 5), (2.0, 2), (100.0, 3)] {
             assert_eq!(
-                dbscan(&m, eps, ms),
-                dbscan_with_index(&idx, eps, ms),
+                dbscan_weighted(&m, eps, ms, &w),
+                dbscan_weighted_with_provider(&farthest_first, eps, ms, &w),
                 "eps={eps} ms={ms}"
             );
-            assert_eq!(
-                dbscan_weighted(&m, eps, ms, &w),
-                dbscan_weighted_with_index(&idx, eps, ms, &w),
-                "weighted eps={eps} ms={ms}"
-            );
+            for threads in [1, 4] {
+                assert_eq!(
+                    dbscan_weighted(&m, eps, ms, &w),
+                    dbscan_weighted_parallel_with_provider(&farthest_first, eps, ms, &w, threads),
+                    "threads={threads} eps={eps} ms={ms}"
+                );
+            }
         }
     }
 
@@ -542,18 +478,19 @@ mod tests {
     fn parallel_core_predicate_matches_serial() {
         let pts = [0.0, 0.1, 0.2, 1.5, 10.0, 10.1, 10.2, 55.0, 55.3];
         let m = line_matrix(&pts);
-        let idx = dissim::NeighborIndex::build(&m);
+        let provider = MatrixProvider::new(&m);
+        let unit = [1; 9];
         let w = [7, 1, 1, 1, 3, 1, 1, 2, 1];
         for threads in [1, 2, 4] {
             for (eps, ms) in [(0.5, 2), (0.5, 3), (0.35, 5), (2.0, 2), (100.0, 3)] {
                 assert_eq!(
                     dbscan(&m, eps, ms),
-                    dbscan_parallel_with_index(&idx, eps, ms, threads),
+                    dbscan_weighted_parallel_with_provider(&provider, eps, ms, &unit, threads),
                     "threads={threads} eps={eps} ms={ms}"
                 );
                 assert_eq!(
                     dbscan_weighted(&m, eps, ms, &w),
-                    dbscan_weighted_parallel_with_index(&idx, eps, ms, &w, threads),
+                    dbscan_weighted_parallel_with_provider(&provider, eps, ms, &w, threads),
                     "weighted threads={threads} eps={eps} ms={ms}"
                 );
             }

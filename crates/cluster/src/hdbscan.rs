@@ -13,7 +13,7 @@
 //! extraction.
 
 use crate::dbscan::{Clustering, Label};
-use dissim::{CondensedMatrix, IndexedProvider, MatrixProvider, NeighborIndex, NeighborProvider};
+use dissim::{CondensedMatrix, MatrixProvider, NeighborProvider};
 
 /// HDBSCAN* parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,8 +55,8 @@ pub fn hdbscan(matrix: &CondensedMatrix, params: &HdbscanParams) -> Clustering {
 }
 
 /// Runs HDBSCAN* with core distances and pair lookups answered by any
-/// [`NeighborProvider`] backend — the entry point the matrix and index
-/// variants funnel into.
+/// [`NeighborProvider`] backend — the entry point [`hdbscan`] funnels
+/// into.
 ///
 /// The core distance is the `(min_samples − 1)`-th nearest-neighbor
 /// order statistic, i.e. a single [`NeighborProvider::knn`] query per
@@ -78,43 +78,6 @@ pub fn hdbscan_with_provider<P: NeighborProvider + ?Sized>(
         })
         .collect();
     hdbscan_from_core(provider, params, &core)
-}
-
-/// Runs HDBSCAN* with core distances read off a prebuilt
-/// [`NeighborIndex`] instead of per-item row selections.
-///
-/// Produces exactly the same clustering as [`hdbscan`]: the core
-/// distance is the `(min_samples - 1)`-th order statistic of each row,
-/// which the sorted neighbor lists hold directly.
-///
-/// # Panics
-///
-/// Panics if the index and matrix cover different item counts.
-pub fn hdbscan_with_index(
-    matrix: &CondensedMatrix,
-    index: &NeighborIndex,
-    params: &HdbscanParams,
-) -> Clustering {
-    hdbscan_with_provider(&IndexedProvider::new(matrix, index), params)
-}
-
-/// [`hdbscan_with_index`] with the core distances gathered in parallel
-/// on the `parkit` scheduler.
-///
-/// Each item's core distance is a single read off its sorted neighbor
-/// list into its own slot, so the vector is bit-identical to the serial
-/// gather for any thread count — and so is the clustering built from it.
-///
-/// # Panics
-///
-/// Panics if the index and matrix cover different item counts.
-pub fn hdbscan_parallel_with_index(
-    matrix: &CondensedMatrix,
-    index: &NeighborIndex,
-    params: &HdbscanParams,
-    threads: usize,
-) -> Clustering {
-    hdbscan_parallel_with_provider(&IndexedProvider::new(matrix, index), params, threads)
 }
 
 /// [`hdbscan_with_provider`] with the core distances gathered through
@@ -464,12 +427,12 @@ mod tests {
     }
 
     #[test]
-    fn index_backed_hdbscan_matches_matrix_scan() {
+    fn parallel_hdbscan_matches_matrix_scan() {
         let mut pts = blob(0.0, 10, 0.5);
         pts.extend(blob(40.0, 10, 3.0));
         pts.push(500.0);
         let m = line_matrix(&pts);
-        let idx = dissim::NeighborIndex::build(&m);
+        let provider = MatrixProvider::new(&m);
         for p in [
             HdbscanParams::default(),
             HdbscanParams {
@@ -481,11 +444,10 @@ mod tests {
                 min_cluster_size: 3,
             },
         ] {
-            assert_eq!(hdbscan(&m, &p), hdbscan_with_index(&m, &idx, &p), "{p:?}");
             for threads in [1, 2, 4] {
                 assert_eq!(
                     hdbscan(&m, &p),
-                    hdbscan_parallel_with_index(&m, &idx, &p, threads),
+                    hdbscan_parallel_with_provider(&provider, &p, threads),
                     "threads={threads} {p:?}"
                 );
             }

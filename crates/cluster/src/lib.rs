@@ -2,7 +2,8 @@
 //! Density-based clustering with automatic parameter selection and
 //! refinement, as used for field data type clustering (paper §III-D/E/F).
 //!
-//! * [`dbscan`](mod@crate::dbscan) — DBSCAN over a precomputed dissimilarity matrix,
+//! * [`dbscan`](mod@crate::dbscan) — DBSCAN over any neighbor provider
+//!   (a condensed matrix's row scans, or a pruned forest),
 //! * [`autoconf`] — the ε auto-configuration of Algorithm 1: pick the
 //!   k-NN ECDF with the sharpest knee, smooth it with a spline, detect
 //!   the rightmost knee with Kneedle, set `min_samples = round(ln n)`,
@@ -30,22 +31,43 @@ pub mod optics;
 pub mod refine;
 
 pub use autoconf::{
-    auto_configure, auto_configure_parallel, auto_configure_with_index, auto_configure_with_knn,
-    auto_configure_with_provider, required_k_max, AutoConfError, AutoConfig, SelectedParams,
+    auto_configure, auto_configure_parallel, auto_configure_with_knn, auto_configure_with_provider,
+    required_k_max, AutoConfError, AutoConfig, SelectedParams,
 };
 pub use dbscan::{
-    dbscan, dbscan_parallel_with_index, dbscan_weighted, dbscan_weighted_parallel_with_index,
-    dbscan_weighted_parallel_with_provider, dbscan_weighted_with_index,
-    dbscan_weighted_with_provider, dbscan_with_index, Clustering, Label,
+    dbscan, dbscan_weighted, dbscan_weighted_parallel_with_provider, dbscan_weighted_with_provider,
+    Clustering, Label,
 };
-pub use hdbscan::{
-    hdbscan, hdbscan_parallel_with_index, hdbscan_parallel_with_provider, hdbscan_with_index,
-    hdbscan_with_provider, HdbscanParams,
-};
-pub use optics::{
-    optics, optics_parallel_with_provider, optics_with_index, optics_with_provider, OpticsOrdering,
-};
-pub use refine::{
-    merge_clusters, merge_clusters_parallel, merge_clusters_with_index,
-    merge_clusters_with_provider, split_clusters, RefineParams,
-};
+pub use hdbscan::{hdbscan, hdbscan_parallel_with_provider, hdbscan_with_provider, HdbscanParams};
+pub use optics::{optics, optics_parallel_with_provider, optics_with_provider, OpticsOrdering};
+pub use refine::{merge_clusters, merge_clusters_with_provider, split_clusters, RefineParams};
+
+/// Test-only neighbor providers.
+#[cfg(test)]
+pub(crate) mod testkit {
+    use dissim::{MatrixProvider, NeighborProvider};
+
+    /// A matrix provider that emits every ε-region farthest first —
+    /// the reverse of the forests' order and a permutation of the row
+    /// scan's — to pin that no consumer depends on emission order.
+    pub struct FarthestFirst<'a>(pub MatrixProvider<'a>);
+
+    impl NeighborProvider for FarthestFirst<'_> {
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+
+        fn neighbors_within(&self, i: usize, eps: f64, out: &mut Vec<(f64, u32)>) {
+            self.0.neighbors_within(i, eps, out);
+            out.sort_by(|a, b| b.partial_cmp(a).expect("dissimilarities are not NaN"));
+        }
+
+        fn knn(&self, i: usize, k: usize) -> f64 {
+            self.0.knn(i, k)
+        }
+
+        fn pair(&self, i: usize, j: usize) -> f64 {
+            self.0.pair(i, j)
+        }
+    }
+}

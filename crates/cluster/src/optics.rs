@@ -9,7 +9,7 @@
 //! once, and an ε-cut extracts DBSCAN-equivalent clusters at any radius.
 
 use crate::dbscan::{Clustering, Label};
-use dissim::{CondensedMatrix, IndexProvider, MatrixProvider, NeighborIndex, NeighborProvider};
+use dissim::{CondensedMatrix, MatrixProvider, NeighborProvider};
 
 /// The OPTICS ordering: reachability and core distances per visit rank.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,23 +32,9 @@ pub fn optics(matrix: &CondensedMatrix, max_eps: f64, min_samples: usize) -> Opt
     optics_with_provider(&MatrixProvider::new(matrix), max_eps, min_samples)
 }
 
-/// Runs OPTICS with ε-region queries and core distances answered by a
-/// prebuilt [`NeighborIndex`] instead of matrix row scans.
-///
-/// Produces exactly the same ordering as [`optics`]: reachability
-/// updates take per-neighbor minima and the core distance is an order
-/// statistic, so neither depends on neighbor enumeration order.
-pub fn optics_with_index(
-    index: &NeighborIndex,
-    max_eps: f64,
-    min_samples: usize,
-) -> OpticsOrdering {
-    optics_with_provider(&IndexProvider::new(index), max_eps, min_samples)
-}
-
 /// Runs OPTICS with ε-region queries answered by any
-/// [`NeighborProvider`] backend — the entry point the matrix and index
-/// variants funnel into.
+/// [`NeighborProvider`] backend — the entry point [`optics`] funnels
+/// into.
 ///
 /// Produces exactly the same ordering as [`optics`]: reachability
 /// updates take per-neighbor minima and the core distance is an order
@@ -90,8 +76,7 @@ pub fn optics_parallel_with_provider<P: NeighborProvider + Sync>(
     })
 }
 
-/// The expansion core shared by the matrix-scan and neighbor-index entry
-/// points. `region` appends the `(neighbor, dissimilarity)` pairs of an
+/// The expansion core shared by the serial and batched entry points. `region` appends the `(neighbor, dissimilarity)` pairs of an
 /// item's ε-neighborhood to the scratch buffer (self excluded); the
 /// ordering it emits them in does not affect the result.
 fn optics_impl(
@@ -265,14 +250,14 @@ mod tests {
     }
 
     #[test]
-    fn index_backed_optics_matches_matrix_scan() {
+    fn emission_order_does_not_change_ordering() {
         let pts = [0.0, 0.1, 0.2, 1.4, 5.0, 5.1, 5.2, 20.0, 20.4];
         let m = line_matrix(&pts);
-        let idx = dissim::NeighborIndex::build(&m);
+        let farthest_first = crate::testkit::FarthestFirst(MatrixProvider::new(&m));
         for (max_eps, ms) in [(0.5, 2), (2.0, 3), (100.0, 2), (100.0, 4)] {
             assert_eq!(
                 optics(&m, max_eps, ms),
-                optics_with_index(&idx, max_eps, ms),
+                optics_with_provider(&farthest_first, max_eps, ms),
                 "max_eps={max_eps} ms={ms}"
             );
         }
@@ -282,13 +267,12 @@ mod tests {
     fn parallel_optics_matches_serial() {
         let pts = [0.0, 0.1, 0.2, 1.4, 5.0, 5.1, 5.2, 20.0, 20.4];
         let m = line_matrix(&pts);
-        let idx = dissim::NeighborIndex::build(&m);
-        let ip = dissim::IndexedProvider::new(&m, &idx);
+        let provider = MatrixProvider::new(&m);
         for threads in [1usize, 4] {
             for (max_eps, ms) in [(0.5, 2), (2.0, 3), (100.0, 2), (100.0, 4)] {
                 assert_eq!(
                     optics(&m, max_eps, ms),
-                    optics_parallel_with_provider(&ip, max_eps, ms, threads),
+                    optics_parallel_with_provider(&provider, max_eps, ms, threads),
                     "threads={threads} max_eps={max_eps} ms={ms}"
                 );
             }

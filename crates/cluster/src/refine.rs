@@ -12,7 +12,7 @@
 //! counts are extremely polarized.
 
 use crate::dbscan::{Clustering, Label};
-use dissim::{CondensedMatrix, IndexedProvider, MatrixProvider, NeighborIndex, NeighborProvider};
+use dissim::{CondensedMatrix, MatrixProvider, NeighborProvider};
 use mathkit::stats;
 
 /// Thresholds of the refinement heuristics. Defaults are the paper's
@@ -52,30 +52,19 @@ pub fn merge_clusters(
     merge_impl(clustering, &MatrixProvider::new(matrix), params, 1)
 }
 
-/// [`merge_clusters`] with the link-density region queries of Condition 1
-/// answered by a prebuilt [`NeighborIndex`] instead of member scans.
-///
-/// Produces exactly the same clustering: the ε-region around a link
-/// segment holds the same cluster-mates either way, and the density is
-/// their median dissimilarity, which is order-insensitive.
-pub fn merge_clusters_with_index(
-    clustering: &Clustering,
-    matrix: &CondensedMatrix,
-    index: &NeighborIndex,
-    params: &RefineParams,
-) -> Clustering {
-    merge_impl(clustering, &IndexedProvider::new(matrix, index), params, 1)
-}
-
 /// Merge refinement with pair lookups and link-density region queries
 /// answered by any [`NeighborProvider`] backend — the entry point every
-/// other merge function funnels into (with `threads` worth of
-/// statistics parallelism when > 1).
+/// other merge function funnels into.
 ///
 /// Produces exactly the clustering [`merge_clusters`] would: the
 /// ε-region around a link segment holds the same cluster-mates for
 /// every backend, and the density is their median dissimilarity, which
 /// is order-insensitive.
+///
+/// With `threads > 1` each round's per-cluster statistics and per-pair
+/// merge decisions are computed in parallel on the `parkit` scheduler,
+/// each into its own slot and folded in a fixed order, so the result is
+/// bit-identical to the serial rounds for any thread count.
 pub fn merge_clusters_with_provider<P: NeighborProvider + Sync>(
     clustering: &Clustering,
     provider: &P,
@@ -83,29 +72,6 @@ pub fn merge_clusters_with_provider<P: NeighborProvider + Sync>(
     threads: usize,
 ) -> Clustering {
     merge_impl(clustering, provider, params, threads)
-}
-
-/// [`merge_clusters_with_index`] with the per-cluster statistics of each
-/// round (mean/max intra-cluster dissimilarity, `minmed`) computed in
-/// parallel on the `parkit` scheduler.
-///
-/// Each cluster's statistics are folded over its members in a fixed
-/// order into the cluster's own slot, so the vector — and the merge
-/// decisions consuming it in serial pair order — are bit-identical to
-/// the serial rounds for any thread count.
-pub fn merge_clusters_parallel(
-    clustering: &Clustering,
-    matrix: &CondensedMatrix,
-    index: &NeighborIndex,
-    params: &RefineParams,
-    threads: usize,
-) -> Clustering {
-    merge_impl(
-        clustering,
-        &IndexedProvider::new(matrix, index),
-        params,
-        threads,
-    )
 }
 
 fn merge_impl<P: NeighborProvider + Sync>(
@@ -126,72 +92,49 @@ fn merge_impl<P: NeighborProvider + Sync>(
         }
         let stats = compute_stats(&clusters, provider, threads);
 
+        // A round's merge decision for (i, j) depends only on this
+        // round's labels, members and statistics — never on earlier
+        // unions — so every candidate pair (its cross-cluster link scan
+        // and Condition-1 link-density region queries) is decided into
+        // its own slot, on `threads` workers, before the unions are
+        // applied in pair order. Deciding every pair, including pairs an
+        // earlier union already joined, keeps the query sequence — and
+        // with it a counting provider's totals — the same at every
+        // thread count; a union of already-joined clusters is a no-op.
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for i in 0..clusters.len() {
+            for j in (i + 1)..clusters.len() {
+                pairs.push((i as u32, j as u32));
+            }
+        }
+        let mut decisions = vec![false; pairs.len()];
+        let decisions_ptr = SendDecisionPtr(decisions.as_mut_ptr());
+        let (labels_ref, pairs_ref) = (&labels, &pairs);
+        parkit::for_each_chunk(threads, pairs_ref.len(), 1, |chunk| {
+            let decisions_ptr = &decisions_ptr;
+            for p in chunk {
+                let (i, j) = (pairs_ref[p].0 as usize, pairs_ref[p].1 as usize);
+                let pair = MergeCandidate {
+                    ci: &clusters[i],
+                    cj: &clusters[j],
+                    si: &stats[i],
+                    sj: &stats[j],
+                    id_i: i as u32,
+                    id_j: j as u32,
+                };
+                // SAFETY: slot `p` is written by exactly one worker
+                // (the scheduler hands out each pair once).
+                unsafe {
+                    *decisions_ptr.0.add(p) = should_merge(&pair, labels_ref, provider, params);
+                }
+            }
+        });
         let mut merged_into: Vec<usize> = (0..clusters.len()).collect();
         let mut any = false;
-        if threads <= 1 {
-            for i in 0..clusters.len() {
-                for j in (i + 1)..clusters.len() {
-                    if find(&mut merged_into, i) == find(&mut merged_into, j) {
-                        continue;
-                    }
-                    let pair = MergeCandidate {
-                        ci: &clusters[i],
-                        cj: &clusters[j],
-                        si: &stats[i],
-                        sj: &stats[j],
-                        id_i: i as u32,
-                        id_j: j as u32,
-                    };
-                    if should_merge(&pair, &labels, provider, params) {
-                        union(&mut merged_into, i, j);
-                        any = true;
-                    }
-                }
-            }
-        } else {
-            // A round's merge decision for (i, j) depends only on this
-            // round's labels, members and statistics — never on earlier
-            // unions — so every candidate pair (its cross-cluster link
-            // scan and Condition-1 link-density region queries) can be
-            // decided in parallel into disjoint slots. Applying the
-            // unions serially in pair order then reproduces the serial
-            // round exactly: the serial loop only skips pairs that are
-            // already united, for which a union is a no-op, and any
-            // skipped-but-true pair implies an earlier true pair already
-            // set `any`.
-            let mut pairs: Vec<(u32, u32)> = Vec::new();
-            for i in 0..clusters.len() {
-                for j in (i + 1)..clusters.len() {
-                    pairs.push((i as u32, j as u32));
-                }
-            }
-            let mut decisions = vec![false; pairs.len()];
-            let decisions_ptr = SendDecisionPtr(decisions.as_mut_ptr());
-            let (labels_ref, pairs_ref) = (&labels, &pairs);
-            parkit::for_each_chunk(threads, pairs_ref.len(), 1, |chunk| {
-                let decisions_ptr = &decisions_ptr;
-                for p in chunk {
-                    let (i, j) = (pairs_ref[p].0 as usize, pairs_ref[p].1 as usize);
-                    let pair = MergeCandidate {
-                        ci: &clusters[i],
-                        cj: &clusters[j],
-                        si: &stats[i],
-                        sj: &stats[j],
-                        id_i: i as u32,
-                        id_j: j as u32,
-                    };
-                    // SAFETY: slot `p` is written by exactly one worker
-                    // (the scheduler hands out each pair once).
-                    unsafe {
-                        *decisions_ptr.0.add(p) = should_merge(&pair, labels_ref, provider, params);
-                    }
-                }
-            });
-            for (&(i, j), &merge) in pairs.iter().zip(&decisions) {
-                if merge {
-                    union(&mut merged_into, i as usize, j as usize);
-                    any = true;
-                }
+        for (&(i, j), &merge) in pairs.iter().zip(&decisions) {
+            if merge {
+                union(&mut merged_into, i as usize, j as usize);
+                any = true;
             }
         }
         if !any {
@@ -509,36 +452,33 @@ mod tests {
     }
 
     #[test]
-    fn index_backed_merge_matches_matrix_scan() {
+    fn emission_order_does_not_change_merges() {
         let (m, c) = overclassified();
-        let idx = dissim::NeighborIndex::build(&m);
-        let p = RefineParams::default();
-        assert_eq!(
-            merge_clusters(&c, &m, &p),
-            merge_clusters_with_index(&c, &m, &idx, &p)
-        );
-        // Also when thresholds forbid any merge.
+        let farthest_first = crate::testkit::FarthestFirst(MatrixProvider::new(&m));
         let strict = RefineParams {
             eps_rho_threshold: 0.0,
             neighbor_density_threshold: 0.0,
             ..RefineParams::default()
         };
-        assert_eq!(
-            merge_clusters(&c, &m, &strict),
-            merge_clusters_with_index(&c, &m, &idx, &strict)
-        );
+        // Also when thresholds forbid any merge.
+        for p in [RefineParams::default(), strict] {
+            assert_eq!(
+                merge_clusters(&c, &m, &p),
+                merge_clusters_with_provider(&c, &farthest_first, &p, 1)
+            );
+        }
     }
 
     #[test]
     fn parallel_merge_matches_serial() {
         let (m, c) = overclassified();
-        let idx = dissim::NeighborIndex::build(&m);
+        let provider = MatrixProvider::new(&m);
         let p = RefineParams::default();
         let serial = merge_clusters(&c, &m, &p);
         for threads in [1, 2, 4] {
             assert_eq!(
                 serial,
-                merge_clusters_parallel(&c, &m, &idx, &p, threads),
+                merge_clusters_with_provider(&c, &provider, &p, threads),
                 "threads={threads}"
             );
         }

@@ -1,24 +1,21 @@
-//! A dissimilarity artifact: the condensed matrix plus the derived
-//! [`NeighborIndex`], built at most once and shared by every analysis
-//! stage that needs pairwise dissimilarities.
+//! A dissimilarity artifact: the condensed matrix over one item set,
+//! built at most once and shared by every analysis stage that needs
+//! pairwise dissimilarities — and the unit the artifact store persists
+//! for the monolithic matrix build.
 //!
 //! The matrix is the expensive product (O(n²) dissimilarity
-//! evaluations); the neighbor index is a cheaper derived structure
-//! (O(n² log n) sort of already-computed values) that accelerates
-//! ε-region and k-NN queries. Bundling them keeps the invariant that
-//! both describe the *same* item set, and lets the index be built
-//! lazily: stages that only need raw matrix entries never pay for it.
+//! evaluations). Everything the clustering stages derive from it is
+//! cheap by comparison: ε-regions are row scans and the k-NN
+//! dissimilarities come from one linear sweep
+//! ([`CondensedMatrix::knn_table`]), so no derived structure is kept or
+//! persisted alongside it.
 
 use crate::matrix::CondensedMatrix;
-use crate::neighbor::NeighborIndex;
 
-/// The condensed dissimilarity matrix together with its lazily built
-/// neighbor index.
-#[derive(Debug, Clone)]
+/// The condensed dissimilarity matrix of one item set.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DissimArtifact {
     matrix: CondensedMatrix,
-    threads: usize,
-    neighbors: Option<NeighborIndex>,
 }
 
 impl DissimArtifact {
@@ -26,7 +23,7 @@ impl DissimArtifact {
     /// `f(i, j)` must be symmetric; it is called once per unordered
     /// pair `i < j`.
     pub fn compute(n: usize, threads: usize, f: impl Fn(usize, usize) -> f64 + Sync) -> Self {
-        Self::from_matrix(CondensedMatrix::build_parallel(n, threads, f), threads)
+        Self::from_matrix(CondensedMatrix::build_parallel(n, threads, f))
     }
 
     /// Computes the pairwise Canberra dissimilarity matrix directly
@@ -39,49 +36,12 @@ impl DissimArtifact {
         params: &crate::canberra::DissimParams,
         threads: usize,
     ) -> Self {
-        Self::from_matrix(
-            CondensedMatrix::build_segments(segments, params, threads),
-            threads,
-        )
+        Self::from_matrix(CondensedMatrix::build_segments(segments, params, threads))
     }
 
-    /// Wraps an existing matrix; `threads` is used for a later
-    /// [`neighbors`](Self::neighbors) build.
-    pub fn from_matrix(matrix: CondensedMatrix, threads: usize) -> Self {
-        Self {
-            matrix,
-            threads: threads.max(1),
-            neighbors: None,
-        }
-    }
-
-    /// Reassembles an artifact from a matrix and an optionally
-    /// pre-built neighbor index (the artifact store's warm-start path).
-    /// `None` if the index covers a different item count than the
-    /// matrix — a corrupt cache file must read as a miss, never as a
-    /// mismatched artifact.
-    pub fn from_parts(
-        matrix: CondensedMatrix,
-        neighbors: Option<NeighborIndex>,
-        threads: usize,
-    ) -> Option<Self> {
-        if let Some(ix) = &neighbors {
-            if ix.len() != matrix.len() {
-                return None;
-            }
-        }
-        Some(Self {
-            matrix,
-            threads: threads.max(1),
-            neighbors,
-        })
-    }
-
-    /// Sets the worker-thread count used for a later lazy
-    /// [`neighbors`](Self::neighbors) build (deserialized artifacts
-    /// default to one thread).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
+    /// Wraps an existing matrix.
+    pub fn from_matrix(matrix: CondensedMatrix) -> Self {
+        Self { matrix }
     }
 
     /// Number of items.
@@ -99,20 +59,6 @@ impl DissimArtifact {
         &self.matrix
     }
 
-    /// The neighbor index, building (in parallel) and caching it on
-    /// first use.
-    pub fn neighbors(&mut self) -> &NeighborIndex {
-        if self.neighbors.is_none() {
-            self.neighbors = Some(NeighborIndex::build_parallel(&self.matrix, self.threads));
-        }
-        self.neighbors.as_ref().expect("just built")
-    }
-
-    /// The neighbor index if it has already been built.
-    pub fn neighbors_built(&self) -> Option<&NeighborIndex> {
-        self.neighbors.as_ref()
-    }
-
     /// Consumes the artifact, returning the matrix.
     pub fn into_matrix(self) -> CondensedMatrix {
         self.matrix
@@ -124,22 +70,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lazy_neighbor_index_matches_direct_build() {
-        let pts = [0.0f64, 0.4, 1.0, 5.0];
-        let mut a = DissimArtifact::compute(pts.len(), 2, |i, j| (pts[i] - pts[j]).abs());
-        assert!(a.neighbors_built().is_none());
-        let direct = NeighborIndex::build(a.matrix());
-        assert_eq!(a.neighbors().neighbors(0), direct.neighbors(0));
-        assert!(a.neighbors_built().is_some());
-        assert_eq!(a.len(), 4);
-    }
-
-    #[test]
     fn compute_matches_serial_matrix() {
         let pts = [3.0f64, 1.0, 4.0, 1.5, 9.0];
         let a = DissimArtifact::compute(pts.len(), 3, |i, j| (pts[i] - pts[j]).abs());
         let m = CondensedMatrix::build(pts.len(), |i, j| (pts[i] - pts[j]).abs());
         assert_eq!(*a.matrix(), m);
+        assert_eq!(a.len(), 5);
         assert_eq!(a.into_matrix(), m);
     }
 }

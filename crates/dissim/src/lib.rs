@@ -32,8 +32,8 @@
 pub mod artifact;
 pub mod canberra;
 pub mod kernel;
+pub mod knn;
 pub mod matrix;
-pub mod neighbor;
 pub mod provider;
 pub mod strata;
 pub mod tiled;
@@ -42,9 +42,9 @@ pub mod vptree;
 pub use artifact::DissimArtifact;
 pub use canberra::{canberra_distance, dissimilarity, DissimParams, InvalidLengthPenalty};
 pub use kernel::{CanberraLut, QueryDist};
+pub use knn::{KnnAccumulator, KnnTable};
 pub use matrix::CondensedMatrix;
-pub use neighbor::NeighborIndex;
-pub use provider::{IndexProvider, IndexedProvider, MatrixProvider, NeighborProvider};
+pub use provider::{MatrixProvider, NeighborProvider};
 pub use strata::{length_lower_bound, QueryCounters, StrataIndex, StratifiedProvider, Stratum};
-pub use tiled::{KnnAccumulator, KnnTable, MatrixTile, TiledMatrix};
+pub use tiled::{MatrixTile, TiledMatrix};
 pub use vptree::{VpForest, VpProvider, VpTree};

@@ -6,6 +6,8 @@
 //! `parkit` work-stealing scheduler since it is the pipeline's dominant
 //! cost (O(n²) sliding-window Canberra evaluations).
 
+use crate::knn::{KnnAccumulator, KnnTable};
+
 /// A symmetric zero-diagonal dissimilarity matrix in condensed form.
 ///
 /// # Examples
@@ -176,11 +178,6 @@ impl CondensedMatrix {
     /// Callers looping over rows should reuse one scratch buffer instead
     /// of allocating a fresh `Vec` per item via [`Self::row`].
     ///
-    /// Walks the two condensed-triangle ranges directly: the column part
-    /// (`j < i`) is a strided walk with stride `n − j − 2`, the tail
-    /// (`j > i`) a contiguous copy — no per-element index arithmetic or
-    /// bounds-checked [`Self::get`] calls.
-    ///
     /// # Panics
     ///
     /// Panics if `i` is out of bounds (and the matrix is non-empty).
@@ -189,23 +186,43 @@ impl CondensedMatrix {
         if self.n == 0 {
             return;
         }
-        assert!(i < self.n, "index out of bounds");
+        let (column, tail) = self.row_parts(i);
         buf.reserve(self.n - 1);
-        // Column part: pairs (j, i) with j < i sit at
-        // condensed_index(n, j, i), whose stride from j to j + 1 is
-        // n − j − 2.
-        if i > 0 {
-            let mut idx = condensed_index(self.n, 0, i);
-            for j in 0..i {
-                buf.push(self.data[idx]);
-                idx += self.n - j - 2;
-            }
-        }
-        // Tail: pairs (i, j) with j > i are contiguous.
-        if i + 1 < self.n {
-            let start = condensed_index(self.n, i, i + 1);
-            buf.extend_from_slice(&self.data[start..start + (self.n - i - 1)]);
-        }
+        buf.extend(column);
+        buf.extend_from_slice(tail);
+    }
+
+    /// Row `i` split at the diagonal, both halves in index order: the
+    /// column part `D(j, i)` for `j < i` and the tail `D(i, j)` for
+    /// `j > i`.
+    ///
+    /// Walks the two condensed-triangle ranges directly: the column part
+    /// is a strided walk with stride `n − j − 2`, the tail a contiguous
+    /// slice — no per-element index arithmetic or bounds-checked
+    /// [`Self::get`] calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds.
+    pub(crate) fn row_parts(&self, i: usize) -> (impl Iterator<Item = f64> + '_, &[f64]) {
+        assert!(i < self.n, "index out of bounds");
+        let n = self.n;
+        // Pairs (j, i) with j < i sit at condensed_index(n, j, i), whose
+        // stride from j to j + 1 is n − j − 2.
+        let mut idx = if i > 0 { condensed_index(n, 0, i) } else { 0 };
+        let column = (0..i).map(move |j| {
+            let d = self.data[idx];
+            idx += n - j - 2;
+            d
+        });
+        // Pairs (i, j) with j > i are contiguous.
+        let tail: &[f64] = if i + 1 < n {
+            let start = condensed_index(n, i, i + 1);
+            &self.data[start..start + (n - i - 1)]
+        } else {
+            &[]
+        };
+        (column, tail)
     }
 
     /// The dissimilarity of each item to its `k`-th nearest neighbor
@@ -230,6 +247,33 @@ impl CondensedMatrix {
                 *kth
             })
             .collect()
+    }
+
+    /// Each item's `k_max` nearest-neighbor dissimilarities, from one
+    /// linear sweep of the condensed triangle: every pair updates both
+    /// endpoints of a [`KnnAccumulator`]. `kth(i, k)` equals
+    /// [`knn_dissimilarities`](Self::knn_dissimilarities)`(k)[i]`
+    /// bitwise for every `k <= min(k_max, n − 1)`; larger `k` read
+    /// `f64::INFINITY`.
+    ///
+    /// This is what ε auto-configuration reads: O(n · k_max) memory and
+    /// no per-row sort.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k_max` is 0.
+    pub fn knn_table(&self, k_max: usize) -> KnnTable {
+        let mut acc = KnnAccumulator::new(self.n, k_max);
+        let mut rest = &self.data[..];
+        for i in 0..self.n {
+            let (row, tail) = rest.split_at(self.n - i - 1);
+            for (off, &d) in row.iter().enumerate() {
+                acc.push(i, d);
+                acc.push(i + 1 + off, d);
+            }
+            rest = tail;
+        }
+        acc.finish()
     }
 
     /// All condensed (upper-triangle) values.

@@ -7,10 +7,9 @@
 //! (auto-configuration ECDFs, core distances) and "how far apart are
 //! items `i` and `j`?" (mutual reachability, cluster statistics). The
 //! trait decouples those questions from *how* the answers are produced,
-//! so the clustering stack can run against a full condensed matrix, a
-//! presorted neighbor index, or a triangle-inequality-pruned
-//! vantage-point forest ([`crate::vptree`]) without materializing the
-//! O(u²) triangle.
+//! so the clustering stack can run against a full condensed matrix or a
+//! triangle-inequality-pruned vantage-point forest ([`crate::vptree`],
+//! [`crate::strata`]) without materializing the O(u²) triangle.
 //!
 //! **Bit-identity contract.** Whatever the backend, the *dissimilarity
 //! values* a provider reports must be bit-identical to the scalar
@@ -18,9 +17,10 @@
 //! and DBSCAN compare raw values against thresholds, so a 1-ULP
 //! perturbation can cascade into a structurally different clustering
 //! (see `crate::kernel`). Region *emission order* may differ between
-//! backends (documented per implementation); every indexed backend
-//! emits ascending `(dissimilarity, index)` so order-sensitive border
-//! assignment in DBSCAN agrees across them.
+//! backends (documented per implementation): the matrix emits in index
+//! order, the forests in ascending `(dissimilarity, index)`. Every
+//! consumer is order-insensitive — DBSCAN labels, OPTICS minima and
+//! refinement medians depend only on the region's set of pairs.
 //!
 //! **Batched queries.** The per-point methods answer one query at a
 //! time on the calling thread; the `*_batch` methods answer a whole
@@ -30,17 +30,16 @@
 //! query order no matter how the scheduler interleaves workers — the
 //! batch API is a throughput knob, never a result knob. The default
 //! implementations already run each backend's native per-point kernel
-//! (a matrix row sweep, an index binary search, a pruned tree search)
+//! (a matrix row sweep, a pruned tree search)
 //! in parallel; backends with reusable per-worker scratch (the
 //! vantage-point forest) override them.
 
 use crate::matrix::CondensedMatrix;
-use crate::neighbor::NeighborIndex;
 
 /// Minimum queries per stolen work chunk in the batch fan-out: small
 /// enough that modest batches still spread across workers, large enough
 /// that the scheduler's per-chunk overhead stays invisible next to even
-/// the cheapest (binary-search) query kernel.
+/// the cheapest query kernel.
 pub(crate) const BATCH_MIN_CHUNK: usize = 8;
 
 /// A raw pointer wrapper asserting cross-thread shareability for the
@@ -118,8 +117,7 @@ pub trait NeighborProvider {
     /// Appends every neighbor of item `i` with dissimilarity at most
     /// `eps` to `out` as `(dissimilarity, neighbor)` pairs, the item
     /// itself excluded. `out` is cleared first. Emission order is
-    /// deterministic per backend; indexed backends emit ascending
-    /// `(dissimilarity, index)`.
+    /// deterministic per backend and carries no meaning.
     fn neighbors_within(&self, i: usize, eps: f64, out: &mut Vec<(f64, u32)>);
 
     /// The dissimilarity of item `i` to its `k`-th nearest neighbor.
@@ -180,12 +178,13 @@ pub trait NeighborProvider {
 }
 
 /// The row-scan provider over a bare [`CondensedMatrix`]: the oracle
-/// every other backend is pinned against.
+/// every other backend is pinned against, and the matrix backend's
+/// query path.
 ///
-/// Region queries emit in *index* order (the historical matrix-scan
-/// emission order of the pre-trait clustering entry points); k-NN
-/// queries select the order statistic off a row scan, exactly as
-/// [`CondensedMatrix::knn_dissimilarities`] does.
+/// Region queries walk one condensed row and emit in *index* order;
+/// k-NN queries select the order statistic off a row scan, exactly as
+/// [`CondensedMatrix::knn_dissimilarities`] does. Hot k-NN sweeps should
+/// read a [`CondensedMatrix::knn_table`] instead.
 #[derive(Debug, Clone, Copy)]
 pub struct MatrixProvider<'a> {
     matrix: &'a CondensedMatrix,
@@ -205,14 +204,15 @@ impl NeighborProvider for MatrixProvider<'_> {
 
     fn neighbors_within(&self, i: usize, eps: f64, out: &mut Vec<(f64, u32)>) {
         out.clear();
-        let n = self.matrix.len();
-        for j in 0..n {
-            if j == i {
-                continue;
-            }
-            let d = self.matrix.get(i, j);
+        let (column, tail) = self.matrix.row_parts(i);
+        for (j, d) in column.enumerate() {
             if d <= eps {
                 out.push((d, j as u32));
+            }
+        }
+        for (off, &d) in tail.iter().enumerate() {
+            if d <= eps {
+                out.push((d, (i + 1 + off) as u32));
             }
         }
     }
@@ -235,93 +235,18 @@ impl NeighborProvider for MatrixProvider<'_> {
     }
 }
 
-/// A provider over a bare presorted [`NeighborIndex`].
-///
-/// Region and k-NN queries are O(log n) binary searches / direct reads;
-/// [`pair`](NeighborProvider::pair) has no O(1) path (the lists are
-/// sorted by dissimilarity, not by index) and degrades to a row scan —
-/// use [`IndexedProvider`] when pair lookups sit on a hot path.
-#[derive(Debug, Clone, Copy)]
-pub struct IndexProvider<'a> {
-    index: &'a NeighborIndex,
-}
-
-impl<'a> IndexProvider<'a> {
-    /// Wraps a neighbor index.
-    pub fn new(index: &'a NeighborIndex) -> Self {
-        Self { index }
-    }
-}
-
-impl NeighborProvider for IndexProvider<'_> {
-    fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    fn neighbors_within(&self, i: usize, eps: f64, out: &mut Vec<(f64, u32)>) {
-        out.clear();
-        out.extend_from_slice(self.index.range(i, eps));
-    }
-
-    fn knn(&self, i: usize, k: usize) -> f64 {
-        self.index.kth_dissimilarity(i, k)
-    }
-
-    fn pair(&self, i: usize, j: usize) -> f64 {
-        if i == j {
-            return 0.0;
-        }
-        self.index
-            .neighbors(i)
-            .iter()
-            .find(|&&(_, nb)| nb as usize == j)
-            .map(|&(d, _)| d)
-            .expect("j is a neighbor of i in a complete index")
-    }
-}
-
-/// The matrix + index provider: sorted `(dissimilarity, index)` region
-/// emission off the index, O(1) pair lookups off the matrix. This is
-/// the session's default backend.
-#[derive(Debug, Clone, Copy)]
-pub struct IndexedProvider<'a> {
-    matrix: &'a CondensedMatrix,
-    index: &'a NeighborIndex,
-}
-
-impl<'a> IndexedProvider<'a> {
-    /// Pairs a matrix with its neighbor index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two cover different item counts.
-    pub fn new(matrix: &'a CondensedMatrix, index: &'a NeighborIndex) -> Self {
-        assert_eq!(
-            matrix.len(),
-            index.len(),
-            "matrix and index must cover the same items"
-        );
-        Self { matrix, index }
-    }
-}
-
-impl NeighborProvider for IndexedProvider<'_> {
-    fn len(&self) -> usize {
-        self.matrix.len()
-    }
-
-    fn neighbors_within(&self, i: usize, eps: f64, out: &mut Vec<(f64, u32)>) {
-        out.clear();
-        out.extend_from_slice(self.index.range(i, eps));
-    }
-
-    fn knn(&self, i: usize, k: usize) -> f64 {
-        self.index.kth_dissimilarity(i, k)
-    }
-
-    fn pair(&self, i: usize, j: usize) -> f64 {
-        self.matrix.get(i, j)
-    }
+/// A region as `(dissimilarity bits, neighbor)` pairs sorted ascending
+/// by `(dissimilarity, neighbor)`: the order-free form tests compare
+/// backends' regions in.
+#[cfg(test)]
+pub(crate) fn sorted_bits(region: &[(f64, u32)]) -> Vec<(u64, u32)> {
+    let mut v = region.to_vec();
+    v.sort_by(|a, b| {
+        a.0.partial_cmp(&b.0)
+            .expect("dissimilarities are not NaN")
+            .then_with(|| a.1.cmp(&b.1))
+    });
+    v.into_iter().map(|(d, j)| (d.to_bits(), j)).collect()
 }
 
 #[cfg(test)]
@@ -333,40 +258,29 @@ mod tests {
     }
 
     #[test]
-    fn matrix_and_indexed_providers_agree() {
+    fn matrix_provider_matches_brute_force() {
         let m = toy(15);
-        let idx = NeighborIndex::build(&m);
         let mp = MatrixProvider::new(&m);
-        let ip = IndexedProvider::new(&m, &idx);
-        let bp = IndexProvider::new(&idx);
         assert_eq!(mp.len(), 15);
-        assert_eq!(ip.len(), 15);
-        let mut a = Vec::new();
-        let mut b = Vec::new();
+        let mut got = Vec::new();
         for i in 0..15 {
             for eps in [0.0, 0.35, 1.1, 2.3] {
-                mp.neighbors_within(i, eps, &mut a);
-                ip.neighbors_within(i, eps, &mut b);
-                // Same set (order differs: index vs (d, index)).
-                let mut sa = a.clone();
-                sa.sort_by(|x, y| x.partial_cmp(y).unwrap());
-                let mut sb = b.clone();
-                sb.sort_by(|x, y| x.partial_cmp(y).unwrap());
-                assert_eq!(sa, sb, "item {i}, eps {eps}");
-                // Indexed emission is ascending (d, index).
-                assert!(b.windows(2).all(|w| w[0] <= w[1]));
-                let mut c = Vec::new();
-                bp.neighbors_within(i, eps, &mut c);
-                assert_eq!(b, c);
+                mp.neighbors_within(i, eps, &mut got);
+                let want: Vec<(f64, u32)> = (0..15)
+                    .filter(|&j| j != i && m.get(i, j) <= eps)
+                    .map(|j| (m.get(i, j), j as u32))
+                    .collect();
+                // Row scans emit in index order.
+                assert_eq!(got, want, "item {i}, eps {eps}");
             }
+            let mut row = m.row(i);
+            row.sort_by(|a, b| a.partial_cmp(b).unwrap());
             for k in [1usize, 3, 14, 20, usize::MAX] {
-                let want = ip.knn(i, k);
+                let want = row[k.clamp(1, 14) - 1];
                 assert_eq!(mp.knn(i, k).to_bits(), want.to_bits(), "item {i}, k {k}");
-                assert_eq!(bp.knn(i, k).to_bits(), want.to_bits(), "item {i}, k {k}");
             }
             for j in 0..15 {
-                assert_eq!(mp.pair(i, j), ip.pair(i, j));
-                assert_eq!(mp.pair(i, j), bp.pair(i, j));
+                assert_eq!(mp.pair(i, j), m.get(i, j));
             }
         }
     }
@@ -374,17 +288,15 @@ mod tests {
     #[test]
     fn batch_queries_match_scalar_bitwise() {
         let m = toy(23);
-        let idx = NeighborIndex::build(&m);
         let mp = MatrixProvider::new(&m);
-        let ip = IndexedProvider::new(&m, &idx);
         let queries: Vec<usize> = (0..23).rev().chain([0, 11, 11]).collect();
         for threads in [1usize, 4] {
             for eps in [0.0, 0.35, 1.1] {
-                let batches = ip.neighbors_within_batch(&queries, eps, threads);
+                let batches = mp.neighbors_within_batch(&queries, eps, threads);
                 assert_eq!(batches.len(), queries.len());
                 let mut want = Vec::new();
                 for (&q, got) in queries.iter().zip(&batches) {
-                    ip.neighbors_within(q, eps, &mut want);
+                    mp.neighbors_within(q, eps, &mut want);
                     assert_eq!(got, &want, "query {q}, eps {eps}, threads {threads}");
                 }
             }
@@ -393,10 +305,10 @@ mod tests {
                 for (&q, d) in queries.iter().zip(&got) {
                     assert_eq!(d.to_bits(), mp.knn(q, k).to_bits(), "query {q}, k {k}");
                 }
-                let all = ip.knn_dissimilarities_parallel(k, threads);
+                let all = mp.knn_dissimilarities_parallel(k, threads);
                 assert_eq!(
                     all.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-                    ip.knn_dissimilarities(k)
+                    mp.knn_dissimilarities(k)
                         .iter()
                         .map(|d| d.to_bits())
                         .collect::<Vec<_>>(),
@@ -405,18 +317,15 @@ mod tests {
             }
         }
         // Empty batches stay empty on every path.
-        assert!(ip.neighbors_within_batch(&[], 1.0, 4).is_empty());
-        assert!(ip.knn_batch(&[], 1, 4).is_empty());
+        assert!(mp.neighbors_within_batch(&[], 1.0, 4).is_empty());
+        assert!(mp.knn_batch(&[], 1, 4).is_empty());
     }
 
     #[test]
     fn tiny_providers_report_infinite_knn() {
         let m = toy(1);
-        let idx = NeighborIndex::build(&m);
         let mp = MatrixProvider::new(&m);
-        let ip = IndexedProvider::new(&m, &idx);
         assert_eq!(mp.knn(0, 1), f64::INFINITY);
-        assert_eq!(ip.knn(0, 1), f64::INFINITY);
         let mut out = vec![(0.0, 0u32)];
         mp.neighbors_within(0, 10.0, &mut out);
         assert!(out.is_empty());

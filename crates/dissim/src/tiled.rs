@@ -41,6 +41,7 @@ use std::ops::Range;
 
 use crate::canberra::DissimParams;
 use crate::kernel::PairContext;
+use crate::knn::{KnnAccumulator, KnnTable};
 use crate::matrix::{condensed_index, CondensedMatrix};
 
 /// FNV-1a 64 over the little-endian bits of the entries — the same
@@ -156,6 +157,17 @@ impl MatrixTile {
         assert!(self.rows.contains(&j), "row outside tile span");
         let off = tri(j) - tri(self.rows.start);
         &self.data[off..off + j]
+    }
+
+    /// Folds the tile into a k-NN accumulator: every pair `(i, j)` in
+    /// the tile updates both endpoints' lists.
+    pub fn feed(&self, acc: &mut KnnAccumulator) {
+        for j in self.rows() {
+            for (i, &d) in self.row(j).iter().enumerate() {
+                acc.push(i, d);
+                acc.push(j, d);
+            }
+        }
     }
 }
 
@@ -356,7 +368,7 @@ impl TiledMatrix {
             || KnnAccumulator::new(n, k_max),
             |acc, chunk| {
                 for t in chunk {
-                    acc.consume_tile(&self.tiles[t]);
+                    self.tiles[t].feed(acc);
                 }
             },
         );
@@ -368,143 +380,6 @@ impl TiledMatrix {
             acc.merge(&part);
         }
         acc.finish()
-    }
-}
-
-/// Accumulates, per item, the `k_max` smallest dissimilarities seen so
-/// far. Feeding it every tile of a [`TiledMatrix`] (each pair appears in
-/// exactly one tile and updates both endpoints) yields each item's
-/// k-nearest-neighbor dissimilarities in O(n · k_max) memory — the
-/// ε auto-configuration input, without sorting full neighbor lists.
-#[derive(Debug, Clone)]
-pub struct KnnAccumulator {
-    n: usize,
-    k_max: usize,
-    /// Flattened `n × k_max`; row `i` keeps `lens[i]` values sorted
-    /// ascending.
-    lists: Vec<f64>,
-    lens: Vec<usize>,
-}
-
-impl KnnAccumulator {
-    /// An empty accumulator for `n` items keeping `k_max` neighbors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k_max` is 0.
-    pub fn new(n: usize, k_max: usize) -> Self {
-        assert!(k_max >= 1, "k_max must be at least 1");
-        Self {
-            n,
-            k_max,
-            lists: vec![f64::INFINITY; n * k_max],
-            lens: vec![0; n],
-        }
-    }
-
-    /// Records dissimilarity `d` as a neighbor candidate of `item`.
-    pub fn push(&mut self, item: usize, d: f64) {
-        let k = self.k_max;
-        let len = self.lens[item];
-        let row = &mut self.lists[item * k..item * k + k];
-        if len == k && d >= row[k - 1] {
-            return;
-        }
-        let pos = row[..len].partition_point(|&x| x <= d);
-        let end = (len + 1).min(k);
-        row.copy_within(pos..end - 1, pos + 1);
-        row[pos] = d;
-        self.lens[item] = end;
-    }
-
-    /// Folds one tile in: every pair `(i, j)` in the tile updates both
-    /// endpoints' lists.
-    pub fn consume_tile(&mut self, tile: &MatrixTile) {
-        for j in tile.rows() {
-            for (i, &d) in tile.row(j).iter().enumerate() {
-                self.push(i, d);
-                self.push(j, d);
-            }
-        }
-    }
-
-    /// Merges another accumulator covering the same items: each item's
-    /// list becomes the `k_max` smallest of the union. Partition- and
-    /// order-independent, which is what lets per-worker partials merge
-    /// deterministically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the accumulators' shapes differ.
-    pub fn merge(&mut self, other: &KnnAccumulator) {
-        assert!(
-            self.n == other.n && self.k_max == other.k_max,
-            "accumulator shapes differ"
-        );
-        for item in 0..self.n {
-            let o = &other.lists[item * self.k_max..item * self.k_max + other.lens[item]];
-            for &d in o {
-                self.push(item, d);
-            }
-        }
-    }
-
-    /// Freezes the accumulator into a read-only table.
-    pub fn finish(self) -> KnnTable {
-        KnnTable {
-            n: self.n,
-            k_max: self.k_max,
-            lists: self.lists,
-        }
-    }
-}
-
-/// Per-item k-nearest-neighbor dissimilarities, ascending; the frozen
-/// form of [`KnnAccumulator`]. Entries beyond an item's pair count are
-/// `f64::INFINITY` (only possible when `k_max > n − 1`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct KnnTable {
-    n: usize,
-    k_max: usize,
-    lists: Vec<f64>,
-}
-
-impl KnnTable {
-    /// Number of items covered.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the table covers zero items.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Largest supported `k`.
-    pub fn k_max(&self) -> usize {
-        self.k_max
-    }
-
-    /// The dissimilarity of `item` to its `k`-th nearest neighbor
-    /// (`1 <= k <= k_max`) — the same value as
-    /// [`CondensedMatrix::knn_dissimilarities`]`[item]` for that `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `item` is out of bounds, `k` is 0, or `k > k_max`.
-    pub fn kth(&self, item: usize, k: usize) -> f64 {
-        assert!(item < self.n, "index out of bounds");
-        assert!(k >= 1 && k <= self.k_max, "k out of range");
-        self.lists[item * self.k_max + k - 1]
-    }
-
-    /// The dissimilarity of each item to its `k`-th nearest neighbor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is 0 or `k > k_max`.
-    pub fn knn_dissimilarities(&self, k: usize) -> Vec<f64> {
-        (0..self.n).map(|i| self.kth(i, k)).collect()
     }
 }
 

@@ -27,9 +27,8 @@
 //! only decides which *subtrees* are visited. Pruning bounds carry a
 //! conservative [`PRUNE_SLACK`] pad so floating-point roundoff in the
 //! triangle argument can never drop a true neighbor. Results are sorted
-//! by `(dissimilarity, index)`, matching [`crate::NeighborIndex::range`]
-//! emission exactly, so DBSCAN's order-sensitive border assignment
-//! agrees with the oracle backend bit for bit.
+//! by `(dissimilarity, index)`, so the emission order is a pure function
+//! of the answer set and never of the tree layout.
 //!
 //! # Chunked forest and persistence
 //!
@@ -578,7 +577,8 @@ impl<'a> VpProvider<'a> {
                 }
             }
         }
-        // Match the oracle's (dissimilarity, index) emission order.
+        // Emit in (dissimilarity, index) order, independent of the
+        // tree layout.
         out.sort_unstable_by(|a, b| {
             a.0.partial_cmp(&b.0)
                 .expect("dissimilarities are not NaN")
@@ -730,8 +730,7 @@ impl NeighborProvider for VpProvider<'_> {
 mod tests {
     use super::*;
     use crate::matrix::CondensedMatrix;
-    use crate::neighbor::NeighborIndex;
-    use crate::provider::IndexedProvider;
+    use crate::provider::{sorted_bits, MatrixProvider};
 
     const P: DissimParams = DissimParams {
         length_penalty: 0.59,
@@ -766,15 +765,9 @@ mod tests {
         segs.iter().map(|s| &s[..]).collect()
     }
 
-    fn oracle(values: &[&[u8]]) -> (CondensedMatrix, NeighborIndex) {
-        let m = CondensedMatrix::build_segments(values, &P, 1);
-        let idx = NeighborIndex::build(&m);
-        (m, idx)
-    }
-
     fn assert_matches_oracle(values: &[&[u8]], provider: &VpProvider<'_>, label: &str) {
-        let (m, idx) = oracle(values);
-        let ip = IndexedProvider::new(&m, &idx);
+        let m = CondensedMatrix::build_segments(values, &P, 1);
+        let ip = MatrixProvider::new(&m);
         let n = values.len();
         let mut got = Vec::new();
         let mut want = Vec::new();
@@ -783,11 +776,14 @@ mod tests {
             for &eps in &epss {
                 provider.neighbors_within(i, eps, &mut got);
                 ip.neighbors_within(i, eps, &mut want);
-                assert_eq!(got.len(), want.len(), "{label}: item {i}, eps {eps}");
-                for (a, b) in got.iter().zip(&want) {
-                    assert_eq!(a.0.to_bits(), b.0.to_bits(), "{label}: item {i}, eps {eps}");
-                    assert_eq!(a.1, b.1, "{label}: item {i}, eps {eps}");
-                }
+                // The forest emits (dissimilarity, index) order.
+                assert_eq!(
+                    got.iter()
+                        .map(|&(d, j)| (d.to_bits(), j))
+                        .collect::<Vec<_>>(),
+                    sorted_bits(&want),
+                    "{label}: item {i}, eps {eps}"
+                );
             }
             for k in [1usize, 2, 5, n.saturating_sub(1).max(1), n + 3] {
                 assert_eq!(

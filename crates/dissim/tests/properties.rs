@@ -2,8 +2,8 @@
 
 use dissim::kernel::{canberra_distance_lut, dissimilarity_kernel, dissimilarity_lut};
 use dissim::{
-    canberra_distance, dissimilarity, CanberraLut, CondensedMatrix, DissimParams, IndexedProvider,
-    NeighborIndex, NeighborProvider, VpForest, VpProvider,
+    canberra_distance, dissimilarity, CanberraLut, CondensedMatrix, DissimParams, MatrixProvider,
+    NeighborProvider, VpForest, VpProvider,
 };
 use proptest::prelude::*;
 
@@ -144,29 +144,23 @@ proptest! {
     }
 
     #[test]
-    fn neighbor_index_range_matches_matrix_scan(
+    fn matrix_provider_range_matches_row_scan(
         segs in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..10), 2..24),
         eps in 0.0f64..1.05,
-        threads in 1usize..5,
     ) {
         let p = DissimParams::default();
         let m = CondensedMatrix::build(segs.len(), |i, j| dissimilarity(&segs[i], &segs[j], &p));
-        let index = NeighborIndex::build_parallel(&m, threads);
+        let provider = MatrixProvider::new(&m);
+        let mut region = Vec::new();
         for i in 0..segs.len() {
-            let region = index.range(i, eps);
-            // Sorted by dissimilarity, nearest first.
-            prop_assert!(region.windows(2).all(|w| w[0].0 <= w[1].0));
-            // Entries carry the true matrix dissimilarity.
-            for &(d, j) in region {
-                prop_assert_eq!(d, m.get(i, j as usize));
-            }
-            // Same membership as a brute-force row scan.
-            let mut members: Vec<usize> = region.iter().map(|&(_, j)| j as usize).collect();
-            members.sort_unstable();
-            let brute: Vec<usize> = (0..segs.len())
+            provider.neighbors_within(i, eps, &mut region);
+            // Exactly the brute-force row scan, in index order, carrying
+            // the true matrix dissimilarities.
+            let brute: Vec<(f64, u32)> = (0..segs.len())
                 .filter(|&j| j != i && m.get(i, j) <= eps)
+                .map(|j| (m.get(i, j), j as u32))
                 .collect();
-            prop_assert_eq!(members, brute, "item {}, eps {}", i, eps);
+            prop_assert_eq!(&region, &brute, "item {}, eps {}", i, eps);
         }
     }
 
@@ -246,13 +240,12 @@ proptest! {
         let p = DissimParams::default();
         let refs: Vec<&[u8]> = segs.iter().map(|s| &s[..]).collect();
         let m = CondensedMatrix::build_segments(&refs, &p, 1);
-        let index = NeighborIndex::build(&m);
         // Small chunk so multi-chunk forests occur even at these sizes.
         let forest = VpForest::build(&refs, &p, 7);
         // Reversed order plus duplicates: scheduling must not reorder
         // or conflate answers.
         let queries: Vec<usize> = (0..refs.len()).rev().chain([0, 0]).collect();
-        assert_batch_matches_scalar(&IndexedProvider::new(&m, &index), &queries, eps, k, threads)?;
+        assert_batch_matches_scalar(&MatrixProvider::new(&m), &queries, eps, k, threads)?;
         assert_batch_matches_scalar(&VpProvider::new(&refs, &p, &forest), &queries, eps, k, threads)?;
         assert_batch_matches_scalar(
             &VpProvider::new(&refs, &p, &forest).with_swar(true),
@@ -264,13 +257,34 @@ proptest! {
     }
 
     #[test]
-    fn neighbor_index_knn_matches_matrix(
-        segs in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..10), 4..16),
-        k in 1usize..4,
+    fn knn_table_matches_matrix_knn(
+        segs in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..6), 1..14),
+        duplicates in 0usize..4,
+        k_max in 1usize..9,
     ) {
+        // Copies of the first segment add rows with several zero-distance
+        // neighbors; small sets cover u <= k_max + 1, where the table
+        // pads past the pair count.
+        let mut segs = segs;
+        for _ in 0..duplicates {
+            segs.push(segs[0].clone());
+        }
         let p = DissimParams::default();
-        let m = CondensedMatrix::build(segs.len(), |i, j| dissimilarity(&segs[i], &segs[j], &p));
-        let index = NeighborIndex::build(&m);
-        prop_assert_eq!(index.knn_dissimilarities(k), m.knn_dissimilarities(k));
+        let n = segs.len();
+        let m = CondensedMatrix::build(n, |i, j| dissimilarity(&segs[i], &segs[j], &p));
+        let table = m.knn_table(k_max);
+        prop_assert_eq!(table.len(), n);
+        for k in 1..=k_max {
+            if k < n {
+                let want = m.knn_dissimilarities(k);
+                for (i, d) in want.iter().enumerate() {
+                    prop_assert_eq!(table.kth(i, k).to_bits(), d.to_bits(), "item {}, k {}", i, k);
+                }
+            } else {
+                for i in 0..n {
+                    prop_assert!(table.kth(i, k).is_infinite(), "item {}, k {}", i, k);
+                }
+            }
+        }
     }
 }

@@ -28,7 +28,7 @@
 //!
 //! The stages are driven by the staged [`AnalysisSession`], which caches
 //! each stage's artifact (segmentation, deduplicated [`SegmentStore`],
-//! shared dissimilarity matrix + neighbor index, selected parameters,
+//! shared dissimilarity matrix + k-NN table, selected parameters,
 //! clustering) so that downstream consumers — including
 //! [`msgtype`] message typing — reuse instead of recompute.
 //! [`FieldTypeClusterer::cluster_trace`] is the one-call wrapper.

@@ -29,8 +29,9 @@ pub enum NeighborBackend {
     /// monolithic matrix otherwise.
     #[default]
     Auto,
-    /// The monolithic in-memory condensed matrix plus a sorted
-    /// neighbor index (O(u²) memory).
+    /// The monolithic in-memory condensed matrix (O(u²) memory):
+    /// ε-regions are row scans, k-NN reads come from a
+    /// `round(ln u)`-deep table swept off the matrix once.
     Matrix,
     /// The row-block tiled matrix build (bounded peak memory during the
     /// build; the assembled matrix is still O(u²)).
@@ -241,7 +242,7 @@ impl FieldTypeClusterer {
     /// This is a convenience wrapper that drives a staged
     /// [`AnalysisSession`] through all remaining stages; use a session
     /// directly to inspect or reuse intermediate artifacts (the
-    /// dissimilarity matrix, the neighbor index, the pre-refinement
+    /// dissimilarity matrix, the k-NN table, the pre-refinement
     /// clustering, …).
     ///
     /// # Errors

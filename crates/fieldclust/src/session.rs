@@ -16,10 +16,13 @@
 //! every later stage and every external consumer. The dissimilarity
 //! stage produces a shared [`DissimArtifact`] (the condensed matrix);
 //! the neighbors stage ([`AnalysisSession::ensure_neighbors`]) builds
-//! the acceleration structure of the resolved
-//! [`NeighborBackend`] — a sorted [`NeighborIndex`] over the matrix, or
-//! under [`NeighborBackend::Vptree`] a vantage-point tree forest that
-//! answers ε-region and k-NN queries straight from the segment values,
+//! what the resolved [`NeighborBackend`] answers queries from. The
+//! matrix-backed backends need only a [`KnnTable`] of depth
+//! [`required_k_max`] — Algorithm 1 reads each segment's k-th-nearest
+//! dissimilarity for a handful of `k` — built in one linear sweep of
+//! the condensed triangle, while ε-regions are plain matrix row scans
+//! ([`MatrixProvider`]). The vptree and stratified backends answer both
+//! query kinds from vantage-point forests over the segment values,
 //! skipping the matrix stage (and its O(u²) memory) entirely. The
 //! autoconf, cluster, and refine stages consume neighbors only through
 //! the [`NeighborProvider`] abstraction, so every backend is pinned
@@ -27,9 +30,8 @@
 //! ([`FieldTypeClusterer::tile_rows`] or
 //! [`FieldTypeClusterer::max_memory`]) the matrix stage instead
 //! computes, persists, and faults in fixed-height row tiles and merges
-//! per-tile k-NN partials into the table that serves ε
-//! auto-configuration — bit-identical to the monolithic build either
-//! way. Message type identification
+//! per-tile k-NN partials into the same table — bit-identical to the
+//! monolithic build either way. Message type identification
 //! ([`AnalysisSession::message_types`]) rides on the same session and
 //! reuses its segment dissimilarities rather than building its own.
 //!
@@ -77,12 +79,11 @@ use cluster::autoconf::{
     AutoConfError, AutoConfig, SelectedParams,
 };
 use cluster::dbscan::{dbscan, dbscan_weighted_parallel_with_provider, Clustering};
-use cluster::refine::{merge_clusters_parallel, merge_clusters_with_provider, split_clusters};
+use cluster::refine::{merge_clusters_with_provider, split_clusters};
 use dissim::kernel::pairwise_mean;
 use dissim::{
-    CondensedMatrix, DissimArtifact, IndexedProvider, KnnTable, MatrixTile, NeighborIndex,
-    NeighborProvider, QueryCounters, StrataIndex, StratifiedProvider, TiledMatrix, VpForest,
-    VpProvider, VpTree,
+    CondensedMatrix, DissimArtifact, KnnTable, MatrixProvider, MatrixTile, NeighborProvider,
+    QueryCounters, StrataIndex, StratifiedProvider, TiledMatrix, VpForest, VpProvider, VpTree,
 };
 use segment::{SegmentError, Segmenter, TraceSegmentation};
 use store::{ArtifactStore, Key, Kind, StoreStats};
@@ -99,18 +100,19 @@ pub struct AnalysisSession<'t> {
     segmentation: Option<TraceSegmentation>,
     store: Option<SegmentStore>,
     dissim: Option<DissimArtifact>,
-    // Per-tile k-NN partials merged at the build barrier; present only
-    // when the tiled build ran (`effective_tile_rows` is `Some`). Feeds
-    // the autoconf ECDFs without re-scanning the matrix.
+    // Each segment's `required_k_max` nearest dissimilarities, serving
+    // the autoconf ECDFs on the matrix-backed backends: merged from
+    // per-tile partials at the tiled build's barrier, or swept off the
+    // monolithic matrix by the neighbors stage.
     knn: Option<KnnTable>,
     // The vantage-point tree forest; present only when the vptree
-    // backend is resolved. Replaces the matrix + index entirely: no
-    // O(u²) structure is built on this path.
+    // backend is resolved. Replaces the matrix entirely: no O(u²)
+    // structure is built on this path.
     vpforest: Option<VpForest>,
     // The length-stratified neighbor index; present only when the
     // stratified backend is resolved. Like the forest it replaces the
-    // matrix + index: per-length VP forests plus LAESA pivot tables,
-    // O(u) memory.
+    // matrix: per-length VP forests plus LAESA pivot tables, O(u)
+    // memory.
     strata: Option<StrataIndex>,
     // Cumulative neighbor-query counters (kernel evaluations, pruned
     // candidates, skipped strata), shared with every stratified
@@ -333,31 +335,12 @@ impl<'t> AnalysisSession<'t> {
         Ok(self.dissim.as_ref().expect("ensured").matrix())
     }
 
-    /// The neighbor index over [`matrix`](Self::matrix), built (in
-    /// parallel) on first use and cached. The matrix and tiled backends
-    /// query it for every later stage; under the vptree backend it is
-    /// built only when asked for explicitly (forcing the matrix too).
-    ///
-    /// # Errors
-    ///
-    /// See [`store`](Self::store).
-    pub fn neighbors(&mut self) -> Result<&NeighborIndex, PipelineError> {
-        self.ensure_dissim()?;
-        self.ensure_index();
-        Ok(self
-            .dissim
-            .as_ref()
-            .expect("ensured")
-            .neighbors_built()
-            .expect("just built"))
-    }
-
-    /// Stage 4b (neighbors): builds the resolved backend's neighbor
-    /// acceleration structure — the sorted [`NeighborIndex`] over the
-    /// condensed matrix (matrix/tiled backends) or the vantage-point
-    /// tree forest (vptree backend, which materializes no matrix at
-    /// all). Later stages answer their ε-region and k-NN queries
-    /// through it; all backends are pinned bit-identical.
+    /// Stage 4b (neighbors): builds what the resolved backend answers
+    /// neighbor queries from — the condensed matrix plus its k-NN table
+    /// (matrix/tiled backends), or the vantage-point forests (vptree and
+    /// stratified backends, which materialize no matrix at all). Later
+    /// stages answer their ε-region and k-NN queries through it; all
+    /// backends are pinned bit-identical.
     ///
     /// Runs implicitly before autoconf; calling it explicitly lets a
     /// driver time (or cancel between) the matrix and neighbor builds
@@ -374,7 +357,7 @@ impl<'t> AnalysisSession<'t> {
             NeighborBackend::Stratified => self.ensure_strata(),
             _ => {
                 self.ensure_dissim()?;
-                self.ensure_index();
+                self.ensure_knn();
                 Ok(())
             }
         }
@@ -426,16 +409,19 @@ impl<'t> AnalysisSession<'t> {
     /// Cumulative neighbor-query counters as `(kernel_evals,
     /// pruned_candidates, strata_skipped)`. Only the stratified backend
     /// moves them; every other backend leaves them at zero. The totals
-    /// are deterministic for a given query sequence regardless of the
-    /// thread count.
+    /// depend only on the capture, segmentation and parameters, never
+    /// on [`FieldTypeClusterer::threads`]: every stage issues the same
+    /// queries at every thread count (batches only fan them out, and
+    /// refinement decides every candidate pair of a round before it
+    /// merges), and each query's tally is a pure function of the query.
     pub fn neighbor_counters(&self) -> (u64, u64, u64) {
         self.neighbor_counters.snapshot()
     }
 
-    /// The merged per-tile k-NN table, if the tiled dissimilarity build
-    /// ran (the session's [`FieldTypeClusterer::effective_tile_rows`]
-    /// is `Some`). Serves the autoconf stage's k-dist ECDFs; its values
-    /// are bit-identical to the matrix scan.
+    /// The k-NN table of the matrix-backed backends, once the neighbors
+    /// stage (or a tiled dissimilarity build) has produced it. Serves
+    /// the autoconf stage's k-dist ECDFs; its values are bit-identical
+    /// to the matrix scan.
     pub fn knn_table(&self) -> Option<&KnnTable> {
         self.knn.as_ref()
     }
@@ -544,9 +530,8 @@ impl<'t> AnalysisSession<'t> {
                 });
             let mut artifact = None;
             if let (Some(cache), Some(key)) = (self.cache.as_ref(), &msg_key) {
-                if let Some(mut a) = cache.get::<DissimArtifact>(key) {
+                if let Some(a) = cache.get::<DissimArtifact>(key) {
                     if a.len() == n {
-                        a.set_threads(self.config.threads);
                         artifact = Some(a);
                     }
                 }
@@ -712,19 +697,13 @@ impl<'t> AnalysisSession<'t> {
         };
         let n = values.len();
         let key = cache::dissim_key(values, params);
-        if let Some(mut artifact) = cache.get::<DissimArtifact>(&key) {
-            artifact.set_threads(threads);
+        if let Some(artifact) = cache.get::<DissimArtifact>(&key) {
             return artifact;
         }
         let family = cache::dissim_family_key(values, params);
         let artifact = self
             .extend_from_prefix(cache, &family, values, n)
             .unwrap_or_else(|| DissimArtifact::compute_segments(values, params, threads));
-        // Persisted matrix-only at this point; the neighbors stage
-        // (`ensure_index`) re-puts the artifact with its index once that
-        // is built, so a warm run skips the O(n² log n) sort as well as
-        // the O(n²) build while the matrix and neighbor build times stay
-        // separately attributable.
         cache.put(&key, &artifact);
         cache.manifest_add(&family, n, &key);
         artifact
@@ -761,7 +740,7 @@ impl<'t> AnalysisSession<'t> {
                 .matrix()
                 .extend_segments(values, params, self.config.threads);
             cache.record_extension();
-            return Some(DissimArtifact::from_matrix(extended, self.config.threads));
+            return Some(DissimArtifact::from_matrix(extended));
         }
         None
     }
@@ -802,11 +781,7 @@ impl<'t> AnalysisSession<'t> {
             }
         };
         let knn = tiled.knn_table(required_k_max(n), threads);
-        // The neighbor index is built by the separate neighbors stage
-        // (`ensure_index`), keeping matrix and neighbor build times
-        // separately attributable.
-        let artifact = DissimArtifact::from_matrix(tiled.assemble(), threads);
-        (artifact, knn)
+        (DissimArtifact::from_matrix(tiled.assemble()), knn)
     }
 
     /// Builds (or fetches, or incrementally extends) the vantage-point
@@ -839,8 +814,7 @@ impl<'t> AnalysisSession<'t> {
     }
 
     /// The vptree arm of the neighbors stage: builds (or faults in)
-    /// the chunk forest. No matrix, index, or other O(u²) structure is
-    /// touched.
+    /// the chunk forest. No matrix or other O(u²) structure is touched.
     fn ensure_vpforest(&mut self) -> Result<(), PipelineError> {
         self.check_cancelled()?;
         if self.vpforest.is_some() {
@@ -927,7 +901,7 @@ impl<'t> AnalysisSession<'t> {
 
     /// The stratified arm of the neighbors stage: builds (or faults
     /// in, or extends) the per-length forests and pivot tables. No
-    /// matrix, index, or other O(u²) structure is touched.
+    /// matrix or other O(u²) structure is touched.
     fn ensure_strata(&mut self) -> Result<(), PipelineError> {
         self.check_cancelled()?;
         if self.strata.is_some() {
@@ -943,31 +917,16 @@ impl<'t> AnalysisSession<'t> {
         Ok(())
     }
 
-    /// The matrix-backed arm of the neighbors stage: builds the sorted
-    /// [`NeighborIndex`] over the present dissimilarity artifact if it
-    /// is missing, and re-persists monolithic artifacts with the index
-    /// attached so a warm run skips the O(n² log n) sort too. Tiled
-    /// sessions cache tiles, not the assembled artifact, so they only
-    /// build. No-op when the index is already present (e.g. faulted in
-    /// from a warm cache).
-    fn ensure_index(&mut self) {
-        if self
-            .dissim
-            .as_ref()
-            .is_none_or(|a| a.neighbors_built().is_some())
-        {
+    /// The matrix-backed arm of the neighbors stage: sweeps the present
+    /// matrix once into the k-NN table autoconf reads, unless a tiled
+    /// build already merged one. The table is O(u · ln u) and cheap to
+    /// rebuild, so it is never persisted.
+    fn ensure_knn(&mut self) {
+        if self.knn.is_some() {
             return;
         }
-        self.dissim.as_mut().expect("present").neighbors();
-        let (Some(cache), Some(store)) = (self.cache.as_ref(), self.store.as_ref()) else {
-            return;
-        };
-        if self.config.tiled_rows(store.segments.len()).is_some() {
-            return;
-        }
-        let values: Vec<&[u8]> = store.segments.iter().map(|s| &s.value[..]).collect();
-        let key = cache::dissim_key(&values, &self.config.dissim);
-        cache.put(&key, self.dissim.as_ref().expect("present"));
+        let matrix = self.dissim.as_ref().expect("ensured").matrix();
+        self.knn = Some(matrix.knn_table(required_k_max(matrix.len())));
     }
 
     /// The stage key for a configuration-dependent artifact, if a cache
@@ -1045,12 +1004,11 @@ impl<'t> AnalysisSession<'t> {
         let total_instances: usize = weights.iter().sum();
         let min_samples = ((total_instances as f64).ln().round() as usize).max(2);
         let n = weights.len();
-        // Tiled sessions select ε from the merged per-tile k-NN table;
-        // the vptree backend answers the k-dist queries straight from
-        // its forest; otherwise the neighbor index serves them. All are
-        // bit-identical to the matrix scan. The fallback mean likewise
-        // comes from the matrix or (vptree) a pairwise kernel pass —
-        // pinned bit-identical.
+        // The matrix-backed backends select ε from the k-NN table; the
+        // forest backends answer the k-dist queries straight from their
+        // forests. All are bit-identical to the matrix scan. The
+        // fallback mean likewise comes from the matrix or (forests) a
+        // pairwise kernel pass — pinned bit-identical.
         let (selection, fallback_mean) = match self.session_backend() {
             NeighborBackend::Vptree => {
                 let store = self.store.as_ref().expect("ensured");
@@ -1083,15 +1041,8 @@ impl<'t> AnalysisSession<'t> {
             }
             _ => {
                 let artifact = self.dissim.as_ref().expect("ensured");
-                let index = artifact.neighbors_built().expect("ensured");
-                let selection = match &self.knn {
-                    Some(table) => auto_configure_with_knn(table, &self.config.autoconf),
-                    None => auto_configure_parallel(
-                        &IndexedProvider::new(artifact.matrix(), index),
-                        &self.config.autoconf,
-                        self.config.threads,
-                    ),
-                };
+                let table = self.knn.as_ref().expect("ensured");
+                let selection = auto_configure_with_knn(table, &self.config.autoconf);
                 let mean = selection
                     .is_err()
                     .then(|| artifact.matrix().mean())
@@ -1165,12 +1116,10 @@ impl<'t> AnalysisSession<'t> {
                     cluster_with_provider(&self.config, &provider, None, &selected, &weights)
                 }
                 _ => {
-                    let artifact = self.dissim.as_ref().expect("ensured");
-                    let index = artifact.neighbors_built().expect("ensured");
-                    let provider = IndexedProvider::new(artifact.matrix(), index);
+                    let matrix = self.dissim.as_ref().expect("ensured").matrix();
                     cluster_with_provider(
                         &self.config,
-                        &provider,
+                        &MatrixProvider::new(matrix),
                         self.knn.as_ref(),
                         &selected,
                         &weights,
@@ -1246,12 +1195,10 @@ impl<'t> AnalysisSession<'t> {
                     )
                 }
                 _ => {
-                    let artifact = self.dissim.as_ref().expect("ensured");
-                    let index = artifact.neighbors_built().expect("ensured");
-                    merge_clusters_parallel(
+                    let matrix = self.dissim.as_ref().expect("ensured").matrix();
+                    merge_clusters_with_provider(
                         clustering,
-                        artifact.matrix(),
-                        index,
+                        &MatrixProvider::new(matrix),
                         &self.config.refine,
                         self.config.threads,
                     )
@@ -1305,9 +1252,9 @@ impl<'t> AnalysisSession<'t> {
 /// Occurrence-weighted DBSCAN at the selected parameters, plus the
 /// §III-E dominating-cluster re-configuration on the trimmed ECDF —
 /// over any neighbor backend. Returns the labels and, when the trimmed
-/// rerun fired, the re-selected parameters. Tiled sessions pass their
-/// merged `knn` table so the trimmed selection reuses it; every other
-/// backend answers the k-dist queries through the provider. All paths
+/// rerun fired, the re-selected parameters. Matrix-backed sessions pass
+/// their `knn` table so the trimmed selection reuses it; the forest
+/// backends answer the k-dist queries through the provider. All paths
 /// are pinned bit-identical.
 fn cluster_with_provider<P: NeighborProvider + Sync>(
     config: &FieldTypeClusterer,
@@ -1373,14 +1320,22 @@ mod tests {
 
     #[test]
     fn stages_run_on_demand_and_cache() {
-        let (_, mut s) = session_for(Protocol::Ntp, 50, 1);
+        let (trace, _) = session_for(Protocol::Ntp, 50, 1);
+        let gt = corpus::ground_truth(Protocol::Ntp, &trace);
+        let config = FieldTypeClusterer {
+            neighbor_backend: NeighborBackend::Matrix,
+            ..FieldTypeClusterer::default()
+        };
+        let mut s = AnalysisSession::new(&trace, config);
+        s.set_segmentation(truth_segmentation(&trace, &gt));
         assert!(s.segmentation().is_some());
         let n = s.store().unwrap().segments.len();
         let first = s.matrix().unwrap() as *const CondensedMatrix;
         assert_eq!(s.matrix().unwrap().len(), n);
         // Same allocation: the artifact was cached, not rebuilt.
         assert_eq!(first, s.matrix().unwrap() as *const CondensedMatrix);
-        assert_eq!(s.neighbors().unwrap().len(), n);
+        s.ensure_neighbors().unwrap();
+        assert_eq!(s.knn_table().unwrap().len(), n);
         let eps = s.autoconf().unwrap().epsilon;
         assert!(eps > 0.0);
         let result = s.finish().unwrap();

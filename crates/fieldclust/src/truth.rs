@@ -7,6 +7,8 @@
 //! fields exactly, a segment inherits the true type it overlaps the most
 //! (weighted across all its instances).
 
+use std::collections::BTreeMap;
+
 use crate::segments::SegmentStore;
 use protocols::{FieldKind, TrueField};
 use segment::{MessageSegments, TraceSegmentation};
@@ -36,13 +38,13 @@ pub fn truth_segmentation(trace: &Trace, ground_truth: &[Vec<TrueField>]) -> Tra
 }
 
 /// The dominant true [`FieldKind`] for one byte range of one message:
-/// the kind whose fields overlap the range with the most bytes.
+/// the kind whose fields overlap the range with the most bytes, ties
+/// going to the kind declared first in [`FieldKind`].
 ///
 /// Returns `None` when the range overlaps no field (cannot happen for
 /// tiling ground truth).
 pub fn dominant_kind(fields: &[TrueField], range: &std::ops::Range<usize>) -> Option<FieldKind> {
-    let mut best: Option<(FieldKind, usize)> = None;
-    let mut acc: std::collections::HashMap<FieldKind, usize> = std::collections::HashMap::new();
+    let mut acc: BTreeMap<FieldKind, usize> = BTreeMap::new();
     for f in fields {
         let overlap_start = f.offset.max(range.start);
         let overlap_end = (f.offset + f.len).min(range.end);
@@ -50,16 +52,13 @@ pub fn dominant_kind(fields: &[TrueField], range: &std::ops::Range<usize>) -> Op
             *acc.entry(f.kind).or_insert(0) += overlap_end - overlap_start;
         }
     }
-    for (kind, bytes) in acc {
-        if best.is_none_or(|(_, b)| bytes > b) {
-            best = Some((kind, bytes));
-        }
-    }
-    best.map(|(k, _)| k)
+    majority(acc)
 }
 
 /// Labels every clusterable unique segment of a store with its dominant
-/// true kind, majority-voted over all instances (byte-weighted).
+/// true kind, majority-voted over all instances (byte-weighted), ties
+/// going to the kind declared first in [`FieldKind`] — so the labels,
+/// and every score computed from them, are the same on every run.
 ///
 /// # Panics
 ///
@@ -69,21 +68,28 @@ pub fn label_store(store: &SegmentStore, ground_truth: &[Vec<TrueField>]) -> Vec
         .segments
         .iter()
         .map(|seg| {
-            let mut votes: std::collections::HashMap<FieldKind, usize> =
-                std::collections::HashMap::new();
+            let mut votes: BTreeMap<FieldKind, usize> = BTreeMap::new();
             for inst in &seg.instances {
                 let fields = &ground_truth[inst.message];
                 if let Some(kind) = dominant_kind(fields, &inst.range) {
                     *votes.entry(kind).or_insert(0) += inst.range.len();
                 }
             }
-            votes
-                .into_iter()
-                .max_by_key(|&(_, v)| v)
-                .map(|(k, _)| k)
-                .expect("every instance overlaps ground-truth fields")
+            majority(votes).expect("every instance overlaps ground-truth fields")
         })
         .collect()
+}
+
+/// The kind with the most votes; among equals, the smallest kind in
+/// `FieldKind`'s order (the first one the ascending map yields).
+fn majority(votes: BTreeMap<FieldKind, usize>) -> Option<FieldKind> {
+    let mut best: Option<(FieldKind, usize)> = None;
+    for (kind, v) in votes {
+        if best.is_none_or(|(_, b)| v > b) {
+            best = Some((kind, v));
+        }
+    }
+    best.map(|(k, _)| k)
 }
 
 #[cfg(test)]
@@ -139,6 +145,50 @@ mod tests {
         // NTP ground truth contains timestamps; they must be labelled so.
         let has_ts = labels.contains(&FieldKind::Timestamp);
         assert!(has_ts);
+    }
+
+    #[test]
+    fn vote_ties_break_on_field_kind_order() {
+        let field = |offset, len, kind| TrueField {
+            offset,
+            len,
+            kind,
+            name: "f",
+        };
+        // Two bytes of timestamp, two of uint: a tie, which goes to the
+        // kind declared first (UInt before Timestamp).
+        let fields = vec![
+            field(0, 2, FieldKind::Timestamp),
+            field(2, 2, FieldKind::UInt),
+        ];
+        for _ in 0..16 {
+            assert_eq!(dominant_kind(&fields, &(0..4)), Some(FieldKind::UInt));
+        }
+        // One unique segment whose two instances vote 4 bytes each for
+        // different kinds.
+        let gt = vec![
+            vec![field(0, 4, FieldKind::Timestamp)],
+            vec![field(0, 4, FieldKind::Id)],
+        ];
+        let store = SegmentStore {
+            segments: vec![crate::segments::UniqueSegment {
+                value: vec![1, 2, 3, 4],
+                instances: vec![
+                    crate::segments::SegmentInstance {
+                        message: 0,
+                        range: 0..4,
+                    },
+                    crate::segments::SegmentInstance {
+                        message: 1,
+                        range: 0..4,
+                    },
+                ],
+            }],
+            excluded: Vec::new(),
+        };
+        for _ in 0..16 {
+            assert_eq!(label_store(&store, &gt), vec![FieldKind::Id]);
+        }
     }
 
     #[test]

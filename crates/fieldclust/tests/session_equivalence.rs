@@ -637,6 +637,144 @@ fn all_neighbor_backends_are_bit_identical() {
 }
 
 #[test]
+fn matrix_and_stratified_refine_identically_on_fixed_width_ntp() {
+    use fieldclust::NeighborBackend;
+    use segment::fixed::FixedChunks;
+    // 4-byte chunks of NTP's 48-byte payloads: uniform lengths, so the
+    // matrix backend answers from row scans and its k-NN table while
+    // the stratified backend searches a single stratum's forest.
+    let trace = corpus::build_trace(Protocol::Ntp, 120, corpus::DEFAULT_SEED);
+    let seg = FixedChunks { width: 4 }
+        .segment_trace(&trace)
+        .expect("fixed chunks");
+    let run = |backend: NeighborBackend, threads: usize, dir: &std::path::Path| {
+        let config = FieldTypeClusterer {
+            neighbor_backend: backend,
+            threads,
+            ..FieldTypeClusterer::default()
+        };
+        let mut s = AnalysisSession::new(&trace, config)
+            .with_store(dir)
+            .expect("open store");
+        s.set_segmentation(seg.clone());
+        assert_eq!(s.resolved_neighbor_backend().expect("store"), backend);
+        let result = s.finish().expect("pipeline");
+        (result, s.cache_stats().expect("stats"))
+    };
+    let (reference, _) = run(NeighborBackend::Stratified, 1, &cache_dir("fixed-ref"));
+    for backend in [NeighborBackend::Matrix, NeighborBackend::Stratified] {
+        for threads in [1, 4] {
+            let dir = cache_dir(&format!("fixed-{backend}-t{threads}"));
+            let (cold, cold_stats) = run(backend, threads, &dir);
+            let (warm, warm_stats) = run(backend, threads, &dir);
+            assert_eq!(cold_stats.hits, 0, "{backend}/t{threads}: cold run");
+            assert_eq!(warm_stats.misses, 0, "{backend}/t{threads}: warm run");
+            for (tag, result) in [("cold", cold), ("warm", warm)] {
+                let label = format!("{backend}/t{threads}/{tag}");
+                assert_eq!(
+                    result.params.epsilon.to_bits(),
+                    reference.params.epsilon.to_bits(),
+                    "{label}: eps"
+                );
+                assert_eq!(result.epsilon_source, reference.epsilon_source, "{label}");
+                assert_eq!(result.clustering, reference.clustering, "{label}: labels");
+            }
+        }
+    }
+}
+
+#[test]
+fn legacy_indexed_dissim_file_is_rebuilt_and_overwritten() {
+    use fieldclust::NeighborBackend;
+    use store::{decode_file, encode_file, Kind, Writer};
+    let dir = cache_dir("legacy-index");
+    let trace = corpus::build_trace(Protocol::Dns, 60, 23);
+    let config = FieldTypeClusterer {
+        neighbor_backend: NeighborBackend::Matrix,
+        ..FieldTypeClusterer::default()
+    };
+    let matrix_of = |dir: &std::path::Path| {
+        let mut s = truth_session_with(&trace, config.clone())
+            .with_store(dir)
+            .expect("open store");
+        let m = s.matrix().expect("matrix").clone();
+        (m, s.cache_stats().expect("stats"))
+    };
+    let (cold, _) = matrix_of(&dir);
+
+    // Rewrite the persisted artifact in the retired layout: the matrix,
+    // tag byte 1, then a presorted neighbor index.
+    let path = std::fs::read_dir(&dir)
+        .expect("cache dir")
+        .map(|e| e.expect("entry").path())
+        .find(|p| {
+            p.file_name()
+                .unwrap()
+                .to_string_lossy()
+                .starts_with("dissim-")
+        })
+        .expect("persisted dissimilarity artifact");
+    let current = std::fs::read(&path).expect("read artifact");
+    let payload = decode_file(Kind::DISSIM, &current).expect("valid frame");
+    assert_eq!(payload.last(), Some(&0), "current layout ends in tag 0");
+    let n = cold.len();
+    let mut w = Writer::new();
+    w.usize(n);
+    for i in 0..n {
+        let mut row: Vec<(f64, u32)> = (0..n)
+            .filter(|&j| j != i)
+            .map(|j| (cold.get(i, j), j as u32))
+            .collect();
+        row.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        for (d, j) in row {
+            w.f64(d);
+            w.u32(j);
+        }
+    }
+    let mut legacy = payload[..payload.len() - 1].to_vec();
+    legacy.push(1);
+    legacy.extend_from_slice(&w.into_inner());
+    std::fs::write(&path, encode_file(Kind::DISSIM, &legacy)).expect("write legacy file");
+
+    // The legacy file is a clean miss: the matrix is rebuilt, bit for
+    // bit, and written back over it.
+    let (rebuilt, stats) = matrix_of(&dir);
+    assert_eq!(rebuilt, cold);
+    assert!(stats.misses > 0 && stats.writes > 0, "{stats}");
+    assert_eq!(std::fs::read(&path).expect("reread"), current);
+    let (warm, stats) = matrix_of(&dir);
+    assert_eq!(warm, cold);
+    assert_eq!((stats.misses, stats.writes), (0, 0), "{stats}");
+}
+
+#[test]
+fn neighbor_counters_do_not_depend_on_threads() {
+    use fieldclust::NeighborBackend;
+    let trace = corpus::build_trace(Protocol::Smb, 100, 1);
+    let seg = Nemesys::default().segment_trace(&trace).expect("nemesys");
+    let run = |threads: usize| {
+        let mut s = AnalysisSession::new(
+            &trace,
+            FieldTypeClusterer {
+                neighbor_backend: NeighborBackend::Stratified,
+                threads,
+                ..FieldTypeClusterer::default()
+            },
+        );
+        s.set_segmentation(seg.clone());
+        let result = s.finish().expect("pipeline");
+        (result.clustering, s.neighbor_counters())
+    };
+    let (labels, counters) = run(1);
+    assert!(counters.0 > 0, "stratified queries must count evals");
+    for threads in [2, 4] {
+        let (l, c) = run(threads);
+        assert_eq!(l, labels, "threads {threads}: labels");
+        assert_eq!(c, counters, "threads {threads}: (evals, pruned, skipped)");
+    }
+}
+
+#[test]
 fn vptree_warm_run_faults_the_forest_back_in() {
     use fieldclust::NeighborBackend;
     let dir = cache_dir("vptree-warm");

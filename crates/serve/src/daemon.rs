@@ -1058,7 +1058,7 @@ fn drive_stages(
     timed("dedup", t.elapsed());
     // The matrix and neighbor builds get separate wall buckets: the
     // matrix stage is the O(u²) pairwise build, the neighbors stage the
-    // backend's acceleration structure (index sort, vptree forest, or
+    // backend's query structure (k-NN table sweep, vptree forest, or
     // stratified per-length forests). Under the vptree and stratified
     // backends no matrix exists, so that bucket stays untouched and the
     // whole build cost lands under "neighbors".

@@ -3,7 +3,7 @@
 //! Each artifact kind owns a one-byte tag (part of the file frame and of
 //! every cache key) and a short file-name prefix. Decoders are strictly
 //! validating: they re-check every structural invariant the in-memory
-//! type relies on (cut ordering, condensed length, neighbor-list shape)
+//! type relies on (cut ordering, condensed length, tree shape)
 //! through the checked constructors, because a file that passes the
 //! frame checksum can still have been written by a buggy or future
 //! encoder. Any violation is `None` — a cache miss, never a panic.
@@ -12,10 +12,7 @@ use crate::codec::{Reader, Writer};
 use cluster::{Clustering, Label, SelectedParams};
 use dissim::strata::DEFAULT_PIVOTS;
 use dissim::vptree::VpNode;
-use dissim::{
-    CondensedMatrix, DissimArtifact, MatrixTile, NeighborIndex, StrataIndex, Stratum, VpForest,
-    VpTree,
-};
+use dissim::{CondensedMatrix, DissimArtifact, MatrixTile, StrataIndex, Stratum, VpForest, VpTree};
 use segment::{MessageSegments, TraceSegmentation};
 
 /// An artifact kind: a stable one-byte tag plus a file-name prefix.
@@ -36,7 +33,7 @@ impl Kind {
         tag: 2,
         name: "segstore",
     };
-    /// A [`DissimArtifact`]: condensed matrix + optional neighbor index.
+    /// A [`DissimArtifact`] (its condensed matrix).
     pub const DISSIM: Kind = Kind {
         tag: 3,
         name: "dissim",
@@ -203,57 +200,21 @@ impl Persist for CondensedMatrix {
     }
 }
 
-impl Persist for NeighborIndex {
-    const KIND: Kind = Kind::DISSIM;
-
-    fn encode(&self, w: &mut Writer) {
-        w.usize(self.len());
-        for &(d, j) in self.flat_lists() {
-            w.f64(d);
-            w.u32(j);
-        }
-    }
-
-    fn decode(r: &mut Reader) -> Option<Self> {
-        let n = r.usize()?;
-        let m = n.checked_mul(n.saturating_sub(1))?;
-        if m.checked_mul(12)? > r.remaining() {
-            return None;
-        }
-        let mut lists = Vec::with_capacity(m);
-        for _ in 0..m {
-            let d = r.f64()?;
-            let j = r.u32()?;
-            lists.push((d, j));
-        }
-        NeighborIndex::from_flat_lists(n, lists)
-    }
-}
-
+/// The matrix followed by a zero byte. Files written before the
+/// presorted neighbor index was retired carry a `1` there, followed by
+/// the index; they decode as a miss, so the session rebuilds the
+/// artifact and overwrites them under the same key.
 impl Persist for DissimArtifact {
     const KIND: Kind = Kind::DISSIM;
 
     fn encode(&self, w: &mut Writer) {
         self.matrix().encode(w);
-        match self.neighbors_built() {
-            None => w.u8(0),
-            Some(ix) => {
-                w.u8(1);
-                ix.encode(w);
-            }
-        }
+        w.u8(0);
     }
 
     fn decode(r: &mut Reader) -> Option<Self> {
         let matrix = CondensedMatrix::decode(r)?;
-        let neighbors = match r.u8()? {
-            0 => None,
-            1 => Some(NeighborIndex::decode(r)?),
-            _ => return None,
-        };
-        // Deserialized artifacts start single-threaded; the session
-        // restores its configured thread count via `set_threads`.
-        DissimArtifact::from_parts(matrix, neighbors, 1)
+        (r.u8()? == 0).then(|| DissimArtifact::from_matrix(matrix))
     }
 }
 
@@ -544,27 +505,24 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_index_roundtrip() {
-        let pts = [0.0f64, 0.4, 1.0, 5.0, 2.5];
-        let m = CondensedMatrix::build(pts.len(), |i, j| (pts[i] - pts[j]).abs());
-        let ix = NeighborIndex::build(&m);
-        assert_eq!(roundtrip(&ix), ix);
-    }
-
-    #[test]
     fn dissim_artifact_roundtrip_with_and_without_neighbors() {
         let pts = [3.0f64, 1.0, 4.0, 1.5];
-        let mut a = DissimArtifact::compute(pts.len(), 1, |i, j| (pts[i] - pts[j]).abs());
-        let cold = roundtrip_artifact(&a);
-        assert!(cold.neighbors_built().is_none());
-        assert_eq!(cold.matrix(), a.matrix());
-        a.neighbors();
-        let warm = roundtrip_artifact(&a);
-        assert_eq!(warm.neighbors_built(), a.neighbors_built());
-    }
-
-    fn roundtrip_artifact(a: &DissimArtifact) -> DissimArtifact {
-        decode_payload::<DissimArtifact>(&encode_payload(a)).expect("artifact roundtrip")
+        let a = DissimArtifact::compute(pts.len(), 1, |i, j| (pts[i] - pts[j]).abs());
+        let payload = encode_payload(&a);
+        assert_eq!(decode_payload::<DissimArtifact>(&payload), Some(a.clone()));
+        // The retired layout with an attached neighbor index (tag 1 and
+        // one `(dissimilarity, neighbor)` list per item) is a miss.
+        let mut w = Writer::new();
+        a.matrix().encode(&mut w);
+        w.u8(1);
+        w.usize(pts.len());
+        for i in 0..pts.len() {
+            for j in (0..pts.len()).filter(|&j| j != i) {
+                w.f64(a.matrix().get(i, j));
+                w.u32(j as u32);
+            }
+        }
+        assert!(decode_payload::<DissimArtifact>(&w.into_inner()).is_none());
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! reads as a clean cache miss, never a panic or an error.
 
 use cluster::{Clustering, Label, SelectedParams};
-use dissim::{CondensedMatrix, DissimArtifact, NeighborIndex};
+use dissim::{CondensedMatrix, DissimArtifact};
 use segment::{MessageSegments, TraceSegmentation};
-use store::{ArtifactStore, Key, Persist};
+use store::{ArtifactStore, Key, Kind, Persist, Writer};
 
 fn temp_store(tag: &str) -> ArtifactStore {
     let dir = std::env::temp_dir().join(format!("store-it-{}-{tag}", std::process::id()));
@@ -104,19 +104,52 @@ fn matrix_corruption_is_a_miss_and_roundtrip_is_bitwise() {
 }
 
 #[test]
-fn neighbor_index_corruption_is_a_miss() {
-    let ix = NeighborIndex::build(&sample_matrix());
-    assert_roundtrip_and_corruption("neighbors", ix, |a, b| assert_eq!(a, b));
+fn legacy_indexed_dissim_artifact_is_a_miss_then_overwritten() {
+    // A cache file from before the presorted neighbor index was retired:
+    // the matrix, tag byte 1, then the index — n and one
+    // `(dissimilarity, neighbor)` entry per ordered pair, rows sorted.
+    let m = sample_matrix();
+    let n = m.len();
+    let mut w = Writer::new();
+    w.usize(n);
+    for &v in m.values() {
+        w.f64(v);
+    }
+    w.u8(1);
+    w.usize(n);
+    for i in 0..n {
+        let mut row: Vec<(f64, u32)> = (0..n)
+            .filter(|&j| j != i)
+            .map(|j| (m.get(i, j), j as u32))
+            .collect();
+        row.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        for (d, j) in row {
+            w.f64(d);
+            w.u32(j);
+        }
+    }
+    let store = temp_store("legacy-index");
+    let k = key(11);
+    let path = store.file_path(Kind::DISSIM, &k);
+    std::fs::write(&path, store::encode_file(Kind::DISSIM, &w.into_inner())).unwrap();
+
+    // A clean miss, never a panic.
+    assert!(store.get::<DissimArtifact>(&k).is_none());
+    assert_eq!(store.stats().misses, 1);
+
+    // The rebuilt artifact overwrites the legacy file under the same key
+    // and reads back as a hit.
+    let rebuilt = DissimArtifact::from_matrix(m);
+    assert!(store.put(&k, &rebuilt));
+    assert_eq!(store.get::<DissimArtifact>(&k), Some(rebuilt));
+    let s = store.stats();
+    assert_eq!((s.hits, s.misses, s.writes), (1, 1, 1));
 }
 
 #[test]
 fn dissim_artifact_corruption_is_a_miss() {
-    let mut artifact = DissimArtifact::from_matrix(sample_matrix(), 1);
-    artifact.neighbors(); // persist the index alongside the matrix
-    assert_roundtrip_and_corruption("artifact", artifact, |a, b| {
-        assert_eq!(a.matrix(), b.matrix());
-        assert_eq!(a.neighbors_built(), b.neighbors_built());
-    });
+    let artifact = DissimArtifact::from_matrix(sample_matrix());
+    assert_roundtrip_and_corruption("artifact", artifact, |a, b| assert_eq!(a, b));
 }
 
 #[test]

@@ -8,6 +8,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace -q
 cargo bench -p bench --no-run
 
+# The benchmark is a package of its own that drives the pipeline through
+# its public API; building it and running its smoke test here makes
+# removing an API it calls fail the gate.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Artifact-store smoke test: a warm `analyze --cache-dir` run must hit
 # the cache (no misses, no writes) and reproduce the cold run's report
 # byte for byte.
@@ -34,9 +39,9 @@ cmp "$tmp/warm.out" "$tmp/warm-heap.out"
 echo "mmap smoke test: heap-read warm run reproduced the mmap warm report byte for byte"
 
 # Neighbor-backend equivalence smoke test: the same capture analyzed
-# through every neighbor backend (matrix row scans, tiled + sorted
-# index, vantage-point forest, vptree + SWAR kernel, length-stratified
-# forest) must produce byte-identical reports — the backend is a
+# through every neighbor backend (matrix row scans + k-NN table, tiled
+# build + merged k-NN table, vantage-point forest, vptree + SWAR kernel,
+# length-stratified forest) must produce byte-identical reports — the backend is a
 # performance knob, never a result knob. The NTP capture's NEMESYS
 # segments are mixed-length, so the stratified run must also report
 # nonzero prune counters: its speed comes from skipping work, and the
