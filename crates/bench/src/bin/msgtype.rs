@@ -6,15 +6,28 @@
 //! clustering to prior work — but the companion analysis completes the
 //! inference stack and exercises the same dissimilarity machinery.
 //!
+//! Per protocol it also times the message-matrix build alone (the
+//! alignment of every message pair over NEMESYS segments, one thread,
+//! best of [`ALIGN_REPS`] builds) and upserts it into
+//! `BENCH_trajectory.json` as `msgtype_align{proto=..}`; each record's
+//! peak RSS is the process high-water mark up to that protocol.
+//!
 //! Run with: `cargo run --release -p bench --bin msgtype`
+
+use std::time::{Duration, Instant};
 
 use evalkit::{pair_counts, ClusterMetrics};
 use fieldclust::msgtype::{identify_message_types, MessageTypeConfig};
 use fieldclust::truth::truth_segmentation;
+use fieldclust::{AnalysisSession, FieldTypeClusterer};
 use protocols::{corpus, ProtocolSpec};
 use segment::nemesys::Nemesys;
-use segment::Segmenter;
+use segment::{Segmenter, TraceSegmentation};
 use serde::Serialize;
+use trace::Trace;
+
+/// Message-matrix builds per protocol; the fastest one is recorded.
+const ALIGN_REPS: usize = 7;
 
 #[derive(Serialize)]
 struct MsgTypeRow {
@@ -28,8 +41,31 @@ struct MsgTypeRow {
     f_score: f64,
 }
 
+/// Best-of-[`ALIGN_REPS`] wall of the message-matrix build alone: the
+/// segment matrix it substitutes from is built beforehand, and every
+/// timed build starts from a clone of that session.
+fn time_alignment(trace: &Trace, seg: &TraceSegmentation) -> Option<Duration> {
+    let config = FieldTypeClusterer {
+        threads: 1,
+        ..FieldTypeClusterer::default()
+    };
+    let gap = MessageTypeConfig::default().gap_penalty;
+    let mut base = AnalysisSession::new(trace, config);
+    base.set_segmentation(seg.clone());
+    base.segment_matrix().ok()?;
+    let mut best = Duration::MAX;
+    for _ in 0..ALIGN_REPS {
+        let mut session = base.clone();
+        let start = Instant::now();
+        std::hint::black_box(session.message_matrix(gap).ok()?);
+        best = best.min(start.elapsed());
+    }
+    Some(best)
+}
+
 fn main() {
     let mut rows: Vec<MsgTypeRow> = Vec::new();
+    let mut align: Vec<(String, usize, Duration)> = Vec::new();
     println!("MESSAGE TYPE IDENTIFICATION (extension; cf. NEMETYL [10])");
     println!("proto  msgs  segm     types found   P     R     F1/4");
     for spec in corpus::small_specs() {
@@ -51,6 +87,12 @@ fn main() {
         let nem_seg = Nemesys::default()
             .segment_trace(&trace)
             .expect("nemesys never fails");
+        if let Some(wall) = time_alignment(&trace, &nem_seg) {
+            // Recorded now, so its peak RSS covers this protocol and the
+            // ones before it, not the whole run.
+            bench::append_trajectory(&format!("msgtype_align{{proto={}}}", spec.protocol), wall);
+            align.push((spec.protocol.to_string(), spec.messages, wall));
+        }
         for (name, seg) in [("truth", &truth_seg), ("nemesys", &nem_seg)] {
             let result = match identify_message_types(&trace, seg, &MessageTypeConfig::default()) {
                 Ok(r) => r,
@@ -99,4 +141,10 @@ fn main() {
         }
     }
     bench::dump_json("target/msgtype.json", &rows);
+
+    println!("\nMESSAGE-MATRIX BUILD (NEMESYS segments, 1 thread, best of {ALIGN_REPS})");
+    println!("proto  msgs   build ms");
+    for (proto, messages, wall) in &align {
+        println!("{proto:6} {messages:5} {:10.3}", wall.as_secs_f64() * 1e3);
+    }
 }

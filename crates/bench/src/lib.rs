@@ -191,17 +191,38 @@ pub struct TrajectoryRecord {
     pub peak_rss_bytes: u64,
 }
 
-/// The commit hash of the working tree, or `"unknown"` outside git.
+/// The commit a run measures: `git rev-parse HEAD`, with a `-dirty`
+/// suffix when tracked files other than `BENCH_trajectory.json` differ
+/// from it (so a run of uncommitted code never overwrites the record of
+/// its parent, while records written by earlier runs do not count), or
+/// `"unknown"` outside git.
 pub fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    let Some(head) = git(&["rev-parse", "HEAD"])
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    else {
+        return "unknown".to_string();
+    };
+    let status = [
+        "status",
+        "--porcelain",
+        "--untracked-files=no",
+        "--",
+        ":/",
+        ":(top,exclude)BENCH_trajectory.json",
+    ];
+    match git(&status) {
+        Some(changes) if !changes.trim().is_empty() => format!("{head}-dirty"),
+        _ => head,
+    }
 }
 
 /// Peak resident set size of this process in bytes (`VmHWM` from

@@ -204,7 +204,7 @@ impl CondensedMatrix {
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
-    pub(crate) fn row_parts(&self, i: usize) -> (impl Iterator<Item = f64> + '_, &[f64]) {
+    pub fn row_parts(&self, i: usize) -> (impl Iterator<Item = f64> + '_, &[f64]) {
         assert!(i < self.n, "index out of bounds");
         let n = self.n;
         // Pairs (j, i) with j < i sit at condensed_index(n, j, i), whose

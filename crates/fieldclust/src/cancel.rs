@@ -6,7 +6,8 @@
 //! serving daemon needs to abandon a job when its client cancels it or
 //! its deadline passes — without poisoning shared state and without
 //! preemption. [`CancelToken`] is the handshake: the owner hands a
-//! clone to the session, the session polls it *between* stages (never
+//! clone to the session, the session polls it *between* stages (and
+//! between the outer rows of the quadratic message-alignment build, never
 //! inside a kernel), and a tripped token surfaces as
 //! [`PipelineError::Cancelled`](crate::PipelineError::Cancelled) /
 //! [`MessageTypeError::Cancelled`](crate::msgtype::MessageTypeError::Cancelled).

@@ -19,6 +19,7 @@ use cluster::autoconf::AutoConfig;
 use cluster::dbscan::Clustering;
 use dissim::CondensedMatrix;
 use segment::TraceSegmentation;
+use std::sync::atomic::{AtomicBool, Ordering};
 use trace::Trace;
 
 /// Configuration of the message type identifier. Segment dissimilarity
@@ -64,7 +65,7 @@ pub enum MessageTypeError {
     /// The owning [`AnalysisSession`] has no segmentation installed yet.
     MissingSegmentation,
     /// The session's [`CancelToken`](crate::CancelToken) tripped
-    /// between stages.
+    /// between stages or between outer rows of the alignment build.
     Cancelled,
 }
 
@@ -125,10 +126,222 @@ pub(crate) fn segment_sequences(n: usize, store: &SegmentStore) -> Vec<Vec<usize
         .collect()
 }
 
-/// Normalized global alignment cost of two segment-id sequences:
-/// substitution costs come from the segment dissimilarity matrix, gaps
-/// cost `gap`; the total is normalized by the longer sequence length so
-/// results live in `[0, ~1]`.
+/// Message pairs advanced in lockstep per DP sweep of
+/// [`alignment_matrix`]. Each lane's add→min chain is latency-bound;
+/// four independent chains keep the FP pipelines busy, while wider
+/// sweeps waste more cells on lanes shorter than the longest.
+const LANES: usize = 4;
+
+/// The message dissimilarity matrix: the normalized global alignment
+/// cost of every message pair's segment-id sequences. Substitution
+/// costs come from `seg_matrix`, gaps cost `gap`, and each total is
+/// normalized by the longer sequence length so results live in
+/// `[0, ~1]`; an empty sequence costs 0 against another empty one and
+/// 1 against any other.
+///
+/// Per outer message `a` the substitution rows of its segments are
+/// gathered once into a contiguous `len(a) × u` buffer, and the inner
+/// messages `b > a`, in ascending length order, are aligned against it
+/// [`LANES`] pairs per DP sweep over two rolling rows. Every cell
+/// performs the same f64 operations in the same order as the textbook
+/// pairwise DP — `sub`, `del`, `ins`, then the minimum of the three
+/// ([`dp_min`], exact for DP cells) — and a lane's cells never read past
+/// its own length, so the result is bit-identical to the pairwise DP for
+/// any lane grouping and thread count, given substitution costs that
+/// are non-negative numbers and a positive gap.
+///
+/// `stop` is polled before every outer row; once it returns `true` the
+/// build abandons its partial matrix and returns
+/// [`MessageTypeError::Cancelled`].
+///
+/// # Panics
+///
+/// Panics if a sequence holds a segment id outside `seg_matrix`.
+pub(crate) fn alignment_matrix(
+    sequences: &[Vec<usize>],
+    seg_matrix: &CondensedMatrix,
+    gap: f64,
+    threads: usize,
+    stop: &(dyn Fn() -> bool + Sync),
+) -> Result<CondensedMatrix, MessageTypeError> {
+    let n = sequences.len();
+    let (mut by_length, empty): (Vec<usize>, Vec<usize>) =
+        (0..n).partition(|&b| !sequences[b].is_empty());
+    by_length.sort_by_key(|&b| (sequences[b].len(), b));
+    let aligner = Aligner {
+        sequences,
+        by_length: &by_length,
+        empty: &empty,
+        seg_matrix,
+        gap,
+    };
+    // A flag only; the result is read after the workers are joined.
+    let stopped = AtomicBool::new(false);
+    // Each chunk of consecutive outer rows fills one contiguous block of
+    // the condensed triangle; blocks are placed by their first row.
+    let parts = parkit::map_parts(
+        threads,
+        n.saturating_sub(1),
+        1,
+        || (Scratch::default(), Vec::new()),
+        |(scratch, blocks): &mut (Scratch, Vec<(usize, Vec<f64>)>), rows| {
+            let mut block = Vec::with_capacity(rows.clone().map(|a| n - a - 1).sum());
+            for a in rows.clone() {
+                if stopped.load(Ordering::Relaxed) || stop() {
+                    stopped.store(true, Ordering::Relaxed);
+                    return;
+                }
+                let start = block.len();
+                block.resize(start + n - a - 1, 0.0);
+                aligner.row(a, scratch, &mut block[start..]);
+            }
+            blocks.push((rows.start, block));
+        },
+    );
+    if stopped.into_inner() {
+        return Err(MessageTypeError::Cancelled);
+    }
+    let mut blocks: Vec<(usize, Vec<f64>)> = parts.into_iter().flat_map(|(_, b)| b).collect();
+    blocks.sort_unstable_by_key(|&(first_row, _)| first_row);
+    let data = blocks.into_iter().flat_map(|(_, block)| block).collect();
+    Ok(CondensedMatrix::from_condensed(n, data).expect("blocks cover every outer row"))
+}
+
+/// Per-worker buffers of [`alignment_matrix`], reused across rows.
+#[derive(Default)]
+struct Scratch {
+    /// The outer message's gathered substitution rows, `len(a) × u`.
+    gathered: Vec<f64>,
+    lanes: Lanes,
+}
+
+/// Per-worker DP buffers, reused across sweeps.
+#[derive(Default)]
+struct Lanes {
+    /// Lane-interleaved segment ids of the current sweep.
+    ids: Vec<[usize; LANES]>,
+    /// The two rolling DP rows, one cell per lane.
+    prev: Vec<[f64; LANES]>,
+    cur: Vec<[f64; LANES]>,
+}
+
+/// The read-only inputs of [`alignment_matrix`].
+struct Aligner<'a> {
+    sequences: &'a [Vec<usize>],
+    /// Non-empty messages by ascending (length, index).
+    by_length: &'a [usize],
+    /// Empty messages, ascending.
+    empty: &'a [usize],
+    seg_matrix: &'a CondensedMatrix,
+    gap: f64,
+}
+
+impl Aligner<'_> {
+    /// Fills `out[b − a − 1]` with the alignment cost of messages `a`
+    /// and `b` for every `b > a`.
+    fn row(&self, a: usize, scratch: &mut Scratch, out: &mut [f64]) {
+        let seq_a = &self.sequences[a];
+        if seq_a.is_empty() {
+            for (slot, b) in out.iter_mut().zip(a + 1..) {
+                *slot = if self.sequences[b].is_empty() {
+                    0.0
+                } else {
+                    1.0
+                };
+            }
+            return;
+        }
+        for &b in &self.empty[self.empty.partition_point(|&b| b <= a)..] {
+            out[b - a - 1] = 1.0;
+        }
+        let Scratch { gathered, lanes } = scratch;
+        gathered.clear();
+        for &s in seq_a {
+            let (column, tail) = self.seg_matrix.row_parts(s);
+            gathered.extend(column);
+            gathered.push(0.0);
+            gathered.extend_from_slice(tail);
+        }
+        self.align_inner(a, gathered, lanes, out);
+    }
+
+    /// Aligns message `a` against every non-empty `b > a`, [`LANES`]
+    /// at a time in ascending length order; row `i` of `gathered` holds
+    /// the substitution costs of `a`'s `i`-th segment.
+    fn align_inner(&self, a: usize, gathered: &[f64], lanes: &mut Lanes, out: &mut [f64]) {
+        let la = self.sequences[a].len();
+        let inner: Vec<usize> = self.by_length.iter().copied().filter(|&b| b > a).collect();
+        for chunk in inner.chunks(LANES) {
+            // Lanes past a partial chunk repeat its last pair, and a lane
+            // shorter than the chunk's longest repeats its last id: cells
+            // beyond a lane's own length never feed its result.
+            let lane = |l: usize| &self.sequences[chunk[l.min(chunk.len() - 1)]];
+            let lens: [usize; LANES] = std::array::from_fn(|l| lane(l).len());
+            lanes.ids.clear();
+            lanes.ids.extend((0..lens[LANES - 1]).map(|j| {
+                std::array::from_fn(|l| {
+                    let seq = lane(l);
+                    seq[j.min(seq.len() - 1)]
+                })
+            }));
+            let totals = self.sweep(gathered, lanes);
+            for (l, &b) in chunk.iter().enumerate() {
+                out[b - a - 1] = totals[lens[l]][l] / la.max(lens[l]) as f64;
+            }
+        }
+    }
+
+    /// One DP sweep of the outer message, one DP row per gathered
+    /// substitution row, against the [`LANES`] inner sequences in
+    /// `lanes.ids`; returns the last DP row, whose column `j` holds each
+    /// lane's cost against its first `j` segments.
+    fn sweep<'l>(&self, gathered: &[f64], lanes: &'l mut Lanes) -> &'l [[f64; LANES]] {
+        let Lanes { ids, prev, cur } = lanes;
+        let (gap, lb) = (self.gap, ids.len());
+        let u = self.seg_matrix.len();
+        prev.clear();
+        prev.push([0.0; LANES]);
+        prev.extend((1..=lb).map(|j| [j as f64 * gap; LANES]));
+        cur.clear();
+        cur.resize(lb + 1, [0.0; LANES]);
+        for (i, subst) in gathered.chunks_exact(u).enumerate() {
+            let mut left = [(i + 1) as f64 * gap; LANES];
+            cur[0] = left;
+            for ((out, above), id) in cur[1..].iter_mut().zip(prev.windows(2)).zip(ids.iter()) {
+                let (diag, up) = (above[0], above[1]);
+                let cell: [f64; LANES] = std::array::from_fn(|l| {
+                    let sub = diag[l] + subst[id[l]];
+                    let del = up[l] + gap;
+                    let ins = left[l] + gap;
+                    dp_min(dp_min(sub, del), ins)
+                });
+                *out = cell;
+                left = cell;
+            }
+            std::mem::swap(prev, cur);
+        }
+        prev
+    }
+}
+
+/// `a.min(b)` as one compare-select, for DP cells. Cells are sums of
+/// non-negative substitution costs and a positive gap, so they are
+/// never NaN or −0, and for such operands this equals `f64::min` bit
+/// for bit; it skips the NaN fix-up `f64::min` compiles to, which would
+/// lengthen every cell's add→min dependency chain.
+#[inline]
+fn dp_min(a: f64, b: f64) -> f64 {
+    if b < a {
+        b
+    } else {
+        a
+    }
+}
+
+/// Normalized global alignment cost of two segment-id sequences — the
+/// pairwise textbook DP that [`alignment_matrix`] must reproduce bit
+/// for bit.
+#[cfg(test)]
 pub(crate) fn align_cost(a: &[usize], b: &[usize], seg_matrix: &CondensedMatrix, gap: f64) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 0.0;
@@ -230,6 +443,24 @@ mod tests {
     }
 
     #[test]
+    fn alignment_build_stops_between_rows() {
+        use std::sync::atomic::AtomicUsize;
+        let seg_matrix = CondensedMatrix::build(3, |i, j| (i + j) as f64 / 4.0);
+        let sequences: Vec<Vec<usize>> = (0..9).map(|m| vec![m % 3, (m + 1) % 3]).collect();
+        let polls = AtomicUsize::new(0);
+        let after_three_rows = || polls.fetch_add(1, Ordering::Relaxed) >= 3;
+        let stopped = alignment_matrix(&sequences, &seg_matrix, 0.8, 1, &after_three_rows);
+        assert_eq!(stopped, Err(MessageTypeError::Cancelled));
+        assert_eq!(
+            polls.load(Ordering::Relaxed),
+            4,
+            "polled once per started row"
+        );
+        let full = alignment_matrix(&sequences, &seg_matrix, 0.8, 1, &|| false).unwrap();
+        assert_eq!(full.len(), 9);
+    }
+
+    #[test]
     fn too_few_messages_is_an_error() {
         let trace = corpus::build_trace(Protocol::Ntp, 3, 1);
         let gt = corpus::ground_truth(Protocol::Ntp, &trace);
@@ -245,5 +476,66 @@ mod tests {
         let (_, result) = run(Protocol::Smb, 40);
         assert_eq!(result.clustering.len(), 40);
         assert!(result.epsilon > 0.0);
+    }
+
+    mod oracle {
+        use super::super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The lane-batched builder reproduces the pairwise DP bit for
+            /// bit: empty sequences, uniform and mixed lengths, inner
+            /// message counts that are not multiples of the lane count,
+            /// fewer than four messages, and at 1 and 4 threads. Coarse
+            /// costs (multiples of ¼, gap ½) make exact ties between
+            /// `sub`, `del` and `ins` common.
+            #[test]
+            fn alignment_matrix_matches_pairwise_align_cost(
+                u in 1usize..10,
+                costs in prop::collection::vec(0.0f64..1.0, 45),
+                raw in prop::collection::vec(prop::collection::vec(0usize..10, 0..6), 0..14),
+                uniform in any::<bool>(),
+                gap in 0.05f64..1.5,
+                coarse in any::<bool>(),
+            ) {
+                let (costs, gap) = if coarse {
+                    (costs.iter().map(|c| (c * 4.0).floor() / 4.0).collect(), 0.5)
+                } else {
+                    (costs, gap)
+                };
+                let seg_matrix =
+                    CondensedMatrix::from_condensed(u, costs[..u * (u - 1) / 2].to_vec())
+                        .expect("triangle length");
+                let mut sequences: Vec<Vec<usize>> = raw
+                    .into_iter()
+                    .map(|seq| seq.into_iter().map(|id| id % u).collect())
+                    .collect();
+                if uniform {
+                    let len = sequences.first().map_or(0, Vec::len);
+                    for seq in &mut sequences {
+                        seq.resize(len, 0);
+                    }
+                }
+                let n = sequences.len();
+                for threads in [1, 4] {
+                    let m = alignment_matrix(&sequences, &seg_matrix, gap, threads, &|| false)
+                        .expect("never stopped");
+                    prop_assert_eq!(m.len(), n);
+                    for a in 0..n {
+                        for b in a + 1..n {
+                            let want = align_cost(&sequences[a], &sequences[b], &seg_matrix, gap);
+                            prop_assert_eq!(
+                                m.get(a, b).to_bits(),
+                                want.to_bits(),
+                                "pair ({}, {}) at {} threads",
+                                a,
+                                b,
+                                threads
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

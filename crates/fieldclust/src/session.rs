@@ -125,7 +125,7 @@ pub struct AnalysisSession<'t> {
     // Message-type artifacts (share the trace and segmentation; the
     // store differs because message typing keeps 1-byte segments).
     full_store: Option<SegmentStore>,
-    full_dissim: Option<DissimArtifact>,
+    full_dissim: Option<FullDissim>,
     msg_dissim: Option<(f64, DissimArtifact)>,
     // Optional on-disk artifact cache; `None` keeps every stage purely
     // in-memory. The memoized input key covers trace + segmentation.
@@ -216,9 +216,10 @@ impl<'t> AnalysisSession<'t> {
     /// or by deadline — the next stage transition returns
     /// [`PipelineError::Cancelled`] instead of computing. A stage
     /// already in flight runs to completion (stages are never preempted
-    /// mid-kernel), and artifacts computed before the trip stay cached,
-    /// so re-driving the session after a cancellation resumes from
-    /// them.
+    /// mid-kernel) — except the message-alignment build, which also
+    /// polls between outer rows and abandons its partial matrix. Artifacts
+    /// computed before the trip stay cached, so re-driving the session
+    /// after a cancellation resumes from them.
     pub fn set_cancel_token(&mut self, token: CancelToken) {
         self.cancel = Some(token);
     }
@@ -490,7 +491,9 @@ impl<'t> AnalysisSession<'t> {
 
     /// The dissimilarity matrix over *all* unique segments (including
     /// 1-byte ones), as used for message alignment. Cached separately
-    /// from [`matrix`](Self::matrix), which excludes short segments.
+    /// from [`matrix`](Self::matrix), which excludes short segments —
+    /// unless no segment is short: when both stores hold the same values
+    /// and the field matrix is already built, this is that matrix.
     ///
     /// # Errors
     ///
@@ -498,13 +501,25 @@ impl<'t> AnalysisSession<'t> {
     /// [`MessageTypeError::MissingSegmentation`].
     pub fn segment_matrix(&mut self) -> Result<&CondensedMatrix, MessageTypeError> {
         self.ensure_full_dissim()?;
-        Ok(self.full_dissim.as_ref().expect("ensured").matrix())
+        Ok(self.full_matrix())
+    }
+
+    /// The ensured full-store segment matrix.
+    fn full_matrix(&self) -> &CondensedMatrix {
+        match self.full_dissim.as_ref().expect("ensured") {
+            FullDissim::Field => self.dissim.as_ref().expect("field matrix present"),
+            FullDissim::Own(artifact) => artifact,
+        }
+        .matrix()
     }
 
     /// The message dissimilarity matrix: normalized alignment cost of
     /// the segment-id sequences of every message pair, substitution
     /// costs taken from [`segment_matrix`](Self::segment_matrix).
-    /// Cached per gap penalty.
+    /// Cached per gap penalty. The alignment build polls the session's
+    /// [`CancelToken`] between outer message rows: a tripped token
+    /// abandons it with [`MessageTypeError::Cancelled`] and caches
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -512,6 +527,20 @@ impl<'t> AnalysisSession<'t> {
     pub fn message_matrix(
         &mut self,
         gap_penalty: f64,
+    ) -> Result<&CondensedMatrix, MessageTypeError> {
+        let token = self.cancel.clone();
+        self.message_matrix_until(gap_penalty, &|| {
+            token.as_ref().is_some_and(CancelToken::is_cancelled)
+        })
+    }
+
+    /// [`message_matrix`](Self::message_matrix) with the alignment
+    /// build polling `stop` between outer rows instead of the session's
+    /// token; a stopped build caches nothing.
+    fn message_matrix_until(
+        &mut self,
+        gap_penalty: f64,
+        stop: &(dyn Fn() -> bool + Sync),
     ) -> Result<&CondensedMatrix, MessageTypeError> {
         if self
             .msg_dissim
@@ -540,19 +569,15 @@ impl<'t> AnalysisSession<'t> {
                 Some(a) => a,
                 None => {
                     self.ensure_full_dissim()?;
-                    let computed = {
-                        let store = self.full_store.as_ref().expect("ensured");
-                        let seg_matrix = self.full_dissim.as_ref().expect("ensured").matrix();
-                        let sequences = msgtype::segment_sequences(n, store);
-                        DissimArtifact::compute(n, self.config.threads, |a, b| {
-                            msgtype::align_cost(
-                                &sequences[a],
-                                &sequences[b],
-                                seg_matrix,
-                                gap_penalty,
-                            )
-                        })
-                    };
+                    let sequences =
+                        msgtype::segment_sequences(n, self.full_store.as_ref().expect("ensured"));
+                    let computed = DissimArtifact::from_matrix(msgtype::alignment_matrix(
+                        &sequences,
+                        self.full_matrix(),
+                        gap_penalty,
+                        self.config.threads,
+                        stop,
+                    )?);
                     if let (Some(cache), Some(key)) = (self.cache.as_ref(), &msg_key) {
                         cache.put(key, &computed);
                     }
@@ -1237,16 +1262,37 @@ impl<'t> AnalysisSession<'t> {
             return Ok(());
         }
         self.ensure_full_store()?;
+        let full = self.full_store.as_ref().expect("ensured");
+        let same_values = |field: &SegmentStore| {
+            field.segments.len() == full.segments.len()
+                && field
+                    .segments
+                    .iter()
+                    .zip(&full.segments)
+                    .all(|(f, g)| f.value == g.value)
+        };
+        if self.dissim.is_some() && self.store.as_ref().is_some_and(same_values) {
+            self.full_dissim = Some(FullDissim::Field);
+            return Ok(());
+        }
         // Kernel build (see ensure_dissim); these entries feed the
         // message-alignment substitution costs of message_matrix.
-        let artifact = {
-            let store = self.full_store.as_ref().expect("ensured");
-            let values: Vec<&[u8]> = store.segments.iter().map(|s| &s.value[..]).collect();
-            self.build_dissim_cached(&values)
-        };
-        self.full_dissim = Some(artifact);
+        let values: Vec<&[u8]> = full.segments.iter().map(|s| &s.value[..]).collect();
+        let artifact = self.build_dissim_cached(&values);
+        self.full_dissim = Some(FullDissim::Own(artifact));
         Ok(())
     }
+}
+
+/// The segment matrix message alignment substitutes from.
+#[derive(Debug, Clone)]
+enum FullDissim {
+    /// No segment is shorter than `min_segment_len`, so the full store
+    /// holds the field store's values in the same order: the field
+    /// matrix serves both.
+    Field,
+    /// A matrix over the full store, which keeps short segments.
+    Own(DissimArtifact),
 }
 
 /// Occurrence-weighted DBSCAN at the selected parameters, plus the
@@ -1491,5 +1537,86 @@ mod tests {
         assert_ne!(&m8, s.message_matrix(0.5).unwrap());
         let types = s.message_types(&MessageTypeConfig::default()).unwrap();
         assert_eq!(types.clustering.len(), s.trace().len());
+    }
+
+    #[test]
+    fn fixed_width_segment_matrix_is_the_field_matrix() {
+        use crate::report::standard_report;
+        use segment::fixed::FixedChunks;
+        let trace = corpus::build_trace(Protocol::Ntp, 60, 13);
+        let seg = FixedChunks { width: 4 }.segment_trace(&trace).unwrap();
+        let session = || {
+            let mut s = AnalysisSession::new(&trace, FieldTypeClusterer::default());
+            s.set_segmentation(seg.clone());
+            s
+        };
+        // No 4-byte chunk is short, so the full store equals the field
+        // store and message alignment reads the field matrix itself.
+        let mut shared = session();
+        let field = shared.matrix().unwrap() as *const CondensedMatrix;
+        assert!(std::ptr::eq(field, shared.segment_matrix().unwrap()));
+        // Building the full-store matrix first (no field matrix to
+        // share yet) yields the same report.
+        let mut separate = session();
+        let own = separate.segment_matrix().unwrap() as *const CondensedMatrix;
+        assert!(!std::ptr::eq(own, separate.matrix().unwrap()));
+        assert_eq!(
+            standard_report(&trace, &mut shared).unwrap(),
+            standard_report(&trace, &mut separate).unwrap()
+        );
+    }
+
+    #[test]
+    fn short_segments_keep_their_own_segment_matrix() {
+        use segment::nemesys::Nemesys;
+        let trace = corpus::build_trace(Protocol::Dns, 60, 14);
+        let mut s = AnalysisSession::new(&trace, FieldTypeClusterer::default());
+        s.segment_with(&Nemesys::default()).unwrap();
+        let field = s.matrix().unwrap().len();
+        assert!(s.segment_matrix().unwrap().len() > field);
+    }
+
+    #[test]
+    fn message_matrix_is_thread_invariant_on_nemesys_dns() {
+        use segment::nemesys::Nemesys;
+        let trace = corpus::build_trace(Protocol::Dns, 80, 15);
+        let seg = Nemesys::default().segment_trace(&trace).unwrap();
+        let bits = |threads: usize| {
+            let config = FieldTypeClusterer {
+                threads,
+                ..FieldTypeClusterer::default()
+            };
+            let mut s = AnalysisSession::new(&trace, config);
+            s.set_segmentation(seg.clone());
+            let m = s.message_matrix(0.8).unwrap();
+            m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(1), bits(4));
+    }
+
+    #[test]
+    fn stopped_alignment_caches_nothing_and_resumes_identically() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let dir =
+            std::env::temp_dir().join(format!("fieldclust-msg-cancel-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (_, mut s) = session_for(Protocol::Dns, 40, 16);
+        s.set_store(ArtifactStore::open(&dir).expect("open store"));
+        s.segment_matrix().unwrap();
+        let writes = s.cache_stats().expect("store attached").writes;
+        let polls = AtomicUsize::new(0);
+        let after_five_rows = || polls.fetch_add(1, Ordering::Relaxed) >= 5;
+        assert!(matches!(
+            s.message_matrix_until(0.8, &after_five_rows),
+            Err(MessageTypeError::Cancelled)
+        ));
+        assert!(s.msg_dissim.is_none(), "no partial matrix in memory");
+        assert_eq!(s.cache_stats().unwrap().writes, writes, "none on disk");
+        // Re-driving the session builds the whole matrix, identical to a
+        // session that was never stopped.
+        let resumed = s.message_matrix(0.8).unwrap().clone();
+        let (_, mut fresh) = session_for(Protocol::Dns, 40, 16);
+        assert_eq!(&resumed, fresh.message_matrix(0.8).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -63,6 +63,18 @@ cmp "$tmp/backend-matrix.md" "$tmp/backend-stratified.md"
 grep -Eq 'neighbors: kernel_evals=[1-9][0-9]* pruned=[1-9][0-9]*' "$tmp/backend-stratified.err"
 echo "backend smoke test: matrix, tiled, vptree, vptree+swar and stratified reports are byte-identical"
 
+# Message-typing thread-invariance smoke test: the alignment build hands
+# outer message rows to parallel workers, and on fixed-width segments it
+# substitutes from the field matrix itself (no segment is short). The
+# report, message types included, must not depend on the thread count.
+cargo run --release -q -p cli -- analyze "$tmp/smoke.pcap" --segmenter fixed --threads 1 \
+    --report "$tmp/fixed-t1.md"
+cargo run --release -q -p cli -- analyze "$tmp/smoke.pcap" --segmenter fixed --threads 4 \
+    --report "$tmp/fixed-t4.md"
+grep -q '^## Message types' "$tmp/fixed-t1.md"
+cmp "$tmp/fixed-t1.md" "$tmp/fixed-t4.md"
+echo "msgtype smoke test: fixed-width reports at 1 and 4 threads are byte-identical"
+
 # Peak-RSS smoke test: the tiled out-of-core build at u=2000 must stay
 # under a fixed 16 MiB budget — below what materializing the full
 # condensed matrix (16 MB at u=2000) on top of the process baseline
