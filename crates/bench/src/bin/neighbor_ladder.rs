@@ -48,6 +48,13 @@
 //! (ntp/nbns/smb, deduplicated segment values) run the same
 //! stratified-vs-linear comparison.
 //!
+//! Every mixed and protocol corpus also times Algorithm 1's k-dist
+//! input on the stratified backend both ways: one full k-NN sweep per
+//! candidate `k` against one `k_max`-deep k-NN table, asserted
+//! bit-identical, with both kernel-evaluation counts printed and a
+//! `…_stratified_kdist_sweeps` / `…_stratified_knn_table` record pair
+//! appended.
+//!
 //! Run with:
 //! `cargo run --release -p bench --bin neighbor_ladder -- [max_u] [samples] [budget_bytes]
 //!  [--cache-dir D] [--max-memory BYTES]`
@@ -413,6 +420,8 @@ fn run_mixed_corpus(
     corpus_line(name, u, "stratified+batch", wall, eps, b_count);
     bench::append_trajectory(&format!("{trajectory}_stratified_batch"), wall);
 
+    run_kdist_comparison(name, trajectory, values, params, &index, threads);
+
     // vptree-linear: the metricity gate sees mixed lengths and refuses
     // to prune, so this is the exact O(u)-per-query status quo the
     // stratified backend replaces.
@@ -438,6 +447,64 @@ fn run_mixed_corpus(
     );
 
     (eps, s_sum, s_count)
+}
+
+/// Times Algorithm 1's k-dist input on the stratified backend both
+/// ways, each on fresh counters: one full k-NN sweep per candidate
+/// `k = 2..=k_max` (what auto-configuration used to issue), and one
+/// `k_max`-deep [`NeighborProvider::knn_table`]. Asserts the table's
+/// columns equal the sweeps bit for bit and prints both walls and
+/// kernel-evaluation counts.
+fn run_kdist_comparison(
+    name: &str,
+    trajectory: &str,
+    values: &[&[u8]],
+    params: &DissimParams,
+    index: &StrataIndex,
+    threads: usize,
+) {
+    let u = values.len();
+    let k_max = required_k_max(u);
+    let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+
+    let sweep_counters = Arc::new(QueryCounters::default());
+    let provider =
+        StratifiedProvider::new(values, params, index).with_counters(Arc::clone(&sweep_counters));
+    let start = Instant::now();
+    let sweeps: Vec<Vec<f64>> = (2..=k_max)
+        .map(|k| provider.knn_dissimilarities_parallel(k, threads))
+        .collect();
+    let sweeps_wall = start.elapsed();
+
+    let table_counters = Arc::new(QueryCounters::default());
+    let provider =
+        StratifiedProvider::new(values, params, index).with_counters(Arc::clone(&table_counters));
+    let start = Instant::now();
+    let table = provider.knn_table(k_max, threads);
+    let table_wall = start.elapsed();
+
+    for (k, sweep) in (2..).zip(&sweeps) {
+        assert_eq!(
+            bits(sweep),
+            bits(&table.knn_dissimilarities(k)),
+            "k-NN table column {k} diverged from its sweep on {name} (u={u})"
+        );
+    }
+    println!(
+        "neighbor_ladder: corpus={name} u={u} kdist k_max={k_max} \
+         sweeps_wall_ms={:.1} sweeps_kernel_evals={} table_wall_ms={:.1} \
+         table_kernel_evals={} table_speedup={:.1}x",
+        sweeps_wall.as_secs_f64() * 1e3,
+        sweep_counters.kernel_evals(),
+        table_wall.as_secs_f64() * 1e3,
+        table_counters.kernel_evals(),
+        sweeps_wall.as_secs_f64() / table_wall.as_secs_f64().max(1e-9)
+    );
+    bench::append_trajectory(
+        &format!("{trajectory}_stratified_kdist_sweeps"),
+        sweeps_wall,
+    );
+    bench::append_trajectory(&format!("{trajectory}_stratified_knn_table"), table_wall);
 }
 
 fn fail_usage(message: &str) -> ! {

@@ -8,7 +8,7 @@
 //! `min_samples` is `round(ln n)`, which the paper found sufficient to
 //! avoid scattering large traces into many small clusters.
 
-use dissim::{CondensedMatrix, KnnTable, MatrixProvider, NeighborProvider};
+use dissim::{CondensedMatrix, KnnTable};
 use mathkit::kneedle::{detect_knees, KneedleParams};
 use mathkit::SmoothingSpline;
 
@@ -104,7 +104,8 @@ impl std::fmt::Display for AutoConfError {
 impl std::error::Error for AutoConfError {}
 
 /// Runs Algorithm 1: selects ε and `min_samples` from the dissimilarity
-/// matrix.
+/// matrix, reading the k-NN dissimilarities off one sweep of its
+/// triangle ([`CondensedMatrix::knn_table`]).
 ///
 /// # Errors
 ///
@@ -113,50 +114,7 @@ pub fn auto_configure(
     matrix: &CondensedMatrix,
     config: &AutoConfig,
 ) -> Result<SelectedParams, AutoConfError> {
-    auto_configure_with_provider(&MatrixProvider::new(matrix), config)
-}
-
-/// Runs Algorithm 1 with k-NN dissimilarities answered by any
-/// [`NeighborProvider`] backend — the entry point [`auto_configure`]
-/// funnels into.
-///
-/// The k-th neighbor dissimilarity is the same order statistic for
-/// every backend, so all of them select exactly the parameters
-/// [`auto_configure`] would.
-///
-/// # Errors
-///
-/// See [`AutoConfError`].
-pub fn auto_configure_with_provider<P: NeighborProvider + ?Sized>(
-    provider: &P,
-    config: &AutoConfig,
-) -> Result<SelectedParams, AutoConfError> {
-    auto_configure_impl(provider.len(), |k| provider.knn_dissimilarities(k), config)
-}
-
-/// Runs Algorithm 1 with each candidate `k`'s full k-NN sweep answered
-/// by the provider's batched parallel path
-/// ([`NeighborProvider::knn_dissimilarities_parallel`]): the n queries
-/// of every ECDF fan out over `threads` workers instead of running one
-/// at a time.
-///
-/// The batch path writes each item's answer into its own slot, so the
-/// selected parameters are bit-identical to
-/// [`auto_configure_with_provider`] at any thread count.
-///
-/// # Errors
-///
-/// See [`AutoConfError`].
-pub fn auto_configure_parallel<P: NeighborProvider + Sync + ?Sized>(
-    provider: &P,
-    config: &AutoConfig,
-    threads: usize,
-) -> Result<SelectedParams, AutoConfError> {
-    auto_configure_impl(
-        provider.len(),
-        |k| provider.knn_dissimilarities_parallel(k, threads),
-        config,
-    )
+    auto_configure_with_knn(&matrix.knn_table(required_k_max(matrix.len())), config)
 }
 
 /// The largest `k` Algorithm 1 will query for `n` items — what a
@@ -168,12 +126,14 @@ pub fn required_k_max(n: usize) -> usize {
 }
 
 /// Runs Algorithm 1 with k-NN dissimilarities read off a precomputed
-/// [`KnnTable`] — one linear sweep of a condensed matrix
-/// ([`CondensedMatrix::knn_table`]) or merged per-tile partials — in
-/// place of a row selection per item and candidate `k`.
+/// [`KnnTable`] — from any backend's
+/// [`NeighborProvider::knn_table`](dissim::NeighborProvider::knn_table)
+/// or merged per-tile partials — in place of a k-NN sweep per
+/// candidate `k`. This is the one entry point every backend funnels
+/// into.
 ///
-/// The table holds the same k-th order statistics a matrix scan
-/// produces, so this selects exactly the parameters [`auto_configure`]
+/// Every backend's table holds the same k-th order statistics a matrix
+/// scan produces, so each selects exactly the parameters a matrix scan
 /// would.
 ///
 /// # Panics
@@ -338,21 +298,37 @@ mod tests {
     }
 
     #[test]
-    fn parallel_autoconf_matches_serial() {
-        let m = blobs(4, 18, 0.08, 7.0, 5);
-        let provider = MatrixProvider::new(&m);
+    fn provider_tables_select_like_the_matrix_scan() {
+        use dissim::{DissimParams, NeighborProvider, StrataIndex, StratifiedProvider};
+        // Mixed-length segments, so the stratified provider crosses
+        // strata; the matrix oracle scans every row for every k.
+        let segs: Vec<Vec<u8>> = (0..60usize)
+            .map(|i| {
+                let len = [1usize, 2, 2, 4, 4, 8][i % 6];
+                (0..len).map(|b| ((i / 6) * 9 + b * 3) as u8).collect()
+            })
+            .collect();
+        let values: Vec<&[u8]> = segs.iter().map(|s| &s[..]).collect();
+        let params = DissimParams::default();
+        let m = CondensedMatrix::build(values.len(), |i, j| {
+            dissim::dissimilarity(values[i], values[j], &params)
+        });
+        let index = StrataIndex::build(&values, &params, 16);
+        let provider = StratifiedProvider::new(&values, &params, &index);
+        let k_max = required_k_max(m.len());
         for config in [
             AutoConfig::default(),
             AutoConfig {
-                max_dissimilarity: Some(1.0),
+                max_dissimilarity: Some(0.3),
                 ..AutoConfig::default()
             },
         ] {
-            let serial = auto_configure_with_provider(&provider, &config);
+            let scan = auto_configure_impl(m.len(), |k| m.knn_dissimilarities(k), &config);
             for threads in [1usize, 4] {
+                let table = provider.knn_table(k_max, threads);
                 assert_eq!(
-                    serial,
-                    auto_configure_parallel(&provider, &config, threads),
+                    scan,
+                    auto_configure_with_knn(&table, &config),
                     "threads = {threads}"
                 );
             }
@@ -379,10 +355,11 @@ mod tests {
                 ..AutoConfig::default()
             },
         ] {
-            assert_eq!(
-                auto_configure(&m, &config),
-                auto_configure_with_knn(&table, &config)
-            );
+            // The row-scan oracle: one order-statistic selection per
+            // item and candidate k.
+            let scan = auto_configure_impl(m.len(), |k| m.knn_dissimilarities(k), &config);
+            assert_eq!(scan, auto_configure(&m, &config));
+            assert_eq!(scan, auto_configure_with_knn(&table, &config));
         }
     }
 

@@ -135,16 +135,14 @@ pub fn dbscan_weighted_with_provider<P: NeighborProvider + ?Sized>(
 /// serially, query-free, in the same index order, so the clustering is
 /// identical for any thread count.
 ///
-/// Two parallel phases feed the serial growing. First the per-item core
-/// predicate: each item's ε-neighborhood weight is a sum over its own
-/// region query, written to its own slot. Then the *core* points'
-/// regions — the only regions [`dbscan_core_impl`] ever consumes — are
-/// answered once through
-/// [`NeighborProvider::neighbors_within_batch`] and handed to the
-/// growing as a lookup table, so no neighbor query runs single-threaded
-/// and no core point is queried during the breadth-first expansion.
-/// Memory holds only the core regions (the expansion frontier the
-/// serial variant materializes piecemeal anyway).
+/// Each item's ε-region is queried exactly once, in one
+/// [`NeighborProvider::neighbors_within_batch`] over all items. The
+/// per-item core predicate is the weight sum over that region. Core
+/// items keep their regions as the growing's lookup table — the only
+/// regions [`dbscan_core_impl`] ever reads — and non-core regions are
+/// dropped at once. Every weight is at least one, so a non-core region
+/// holds fewer than `min_samples` entries: memory is the core regions
+/// the growing needs anyway, plus small change.
 ///
 /// # Panics
 ///
@@ -158,39 +156,25 @@ pub fn dbscan_weighted_parallel_with_provider<P: NeighborProvider + Sync>(
 ) -> Clustering {
     let n = provider.len();
     assert!(weights.len() >= n, "need a weight per item");
+    let items: Vec<usize> = (0..n).collect();
+    let mut regions = provider.neighbors_within_batch(&items, eps, threads);
     let mut core = vec![false; n];
-    if n > 0 {
-        let core_ptr = SendFlagPtr(core.as_mut_ptr());
-        parkit::for_each_chunk(threads, n, 16, |items| {
-            let core_ptr = &core_ptr;
-            let mut nb: Vec<(f64, u32)> = Vec::new();
-            for i in items {
-                provider.neighbors_within(i, eps, &mut nb);
-                let w = weights[i] + nb.iter().map(|&(_, j)| weights[j as usize]).sum::<usize>();
-                // SAFETY: slot `i` is written by exactly one worker (the
-                // scheduler hands out each item once), so writes never
-                // alias.
-                unsafe { *core_ptr.0.add(i) = w >= min_samples };
-            }
-        });
-    }
-    let core_items: Vec<usize> = (0..n).filter(|&i| core[i]).collect();
-    let regions = provider.neighbors_within_batch(&core_items, eps, threads);
-    let mut region_slot = vec![usize::MAX; n];
-    for (slot, &i) in core_items.iter().enumerate() {
-        region_slot[i] = slot;
+    for (i, region) in regions.iter_mut().enumerate() {
+        let w = weights[i]
+            + region
+                .iter()
+                .map(|&(_, j)| weights[j as usize])
+                .sum::<usize>();
+        core[i] = w >= min_samples;
+        if !core[i] {
+            *region = Vec::new();
+        }
     }
     dbscan_core_impl(n, &core, |i, out| {
-        // The growing only queries core items, whose regions were
-        // batched above.
-        out.extend(regions[region_slot[i]].iter().map(|&(_, j)| j as usize));
+        // The growing only queries core items, whose regions were kept.
+        out.extend(regions[i].iter().map(|&(_, j)| j as usize));
     })
 }
-
-/// A raw pointer wrapper asserting cross-thread transferability for the
-/// disjoint-slot core-predicate writes above.
-struct SendFlagPtr(*mut bool);
-unsafe impl Sync for SendFlagPtr {}
 
 /// Runs DBSCAN over *weighted* items: item `i` stands for `weights[i]`
 /// identical samples at the same position.
@@ -492,6 +476,25 @@ mod tests {
                     dbscan_weighted(&m, eps, ms, &w),
                     dbscan_weighted_parallel_with_provider(&provider, eps, ms, &w, threads),
                     "weighted threads={threads} eps={eps} ms={ms}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_dbscan_queries_each_region_once() {
+        let pts = [0.0, 0.1, 0.2, 1.5, 10.0, 10.1, 10.2, 55.0, 55.3];
+        let m = line_matrix(&pts);
+        let w = [7, 1, 1, 1, 3, 1, 1, 2, 1];
+        for threads in [1, 4] {
+            for (eps, ms) in [(0.5, 2), (0.5, 3), (0.35, 5), (2.0, 2), (100.0, 3)] {
+                let counting = crate::testkit::CountingRegions::new(MatrixProvider::new(&m));
+                let c = dbscan_weighted_parallel_with_provider(&counting, eps, ms, &w, threads);
+                assert_eq!(c, dbscan_weighted(&m, eps, ms, &w));
+                assert_eq!(
+                    counting.region_queries(),
+                    pts.len(),
+                    "threads={threads} eps={eps} ms={ms}"
                 );
             }
         }

@@ -31,8 +31,8 @@ pub mod optics;
 pub mod refine;
 
 pub use autoconf::{
-    auto_configure, auto_configure_parallel, auto_configure_with_knn, auto_configure_with_provider,
-    required_k_max, AutoConfError, AutoConfig, SelectedParams,
+    auto_configure, auto_configure_with_knn, required_k_max, AutoConfError, AutoConfig,
+    SelectedParams,
 };
 pub use dbscan::{
     dbscan, dbscan_weighted, dbscan_weighted_parallel_with_provider, dbscan_weighted_with_provider,
@@ -45,7 +45,9 @@ pub use refine::{merge_clusters, merge_clusters_with_provider, split_clusters, R
 /// Test-only neighbor providers.
 #[cfg(test)]
 pub(crate) mod testkit {
-    use dissim::{MatrixProvider, NeighborProvider};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use dissim::{KnnTable, MatrixProvider, NeighborProvider};
 
     /// A matrix provider that emits every ε-region farthest first —
     /// the reverse of the forests' order and a permutation of the row
@@ -68,6 +70,65 @@ pub(crate) mod testkit {
 
         fn pair(&self, i: usize, j: usize) -> f64 {
             self.0.pair(i, j)
+        }
+
+        fn knn_table(&self, k_max: usize, threads: usize) -> KnnTable {
+            self.0.knn_table(k_max, threads)
+        }
+    }
+
+    /// A matrix provider that tallies ε-region queries: one per
+    /// [`neighbors_within`](NeighborProvider::neighbors_within) call
+    /// and one per entry of every batch.
+    pub struct CountingRegions<'a> {
+        inner: MatrixProvider<'a>,
+        queries: AtomicUsize,
+    }
+
+    impl<'a> CountingRegions<'a> {
+        pub fn new(inner: MatrixProvider<'a>) -> Self {
+            Self {
+                inner,
+                queries: AtomicUsize::new(0),
+            }
+        }
+
+        /// Region queries answered so far.
+        pub fn region_queries(&self) -> usize {
+            self.queries.load(Ordering::Relaxed)
+        }
+    }
+
+    impl NeighborProvider for CountingRegions<'_> {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn neighbors_within(&self, i: usize, eps: f64, out: &mut Vec<(f64, u32)>) {
+            self.queries.fetch_add(1, Ordering::Relaxed);
+            self.inner.neighbors_within(i, eps, out);
+        }
+
+        fn neighbors_within_batch(
+            &self,
+            queries: &[usize],
+            eps: f64,
+            threads: usize,
+        ) -> Vec<Vec<(f64, u32)>> {
+            self.queries.fetch_add(queries.len(), Ordering::Relaxed);
+            self.inner.neighbors_within_batch(queries, eps, threads)
+        }
+
+        fn knn(&self, i: usize, k: usize) -> f64 {
+            self.inner.knn(i, k)
+        }
+
+        fn pair(&self, i: usize, j: usize) -> f64 {
+            self.inner.pair(i, j)
+        }
+
+        fn knn_table(&self, k_max: usize, threads: usize) -> KnnTable {
+            self.inner.knn_table(k_max, threads)
         }
     }
 }

@@ -33,7 +33,16 @@
 //! (a matrix row sweep, a pruned tree search)
 //! in parallel; backends with reusable per-worker scratch (the
 //! vantage-point forest) override them.
+//!
+//! **k-NN tables.** Algorithm 1 reads every item's k-th nearest
+//! dissimilarity for each `k` up to `round(ln n)`, and §III-E's trimmed
+//! rerun reads them again. [`NeighborProvider::knn_table`] answers all
+//! of that at once: the matrix sweeps its triangle, the forests run one
+//! `k_max`-deep k-NN query per item. A `k_max`-deep search is exact, so
+//! its j-th smallest value is the j-th nearest dissimilarity for every
+//! `j <= k_max`; only values are kept, so ties cannot matter.
 
+use crate::knn::KnnTable;
 use crate::matrix::CondensedMatrix;
 
 /// Minimum queries per stolen work chunk in the batch fan-out: small
@@ -175,6 +184,20 @@ pub trait NeighborProvider {
     {
         fan_out_scalars(threads, self.len(), |i| self.knn(i, k))
     }
+
+    /// Each item's `k_max` nearest-neighbor dissimilarities, ascending,
+    /// as one [`KnnTable`] built on `threads` workers: everything
+    /// Algorithm 1 and its §III-E trimmed rerun read, from one pass.
+    /// `kth(i, k)` equals [`knn`](Self::knn)`(i, k)` bitwise for every
+    /// `k <= min(k_max, len − 1)`; larger `k` read `f64::INFINITY`. The
+    /// table does not depend on `threads`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k_max` is 0.
+    fn knn_table(&self, k_max: usize, threads: usize) -> KnnTable
+    where
+        Self: Sync;
 }
 
 /// The row-scan provider over a bare [`CondensedMatrix`]: the oracle
@@ -184,7 +207,7 @@ pub trait NeighborProvider {
 /// Region queries walk one condensed row and emit in *index* order;
 /// k-NN queries select the order statistic off a row scan, exactly as
 /// [`CondensedMatrix::knn_dissimilarities`] does. Hot k-NN sweeps should
-/// read a [`CondensedMatrix::knn_table`] instead.
+/// read a [`knn_table`](NeighborProvider::knn_table) instead.
 #[derive(Debug, Clone, Copy)]
 pub struct MatrixProvider<'a> {
     matrix: &'a CondensedMatrix,
@@ -232,6 +255,12 @@ impl NeighborProvider for MatrixProvider<'_> {
 
     fn pair(&self, i: usize, j: usize) -> f64 {
         self.matrix.get(i, j)
+    }
+
+    /// One serial sweep of the condensed triangle
+    /// ([`CondensedMatrix::knn_table`]); `threads` is unused.
+    fn knn_table(&self, k_max: usize, _threads: usize) -> KnnTable {
+        self.matrix.knn_table(k_max)
     }
 }
 

@@ -62,6 +62,7 @@ use std::sync::Arc;
 
 use crate::canberra::DissimParams;
 use crate::kernel::{dissimilarity_kernel, dissimilarity_swar, CanberraLut, QueryDist};
+use crate::knn::{table_by_rows, KnnTable};
 use crate::provider::{NeighborProvider, SendSlotPtr, BATCH_MIN_CHUNK};
 use crate::vptree::{Cand, Fnv64, VpForest, NO_NODE, PRUNE_SLACK};
 
@@ -964,6 +965,27 @@ impl NeighborProvider for StratifiedProvider<'_> {
     {
         let queries: Vec<usize> = (0..self.len()).collect();
         self.knn_batch(&queries, k, threads)
+    }
+
+    /// One `k_max`-deep k-NN query per item, its bounded max-heap
+    /// drained into the item's ascending row. Each query flushes its
+    /// own counter tally, so the counters do not depend on `threads`.
+    fn knn_table(&self, k_max: usize, threads: usize) -> KnnTable
+    where
+        Self: Sync,
+    {
+        table_by_rows(
+            self.len(),
+            k_max,
+            threads,
+            || self.scratch(),
+            |i, scratch, row| {
+                self.knn_query(i, row.len(), scratch);
+                for slot in row.iter_mut().rev() {
+                    *slot = scratch.heap.pop().expect("heap holds k entries").0;
+                }
+            },
+        )
     }
 }
 

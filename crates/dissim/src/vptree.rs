@@ -46,6 +46,7 @@ use std::ops::Range;
 
 use crate::canberra::DissimParams;
 use crate::kernel::{dissimilarity_kernel, dissimilarity_swar, CanberraLut, QueryDist};
+use crate::knn::{table_by_rows, KnnTable};
 use crate::provider::{NeighborProvider, SendSlotPtr, BATCH_MIN_CHUNK};
 
 /// Sentinel child index: no subtree.
@@ -602,19 +603,27 @@ impl<'a> VpProvider<'a> {
             }
             heap.peek().expect("k >= 1 and n >= 2").0
         } else {
-            let qd = QueryDist::new(self.values[i], &self.params, self.swar);
-            let mut dists: Vec<f64> = self
-                .values
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, v)| qd.dist(v))
-                .collect();
+            let mut dists = self.scan(i);
             let (_, kth, _) = dists.select_nth_unstable_by(k - 1, |a, b| {
                 a.partial_cmp(b).expect("dissimilarities are not NaN")
             });
             *kth
         }
+    }
+
+    /// The linear fallback's exact scan: item `i`'s dissimilarity to
+    /// every other item, in index order.
+    fn scan(&self, i: usize) -> Vec<f64> {
+        // Hoist the per-query kernel setup (penalty, LUT row keys) out
+        // of the candidate loop; `QueryDist::dist` is bit-identical to
+        // the per-pair kernel call.
+        let qd = QueryDist::new(self.values[i], &self.params, self.swar);
+        self.values
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| j != i)
+            .map(|(_, v)| qd.dist(v))
+            .collect()
     }
 }
 
@@ -723,6 +732,38 @@ impl NeighborProvider for VpProvider<'_> {
     {
         let queries: Vec<usize> = (0..self.len()).collect();
         self.knn_batch(&queries, k, threads)
+    }
+
+    /// One `k_max`-deep k-NN query per item: the pruned search drains
+    /// its bounded max-heap into the item's ascending row; the linear
+    /// fallback selects and sorts the `k_max` smallest of its scan.
+    fn knn_table(&self, k_max: usize, threads: usize) -> KnnTable
+    where
+        Self: Sync,
+    {
+        table_by_rows(
+            self.len(),
+            k_max,
+            threads,
+            || (BinaryHeap::with_capacity(k_max + 1), Vec::new()),
+            |i, (heap, stack), row| {
+                let depth = row.len();
+                if self.prunable {
+                    self.knn_query(i, depth, heap, stack);
+                    for slot in row.iter_mut().rev() {
+                        *slot = heap.pop().expect("heap holds k entries").0;
+                    }
+                } else {
+                    let mut dists = self.scan(i);
+                    let by_value =
+                        |a: &f64, b: &f64| a.partial_cmp(b).expect("dissimilarities are not NaN");
+                    dists.select_nth_unstable_by(depth - 1, by_value);
+                    dists.truncate(depth);
+                    dists.sort_unstable_by(by_value);
+                    row.copy_from_slice(&dists);
+                }
+            },
+        )
     }
 }
 

@@ -3,11 +3,12 @@
 //! dissimilarity (the soundness condition that makes stratum skipping
 //! exact), and stratified range / k-NN answers equal a brute-force
 //! linear scan bit for bit on arbitrary mixed-length corpora and
-//! arbitrary penalties.
+//! arbitrary penalties. The forest backends' k-NN tables equal the
+//! matrix sweep's bit for bit.
 
 use dissim::{
-    dissimilarity, length_lower_bound, DissimParams, NeighborProvider, StrataIndex,
-    StratifiedProvider,
+    dissimilarity, length_lower_bound, CondensedMatrix, DissimParams, KnnTable, NeighborProvider,
+    StrataIndex, StratifiedProvider, VpForest, VpProvider,
 };
 use proptest::prelude::*;
 
@@ -56,7 +57,101 @@ fn linear_knn(values: &[Vec<u8>], params: &DissimParams, i: usize, k: usize) -> 
     ds[k.clamp(1, n - 1) - 1]
 }
 
+/// Every entry of a table, as bits, row by row.
+fn table_bits(table: &KnnTable) -> Vec<u64> {
+    (0..table.len())
+        .flat_map(|i| (1..=table.k_max()).map(move |k| table.kth(i, k).to_bits()))
+        .collect()
+}
+
+/// Algorithm 1's table depth for `n` items: `round(ln n)`, at least 2,
+/// at most `n − 1`.
+fn autoconf_depth(n: usize) -> usize {
+    ((n as f64).ln().round() as usize)
+        .max(2)
+        .min(n.saturating_sub(1))
+        .max(1)
+}
+
+/// Asserts both forest providers' k-NN tables over `values` equal the
+/// matrix sweep's bitwise, for the depths that matter (1, Algorithm
+/// 1's, `n − 1`, and one past the pair count) at 1 and 4 threads.
+/// Chunks of 8 give multi-chunk forests from `n > 8`.
+fn assert_forest_tables_match_matrix(
+    values: &[&[u8]],
+    params: &DissimParams,
+    expect_prunable: Option<bool>,
+) -> Result<(), TestCaseError> {
+    let n = values.len();
+    let m = CondensedMatrix::build(n, |i, j| dissimilarity(values[i], values[j], params));
+    let index = StrataIndex::build(values, params, 8);
+    let strat = StratifiedProvider::new(values, params, &index);
+    let forest = VpForest::build(values, params, 8);
+    let vp = VpProvider::new(values, params, &forest);
+    if let Some(prunable) = expect_prunable {
+        prop_assert_eq!(vp.prunable(), prunable);
+    }
+    for k_max in [1, autoconf_depth(n), n - 1, n + 1] {
+        let want = table_bits(&m.knn_table(k_max));
+        for threads in [1, 4] {
+            let got = strat.knn_table(k_max, threads);
+            prop_assert_eq!((got.len(), got.k_max()), (n, k_max));
+            prop_assert_eq!(
+                table_bits(&got),
+                want.clone(),
+                "stratified, n {} k_max {} threads {}",
+                n,
+                k_max,
+                threads
+            );
+            prop_assert_eq!(
+                table_bits(&vp.knn_table(k_max, threads)),
+                want.clone(),
+                "vptree, n {} k_max {} threads {}",
+                n,
+                k_max,
+                threads
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
+    /// The forest providers' k-NN tables equal the matrix sweep's on
+    /// arbitrary mixed-length sets (the stratified search, the vp
+    /// forest's linear fallback), including their 2- and 3-item
+    /// prefixes.
+    #[test]
+    fn forest_knn_tables_equal_matrix_table_on_mixed_sets(
+        values in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..12), 4..30),
+        length_penalty in penalty(),
+    ) {
+        let params = DissimParams { length_penalty };
+        let refs: Vec<&[u8]> = values.iter().map(|v| &v[..]).collect();
+        for n in [2, 3, refs.len()] {
+            assert_forest_tables_match_matrix(&refs[..n], &params, None)?;
+        }
+    }
+
+    /// The same on uniform-length sets, where the vp forest runs its
+    /// pruned search and the stratified index is one stratum.
+    #[test]
+    fn forest_knn_tables_equal_matrix_table_on_uniform_sets(
+        len in 1usize..8,
+        seeds in prop::collection::vec(any::<u64>(), 4..30),
+    ) {
+        let values: Vec<Vec<u8>> = seeds
+            .iter()
+            .map(|s| (0..len).map(|b| (s >> (8 * (b % 8))) as u8 & 0x3f).collect())
+            .collect();
+        let refs: Vec<&[u8]> = values.iter().map(|v| &v[..]).collect();
+        let params = DissimParams::default();
+        for n in [2, 3, refs.len()] {
+            assert_forest_tables_match_matrix(&refs[..n], &params, Some(true))?;
+        }
+    }
+
     /// Soundness of the cross-stratum bound: for every pair of values
     /// the penalty-derived lower bound on their length gap never
     /// exceeds the exact dissimilarity — bitwise `lb <= d`, no slack

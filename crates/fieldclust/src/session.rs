@@ -23,7 +23,10 @@
 //! the condensed triangle, while ε-regions are plain matrix row scans
 //! ([`MatrixProvider`]). The vptree and stratified backends answer both
 //! query kinds from vantage-point forests over the segment values,
-//! skipping the matrix stage (and its O(u²) memory) entirely. The
+//! skipping the matrix stage (and its O(u²) memory) entirely; their
+//! autoconf stage builds the same table from one `required_k_max`-deep
+//! k-NN query per segment. Every backend selects ε, and reruns the
+//! §III-E trimmed selection, from that one table per session. The
 //! autoconf, cluster, and refine stages consume neighbors only through
 //! the [`NeighborProvider`] abstraction, so every backend is pinned
 //! bit-identical. With a tile height configured
@@ -75,8 +78,8 @@ use crate::pipeline::{
 };
 use crate::segments::SegmentStore;
 use cluster::autoconf::{
-    auto_configure, auto_configure_parallel, auto_configure_with_knn, required_k_max,
-    AutoConfError, AutoConfig, SelectedParams,
+    auto_configure, auto_configure_with_knn, required_k_max, AutoConfError, AutoConfig,
+    SelectedParams,
 };
 use cluster::dbscan::{dbscan, dbscan_weighted_parallel_with_provider, Clustering};
 use cluster::refine::{merge_clusters_with_provider, split_clusters};
@@ -101,9 +104,10 @@ pub struct AnalysisSession<'t> {
     store: Option<SegmentStore>,
     dissim: Option<DissimArtifact>,
     // Each segment's `required_k_max` nearest dissimilarities, serving
-    // the autoconf ECDFs on the matrix-backed backends: merged from
-    // per-tile partials at the tiled build's barrier, or swept off the
-    // monolithic matrix by the neighbors stage.
+    // the autoconf ECDFs and the §III-E trimmed rerun on every backend:
+    // merged from per-tile partials at the tiled build's barrier, swept
+    // off the monolithic matrix by the neighbors stage, or queried once
+    // per segment through the forest provider by the autoconf stage.
     knn: Option<KnnTable>,
     // The vantage-point tree forest; present only when the vptree
     // backend is resolved. Replaces the matrix entirely: no O(u²)
@@ -339,9 +343,11 @@ impl<'t> AnalysisSession<'t> {
     /// Stage 4b (neighbors): builds what the resolved backend answers
     /// neighbor queries from — the condensed matrix plus its k-NN table
     /// (matrix/tiled backends), or the vantage-point forests (vptree and
-    /// stratified backends, which materialize no matrix at all). Later
-    /// stages answer their ε-region and k-NN queries through it; all
-    /// backends are pinned bit-identical.
+    /// stratified backends, which materialize no matrix at all; their
+    /// k-NN table is queried from the forests by the autoconf stage, so
+    /// a refine-only run never pays for it). Later stages answer their
+    /// ε-region and k-NN queries through it; all backends are pinned
+    /// bit-identical.
     ///
     /// Runs implicitly before autoconf; calling it explicitly lets a
     /// driver time (or cancel between) the matrix and neighbor builds
@@ -412,17 +418,22 @@ impl<'t> AnalysisSession<'t> {
     /// moves them; every other backend leaves them at zero. The totals
     /// depend only on the capture, segmentation and parameters, never
     /// on [`FieldTypeClusterer::threads`]: every stage issues the same
-    /// queries at every thread count (batches only fan them out, and
-    /// refinement decides every candidate pair of a round before it
-    /// merges), and each query's tally is a pure function of the query.
+    /// queries at every thread count (the k-NN table is one query per
+    /// segment, DBSCAN one region query per segment, batches only fan
+    /// them out, and refinement decides every candidate pair of a round
+    /// before it merges), and each query's tally is a pure function of
+    /// the query.
     pub fn neighbor_counters(&self) -> (u64, u64, u64) {
         self.neighbor_counters.snapshot()
     }
 
-    /// The k-NN table of the matrix-backed backends, once the neighbors
-    /// stage (or a tiled dissimilarity build) has produced it. Serves
-    /// the autoconf stage's k-dist ECDFs; its values are bit-identical
-    /// to the matrix scan.
+    /// Each segment's `required_k_max` nearest dissimilarities, once a
+    /// stage has built them: the neighbors stage (or a tiled
+    /// dissimilarity build) on the matrix-backed backends, the autoconf
+    /// stage on the forest backends. Every backend builds it once per
+    /// session; it serves the autoconf stage's k-dist ECDFs and the
+    /// §III-E trimmed rerun, and its values are bit-identical to the
+    /// matrix scan whatever the backend or thread count.
     pub fn knn_table(&self) -> Option<&KnnTable> {
         self.knn.as_ref()
     }
@@ -942,16 +953,41 @@ impl<'t> AnalysisSession<'t> {
         Ok(())
     }
 
-    /// The matrix-backed arm of the neighbors stage: sweeps the present
-    /// matrix once into the k-NN table autoconf reads, unless a tiled
-    /// build already merged one. The table is O(u · ln u) and cheap to
-    /// rebuild, so it is never persisted.
+    /// The session's one k-NN table, built at most once per session
+    /// from whichever structure the resolved backend queries: one sweep
+    /// of the condensed matrix (unless a tiled build already merged the
+    /// table), or one `required_k_max`-deep query per segment through
+    /// the forest provider. The table is O(u · ln u) and cheap to
+    /// rebuild, so it is not persisted. Only called with the neighbors
+    /// stage ensured.
     fn ensure_knn(&mut self) {
         if self.knn.is_some() {
             return;
         }
-        let matrix = self.dissim.as_ref().expect("ensured").matrix();
-        self.knn = Some(matrix.knn_table(required_k_max(matrix.len())));
+        let store = self.store.as_ref().expect("ensured");
+        let k_max = required_k_max(store.segments.len());
+        let threads = self.config.threads;
+        let values: Vec<&[u8]> = store.segments.iter().map(|s| &s.value[..]).collect();
+        let table = match self.session_backend() {
+            NeighborBackend::Vptree => {
+                let forest = self.vpforest.as_ref().expect("ensured");
+                VpProvider::new(&values, &self.config.dissim, forest)
+                    .with_swar(self.config.swar)
+                    .knn_table(k_max, threads)
+            }
+            NeighborBackend::Stratified => {
+                let index = self.strata.as_ref().expect("ensured");
+                StratifiedProvider::new(&values, &self.config.dissim, index)
+                    .with_swar(self.config.swar)
+                    .with_counters(Arc::clone(&self.neighbor_counters))
+                    .knn_table(k_max, threads)
+            }
+            _ => {
+                let matrix = self.dissim.as_ref().expect("ensured").matrix();
+                MatrixProvider::new(matrix).knn_table(k_max, threads)
+            }
+        };
+        self.knn = Some(table);
     }
 
     /// The stage key for a configuration-dependent artifact, if a cache
@@ -1002,7 +1038,10 @@ impl<'t> AnalysisSession<'t> {
             }
         };
         self.dissim = Some(artifact);
-        self.knn = knn;
+        // A table any backend already built is the same table.
+        if self.knn.is_none() {
+            self.knn = knn;
+        }
         Ok(())
     }
 
@@ -1020,61 +1059,32 @@ impl<'t> AnalysisSession<'t> {
             }
         }
         self.ensure_neighbors()?;
+        self.ensure_knn();
         // The matrix covers *unique* values; clustering must behave as
         // if every duplicate segment were present, so occurrence counts
         // act as DBSCAN sample weights and min_samples is sized by the
         // trace's segment count (paper: "setting it to ln n", with n
         // the number of segments).
-        let weights = self.store.as_ref().expect("ensured").occurrence_counts();
+        let store = self.store.as_ref().expect("ensured");
+        let weights = store.occurrence_counts();
         let total_instances: usize = weights.iter().sum();
         let min_samples = ((total_instances as f64).ln().round() as usize).max(2);
         let n = weights.len();
-        // The matrix-backed backends select ε from the k-NN table; the
-        // forest backends answer the k-dist queries straight from their
-        // forests. All are bit-identical to the matrix scan. The
-        // fallback mean likewise comes from the matrix or (forests) a
-        // pairwise kernel pass — pinned bit-identical.
-        let (selection, fallback_mean) = match self.session_backend() {
-            NeighborBackend::Vptree => {
-                let store = self.store.as_ref().expect("ensured");
-                let values: Vec<&[u8]> = store.segments.iter().map(|s| &s.value[..]).collect();
-                let forest = self.vpforest.as_ref().expect("ensured");
-                let provider = VpProvider::new(&values, &self.config.dissim, forest)
-                    .with_swar(self.config.swar);
-                let selection =
-                    auto_configure_parallel(&provider, &self.config.autoconf, self.config.threads);
-                let mean = selection
-                    .is_err()
-                    .then(|| pairwise_mean(&values, &self.config.dissim))
-                    .flatten();
-                (selection, mean)
-            }
-            NeighborBackend::Stratified => {
-                let store = self.store.as_ref().expect("ensured");
-                let values: Vec<&[u8]> = store.segments.iter().map(|s| &s.value[..]).collect();
-                let index = self.strata.as_ref().expect("ensured");
-                let provider = StratifiedProvider::new(&values, &self.config.dissim, index)
-                    .with_swar(self.config.swar)
-                    .with_counters(Arc::clone(&self.neighbor_counters));
-                let selection =
-                    auto_configure_parallel(&provider, &self.config.autoconf, self.config.threads);
-                let mean = selection
-                    .is_err()
-                    .then(|| pairwise_mean(&values, &self.config.dissim))
-                    .flatten();
-                (selection, mean)
-            }
-            _ => {
-                let artifact = self.dissim.as_ref().expect("ensured");
-                let table = self.knn.as_ref().expect("ensured");
-                let selection = auto_configure_with_knn(table, &self.config.autoconf);
-                let mean = selection
-                    .is_err()
-                    .then(|| artifact.matrix().mean())
-                    .flatten();
-                (selection, mean)
-            }
-        };
+        // Every backend selects ε from the session's one k-NN table. The
+        // fallback mean comes from the matrix where one exists, else
+        // from a pairwise kernel pass — pinned bit-identical.
+        let table = self.knn.as_ref().expect("ensured");
+        let selection = auto_configure_with_knn(table, &self.config.autoconf);
+        let fallback_mean = selection
+            .is_err()
+            .then(|| match &self.dissim {
+                Some(artifact) => artifact.matrix().mean(),
+                None => {
+                    let values: Vec<&[u8]> = store.segments.iter().map(|s| &s.value[..]).collect();
+                    pairwise_mean(&values, &self.config.dissim)
+                }
+            })
+            .flatten();
         let (mut selected, source) = match selection {
             Ok(p) => (p, EpsilonSource::Knee),
             Err(AutoConfError::TooFewSegments { n }) => {
@@ -1120,17 +1130,21 @@ impl<'t> AnalysisSession<'t> {
         }
         self.ensure_selection()?;
         self.ensure_neighbors()?;
+        // Selection normally built the table; a cached selection did
+        // not, and the trimmed rerun may read it.
+        self.ensure_knn();
         let weights = self.store.as_ref().expect("ensured").occurrence_counts();
         let (selected, _) = self.selection.clone().expect("ensured");
         let (clustering, reselected) = {
             let store = self.store.as_ref().expect("ensured");
+            let knn = self.knn.as_ref().expect("ensured");
             match self.session_backend() {
                 NeighborBackend::Vptree => {
                     let values: Vec<&[u8]> = store.segments.iter().map(|s| &s.value[..]).collect();
                     let forest = self.vpforest.as_ref().expect("ensured");
                     let provider = VpProvider::new(&values, &self.config.dissim, forest)
                         .with_swar(self.config.swar);
-                    cluster_with_provider(&self.config, &provider, None, &selected, &weights)
+                    cluster_with_provider(&self.config, &provider, knn, &selected, &weights)
                 }
                 NeighborBackend::Stratified => {
                     let values: Vec<&[u8]> = store.segments.iter().map(|s| &s.value[..]).collect();
@@ -1138,17 +1152,12 @@ impl<'t> AnalysisSession<'t> {
                     let provider = StratifiedProvider::new(&values, &self.config.dissim, index)
                         .with_swar(self.config.swar)
                         .with_counters(Arc::clone(&self.neighbor_counters));
-                    cluster_with_provider(&self.config, &provider, None, &selected, &weights)
+                    cluster_with_provider(&self.config, &provider, knn, &selected, &weights)
                 }
                 _ => {
                     let matrix = self.dissim.as_ref().expect("ensured").matrix();
-                    cluster_with_provider(
-                        &self.config,
-                        &MatrixProvider::new(matrix),
-                        self.knn.as_ref(),
-                        &selected,
-                        &weights,
-                    )
+                    let provider = MatrixProvider::new(matrix);
+                    cluster_with_provider(&self.config, &provider, knn, &selected, &weights)
                 }
             }
         };
@@ -1298,14 +1307,13 @@ enum FullDissim {
 /// Occurrence-weighted DBSCAN at the selected parameters, plus the
 /// §III-E dominating-cluster re-configuration on the trimmed ECDF —
 /// over any neighbor backend. Returns the labels and, when the trimmed
-/// rerun fired, the re-selected parameters. Matrix-backed sessions pass
-/// their `knn` table so the trimmed selection reuses it; the forest
-/// backends answer the k-dist queries through the provider. All paths
+/// rerun fired, the re-selected parameters. The trimmed selection reads
+/// the session's `knn` table, so it issues no k-NN query. All backends
 /// are pinned bit-identical.
 fn cluster_with_provider<P: NeighborProvider + Sync>(
     config: &FieldTypeClusterer,
     provider: &P,
-    knn: Option<&KnnTable>,
+    knn: &KnnTable,
     selected: &SelectedParams,
     weights: &[usize],
 ) -> (Clustering, Option<(SelectedParams, EpsilonSource)>) {
@@ -1326,11 +1334,7 @@ fn cluster_with_provider<P: NeighborProvider + Sync>(
             max_dissimilarity: Some(selected.epsilon),
             ..config.autoconf
         };
-        let trimmed = match knn {
-            Some(table) => auto_configure_with_knn(table, &trimmed_config),
-            None => auto_configure_parallel(provider, &trimmed_config, threads),
-        };
-        if let Ok(p) = trimmed {
+        if let Ok(p) = auto_configure_with_knn(knn, &trimmed_config) {
             if p.epsilon < selected.epsilon {
                 clustering = dbscan_weighted_parallel_with_provider(
                     provider,

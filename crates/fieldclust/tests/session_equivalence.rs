@@ -11,7 +11,9 @@
 //! on DNS and NTP fixtures under both ground-truth and heuristic
 //! segmentations.
 
-use cluster::autoconf::{auto_configure, AutoConfError, AutoConfig, SelectedParams};
+use cluster::autoconf::{
+    auto_configure, required_k_max, AutoConfError, AutoConfig, SelectedParams,
+};
 use cluster::dbscan::{dbscan_weighted, Clustering};
 use cluster::refine::{merge_clusters, split_clusters};
 use dissim::{dissimilarity, CondensedMatrix};
@@ -97,14 +99,13 @@ fn assert_staged_matches_reference(
     let mut session = AnalysisSession::new(trace, config);
     session.set_segmentation(segmentation);
     let staged = session.finish().expect("staged pipeline");
-    let tiled = session
-        .config()
-        .effective_tile_rows(ref_store.segments.len())
-        .is_some();
+    // Every backend builds one k-NN table per session — tiled builds
+    // merge it from tile partials, the others query it — and it equals
+    // the reference matrix's sweep.
     assert_eq!(
-        session.knn_table().is_some(),
-        tiled,
-        "{label}: tiled sessions keep their merged k-NN table, others don't"
+        session.knn_table(),
+        Some(&ref_matrix.knn_table(required_k_max(ref_matrix.len()))),
+        "{label}: k-NN table differs from the matrix sweep"
     );
 
     // The kernel-layer matrix build (LUT + early-abandon windows +
@@ -546,10 +547,14 @@ fn all_neighbor_backends_are_bit_identical() {
             s.set_segmentation(seg.clone());
             (s.finish().expect("pipeline"), s)
         };
-        let (reference, _) = run(FieldTypeClusterer {
+        let (reference, reference_session) = run(FieldTypeClusterer {
             neighbor_backend: NeighborBackend::Matrix,
             ..FieldTypeClusterer::default()
         });
+        assert!(
+            reference_session.knn_table().is_some(),
+            "{label}: matrix oracle builds its table"
+        );
         let backends = [
             FieldTypeClusterer {
                 neighbor_backend: NeighborBackend::Tiled,
@@ -595,24 +600,23 @@ fn all_neighbor_backends_are_bit_identical() {
             let vptree = config.neighbor_backend == NeighborBackend::Vptree;
             let stratified = config.neighbor_backend == NeighborBackend::Stratified;
             let (result, session) = run(config);
+            // Every backend selects ε from one k-NN table, equal to the
+            // matrix oracle's.
+            assert_eq!(
+                session.knn_table(),
+                reference_session.knn_table(),
+                "{tag}: k-NN table differs from the matrix oracle's"
+            );
             if vptree {
                 assert!(
                     session.vp_forest().is_some(),
                     "{tag}: vptree backend must build its forest"
-                );
-                assert!(
-                    session.knn_table().is_none(),
-                    "{tag}: vptree backend must not build a k-NN table"
                 );
             }
             if stratified {
                 assert!(
                     session.strata_index().is_some(),
                     "{tag}: stratified backend must build its index"
-                );
-                assert!(
-                    session.knn_table().is_none(),
-                    "{tag}: stratified backend must not build a k-NN table"
                 );
                 let (evals, _, _) = session.neighbor_counters();
                 assert!(evals > 0, "{tag}: stratified queries must count evals");
@@ -771,6 +775,65 @@ fn neighbor_counters_do_not_depend_on_threads() {
         let (l, c) = run(threads);
         assert_eq!(l, labels, "threads {threads}: labels");
         assert_eq!(c, counters, "threads {threads}: (evals, pruned, skipped)");
+    }
+}
+
+#[test]
+fn trimmed_rerun_reselects_without_neighbor_queries() {
+    use cluster::dbscan::dbscan_weighted_parallel_with_provider;
+    use dissim::{QueryCounters, StratifiedProvider};
+    use fieldclust::{EpsilonSource, NeighborBackend};
+    use std::sync::Arc;
+    let trace = corpus::build_trace(Protocol::Smb, 100, 1);
+    let seg = Nemesys::default().segment_trace(&trace).expect("nemesys");
+    for threads in [1, 4] {
+        let config = FieldTypeClusterer {
+            neighbor_backend: NeighborBackend::Stratified,
+            threads,
+            ..FieldTypeClusterer::default()
+        };
+        let mut s = AnalysisSession::new(&trace, config.clone());
+        s.set_segmentation(seg.clone());
+        let first = s.autoconf().expect("autoconf").clone();
+        let after_autoconf = s.neighbor_counters();
+        s.cluster().expect("cluster");
+        assert_eq!(
+            s.epsilon_source(),
+            Some(EpsilonSource::TrimmedKnee),
+            "the fixture must fire the §III-E rerun"
+        );
+        let rerun = s.autoconf().expect("re-selected").clone();
+        let after_cluster = s.neighbor_counters();
+
+        // Replay the stage's two DBSCAN runs on fresh counters. The
+        // stage moved the session's counters by exactly that much, so
+        // the re-selection between them issued no neighbor query.
+        let store = s.store().expect("store").clone();
+        let values: Vec<&[u8]> = store.segments.iter().map(|x| &x.value[..]).collect();
+        let weights = store.occurrence_counts();
+        let counters = Arc::new(QueryCounters::new());
+        let index = s.strata_index().expect("stratified index");
+        let provider = StratifiedProvider::new(&values, &config.dissim, index)
+            .with_counters(Arc::clone(&counters));
+        for eps in [first.epsilon, rerun.epsilon] {
+            dbscan_weighted_parallel_with_provider(
+                &provider,
+                eps,
+                first.min_samples,
+                &weights,
+                threads,
+            );
+        }
+        let (evals, pruned, skipped) = counters.snapshot();
+        assert_eq!(
+            (
+                after_cluster.0 - after_autoconf.0,
+                after_cluster.1 - after_autoconf.1,
+                after_cluster.2 - after_autoconf.2,
+            ),
+            (evals, pruned, skipped),
+            "threads {threads}: cluster stage beyond its two DBSCAN runs"
+        );
     }
 }
 

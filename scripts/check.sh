@@ -63,6 +63,20 @@ cmp "$tmp/backend-matrix.md" "$tmp/backend-stratified.md"
 grep -Eq 'neighbors: kernel_evals=[1-9][0-9]* pruned=[1-9][0-9]*' "$tmp/backend-stratified.err"
 echo "backend smoke test: matrix, tiled, vptree, vptree+swar and stratified reports are byte-identical"
 
+# Stratified thread-invariance smoke test: the stratified backend builds
+# its k-NN table and answers DBSCAN's one region query per segment on
+# parallel workers. Neither the report nor the neighbor counters may
+# depend on the thread count.
+for t in 1 4; do
+    cargo run --release -q -p cli -- analyze "$tmp/smoke.pcap" --neighbor-backend stratified \
+        --threads "$t" --report "$tmp/stratified-t$t.md" 2>"$tmp/stratified-t$t.err"
+    grep -E 'neighbors: kernel_evals=[1-9][0-9]* pruned=[0-9]+ strata_skipped=[0-9]+' \
+        "$tmp/stratified-t$t.err" >"$tmp/stratified-t$t.counters"
+done
+cmp "$tmp/stratified-t1.md" "$tmp/stratified-t4.md"
+cmp "$tmp/stratified-t1.counters" "$tmp/stratified-t4.counters"
+echo "stratified smoke test: reports and neighbor counters at 1 and 4 threads are identical"
+
 # Message-typing thread-invariance smoke test: the alignment build hands
 # outer message rows to parallel workers, and on fixed-width segments it
 # substitutes from the field matrix itself (no segment is short). The
