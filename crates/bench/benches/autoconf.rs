@@ -1,7 +1,7 @@
 //! Criterion: the ε auto-configuration (Algorithm 1) — k-NN queries,
 //! spline smoothing and Kneedle.
 
-use cluster::autoconf::{auto_configure, AutoConfig};
+use cluster::autoconf::{auto_configure, required_k_max, AutoConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dissim::CondensedMatrix;
 use fieldclust::truth::truth_segmentation;
@@ -22,7 +22,10 @@ fn bench_autoconf(c: &mut Criterion) {
     for n_messages in [25usize, 50, 100] {
         let m = matrix_for(n_messages);
         group.bench_with_input(BenchmarkId::from_parameter(m.len()), &m, |b, m| {
-            b.iter(|| auto_configure(m, &AutoConfig::default()).unwrap())
+            b.iter(|| {
+                let table = m.knn_table(required_k_max(m.len()));
+                auto_configure(&table, &AutoConfig::default()).unwrap()
+            })
         });
     }
     group.finish();

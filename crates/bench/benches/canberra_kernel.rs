@@ -5,9 +5,9 @@
 //!
 //! A second, sampled group extends the ladder to u = 5000 / 10 000 /
 //! 50 000: instead of the full O(u²) triangle each iteration evaluates
-//! a fixed budget of random pairs drawn from the large corpus (plus the
-//! opt-in SWAR kernel variant), keeping every rung time-boxed while
-//! still exercising the large-u length mix and cache behavior.
+//! a fixed budget of random pairs drawn from the large corpus, keeping
+//! every rung time-boxed while still exercising the large-u length mix
+//! and cache behavior.
 //!
 //! Every rung is bit-identical to the one below it (pinned by the
 //! property tests in `dissim`); this bench isolates what each
@@ -15,7 +15,7 @@
 //! `BENCH_canberra_kernel.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dissim::kernel::{dissimilarity_kernel, dissimilarity_lut, dissimilarity_swar};
+use dissim::kernel::{dissimilarity_kernel, dissimilarity_lut};
 use dissim::{dissimilarity, CanberraLut, CondensedMatrix, DissimParams};
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -133,9 +133,6 @@ fn bench_kernel_sampled(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("lut_early_abandon", u), &values, |b, _| {
             b.iter(|| eval(&|a, v| dissimilarity_kernel(a, v, &params, lut)))
-        });
-        group.bench_with_input(BenchmarkId::new("swar", u), &values, |b, _| {
-            b.iter(|| eval(&|a, v| dissimilarity_swar(a, v, &params, lut)))
         });
     }
     group.finish();

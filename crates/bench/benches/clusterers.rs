@@ -5,7 +5,7 @@ use cluster::dbscan::dbscan;
 use cluster::hdbscan::{hdbscan, HdbscanParams};
 use cluster::optics::optics;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dissim::CondensedMatrix;
+use dissim::{CondensedMatrix, MatrixProvider};
 use mathkit::mds::classical_mds;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,13 +24,13 @@ fn bench_backends(c: &mut Criterion) {
     for n in [100usize, 300] {
         let m = blobs(n);
         group.bench_with_input(BenchmarkId::new("dbscan", n), &m, |b, m| {
-            b.iter(|| dbscan(m, 0.5, 5))
+            b.iter(|| dbscan(&MatrixProvider::new(m), 0.5, 5, &vec![1; m.len()], 1))
         });
         group.bench_with_input(BenchmarkId::new("optics_cut", n), &m, |b, m| {
-            b.iter(|| optics(m, f64::INFINITY, 5).extract_dbscan(0.5))
+            b.iter(|| optics(&MatrixProvider::new(m), f64::INFINITY, 5, 1).extract_dbscan(0.5))
         });
         group.bench_with_input(BenchmarkId::new("hdbscan", n), &m, |b, m| {
-            b.iter(|| hdbscan(m, &HdbscanParams::default()))
+            b.iter(|| hdbscan(&MatrixProvider::new(m), &HdbscanParams::default(), 1))
         });
     }
     group.finish();

@@ -6,7 +6,7 @@ use cluster::autoconf::required_k_max;
 use cluster::dbscan::dbscan;
 use cluster::refine::{merge_clusters, split_clusters, RefineParams};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dissim::CondensedMatrix;
+use dissim::{CondensedMatrix, MatrixProvider};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -18,12 +18,23 @@ fn blobs(n: usize) -> CondensedMatrix {
     CondensedMatrix::build(n, |i, j| (pts[i] - pts[j]).abs())
 }
 
+/// Unit-weight DBSCAN over the matrix's row scans on one thread.
+fn dbscan_rows(m: &CondensedMatrix, eps: f64, min_samples: usize) -> cluster::Clustering {
+    dbscan(
+        &MatrixProvider::new(m),
+        eps,
+        min_samples,
+        &vec![1; m.len()],
+        1,
+    )
+}
+
 fn bench_dbscan(c: &mut Criterion) {
     let mut group = c.benchmark_group("dbscan");
     for n in [100usize, 400, 1000] {
         let m = blobs(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &m, |b, m| {
-            b.iter(|| dbscan(m, 0.5, 5))
+            b.iter(|| dbscan_rows(m, 0.5, 5))
         });
     }
     group.finish();
@@ -40,7 +51,7 @@ fn bench_matrix_queries(c: &mut Criterion) {
             b.iter(|| m.knn_table(required_k_max(n)))
         });
         group.bench_with_input(BenchmarkId::new("dbscan_row_scan", n), &m, |b, m| {
-            b.iter(|| dbscan(m, 0.5, 5))
+            b.iter(|| dbscan_rows(m, 0.5, 5))
         });
     }
     group.finish();
@@ -50,10 +61,17 @@ fn bench_refine(c: &mut Criterion) {
     let mut group = c.benchmark_group("refine");
     for n in [100usize, 400] {
         let m = blobs(n);
-        let clustering = dbscan(&m, 0.5, 5);
+        let clustering = dbscan_rows(&m, 0.5, 5);
         let occurrences: Vec<usize> = (0..n).map(|i| 1 + i % 7).collect();
         group.bench_with_input(BenchmarkId::new("merge", n), &m, |b, m| {
-            b.iter(|| merge_clusters(&clustering, m, &RefineParams::default()))
+            b.iter(|| {
+                merge_clusters(
+                    &clustering,
+                    &MatrixProvider::new(m),
+                    &RefineParams::default(),
+                    1,
+                )
+            })
         });
         group.bench_with_input(BenchmarkId::new("split", n), &clustering, |b, cl| {
             b.iter(|| split_clusters(cl, &occurrences, &RefineParams::default()))

@@ -5,10 +5,10 @@
 //!
 //! The `cluster_stages` pair measures everything downstream of the
 //! dissimilarity artifact (ε auto-configuration, weighted DBSCAN,
-//! merge + split refinement): `serial_scan` drives each stage off raw
-//! matrix scans on one thread, `tiled_knn` reads ε off the per-tile
-//! k-NN partials and runs DBSCAN and refinement on the parallel
-//! row-scan entries, as the tiled session does. Both are pinned
+//! merge + split refinement): `serial_scan` sweeps the matrix's k-NN
+//! table and runs every stage on one thread, `tiled_knn` reads ε off
+//! the per-tile k-NN partials and runs DBSCAN and refinement on all
+//! threads, as the tiled session does. Both are pinned
 //! bit-identical (cluster unit tests + fieldclust session-equivalence
 //! tests), so the ladder isolates pure wall-clock. Medians from before
 //! the presorted neighbor index was retired are recorded in
@@ -21,9 +21,9 @@
 //! the kernel work of one mid-matrix tile, whose cost scales with
 //! `strip_rows × u/2` (linear in u), so the rungs stay time-boxed.
 
-use cluster::autoconf::{auto_configure, auto_configure_with_knn, required_k_max, AutoConfig};
-use cluster::dbscan::{dbscan_weighted, dbscan_weighted_parallel_with_provider};
-use cluster::refine::{merge_clusters, merge_clusters_with_provider, split_clusters, RefineParams};
+use cluster::autoconf::{auto_configure, required_k_max, AutoConfig};
+use cluster::dbscan::dbscan;
+use cluster::refine::{merge_clusters, split_clusters, RefineParams};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dissim::{CondensedMatrix, DissimParams, KnnTable, MatrixProvider, TiledMatrix};
 use rand::{Rng, SeedableRng, StdRng};
@@ -92,24 +92,24 @@ fn prepare(u: usize, threads: usize) -> Stage {
     }
 }
 
-/// The serial baseline: every clustering stage scans matrix rows.
+/// The serial baseline: ε from one sweep of the matrix's triangle,
+/// every clustering stage on one thread.
 fn cluster_stages_scan(s: &Stage) -> u32 {
-    let selected = auto_configure(&s.matrix, &AutoConfig::default()).expect("knee");
-    let clustering = dbscan_weighted(&s.matrix, selected.epsilon, s.min_samples, &s.weights);
-    let refined = split_clusters(
-        &merge_clusters(&clustering, &s.matrix, &RefineParams::default()),
-        &s.weights,
-        &RefineParams::default(),
-    );
-    refined.n_clusters()
+    cluster_stages(s, &s.matrix.knn_table(required_k_max(s.matrix.len())), 1)
 }
 
 /// The tiled session's path: ε from the merged per-tile k-NN table,
 /// DBSCAN and refinement from parallel matrix row scans.
 fn cluster_stages_knn(s: &Stage, threads: usize) -> u32 {
-    let selected = auto_configure_with_knn(&s.knn, &AutoConfig::default()).expect("knee");
+    cluster_stages(s, &s.knn, threads)
+}
+
+/// ε auto-configuration from `knn`, then weighted DBSCAN and refinement
+/// over matrix row scans on `threads` workers.
+fn cluster_stages(s: &Stage, knn: &KnnTable, threads: usize) -> u32 {
+    let selected = auto_configure(knn, &AutoConfig::default()).expect("knee");
     let provider = MatrixProvider::new(&s.matrix);
-    let clustering = dbscan_weighted_parallel_with_provider(
+    let clustering = dbscan(
         &provider,
         selected.epsilon,
         s.min_samples,
@@ -117,7 +117,7 @@ fn cluster_stages_knn(s: &Stage, threads: usize) -> u32 {
         threads,
     );
     let refined = split_clusters(
-        &merge_clusters_with_provider(&clustering, &provider, &RefineParams::default(), threads),
+        &merge_clusters(&clustering, &provider, &RefineParams::default(), threads),
         &s.weights,
         &RefineParams::default(),
     );

@@ -9,12 +9,12 @@
 //!
 //! Run with: `cargo run --release -p bench --bin ablation`
 
-use cluster::autoconf::{auto_configure, AutoConfig};
-use cluster::dbscan::{dbscan, dbscan_weighted, Clustering, Label};
+use cluster::autoconf::{auto_configure, required_k_max, AutoConfig};
+use cluster::dbscan::{dbscan, Clustering, Label};
 use cluster::hdbscan::{hdbscan, HdbscanParams};
 use cluster::optics::optics;
 use cluster::refine::{merge_clusters, split_clusters, RefineParams};
-use dissim::{CondensedMatrix, DissimParams};
+use dissim::{CondensedMatrix, DissimParams, MatrixProvider};
 use evalkit::{pair_counts, ClusterMetrics};
 use fieldclust::truth::{label_store, truth_segmentation};
 use fieldclust::{AnalysisSession, FieldTypeClusterer};
@@ -114,14 +114,16 @@ fn main() {
     );
     for &(protocol, n) in &cases {
         let p = prepare(protocol, n, DissimParams::default().length_penalty);
-        let eps = auto_configure(&p.matrix, &AutoConfig::default())
+        let provider = MatrixProvider::new(&p.matrix);
+        let table = p.matrix.knn_table(required_k_max(p.matrix.len()));
+        let eps = auto_configure(&table, &AutoConfig::default())
             .map(|s| s.epsilon)
             .unwrap_or_else(|_| p.matrix.mean().unwrap_or(0.5) / 2.0);
 
         // Full pipeline configuration (weighted + refinement).
-        let weighted = dbscan_weighted(&p.matrix, eps, p.min_samples, &p.weights);
+        let weighted = dbscan(&provider, eps, p.min_samples, &p.weights, 1);
         let refined = split_clusters(
-            &merge_clusters(&weighted, &p.matrix, &RefineParams::default()),
+            &merge_clusters(&weighted, &provider, &RefineParams::default(), 1),
             &p.weights,
             &RefineParams::default(),
         );
@@ -131,20 +133,22 @@ fn main() {
         rows.push(score(&p, &weighted, "no refinement"));
         print_row(rows.last().unwrap());
 
-        let unweighted = dbscan(&p.matrix, eps, p.min_samples.min(p.matrix.len()));
+        let unit = vec![1; p.matrix.len()];
+        let unweighted = dbscan(&provider, eps, p.min_samples.min(p.matrix.len()), &unit, 1);
         rows.push(score(&p, &unweighted, "unweighted DBSCAN"));
         print_row(rows.last().unwrap());
 
-        let optics_cut = optics(&p.matrix, 1.0, p.min_samples).extract_dbscan(eps);
+        let optics_cut = optics(&provider, 1.0, p.min_samples, 1).extract_dbscan(eps);
         rows.push(score(&p, &optics_cut, "OPTICS eps-cut (unweighted)"));
         print_row(rows.last().unwrap());
 
         let h = hdbscan(
-            &p.matrix,
+            &provider,
             &HdbscanParams {
                 min_samples: p.min_samples.min(8),
                 min_cluster_size: 5,
             },
+            1,
         );
         rows.push(score(&p, &h, "HDBSCAN (EOM, unweighted)"));
         print_row(rows.last().unwrap());
@@ -181,9 +185,11 @@ fn main() {
             smoothing_knots: knots,
             ..AutoConfig::default()
         };
-        match auto_configure(&p.matrix, &config) {
+        let table = p.matrix.knn_table(required_k_max(p.matrix.len()));
+        match auto_configure(&table, &config) {
             Ok(s) => {
-                let c = dbscan_weighted(&p.matrix, s.epsilon, p.min_samples, &p.weights);
+                let provider = MatrixProvider::new(&p.matrix);
+                let c = dbscan(&provider, s.epsilon, p.min_samples, &p.weights, 1);
                 let mut row = score(&p, &c, &format!("knots = {knots} (eps = {:.3})", s.epsilon));
                 row.variant = format!("knots = {knots} (eps = {:.3})", s.epsilon);
                 print_row(&row);

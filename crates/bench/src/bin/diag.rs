@@ -3,8 +3,9 @@
 //!
 //! Usage: `cargo run --release -p bench --bin diag -- <protocol> <messages>`
 
-use cluster::autoconf::{auto_configure, AutoConfig};
+use cluster::autoconf::{auto_configure, required_k_max, AutoConfig};
 use cluster::dbscan::dbscan;
+use dissim::MatrixProvider;
 use evalkit::{pair_counts, ClusterMetrics};
 use fieldclust::truth::{label_store, truth_segmentation};
 use fieldclust::{AnalysisSession, FieldTypeClusterer};
@@ -44,7 +45,10 @@ fn main() {
         );
     }
 
-    let selected = auto_configure(matrix, &AutoConfig::default()).expect("autoconf");
+    let table = matrix.knn_table(required_k_max(unique));
+    let selected = auto_configure(&table, &AutoConfig::default()).expect("autoconf");
+    let provider = MatrixProvider::new(matrix);
+    let unit = vec![1; unique];
     println!(
         "autoconf: k={} eps={:.3} min_samples={}",
         selected.k, selected.epsilon, selected.min_samples
@@ -55,7 +59,7 @@ fn main() {
     let max_d = matrix.max().unwrap_or(1.0);
     for step in 1..=20 {
         let eps = max_d * step as f64 / 20.0;
-        let c = dbscan(matrix, eps, min_samples);
+        let c = dbscan(&provider, eps, min_samples, &unit, 1);
         let clusters = c.clusters();
         let largest = clusters.iter().map(Vec::len).max().unwrap_or(0);
         let label_clusters: Vec<Vec<_>> = clusters

@@ -7,7 +7,7 @@
 //! for plotting. Run with: `cargo run --release -p bench --bin fig2`
 
 use bench::dump_json;
-use cluster::autoconf::{auto_configure, AutoConfig};
+use cluster::autoconf::{auto_configure, required_k_max, AutoConfig};
 use fieldclust::truth::truth_segmentation;
 use fieldclust::{AnalysisSession, FieldTypeClusterer};
 use protocols::{corpus, Protocol};
@@ -34,7 +34,8 @@ fn main() {
     let matrix = session.matrix().expect("enough segments");
     eprintln!("built {0}x{0} dissimilarity matrix", matrix.len());
 
-    let selected = auto_configure(matrix, &AutoConfig::default()).expect("auto-configuration");
+    let table = matrix.knn_table(required_k_max(matrix.len()));
+    let selected = auto_configure(&table, &AutoConfig::default()).expect("auto-configuration");
     let n = selected.ecdf_values.len() as f64;
     let ecdf: Vec<(f64, f64)> = selected
         .ecdf_values

@@ -1,43 +1,40 @@
-//! Neighbor-backend scaling ladder: where does the metric tree beat the
-//! matrix?
+//! Neighbor-backend scaling ladder: where does the stratified index
+//! beat the matrix?
 //!
 //! For each rung `u` of a segment-count ladder the harness answers the
 //! same sampled ε-range and k-NN queries through every
 //! [`NeighborProvider`] backend that fits in memory:
 //!
-//! - `vptree` — [`VpForest`] + [`VpProvider`], never materializing the
-//!   O(u²) condensed triangle (peak memory is O(u) nodes);
-//! - `vptree+swar` — the same forest with the opt-in SWAR kernel fast
-//!   path (pinned bit-identical);
+//! - `stratified` — [`StrataIndex`] + [`StratifiedProvider`], never
+//!   materializing the O(u²) condensed triangle (peak memory is O(u)
+//!   nodes). The classic ladder's corpus is uniform-length (8-byte
+//!   segments), so the index is a single stratum: one vantage-point
+//!   forest searched with full metric pruning;
+//! - `stratified+batch` — the identical workload through the batched
+//!   parallel query path ([`NeighborProvider::neighbors_within_batch`]
+//!   plus k-NN queries fanned out by [`parkit::map_indexed`]);
 //! - `matrix` — [`CondensedMatrix`] + [`MatrixProvider`] row scans, the
 //!   exact oracle, capped at `MATRIX_CAP` segments (the 50k triangle
 //!   alone would be ~10 GB).
 //!
-//! The classic ladder's corpus is uniform-length (8-byte segments), so
-//! the Canberra dissimilarity is a true metric and the vp-tree runs its
-//! pruned search rather than the exact linear fallback. Query checksums
-//! are order-normalized and asserted bit-identical across backends
-//! wherever more than one ran — including a `vptree+batch` pass that
-//! answers the identical workload through the provider's batched
-//! parallel query API ([`NeighborProvider::neighbors_within_batch`] /
-//! `knn_batch`) — and every rung appends a
+//! Query checksums are order-normalized and asserted bit-identical
+//! across backends wherever more than one ran, and every rung appends a
 //! `neighbor_ladder_u{u}_{backend}` record (wall time + peak RSS) to
-//! `BENCH_trajectory.json`. The matrix/vptree crossover is read off the
-//! wall-time columns, and the top rungs' RSS documents that u=1M
+//! `BENCH_trajectory.json`. The matrix/stratified crossover is read off
+//! the wall-time columns, and the top rungs' RSS documents that u=1M
 //! completes without the triangle.
 //!
-//! A second, *mixed-length* ladder ([`MIXED_LADDER`]) covers the
-//! corpora the classic rungs deliberately avoid: NEMESYS-like segment
-//! sets whose lengths differ, where the length penalty breaks the
-//! triangle inequality and the plain vp-forest degrades to an exact
-//! O(u) linear scan per query. There the contenders are
+//! A second, *mixed-length* ladder ([`MIXED_LADDER`]) covers NEMESYS-like
+//! segment sets whose lengths differ, where the length penalty breaks
+//! the triangle inequality and no single metric tree can prune. There
+//! the contenders are
 //!
-//! - `stratified` — [`StrataIndex`] + [`StratifiedProvider`]: per-length
-//!   strata searched through in-stratum vp-trees, whole strata skipped
-//!   through the penalty-aware length lower bound;
-//! - `stratified+batch` — the same index through the batched query API;
-//! - `vptree-linear` — the metricity-gated forest's exact linear
-//!   fallback, i.e. the status quo this backend replaces;
+//! - `stratified` — per-length strata searched through in-stratum
+//!   vp-trees, whole strata skipped through the penalty-aware length
+//!   lower bound, LAESA pivots across strata;
+//! - `stratified+batch` — the same index through the batched query path;
+//! - `linear` — an exact O(u)-per-query scan ([`LinearScan`]), the
+//!   baseline the stratified index replaces;
 //! - `matrix` — the condensed-triangle oracle, under [`MATRIX_CAP`].
 //!
 //! All are pinned bit-identical per rung; the printed
@@ -59,24 +56,25 @@
 //! `cargo run --release -p bench --bin neighbor_ladder -- [max_u] [samples] [budget_bytes]
 //!  [--cache-dir D] [--max-memory BYTES]`
 //!
-//! With a `budget_bytes` argument the harness becomes the vptree RSS
-//! smoke check (`scripts/check.sh`): the matrix oracle rungs are
-//! skipped so the process footprint is the vp-forest path alone, and
+//! With a `budget_bytes` argument the harness becomes the stratified
+//! RSS smoke check (`scripts/check.sh`): the matrix oracle rungs are
+//! skipped so the process footprint is the matrix-free path alone, and
 //! the run exits nonzero if peak RSS (`VmHWM`) exceeds the budget.
 //!
-//! `--cache-dir D` persists each rung's chunk trees to an on-disk
-//! [`ArtifactStore`] and faults them back in on re-runs — the big rungs
-//! (u ≥ 100k) then pay their forest build once, not per invocation.
+//! `--cache-dir D` persists each rung's stratified index to an on-disk
+//! [`ArtifactStore`] and faults it back in on re-runs — the big rungs
+//! (u ≥ 100k) then pay their index build once, not per invocation.
 //! `--max-memory BYTES` guards the matrix oracle by *projection*: a
 //! rung whose condensed triangle would exceed the cap is
 //! skipped (and logged) before a byte of it is allocated, instead of
 //! blowing past the budget mid-build.
 
 use cluster::autoconf::required_k_max;
+use dissim::kernel::dissimilarity_kernel;
 use dissim::vptree::DEFAULT_CHUNK;
 use dissim::{
-    CondensedMatrix, DissimParams, MatrixProvider, NeighborProvider, QueryCounters, StrataIndex,
-    StratifiedProvider, VpForest, VpProvider, VpTree,
+    CanberraLut, CondensedMatrix, DissimParams, KnnAccumulator, KnnTable, MatrixProvider,
+    NeighborProvider, QueryCounters, QueryDist, StrataIndex, StratifiedProvider,
 };
 use protocols::{corpus, Protocol};
 use rand::{Rng, SeedableRng, StdRng};
@@ -93,20 +91,20 @@ const MATRIX_CAP: usize = 5_000;
 /// The rungs; trimmed by the `max_u` argument. The default `max_u` of
 /// 50k keeps the classic ladder; the u ≥ 100k rungs are opt-in (pass a
 /// larger `max_u`) and are meant to run in budget mode with a
-/// `--cache-dir` so the forests persist across invocations.
+/// `--cache-dir` so the indexes persist across invocations.
 const LADDER: [usize; 9] = [
     1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000, 250_000, 1_000_000,
 ];
 
 /// Corpus seed shared by every rung (the corpus is a pure function of
-/// `(u, CORPUS_SEED)`, which is what makes the on-disk forest keys
+/// `(u, CORPUS_SEED)`, which is what makes the on-disk index keys
 /// sound).
 const CORPUS_SEED: u64 = 11;
 
 /// The mixed-length rungs; trimmed by `max_u` like the classic ladder.
 /// The 2k rung exists so the budget-mode RSS smoke exercises the
-/// stratified path too; 250k is opt-in (pass a larger `max_u`) because
-/// its linear-fallback baseline alone is tens of seconds.
+/// mixed-length stratified path too; 250k is opt-in (pass a larger
+/// `max_u`) because its linear baseline alone is tens of seconds.
 const MIXED_LADDER: [usize; 4] = [2_000, 5_000, 50_000, 250_000];
 
 /// Seed for the mixed-length corpus — distinct from [`CORPUS_SEED`] so
@@ -114,8 +112,8 @@ const MIXED_LADDER: [usize; 4] = [2_000, 5_000, 50_000, 250_000];
 const MIXED_SEED: u64 = 12;
 
 /// Uniform-length corpus (8-byte segments) drawn from a few field-type
-/// templates, so dense ε-neighborhoods exist and the metric-eligibility
-/// gate holds (all lengths equal ⇒ no length penalty ⇒ true metric).
+/// templates, so dense ε-neighborhoods exist and the dissimilarity is a
+/// true metric (all lengths equal ⇒ no length penalty).
 fn uniform_segments(u: usize, seed: u64) -> Vec<Vec<u8>> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..u)
@@ -227,8 +225,9 @@ fn run_queries<P: NeighborProvider>(
 }
 
 /// Replays the exact workload of [`run_queries`] through the batched
-/// parallel query API ([`NeighborProvider::knn_batch`] +
-/// [`NeighborProvider::neighbors_within_batch`]). The fold order is
+/// parallel query path: the sampled k-NN queries fanned out by
+/// [`parkit::map_indexed`], the ε-ranges through
+/// [`NeighborProvider::neighbors_within_batch`]. The fold order is
 /// identical — sample order, k-NN value first, then the
 /// order-normalized range pairs — so the checksum is bit-comparable
 /// against the scalar pass regardless of how the batch was scheduled.
@@ -239,7 +238,13 @@ fn run_queries_batch<P: NeighborProvider + Sync>(
     eps: f64,
     threads: usize,
 ) -> (f64, usize) {
-    let knns = provider.knn_batch(sample, k, threads);
+    let knns = parkit::map_indexed(
+        threads,
+        sample.len(),
+        8,
+        || (),
+        |_, qi| provider.knn(sample[qi], k),
+    );
     let mut lists = provider.neighbors_within_batch(sample, eps, threads);
     let mut checksum = 0.0f64;
     let mut count = 0usize;
@@ -256,74 +261,98 @@ fn run_queries_batch<P: NeighborProvider + Sync>(
     (checksum, count)
 }
 
-/// Content keys for one rung's persisted chunk trees. The corpus is a
-/// pure function of `(u, CORPUS_SEED)`, so digesting the generator
-/// inputs — not the segment bytes — is sound and costs O(1) per key.
-fn ladder_tree_keys(u: usize, chunk: usize) -> Vec<Key> {
-    (0..VpForest::chunk_count(u, chunk))
-        .map(|t| {
-            let mut digest = KeyDigest::new(Kind::VPTREE);
-            digest.frame(b"neighbor_ladder");
-            digest.u64(CORPUS_SEED);
-            digest.usize(u);
-            digest.usize(chunk);
-            digest.usize(t);
-            digest.finish()
-        })
-        .collect()
+/// The exact linear-scan baseline: every query evaluates the kernel
+/// against every other item (O(u) per query, O(u) memory, no pruning).
+struct LinearScan<'a> {
+    values: &'a [&'a [u8]],
+    params: DissimParams,
 }
 
-/// Builds the rung's forest, faulting chunk trees in from (and
-/// persisting fresh ones to) the on-disk store when one is attached.
-/// `build_with` re-derives any tree whose span or checksum doesn't
-/// match, so a stale or damaged cache degrades to a plain build.
-fn build_forest(
-    values: &[&[u8]],
-    params: &DissimParams,
-    store: Option<&ArtifactStore>,
-) -> VpForest {
-    let Some(store) = store else {
-        return VpForest::build(values, params, DEFAULT_CHUNK);
-    };
-    let keys = ladder_tree_keys(values.len(), DEFAULT_CHUNK);
-    VpForest::build_with(
-        values,
-        params,
-        DEFAULT_CHUNK,
-        |t, _span| store.get::<VpTree>(&keys[t]),
-        |t, tree, built| {
-            if built {
-                store.put(&keys[t], tree);
+impl LinearScan<'_> {
+    /// Item `i`'s dissimilarity to every other item, in index order.
+    fn scan(&self, i: usize) -> Vec<f64> {
+        let qd = QueryDist::new(self.values[i], &self.params);
+        (0..self.values.len())
+            .filter(|&j| j != i)
+            .map(|j| qd.dist(self.values[j]))
+            .collect()
+    }
+}
+
+impl NeighborProvider for LinearScan<'_> {
+    fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    fn neighbors_within(&self, i: usize, eps: f64, out: &mut Vec<(f64, u32)>) {
+        out.clear();
+        let qd = QueryDist::new(self.values[i], &self.params);
+        for (j, v) in self.values.iter().enumerate() {
+            let d = qd.dist(v);
+            if j != i && d <= eps {
+                out.push((d, j as u32));
             }
-        },
-    )
+        }
+    }
+
+    fn knn(&self, i: usize, k: usize) -> f64 {
+        let n = self.values.len();
+        if n < 2 {
+            return f64::INFINITY;
+        }
+        let mut dists = self.scan(i);
+        let (_, kth, _) = dists.select_nth_unstable_by(k.clamp(1, n - 1) - 1, f64::total_cmp);
+        *kth
+    }
+
+    fn pair(&self, i: usize, j: usize) -> f64 {
+        if i == j {
+            return 0.0;
+        }
+        dissimilarity_kernel(
+            self.values[i],
+            self.values[j],
+            &self.params,
+            CanberraLut::global(),
+        )
+    }
+
+    fn knn_table(&self, k_max: usize, _threads: usize) -> KnnTable {
+        let mut acc = KnnAccumulator::new(self.values.len(), k_max);
+        for i in 0..self.values.len() {
+            for d in self.scan(i) {
+                acc.push(i, d);
+            }
+        }
+        acc.finish()
+    }
 }
 
-/// Content key for one mixed rung's persisted [`StrataIndex`] — a
-/// single whole-index artifact, keyed (like the forest chunk trees) by
-/// the generator inputs rather than the segment bytes.
-fn ladder_strata_key(u: usize, chunk: usize) -> Key {
+/// Content key for one rung's persisted [`StrataIndex`] — a single
+/// whole-index artifact, keyed by the generator inputs (`tag`, `seed`,
+/// `u`) rather than the segment bytes: each corpus is a pure function
+/// of them, so digesting them is sound and costs O(1).
+fn ladder_strata_key(tag: &[u8], seed: u64, u: usize, chunk: usize) -> Key {
     let mut digest = KeyDigest::new(Kind::STRATA);
-    digest.frame(b"neighbor_ladder_mixed");
-    digest.u64(MIXED_SEED);
+    digest.frame(tag);
+    digest.u64(seed);
     digest.usize(u);
     digest.usize(chunk);
     digest.finish()
 }
 
-/// Builds the mixed rung's stratified index, faulting it in from (and
+/// Builds a rung's stratified index, faulting it in from (and
 /// persisting it to) the on-disk store when one is attached. A stale or
 /// damaged artifact fails the `matches` check and degrades to a plain
 /// build.
 fn build_strata(
     values: &[&[u8]],
     params: &DissimParams,
-    store: Option<&ArtifactStore>,
+    store: Option<(&ArtifactStore, Key)>,
 ) -> StrataIndex {
-    let Some(store) = store else {
+    let Some((store, key)) = store else {
         return StrataIndex::build(values, params, DEFAULT_CHUNK);
     };
-    let key = ladder_strata_key(values.len(), DEFAULT_CHUNK);
     if let Some(index) = store.get::<StrataIndex>(&key) {
         if index.chunk() == DEFAULT_CHUNK && index.matches(values) {
             return index;
@@ -368,8 +397,8 @@ fn corpus_line(
     );
 }
 
-/// Runs the full stratified-vs-linear-fallback comparison (plus the
-/// batched stratified pass) on one mixed-length corpus, pinning every
+/// Runs the full stratified-vs-linear comparison (plus the batched
+/// stratified pass) on one mixed-length corpus, pinning every
 /// backend bit-identical and reporting the prune counters and the
 /// speedup. Returns `(eps, checksum, count)` so callers can extend the
 /// comparison (e.g. with the matrix oracle).
@@ -380,7 +409,7 @@ fn run_mixed_corpus(
     params: &DissimParams,
     samples: usize,
     threads: usize,
-    store: Option<&ArtifactStore>,
+    store: Option<(&ArtifactStore, Key)>,
 ) -> (f64, f64, usize) {
     let u = values.len();
     let k_max = required_k_max(u);
@@ -422,24 +451,21 @@ fn run_mixed_corpus(
 
     run_kdist_comparison(name, trajectory, values, params, &index, threads);
 
-    // vptree-linear: the metricity gate sees mixed lengths and refuses
-    // to prune, so this is the exact O(u)-per-query status quo the
-    // stratified backend replaces.
+    // linear: the exact O(u)-per-query scan with no pruning at all —
+    // the status quo the stratified backend replaces.
     let start = Instant::now();
-    let forest = VpForest::build(values, params, DEFAULT_CHUNK);
-    let vp = VpProvider::new(values, params, &forest);
-    assert!(
-        !vp.prunable(),
-        "mixed corpus {name} must force the linear fallback (u={u})"
-    );
-    let (_, l_sum, l_count) = run_queries(&vp, &sample, k_max, Some(eps));
+    let linear = LinearScan {
+        values,
+        params: *params,
+    };
+    let (_, l_sum, l_count) = run_queries(&linear, &sample, k_max, Some(eps));
     let linear_wall = start.elapsed();
     assert_eq!(
         (s_sum.to_bits(), s_count),
         (l_sum.to_bits(), l_count),
-        "stratified diverged from the linear fallback on {name} (u={u})"
+        "stratified diverged from the linear scan on {name} (u={u})"
     );
-    corpus_line(name, u, "vptree-linear", linear_wall, eps, l_count);
+    corpus_line(name, u, "linear", linear_wall, eps, l_count);
     bench::append_trajectory(&format!("{trajectory}_linear"), linear_wall);
     println!(
         "neighbor_ladder: corpus={name} u={u} stratified_speedup_vs_linear={:.1}x",
@@ -472,7 +498,7 @@ fn run_kdist_comparison(
         StratifiedProvider::new(values, params, index).with_counters(Arc::clone(&sweep_counters));
     let start = Instant::now();
     let sweeps: Vec<Vec<f64>> = (2..=k_max)
-        .map(|k| provider.knn_dissimilarities_parallel(k, threads))
+        .map(|k| parkit::map_indexed(threads, u, 8, || (), |_, i| provider.knn(i, k)))
         .collect();
     let sweeps_wall = start.elapsed();
 
@@ -558,43 +584,36 @@ fn main() {
         let k_max = required_k_max(u);
         let sample = sample_indices(u, samples);
 
-        // vptree: build the forest, then the sampled workload. This
-        // rung defines ε for the others.
+        // stratified: build the index (one stratum: all lengths are
+        // equal), then the sampled workload. This rung defines ε for the
+        // others.
         let start = Instant::now();
-        let forest = build_forest(&values, &params, store.as_ref());
-        let vp = VpProvider::new(&values, &params, &forest);
-        assert!(vp.prunable(), "uniform corpus must take the pruned path");
-        let (eps, vp_sum, vp_count) = run_queries(&vp, &sample, k_max, None);
-        let wall = start.elapsed();
-        rung_line(u, "vptree", wall, eps, vp_count);
-        bench::append_trajectory(&format!("neighbor_ladder_u{u}_vptree"), wall);
-
-        // vptree + SWAR fast path: same forest, pinned bit-identical.
-        let start = Instant::now();
-        let swar = VpProvider::new(&values, &params, &forest).with_swar(true);
-        let (_, swar_sum, swar_count) = run_queries(&swar, &sample, k_max, Some(eps));
-        let wall = start.elapsed();
+        let key = ladder_strata_key(b"neighbor_ladder", CORPUS_SEED, u, DEFAULT_CHUNK);
+        let index = build_strata(&values, &params, store.as_ref().map(|s| (s, key)));
         assert_eq!(
-            (vp_sum.to_bits(), vp_count),
-            (swar_sum.to_bits(), swar_count),
-            "SWAR fast path diverged at u={u}"
+            index.strata().len(),
+            1,
+            "uniform corpus must be one stratum"
         );
-        rung_line(u, "vptree+swar", wall, eps, swar_count);
-        bench::append_trajectory(&format!("neighbor_ladder_u{u}_swar"), wall);
+        let strat = StratifiedProvider::new(&values, &params, &index);
+        let (eps, s_sum, s_count) = run_queries(&strat, &sample, k_max, None);
+        let wall = start.elapsed();
+        rung_line(u, "stratified", wall, eps, s_count);
+        bench::append_trajectory(&format!("neighbor_ladder_u{u}_stratified"), wall);
 
-        // vptree + batched parallel queries: the identical workload
-        // answered through the batch API, pinned bit-identical to the
+        // stratified + batched parallel queries: the identical workload
+        // answered through the batch path, pinned bit-identical to the
         // scalar pass above regardless of worker count.
         let start = Instant::now();
-        let (batch_sum, batch_count) = run_queries_batch(&vp, &sample, k_max, eps, threads);
+        let (batch_sum, batch_count) = run_queries_batch(&strat, &sample, k_max, eps, threads);
         let wall = start.elapsed();
         assert_eq!(
-            (vp_sum.to_bits(), vp_count),
+            (s_sum.to_bits(), s_count),
             (batch_sum.to_bits(), batch_count),
             "batched queries diverged from scalar at u={u}"
         );
-        rung_line(u, "vptree+batch", wall, eps, batch_count);
-        bench::append_trajectory(&format!("neighbor_ladder_u{u}_vptree_batch"), wall);
+        rung_line(u, "stratified+batch", wall, eps, batch_count);
+        bench::append_trajectory(&format!("neighbor_ladder_u{u}_stratified_batch"), wall);
 
         // matrix oracle: only where the triangle fits comfortably,
         // never in budget mode (the budget pins the matrix-free path),
@@ -616,9 +635,9 @@ fn main() {
             let (_, m_sum, m_count) = run_queries(&provider, &sample, k_max, Some(eps));
             let wall = start.elapsed();
             assert_eq!(
-                (vp_sum.to_bits(), vp_count),
+                (s_sum.to_bits(), s_count),
                 (m_sum.to_bits(), m_count),
-                "vptree diverged from the matrix oracle at u={u}"
+                "stratified diverged from the matrix oracle at u={u}"
             );
             rung_line(u, "matrix", wall, eps, m_count);
             bench::append_trajectory(&format!("neighbor_ladder_u{u}_matrix"), wall);
@@ -628,7 +647,7 @@ fn main() {
     }
 
     // Mixed-length ladder: the corpora where the penalized dissimilarity
-    // is non-metric and the classic forest degrades to a linear scan.
+    // is non-metric, so pruning has to respect the length strata.
     for &u in MIXED_LADDER.iter().filter(|&&u| u <= max_u) {
         let segments = mixed_segments(u, MIXED_SEED);
         let values: Vec<&[u8]> = segments.iter().map(|s| &s[..]).collect();
@@ -639,7 +658,10 @@ fn main() {
             &params,
             samples,
             threads,
-            store.as_ref(),
+            store.as_ref().map(|s| {
+                let key = ladder_strata_key(b"neighbor_ladder_mixed", MIXED_SEED, u, DEFAULT_CHUNK);
+                (s, key)
+            }),
         );
 
         // matrix oracle: same guards as the classic ladder — never in

@@ -67,7 +67,6 @@ fn build_clusterer(opts: &CommonOpts) -> FieldTypeClusterer {
         tile_rows: opts.tile_rows,
         max_memory: opts.max_memory,
         neighbor_backend: opts.neighbor_backend,
-        swar: opts.swar,
         ..FieldTypeClusterer::default()
     };
     // `--threads` only tunes wall time; every parallel stage is pinned

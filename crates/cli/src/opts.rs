@@ -43,12 +43,10 @@ OPTIONS:
   --max-memory B  byte budget for the dissimilarity build, with an optional
                   K/M/G suffix (e.g. 512M); translated into a tile height
   --neighbor-backend B
-                  neighbor queries: auto (default) | matrix | tiled | vptree
-                  | stratified; vptree and stratified never materialize the
-                  O(u²) matrix (never affects results, only memory and wall
+                  neighbor queries: auto (default) | matrix | tiled
+                  | stratified; stratified never materializes the O(u²)
+                  matrix (never affects results, only memory and wall
                   time); auto picks stratified on mixed-length corpora
-  --swar          opt-in SWAR kernel fast path for vptree/stratified
-                  distance evaluations (bit-identical)
   --threads N     threads for parallel stages, 0 = auto (never affects results)
   --addr A        a running ftcd daemon (e.g. 127.0.0.1:4747); `submit` sends
                   the capture there and waits for the identical report
@@ -110,8 +108,6 @@ pub struct CommonOpts {
     /// `--neighbor-backend`. Backends only ever change memory and wall
     /// time, never results.
     pub neighbor_backend: fieldclust::NeighborBackend,
-    /// `--swar`.
-    pub swar: bool,
     /// `--addr`: a running `ftcd` daemon to talk to.
     pub addr: Option<String>,
     /// `--listen`: socket-feed address for `follow`.
@@ -167,7 +163,6 @@ impl CommonOpts {
             max_memory: None,
             threads: 0,
             neighbor_backend: fieldclust::NeighborBackend::Auto,
-            swar: false,
             addr: None,
             listen: None,
             batch_msgs: 64,
@@ -244,7 +239,6 @@ impl CommonOpts {
                         .parse()
                         .map_err(CliError::usage)?
                 }
-                "--swar" => opts.swar = true,
                 "--addr" => opts.addr = Some(value_for("--addr")?),
                 "--listen" => opts.listen = Some(value_for("--listen")?),
                 "--batch-msgs" => {
@@ -400,17 +394,17 @@ mod tests {
     #[test]
     fn neighbor_backend_is_parsed() {
         use fieldclust::NeighborBackend;
-        let o = parse(&["a.pcap", "--neighbor-backend", "vptree", "--swar"]).unwrap();
-        assert_eq!(o.neighbor_backend, NeighborBackend::Vptree);
-        assert!(o.swar);
+        let o = parse(&["a.pcap", "--neighbor-backend", "tiled"]).unwrap();
+        assert_eq!(o.neighbor_backend, NeighborBackend::Tiled);
         let o = parse(&["a.pcap", "--neighbor-backend", "stratified"]).unwrap();
         assert_eq!(o.neighbor_backend, NeighborBackend::Stratified);
         let o = parse(&["a.pcap"]).unwrap();
         assert_eq!(o.neighbor_backend, NeighborBackend::Auto);
-        assert!(!o.swar);
         for bad in [
             parse(&["--neighbor-backend", "quadtree"]),
+            parse(&["--neighbor-backend", "vptree"]),
             parse(&["--neighbor-backend"]),
+            parse(&["a.pcap", "--swar"]),
         ] {
             assert_eq!(bad.unwrap_err().exit_code(), 2);
         }

@@ -8,7 +8,7 @@
 //! `min_samples` is `round(ln n)`, which the paper found sufficient to
 //! avoid scattering large traces into many small clusters.
 
-use dissim::{CondensedMatrix, KnnTable};
+use dissim::KnnTable;
 use mathkit::kneedle::{detect_knees, KneedleParams};
 use mathkit::SmoothingSpline;
 
@@ -103,34 +103,19 @@ impl std::fmt::Display for AutoConfError {
 
 impl std::error::Error for AutoConfError {}
 
-/// Runs Algorithm 1: selects ε and `min_samples` from the dissimilarity
-/// matrix, reading the k-NN dissimilarities off one sweep of its
-/// triangle ([`CondensedMatrix::knn_table`]).
-///
-/// # Errors
-///
-/// See [`AutoConfError`].
-pub fn auto_configure(
-    matrix: &CondensedMatrix,
-    config: &AutoConfig,
-) -> Result<SelectedParams, AutoConfError> {
-    auto_configure_with_knn(&matrix.knn_table(required_k_max(matrix.len())), config)
-}
-
 /// The largest `k` Algorithm 1 will query for `n` items — what a
-/// [`KnnTable`] must be built with (at least) for
-/// [`auto_configure_with_knn`].
+/// [`KnnTable`] must be built with (at least) for [`auto_configure`].
 pub fn required_k_max(n: usize) -> usize {
     let min_samples = ((n as f64).ln().round() as usize).max(2);
     min_samples.min(n.saturating_sub(1)).max(1)
 }
 
-/// Runs Algorithm 1 with k-NN dissimilarities read off a precomputed
-/// [`KnnTable`] — from any backend's
+/// Runs Algorithm 1: selects ε and `min_samples` with the k-NN
+/// dissimilarities read off a precomputed [`KnnTable`] — from any
+/// backend's
 /// [`NeighborProvider::knn_table`](dissim::NeighborProvider::knn_table)
 /// or merged per-tile partials — in place of a k-NN sweep per
-/// candidate `k`. This is the one entry point every backend funnels
-/// into.
+/// candidate `k`.
 ///
 /// Every backend's table holds the same k-th order statistics a matrix
 /// scan produces, so each selects exactly the parameters a matrix scan
@@ -144,7 +129,7 @@ pub fn required_k_max(n: usize) -> usize {
 /// # Errors
 ///
 /// See [`AutoConfError`].
-pub fn auto_configure_with_knn(
+pub fn auto_configure(
     table: &KnnTable,
     config: &AutoConfig,
 ) -> Result<SelectedParams, AutoConfError> {
@@ -262,8 +247,17 @@ fn auto_configure_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dissim::{CondensedMatrix, MatrixProvider};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Algorithm 1 over a matrix's k-NN table.
+    fn from_matrix(
+        m: &CondensedMatrix,
+        config: &AutoConfig,
+    ) -> Result<SelectedParams, AutoConfError> {
+        auto_configure(&m.knn_table(required_k_max(m.len())), config)
+    }
 
     /// Synthetic data: `clusters` groups of points on a line with
     /// intra-cluster jitter `jitter` and inter-cluster spacing `gap`.
@@ -281,7 +275,7 @@ mod tests {
     #[test]
     fn epsilon_separates_well_spaced_blobs() {
         let m = blobs(5, 20, 0.05, 10.0, 1);
-        let p = auto_configure(&m, &AutoConfig::default()).unwrap();
+        let p = from_matrix(&m, &AutoConfig::default()).unwrap();
         // ε must be positive and smaller than the inter-blob gap (10) —
         // k-NN distances are all intra-cluster here, so the knee sits at
         // the intra-cluster scale.
@@ -291,9 +285,14 @@ mod tests {
         // Clustering with those parameters may over-classify (the knee
         // sits at the intra-cluster scale); merge refinement must then
         // recover exactly the 5 blobs — the paper's full §III-D..F loop.
-        let c = crate::dbscan::dbscan(&m, p.epsilon, p.min_samples);
+        let c = crate::testkit::dbscan_unit(&m, p.epsilon, p.min_samples);
         assert!(c.n_clusters() >= 5, "got {} clusters", c.n_clusters());
-        let merged = crate::refine::merge_clusters(&c, &m, &crate::refine::RefineParams::default());
+        let merged = crate::refine::merge_clusters(
+            &c,
+            &MatrixProvider::new(&m),
+            &crate::refine::RefineParams::default(),
+            1,
+        );
         assert_eq!(merged.n_clusters(), 5);
     }
 
@@ -326,11 +325,7 @@ mod tests {
             let scan = auto_configure_impl(m.len(), |k| m.knn_dissimilarities(k), &config);
             for threads in [1usize, 4] {
                 let table = provider.knn_table(k_max, threads);
-                assert_eq!(
-                    scan,
-                    auto_configure_with_knn(&table, &config),
-                    "threads = {threads}"
-                );
+                assert_eq!(scan, auto_configure(&table, &config), "threads = {threads}");
             }
         }
     }
@@ -339,7 +334,7 @@ mod tests {
     fn rejects_tiny_inputs() {
         let m = CondensedMatrix::build(3, |_, _| 1.0);
         assert!(matches!(
-            auto_configure(&m, &AutoConfig::default()),
+            from_matrix(&m, &AutoConfig::default()),
             Err(AutoConfError::TooFewSegments { n: 3 })
         ));
     }
@@ -358,8 +353,8 @@ mod tests {
             // The row-scan oracle: one order-statistic selection per
             // item and candidate k.
             let scan = auto_configure_impl(m.len(), |k| m.knn_dissimilarities(k), &config);
-            assert_eq!(scan, auto_configure(&m, &config));
-            assert_eq!(scan, auto_configure_with_knn(&table, &config));
+            assert_eq!(scan, from_matrix(&m, &config));
+            assert_eq!(scan, auto_configure(&table, &config));
         }
     }
 
@@ -368,7 +363,7 @@ mod tests {
         let m = blobs(5, 20, 0.05, 10.0, 1);
         // A cutoff below every dissimilarity starves the ECDF of every
         // candidate k: the error must name the trim, not the data.
-        let starved = auto_configure(
+        let starved = from_matrix(
             &m,
             &AutoConfig {
                 max_dissimilarity: Some(0.0),
@@ -383,7 +378,7 @@ mod tests {
         // All points identical -> all distances zero -> no knee.
         let m = CondensedMatrix::build(30, |_, _| 0.0);
         assert!(matches!(
-            auto_configure(&m, &AutoConfig::default()),
+            from_matrix(&m, &AutoConfig::default()),
             Err(AutoConfError::DegenerateDistribution)
         ));
     }
@@ -391,8 +386,8 @@ mod tests {
     #[test]
     fn trimmed_rerun_moves_epsilon_left() {
         let m = blobs(4, 25, 0.05, 5.0, 2);
-        let first = auto_configure(&m, &AutoConfig::default()).unwrap();
-        let trimmed = auto_configure(
+        let first = from_matrix(&m, &AutoConfig::default()).unwrap();
+        let trimmed = from_matrix(
             &m,
             &AutoConfig {
                 max_dissimilarity: Some(first.epsilon),
@@ -412,7 +407,7 @@ mod tests {
     #[test]
     fn diagnostics_are_consistent() {
         let m = blobs(3, 30, 0.1, 8.0, 3);
-        let p = auto_configure(&m, &AutoConfig::default()).unwrap();
+        let p = from_matrix(&m, &AutoConfig::default()).unwrap();
         assert_eq!(p.ecdf_values.len(), 90);
         assert!(p.ecdf_values.windows(2).all(|w| w[0] <= w[1]));
         assert!(!p.smoothed_curve.is_empty());
@@ -423,7 +418,7 @@ mod tests {
     #[test]
     fn min_samples_follows_ln_n() {
         let m = blobs(2, 10, 0.05, 10.0, 4); // n = 20 -> ln 20 ≈ 3
-        let p = auto_configure(&m, &AutoConfig::default()).unwrap();
+        let p = from_matrix(&m, &AutoConfig::default()).unwrap();
         assert_eq!(p.min_samples, 3);
     }
 }

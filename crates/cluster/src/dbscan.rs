@@ -1,5 +1,4 @@
-//! DBSCAN (Ester et al., KDD 1996) over a precomputed dissimilarity
-//! matrix.
+//! DBSCAN (Ester et al., KDD 1996) over any neighbor provider.
 //!
 //! DBSCAN suits the field-type clustering problem because it needs no
 //! target cluster count, makes no shape assumptions, and treats sparse
@@ -7,7 +6,7 @@
 //! classic region-growing formulation with scikit-learn's convention that
 //! `min_samples` counts the point itself.
 
-use dissim::{CondensedMatrix, MatrixProvider, NeighborProvider};
+use dissim::NeighborProvider;
 
 /// Cluster assignment of one item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,56 +97,35 @@ impl Clustering {
     }
 }
 
-/// Runs DBSCAN with radius `eps` and density threshold `min_samples`
-/// (which counts the point itself).
+/// Runs weighted DBSCAN with radius `eps` and density threshold
+/// `min_samples` (which counts the point itself), ε-regions answered by
+/// any [`NeighborProvider`] backend on `threads` workers.
 ///
-/// Deterministic: items are visited in index order, so cluster ids are
-/// stable for a given input.
-pub fn dbscan(matrix: &CondensedMatrix, eps: f64, min_samples: usize) -> Clustering {
-    let weights = vec![1usize; matrix.len()];
-    dbscan_weighted(matrix, eps, min_samples, &weights)
-}
-
-/// Weighted DBSCAN with ε-region queries answered by any
-/// [`NeighborProvider`] backend — the entry point every other DBSCAN
-/// function funnels into.
-///
-/// # Panics
-///
-/// Panics if `weights` is shorter than the provider's item count.
-pub fn dbscan_weighted_with_provider<P: NeighborProvider + ?Sized>(
-    provider: &P,
-    eps: f64,
-    min_samples: usize,
-    weights: &[usize],
-) -> Clustering {
-    let n = provider.len();
-    assert!(weights.len() >= n, "need a weight per item");
-    let mut nb: Vec<(f64, u32)> = Vec::new();
-    dbscan_impl(n, min_samples, weights, |i, out| {
-        provider.neighbors_within(i, eps, &mut nb);
-        out.extend(nb.iter().map(|&(_, j)| j as usize));
-    })
-}
-
-/// [`dbscan_weighted_with_provider`] with every ε-range query answered
-/// in parallel on the `parkit` scheduler; the region growing then runs
-/// serially, query-free, in the same index order, so the clustering is
-/// identical for any thread count.
+/// Item `i` stands for `weights[i]` identical samples at the same
+/// position. This makes clustering deduplicated segments equivalent to
+/// clustering the full segment multiset (the paper de-duplicates
+/// segment values for the dissimilarity matrix but sizes `min_samples`
+/// by the trace's segment count): an item is a core point when the
+/// weights within its ε-neighborhood — its own included — reach
+/// `min_samples`, so frequent values (padding, magic numbers, flag
+/// constants) are cores by themselves. Unit weights give classic
+/// DBSCAN.
 ///
 /// Each item's ε-region is queried exactly once, in one
-/// [`NeighborProvider::neighbors_within_batch`] over all items. The
+/// [`NeighborProvider::neighbors_within_batch`] over all items; the
 /// per-item core predicate is the weight sum over that region. Core
 /// items keep their regions as the growing's lookup table — the only
-/// regions [`dbscan_core_impl`] ever reads — and non-core regions are
+/// regions the growing ever reads — and non-core regions are
 /// dropped at once. Every weight is at least one, so a non-core region
 /// holds fewer than `min_samples` entries: memory is the core regions
-/// the growing needs anyway, plus small change.
+/// the growing needs anyway, plus small change. The region growing then
+/// runs serially, query-free, visiting items in index order, so cluster
+/// ids are stable and the clustering is identical for any thread count.
 ///
 /// # Panics
 ///
 /// Panics if `weights` is shorter than the provider's item count.
-pub fn dbscan_weighted_parallel_with_provider<P: NeighborProvider + Sync>(
+pub fn dbscan<P: NeighborProvider + Sync>(
     provider: &P,
     eps: f64,
     min_samples: usize,
@@ -176,36 +154,33 @@ pub fn dbscan_weighted_parallel_with_provider<P: NeighborProvider + Sync>(
     })
 }
 
-/// Runs DBSCAN over *weighted* items: item `i` stands for `weights[i]`
-/// identical samples at the same position.
-///
-/// This makes clustering deduplicated segments equivalent to clustering
-/// the full segment multiset (the paper de-duplicates segment values for
-/// the dissimilarity matrix but sizes `min_samples` by the trace's
-/// segment count): an item is a core point when the weights within its
-/// ε-neighborhood — its own included — reach `min_samples`, so frequent
-/// values (padding, magic numbers, flag constants) are cores by
-/// themselves.
-///
-/// # Panics
-///
-/// Panics if `weights` is shorter than the matrix.
-pub fn dbscan_weighted(
-    matrix: &CondensedMatrix,
+/// The serial reference DBSCAN the tests pin [`dbscan`] against: ε-
+/// regions queried lazily on the calling thread, one per visited item,
+/// and the density test evaluated during the growing.
+#[cfg(test)]
+fn dbscan_serial<P: NeighborProvider + ?Sized>(
+    provider: &P,
     eps: f64,
     min_samples: usize,
     weights: &[usize],
 ) -> Clustering {
-    dbscan_weighted_with_provider(&MatrixProvider::new(matrix), eps, min_samples, weights)
+    let n = provider.len();
+    assert!(weights.len() >= n, "need a weight per item");
+    let mut nb: Vec<(f64, u32)> = Vec::new();
+    dbscan_impl(n, min_samples, weights, |i, out| {
+        provider.neighbors_within(i, eps, &mut nb);
+        out.extend(nb.iter().map(|&(_, j)| j as usize));
+    })
 }
 
-/// The region-growing core of the serial entry points. `region`
+/// The region-growing core of the serial reference. `region`
 /// appends the ε-neighbors of an item to the provided scratch buffer
 /// (self excluded); the reported clustering does not depend on the
 /// order it emits them in: clusters grow one at a time from seeds taken
 /// in index order, each to completion before the next seed, so the
 /// cluster that claims a border point is the first whose density-
 /// connected set reaches it, whatever order the regions list it in.
+#[cfg(test)]
 fn dbscan_impl(
     n: usize,
     min_samples: usize,
@@ -266,7 +241,7 @@ fn dbscan_impl(
 }
 
 /// Region growing from a *precomputed* core predicate: the same visit
-/// order and labeling decisions as [`dbscan_impl`], with the density
+/// order and labeling decisions as the serial reference, with the density
 /// test `neighborhood_weight(i) >= min_samples` replaced by `core[i]`
 /// (evaluated up front, possibly in parallel). Skipping the region query
 /// for non-core items changes no decision: their neighbors are never
@@ -327,9 +302,17 @@ fn dbscan_core_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{dbscan_unit as dbscan, line_matrix};
+    use dissim::{CondensedMatrix, MatrixProvider};
 
-    fn line_matrix(points: &[f64]) -> CondensedMatrix {
-        CondensedMatrix::build(points.len(), |i, j| (points[i] - points[j]).abs())
+    /// Weighted DBSCAN over a matrix on one thread.
+    fn dbscan_weighted(m: &CondensedMatrix, eps: f64, ms: usize, w: &[usize]) -> Clustering {
+        super::dbscan(&MatrixProvider::new(m), eps, ms, w, 1)
+    }
+
+    /// The serial reference over a matrix.
+    fn serial(m: &CondensedMatrix, eps: f64, ms: usize, w: &[usize]) -> Clustering {
+        dbscan_serial(&MatrixProvider::new(m), eps, ms, w)
     }
 
     #[test]
@@ -444,14 +427,14 @@ mod tests {
         let w = [7, 1, 1, 1, 3, 1, 1, 2, 1];
         for (eps, ms) in [(0.5, 2), (0.5, 3), (0.35, 5), (2.0, 2), (100.0, 3)] {
             assert_eq!(
-                dbscan_weighted(&m, eps, ms, &w),
-                dbscan_weighted_with_provider(&farthest_first, eps, ms, &w),
+                serial(&m, eps, ms, &w),
+                dbscan_serial(&farthest_first, eps, ms, &w),
                 "eps={eps} ms={ms}"
             );
             for threads in [1, 4] {
                 assert_eq!(
-                    dbscan_weighted(&m, eps, ms, &w),
-                    dbscan_weighted_parallel_with_provider(&farthest_first, eps, ms, &w, threads),
+                    serial(&m, eps, ms, &w),
+                    super::dbscan(&farthest_first, eps, ms, &w, threads),
                     "threads={threads} eps={eps} ms={ms}"
                 );
             }
@@ -468,13 +451,13 @@ mod tests {
         for threads in [1, 2, 4] {
             for (eps, ms) in [(0.5, 2), (0.5, 3), (0.35, 5), (2.0, 2), (100.0, 3)] {
                 assert_eq!(
-                    dbscan(&m, eps, ms),
-                    dbscan_weighted_parallel_with_provider(&provider, eps, ms, &unit, threads),
+                    serial(&m, eps, ms, &unit),
+                    super::dbscan(&provider, eps, ms, &unit, threads),
                     "threads={threads} eps={eps} ms={ms}"
                 );
                 assert_eq!(
-                    dbscan_weighted(&m, eps, ms, &w),
-                    dbscan_weighted_parallel_with_provider(&provider, eps, ms, &w, threads),
+                    serial(&m, eps, ms, &w),
+                    super::dbscan(&provider, eps, ms, &w, threads),
                     "weighted threads={threads} eps={eps} ms={ms}"
                 );
             }
@@ -489,8 +472,8 @@ mod tests {
         for threads in [1, 4] {
             for (eps, ms) in [(0.5, 2), (0.5, 3), (0.35, 5), (2.0, 2), (100.0, 3)] {
                 let counting = crate::testkit::CountingRegions::new(MatrixProvider::new(&m));
-                let c = dbscan_weighted_parallel_with_provider(&counting, eps, ms, &w, threads);
-                assert_eq!(c, dbscan_weighted(&m, eps, ms, &w));
+                let c = super::dbscan(&counting, eps, ms, &w, threads);
+                assert_eq!(c, serial(&m, eps, ms, &w));
                 assert_eq!(
                     counting.region_queries(),
                     pts.len(),

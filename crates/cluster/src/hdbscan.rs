@@ -1,5 +1,5 @@
-//! HDBSCAN* (Campello, Moulavi & Sander, 2013) over a precomputed
-//! dissimilarity matrix.
+//! HDBSCAN* (Campello, Moulavi & Sander, 2013) over any neighbor
+//! provider.
 //!
 //! The paper's §III-F observes that the over-classification it repairs
 //! with merge refinement "is not only a limitation of DBSCAN and we
@@ -13,7 +13,7 @@
 //! extraction.
 
 use crate::dbscan::{Clustering, Label};
-use dissim::{CondensedMatrix, MatrixProvider, NeighborProvider};
+use dissim::NeighborProvider;
 
 /// HDBSCAN* parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,20 +49,35 @@ fn lambda_of(distance: f64) -> f64 {
     1.0 / distance.max(1e-12)
 }
 
-/// Runs HDBSCAN* and returns a flat clustering (EOM extraction).
-pub fn hdbscan(matrix: &CondensedMatrix, params: &HdbscanParams) -> Clustering {
-    hdbscan_with_provider(&MatrixProvider::new(matrix), params)
-}
-
-/// Runs HDBSCAN* with core distances and pair lookups answered by any
-/// [`NeighborProvider`] backend — the entry point [`hdbscan`] funnels
-/// into.
+/// Runs HDBSCAN* and returns a flat clustering (EOM extraction), core
+/// distances and pair lookups answered by any [`NeighborProvider`]
+/// backend.
 ///
 /// The core distance is the `(min_samples − 1)`-th nearest-neighbor
-/// order statistic, i.e. a single [`NeighborProvider::knn`] query per
-/// item, so every backend produces exactly the clustering [`hdbscan`]
-/// would.
-pub fn hdbscan_with_provider<P: NeighborProvider + ?Sized>(
+/// order statistic, read off one
+/// [`NeighborProvider::knn_table`] built on `threads` workers; the
+/// table does not depend on `threads`, so neither does the clustering.
+pub fn hdbscan<P: NeighborProvider + Sync>(
+    provider: &P,
+    params: &HdbscanParams,
+    threads: usize,
+) -> Clustering {
+    let n = provider.len();
+    let min_samples = params.min_samples.max(1).min(n.max(1));
+    let core = if n > 0 && min_samples > 1 {
+        provider
+            .knn_table(min_samples - 1, threads)
+            .knn_dissimilarities(min_samples - 1)
+    } else {
+        vec![0.0f64; n]
+    };
+    hdbscan_from_core(provider, params, &core)
+}
+
+/// The serial reference HDBSCAN* the tests pin [`hdbscan`] against:
+/// one scalar [`NeighborProvider::knn`] query per core distance.
+#[cfg(test)]
+fn hdbscan_serial<P: NeighborProvider + ?Sized>(
     provider: &P,
     params: &HdbscanParams,
 ) -> Clustering {
@@ -80,30 +95,8 @@ pub fn hdbscan_with_provider<P: NeighborProvider + ?Sized>(
     hdbscan_from_core(provider, params, &core)
 }
 
-/// [`hdbscan_with_provider`] with the core distances gathered through
-/// the provider's batched parallel k-NN path
-/// ([`NeighborProvider::knn_dissimilarities_parallel`]).
-///
-/// Each item's core distance is one k-NN query written into its own
-/// slot, so the vector is bit-identical to the serial gather for any
-/// thread count — and so is the clustering built from it.
-pub fn hdbscan_parallel_with_provider<P: NeighborProvider + Sync>(
-    provider: &P,
-    params: &HdbscanParams,
-    threads: usize,
-) -> Clustering {
-    let n = provider.len();
-    let min_samples = params.min_samples.max(1).min(n.max(1));
-    let core = if n > 0 && min_samples > 1 {
-        provider.knn_dissimilarities_parallel(min_samples - 1, threads)
-    } else {
-        vec![0.0f64; n]
-    };
-    hdbscan_from_core(provider, params, &core)
-}
-
-/// The dendrogram/condensation/extraction pipeline shared by every entry
-/// point, starting from precomputed core distances; pairwise
+/// The dendrogram/condensation/extraction pipeline of [`hdbscan`],
+/// starting from precomputed core distances; pairwise
 /// dissimilarities for the mutual-reachability MST come from the
 /// provider's [`NeighborProvider::pair`].
 fn hdbscan_from_core<P: NeighborProvider + ?Sized>(
@@ -332,9 +325,12 @@ fn collect_leaves(dendro: &[DendroNode], node: usize, n: usize, out: &mut Vec<us
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::line_matrix;
+    use dissim::{CondensedMatrix, MatrixProvider};
 
-    fn line_matrix(points: &[f64]) -> CondensedMatrix {
-        CondensedMatrix::build(points.len(), |i, j| (points[i] - points[j]).abs())
+    /// HDBSCAN* over a matrix on one thread.
+    fn hdbscan_matrix(m: &CondensedMatrix, params: &HdbscanParams) -> Clustering {
+        hdbscan(&MatrixProvider::new(m), params, 1)
     }
 
     fn blob(center: f64, n: usize, spread: f64) -> Vec<f64> {
@@ -347,7 +343,7 @@ mod tests {
     fn separates_two_blobs() {
         let mut pts = blob(0.0, 10, 0.5);
         pts.extend(blob(100.0, 10, 0.5));
-        let c = hdbscan(&line_matrix(&pts), &HdbscanParams::default());
+        let c = hdbscan_matrix(&line_matrix(&pts), &HdbscanParams::default());
         assert_eq!(c.n_clusters(), 2, "labels: {:?}", c.labels());
         for i in 0..10 {
             assert_eq!(c.labels()[i], c.labels()[0]);
@@ -361,7 +357,7 @@ mod tests {
         let mut pts = blob(0.0, 8, 0.4);
         pts.extend(blob(50.0, 8, 0.4));
         pts.extend(blob(200.0, 8, 0.4));
-        let c = hdbscan(
+        let c = hdbscan_matrix(
             &line_matrix(&pts),
             &HdbscanParams {
                 min_samples: 3,
@@ -376,7 +372,7 @@ mod tests {
         let mut pts = blob(0.0, 12, 0.5);
         pts.extend(blob(40.0, 12, 0.5));
         pts.push(1000.0);
-        let c = hdbscan(
+        let c = hdbscan_matrix(
             &line_matrix(&pts),
             &HdbscanParams {
                 min_samples: 3,
@@ -398,7 +394,7 @@ mod tests {
         // loose cluster.
         let mut pts = blob(0.0, 12, 0.1); // tight
         pts.extend(blob(100.0, 12, 5.0)); // loose
-        let c = hdbscan(
+        let c = hdbscan_matrix(
             &line_matrix(&pts),
             &HdbscanParams {
                 min_samples: 3,
@@ -410,12 +406,12 @@ mod tests {
 
     #[test]
     fn degenerate_inputs() {
-        assert!(hdbscan(&line_matrix(&[]), &HdbscanParams::default()).is_empty());
-        let one = hdbscan(&line_matrix(&[1.0]), &HdbscanParams::default());
+        assert!(hdbscan_matrix(&line_matrix(&[]), &HdbscanParams::default()).is_empty());
+        let one = hdbscan_matrix(&line_matrix(&[1.0]), &HdbscanParams::default());
         assert_eq!(one.labels(), &[Label::Noise]);
         // All identical points: one cluster.
         let same = vec![5.0; 10];
-        let c = hdbscan(
+        let c = hdbscan_matrix(
             &line_matrix(&same),
             &HdbscanParams {
                 min_samples: 3,
@@ -446,8 +442,8 @@ mod tests {
         ] {
             for threads in [1, 2, 4] {
                 assert_eq!(
-                    hdbscan(&m, &p),
-                    hdbscan_parallel_with_provider(&provider, &p, threads),
+                    hdbscan_serial(&provider, &p),
+                    hdbscan(&provider, &p, threads),
                     "threads={threads} {p:?}"
                 );
             }
@@ -460,7 +456,7 @@ mod tests {
         pts.extend(blob(30.0, 9, 0.7));
         let m = line_matrix(&pts);
         let p = HdbscanParams::default();
-        assert_eq!(hdbscan(&m, &p), hdbscan(&m, &p));
+        assert_eq!(hdbscan_matrix(&m, &p), hdbscan_matrix(&m, &p));
     }
 
     #[test]
@@ -468,7 +464,7 @@ mod tests {
         let mut pts = blob(0.0, 7, 0.3);
         pts.extend(blob(20.0, 7, 0.3));
         pts.extend(blob(60.0, 7, 0.3));
-        let c = hdbscan(
+        let c = hdbscan_matrix(
             &line_matrix(&pts),
             &HdbscanParams {
                 min_samples: 2,

@@ -1,25 +1,31 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Density-based clustering with automatic parameter selection and
 //! refinement, as used for field data type clustering (paper §III-D/E/F).
 //!
 //! * [`dbscan`](mod@crate::dbscan) — DBSCAN over any neighbor provider
-//!   (a condensed matrix's row scans, or a pruned forest),
+//!   (a condensed matrix's row scans, or the stratified index),
 //! * [`autoconf`] — the ε auto-configuration of Algorithm 1: pick the
 //!   k-NN ECDF with the sharpest knee, smooth it with a spline, detect
 //!   the rightmost knee with Kneedle, set `min_samples = round(ln n)`,
 //! * [`refine`] — merging of over-classified clusters (Conditions 1–2)
 //!   and splitting of clusters with polarized value occurrences.
 //!
+//! Every algorithm has one entry point, generic over the
+//! [`NeighborProvider`](dissim::NeighborProvider) that answers its
+//! neighbor queries and parameterised by a thread count; results never
+//! depend on the thread count.
+//!
 //! # Examples
 //!
 //! ```
-//! use dissim::CondensedMatrix;
+//! use dissim::{CondensedMatrix, MatrixProvider};
 //! use cluster::dbscan::{dbscan, Label};
 //!
-//! // Two tight groups and one outlier.
+//! // Two tight groups and one outlier, unit weights, one thread.
 //! let points = [0.0_f64, 0.1, 0.2, 5.0, 5.1, 5.2, 50.0];
 //! let m = CondensedMatrix::build(points.len(), |i, j| (points[i] - points[j]).abs());
-//! let c = dbscan(&m, 0.5, 2);
+//! let c = dbscan(&MatrixProvider::new(&m), 0.5, 2, &[1; 7], 1);
 //! assert_eq!(c.n_clusters(), 2);
 //! assert_eq!(c.labels()[6], Label::Noise);
 //! ```
@@ -30,27 +36,39 @@ pub mod hdbscan;
 pub mod optics;
 pub mod refine;
 
-pub use autoconf::{
-    auto_configure, auto_configure_with_knn, required_k_max, AutoConfError, AutoConfig,
-    SelectedParams,
-};
-pub use dbscan::{
-    dbscan, dbscan_weighted, dbscan_weighted_parallel_with_provider, dbscan_weighted_with_provider,
-    Clustering, Label,
-};
-pub use hdbscan::{hdbscan, hdbscan_parallel_with_provider, hdbscan_with_provider, HdbscanParams};
-pub use optics::{optics, optics_parallel_with_provider, optics_with_provider, OpticsOrdering};
-pub use refine::{merge_clusters, merge_clusters_with_provider, split_clusters, RefineParams};
+pub use autoconf::{auto_configure, required_k_max, AutoConfError, AutoConfig, SelectedParams};
+pub use dbscan::{dbscan, Clustering, Label};
+pub use hdbscan::{hdbscan, HdbscanParams};
+pub use optics::{optics, OpticsOrdering};
+pub use refine::{merge_clusters, split_clusters, RefineParams};
 
-/// Test-only neighbor providers.
+/// Test-only fixtures and neighbor providers.
 #[cfg(test)]
 pub(crate) mod testkit {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    use dissim::{KnnTable, MatrixProvider, NeighborProvider};
+    use dissim::{CondensedMatrix, KnnTable, MatrixProvider, NeighborProvider};
+
+    use crate::dbscan::Clustering;
+
+    /// The matrix of absolute differences between points on a line.
+    pub fn line_matrix(points: &[f64]) -> CondensedMatrix {
+        CondensedMatrix::build(points.len(), |i, j| (points[i] - points[j]).abs())
+    }
+
+    /// Unit-weight DBSCAN over a matrix on one thread.
+    pub fn dbscan_unit(m: &CondensedMatrix, eps: f64, min_samples: usize) -> Clustering {
+        crate::dbscan::dbscan(
+            &MatrixProvider::new(m),
+            eps,
+            min_samples,
+            &vec![1; m.len()],
+            1,
+        )
+    }
 
     /// A matrix provider that emits every ε-region farthest first —
-    /// the reverse of the forests' order and a permutation of the row
+    /// the reverse of the stratified index's order and a permutation of the row
     /// scan's — to pin that no consumer depends on emission order.
     pub struct FarthestFirst<'a>(pub MatrixProvider<'a>);
 

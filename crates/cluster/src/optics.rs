@@ -1,5 +1,4 @@
-//! OPTICS (Ankerst et al., SIGMOD 1999) over a precomputed
-//! dissimilarity matrix.
+//! OPTICS (Ankerst et al., SIGMOD 1999) over any neighbor provider.
 //!
 //! The paper's §III-F notes that over-classification "is not only a
 //! limitation of DBSCAN and we noticed that similar alternatives, e.g.,
@@ -9,7 +8,7 @@
 //! once, and an ε-cut extracts DBSCAN-equivalent clusters at any radius.
 
 use crate::dbscan::{Clustering, Label};
-use dissim::{CondensedMatrix, MatrixProvider, NeighborProvider};
+use dissim::NeighborProvider;
 
 /// The OPTICS ordering: reachability and core distances per visit rank.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,45 +23,19 @@ pub struct OpticsOrdering {
 }
 
 /// Runs OPTICS with generating distance `max_eps` and density threshold
-/// `min_samples` (counting the point itself).
-///
-/// Deterministic: seeds are taken in index order and ties in the
-/// priority queue resolve to the smaller index.
-pub fn optics(matrix: &CondensedMatrix, max_eps: f64, min_samples: usize) -> OpticsOrdering {
-    optics_with_provider(&MatrixProvider::new(matrix), max_eps, min_samples)
-}
-
-/// Runs OPTICS with ε-region queries answered by any
-/// [`NeighborProvider`] backend — the entry point [`optics`] funnels
-/// into.
-///
-/// Produces exactly the same ordering as [`optics`]: reachability
-/// updates take per-neighbor minima and the core distance is an order
-/// statistic, so neither depends on neighbor enumeration order.
-pub fn optics_with_provider<P: NeighborProvider + ?Sized>(
-    provider: &P,
-    max_eps: f64,
-    min_samples: usize,
-) -> OpticsOrdering {
-    let mut scratch: Vec<(f64, u32)> = Vec::new();
-    optics_impl(provider.len(), min_samples, |i, out| {
-        provider.neighbors_within(i, max_eps, &mut scratch);
-        out.extend(scratch.iter().map(|&(d, j)| (j as usize, d)));
-    })
-}
-
-/// [`optics_with_provider`] with the whole query load answered up front
-/// through the provider's batched parallel path
-/// ([`NeighborProvider::neighbors_within_batch`]).
+/// `min_samples` (counting the point itself), ε-regions answered by any
+/// [`NeighborProvider`] backend on `threads` workers.
 ///
 /// OPTICS queries each item's region exactly once — when the item is
 /// processed — and always at the fixed generating distance `max_eps`,
-/// so all n region queries can fan out over `threads` workers before
-/// the (serial, deterministic) expansion consumes them from a lookup
-/// table. Reachability updates take per-neighbor minima and the core
-/// distance is an order statistic, so the precomputed regions produce
-/// exactly the ordering [`optics_with_provider`] does.
-pub fn optics_parallel_with_provider<P: NeighborProvider + Sync>(
+/// so all n region queries fan out over `threads` workers
+/// ([`NeighborProvider::neighbors_within_batch`]) before the serial,
+/// deterministic expansion consumes them from a lookup table. Seeds are
+/// taken in index order and ties in the priority queue resolve to the
+/// smaller index. Reachability updates take per-neighbor minima and the
+/// core distance is an order statistic, so neither depends on the
+/// thread count or on neighbor emission order.
+pub fn optics<P: NeighborProvider + Sync>(
     provider: &P,
     max_eps: f64,
     min_samples: usize,
@@ -76,7 +49,24 @@ pub fn optics_parallel_with_provider<P: NeighborProvider + Sync>(
     })
 }
 
-/// The expansion core shared by the serial and batched entry points. `region` appends the `(neighbor, dissimilarity)` pairs of an
+/// The serial reference OPTICS the tests pin [`optics`] against: each
+/// region queried lazily on the calling thread when its item is
+/// processed.
+#[cfg(test)]
+fn optics_serial<P: NeighborProvider + ?Sized>(
+    provider: &P,
+    max_eps: f64,
+    min_samples: usize,
+) -> OpticsOrdering {
+    let mut scratch: Vec<(f64, u32)> = Vec::new();
+    optics_impl(provider.len(), min_samples, |i, out| {
+        provider.neighbors_within(i, max_eps, &mut scratch);
+        out.extend(scratch.iter().map(|&(d, j)| (j as usize, d)));
+    })
+}
+
+/// The expansion core of [`optics`] and its serial reference. `region`
+/// appends the `(neighbor, dissimilarity)` pairs of an
 /// item's ε-neighborhood to the scratch buffer (self excluded); the
 /// ordering it emits them in does not affect the result.
 fn optics_impl(
@@ -189,16 +179,18 @@ impl OpticsOrdering {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dbscan::dbscan;
+    use crate::testkit::{dbscan_unit as dbscan, line_matrix};
+    use dissim::{CondensedMatrix, MatrixProvider};
 
-    fn line_matrix(points: &[f64]) -> CondensedMatrix {
-        CondensedMatrix::build(points.len(), |i, j| (points[i] - points[j]).abs())
+    /// OPTICS over a matrix on one thread.
+    fn optics_matrix(m: &CondensedMatrix, max_eps: f64, min_samples: usize) -> OpticsOrdering {
+        optics(&MatrixProvider::new(m), max_eps, min_samples, 1)
     }
 
     #[test]
     fn ordering_covers_all_items_once() {
         let pts = [0.0, 0.1, 0.2, 5.0, 5.1, 9.0];
-        let o = optics(&line_matrix(&pts), 10.0, 2);
+        let o = optics_matrix(&line_matrix(&pts), 10.0, 2);
         let mut sorted = o.order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..pts.len()).collect::<Vec<_>>());
@@ -211,7 +203,7 @@ mod tests {
         // Two tight blobs: within-blob reachability small, the jump to
         // the second blob large.
         let pts = [0.0, 0.05, 0.1, 10.0, 10.05, 10.1];
-        let o = optics(&line_matrix(&pts), 100.0, 2);
+        let o = optics_matrix(&line_matrix(&pts), 100.0, 2);
         let max_within = o
             .reachability
             .iter()
@@ -236,7 +228,7 @@ mod tests {
         let m = line_matrix(&pts);
         for (eps, min_samples) in [(0.5, 2), (0.5, 3), (6.0, 2)] {
             let d = dbscan(&m, eps, min_samples);
-            let o = optics(&m, 100.0, min_samples).extract_dbscan(eps);
+            let o = optics_matrix(&m, 100.0, min_samples).extract_dbscan(eps);
             assert_eq!(d.n_clusters(), o.n_clusters(), "eps={eps} ms={min_samples}");
             assert_eq!(d.noise(), o.noise(), "eps={eps} ms={min_samples}");
             for i in 0..pts.len() {
@@ -255,10 +247,16 @@ mod tests {
         let m = line_matrix(&pts);
         let farthest_first = crate::testkit::FarthestFirst(MatrixProvider::new(&m));
         for (max_eps, ms) in [(0.5, 2), (2.0, 3), (100.0, 2), (100.0, 4)] {
+            let want = optics_serial(&MatrixProvider::new(&m), max_eps, ms);
             assert_eq!(
-                optics(&m, max_eps, ms),
-                optics_with_provider(&farthest_first, max_eps, ms),
+                want,
+                optics_serial(&farthest_first, max_eps, ms),
                 "max_eps={max_eps} ms={ms}"
+            );
+            assert_eq!(
+                want,
+                optics(&farthest_first, max_eps, ms, 4),
+                "batched, max_eps={max_eps} ms={ms}"
             );
         }
     }
@@ -271,8 +269,8 @@ mod tests {
         for threads in [1usize, 4] {
             for (max_eps, ms) in [(0.5, 2), (2.0, 3), (100.0, 2), (100.0, 4)] {
                 assert_eq!(
-                    optics(&m, max_eps, ms),
-                    optics_parallel_with_provider(&provider, max_eps, ms, threads),
+                    optics_serial(&provider, max_eps, ms),
+                    optics(&provider, max_eps, ms, threads),
                     "threads={threads} max_eps={max_eps} ms={ms}"
                 );
             }
@@ -282,16 +280,16 @@ mod tests {
     #[test]
     fn sparse_points_are_noise_after_cut() {
         let pts = [0.0, 0.1, 0.2, 50.0];
-        let o = optics(&line_matrix(&pts), 100.0, 3).extract_dbscan(0.5);
+        let o = optics_matrix(&line_matrix(&pts), 100.0, 3).extract_dbscan(0.5);
         assert_eq!(o.labels()[3], Label::Noise);
         assert_eq!(o.n_clusters(), 1);
     }
 
     #[test]
     fn empty_and_singleton() {
-        let o = optics(&line_matrix(&[]), 1.0, 2);
+        let o = optics_matrix(&line_matrix(&[]), 1.0, 2);
         assert!(o.order.is_empty());
-        let o1 = optics(&line_matrix(&[3.0]), 1.0, 1);
+        let o1 = optics_matrix(&line_matrix(&[3.0]), 1.0, 1);
         assert_eq!(o1.order, vec![0]);
         assert_eq!(o1.extract_dbscan(1.0).n_clusters(), 1);
     }

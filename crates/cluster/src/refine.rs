@@ -12,7 +12,7 @@
 //! counts are extremely polarized.
 
 use crate::dbscan::{Clustering, Label};
-use dissim::{CondensedMatrix, MatrixProvider, NeighborProvider};
+use dissim::NeighborProvider;
 use mathkit::stats;
 
 /// Thresholds of the refinement heuristics. Defaults are the paper's
@@ -43,38 +43,17 @@ impl Default for RefineParams {
 }
 
 /// Merges nearby clusters of similar density until a fix point (or the
-/// round bound) is reached; noise labels are preserved.
-pub fn merge_clusters(
-    clustering: &Clustering,
-    matrix: &CondensedMatrix,
-    params: &RefineParams,
-) -> Clustering {
-    merge_impl(clustering, &MatrixProvider::new(matrix), params, 1)
-}
-
-/// Merge refinement with pair lookups and link-density region queries
-/// answered by any [`NeighborProvider`] backend — the entry point every
-/// other merge function funnels into.
+/// round bound) is reached; noise labels are preserved. Pair lookups
+/// and link-density region queries are answered by any
+/// [`NeighborProvider`] backend: the ε-region around a link segment
+/// holds the same cluster-mates for every backend, and the density is
+/// their median dissimilarity, which is order-insensitive.
 ///
-/// Produces exactly the clustering [`merge_clusters`] would: the
-/// ε-region around a link segment holds the same cluster-mates for
-/// every backend, and the density is their median dissimilarity, which
-/// is order-insensitive.
-///
-/// With `threads > 1` each round's per-cluster statistics and per-pair
-/// merge decisions are computed in parallel on the `parkit` scheduler,
-/// each into its own slot and folded in a fixed order, so the result is
-/// bit-identical to the serial rounds for any thread count.
-pub fn merge_clusters_with_provider<P: NeighborProvider + Sync>(
-    clustering: &Clustering,
-    provider: &P,
-    params: &RefineParams,
-    threads: usize,
-) -> Clustering {
-    merge_impl(clustering, provider, params, threads)
-}
-
-fn merge_impl<P: NeighborProvider + Sync>(
+/// Each round's per-cluster statistics and per-pair merge decisions are
+/// computed on `threads` workers, each into its own slot
+/// ([`parkit::map_indexed`]) and folded in a fixed order, so the result
+/// is bit-identical for any thread count.
+pub fn merge_clusters<P: NeighborProvider + Sync>(
     clustering: &Clustering,
     provider: &P,
     params: &RefineParams,
@@ -107,13 +86,13 @@ fn merge_impl<P: NeighborProvider + Sync>(
                 pairs.push((i as u32, j as u32));
             }
         }
-        let mut decisions = vec![false; pairs.len()];
-        let decisions_ptr = SendDecisionPtr(decisions.as_mut_ptr());
-        let (labels_ref, pairs_ref) = (&labels, &pairs);
-        parkit::for_each_chunk(threads, pairs_ref.len(), 1, |chunk| {
-            let decisions_ptr = &decisions_ptr;
-            for p in chunk {
-                let (i, j) = (pairs_ref[p].0 as usize, pairs_ref[p].1 as usize);
+        let decisions = parkit::map_indexed(
+            threads,
+            pairs.len(),
+            1,
+            || (),
+            |_, p| {
+                let (i, j) = (pairs[p].0 as usize, pairs[p].1 as usize);
                 let pair = MergeCandidate {
                     ci: &clusters[i],
                     cj: &clusters[j],
@@ -122,13 +101,9 @@ fn merge_impl<P: NeighborProvider + Sync>(
                     id_i: i as u32,
                     id_j: j as u32,
                 };
-                // SAFETY: slot `p` is written by exactly one worker
-                // (the scheduler hands out each pair once).
-                unsafe {
-                    *decisions_ptr.0.add(p) = should_merge(&pair, labels_ref, provider, params);
-                }
-            }
-        });
+                should_merge(&pair, &labels, provider, params)
+            },
+        );
         let mut merged_into: Vec<usize> = (0..clusters.len()).collect();
         let mut any = false;
         for (&(i, j), &merge) in pairs.iter().zip(&decisions) {
@@ -196,45 +171,22 @@ pub fn split_clusters(
     Clustering::from_labels(labels)
 }
 
-/// Computes every cluster's statistics, fanning the clusters out over
-/// the `parkit` scheduler when more than one thread is requested. Each
-/// cluster is folded serially in member order into its own disjoint
-/// slot, so the result is bit-identical to the serial map.
+/// Computes every cluster's statistics on `threads` workers. Each
+/// cluster is folded serially in member order into its own slot, so the
+/// result is bit-identical to the serial map.
 fn compute_stats<P: NeighborProvider + Sync>(
     clusters: &[Vec<usize>],
     provider: &P,
     threads: usize,
 ) -> Vec<ClusterStats> {
-    if threads <= 1 || clusters.len() < 2 {
-        return clusters
-            .iter()
-            .map(|c| ClusterStats::compute(c, provider))
-            .collect();
-    }
-    let mut slots: Vec<Option<ClusterStats>> = (0..clusters.len()).map(|_| None).collect();
-    let slots_ptr = SendStatsPtr(slots.as_mut_ptr());
-    parkit::for_each_chunk(threads, clusters.len(), 1, |chunk| {
-        let slots_ptr = &slots_ptr;
-        for c in chunk {
-            // SAFETY: slot `c` is written by exactly one worker (the
-            // scheduler hands out each cluster once).
-            unsafe { *slots_ptr.0.add(c) = Some(ClusterStats::compute(&clusters[c], provider)) };
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every cluster slot filled"))
-        .collect()
+    parkit::map_indexed(
+        threads,
+        clusters.len(),
+        1,
+        || (),
+        |_, c| ClusterStats::compute(&clusters[c], provider),
+    )
 }
-
-/// A raw pointer wrapper asserting cross-thread transferability for the
-/// disjoint-slot statistics writes above.
-struct SendStatsPtr(*mut Option<ClusterStats>);
-unsafe impl Sync for SendStatsPtr {}
-
-/// The same pattern for the per-pair merge decisions of a round.
-struct SendDecisionPtr(*mut bool);
-unsafe impl Sync for SendDecisionPtr {}
 
 /// Per-cluster statistics shared by both merge conditions.
 #[derive(Debug)]
@@ -382,10 +334,12 @@ fn union(parent: &mut [usize], a: usize, b: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dbscan::dbscan;
+    use crate::testkit::{dbscan_unit as dbscan, line_matrix};
+    use dissim::{CondensedMatrix, MatrixProvider};
 
-    fn line_matrix(points: &[f64]) -> CondensedMatrix {
-        CondensedMatrix::build(points.len(), |i, j| (points[i] - points[j]).abs())
+    /// Merge refinement over a matrix on one thread.
+    fn merge_matrix(c: &Clustering, m: &CondensedMatrix, params: &RefineParams) -> Clustering {
+        merge_clusters(c, &MatrixProvider::new(m), params, 1)
     }
 
     /// Two sub-clusters of the same "type" separated by a small gap, plus
@@ -403,7 +357,7 @@ mod tests {
     #[test]
     fn merge_joins_linked_equal_density_clusters() {
         let (m, c) = overclassified();
-        let merged = merge_clusters(&c, &m, &RefineParams::default());
+        let merged = merge_matrix(&c, &m, &RefineParams::default());
         // The two near sub-clusters merge; the distant one stays apart.
         assert_eq!(merged.n_clusters(), 2);
     }
@@ -417,7 +371,7 @@ mod tests {
         let m = line_matrix(&pts);
         let c = dbscan(&m, 0.15, 3);
         assert_eq!(c.n_clusters(), 2);
-        let merged = merge_clusters(&c, &m, &RefineParams::default());
+        let merged = merge_matrix(&c, &m, &RefineParams::default());
         assert_eq!(merged.n_clusters(), 2);
     }
 
@@ -431,7 +385,7 @@ mod tests {
         let m = line_matrix(&pts);
         let c = dbscan(&m, 0.09, 3);
         let before = c.n_clusters();
-        let merged = merge_clusters(
+        let merged = merge_matrix(
             &c,
             &m,
             &RefineParams {
@@ -447,7 +401,7 @@ mod tests {
     fn merge_preserves_noise() {
         let (m, c) = overclassified();
         let noise_before = c.noise();
-        let merged = merge_clusters(&c, &m, &RefineParams::default());
+        let merged = merge_matrix(&c, &m, &RefineParams::default());
         assert_eq!(merged.noise(), noise_before);
     }
 
@@ -463,8 +417,8 @@ mod tests {
         // Also when thresholds forbid any merge.
         for p in [RefineParams::default(), strict] {
             assert_eq!(
-                merge_clusters(&c, &m, &p),
-                merge_clusters_with_provider(&c, &farthest_first, &p, 1)
+                merge_matrix(&c, &m, &p),
+                merge_clusters(&c, &farthest_first, &p, 1)
             );
         }
     }
@@ -474,11 +428,11 @@ mod tests {
         let (m, c) = overclassified();
         let provider = MatrixProvider::new(&m);
         let p = RefineParams::default();
-        let serial = merge_clusters(&c, &m, &p);
+        let serial = merge_matrix(&c, &m, &p);
         for threads in [1, 2, 4] {
             assert_eq!(
                 serial,
-                merge_clusters_with_provider(&c, &provider, &p, threads),
+                merge_clusters(&c, &provider, &p, threads),
                 "threads={threads}"
             );
         }
@@ -528,11 +482,11 @@ mod tests {
         let m = line_matrix(&[0.0, 0.1, 0.2]);
         let single = dbscan(&m, 0.5, 2);
         assert_eq!(single.n_clusters(), 1);
-        let merged = merge_clusters(&single, &m, &RefineParams::default());
+        let merged = merge_matrix(&single, &m, &RefineParams::default());
         assert_eq!(merged.n_clusters(), 1);
 
         let empty = Clustering::from_labels(vec![]);
         let m0 = CondensedMatrix::build(0, |_, _| 0.0);
-        assert!(merge_clusters(&empty, &m0, &RefineParams::default()).is_empty());
+        assert!(merge_matrix(&empty, &m0, &RefineParams::default()).is_empty());
     }
 }

@@ -1,11 +1,21 @@
 //! Property-based invariants for the alternative density clusterers
 //! (OPTICS, HDBSCAN) the paper discusses in §III-F.
 
-use cluster::dbscan::Label;
-use cluster::hdbscan::{hdbscan, HdbscanParams};
-use cluster::optics::optics;
-use dissim::CondensedMatrix;
+use cluster::dbscan::{Clustering, Label};
+use cluster::hdbscan::HdbscanParams;
+use cluster::optics::OpticsOrdering;
+use dissim::{CondensedMatrix, MatrixProvider};
 use proptest::prelude::*;
+
+/// OPTICS over a matrix, two threads.
+fn optics(m: &CondensedMatrix, max_eps: f64, min_samples: usize) -> OpticsOrdering {
+    cluster::optics(&MatrixProvider::new(m), max_eps, min_samples, 2)
+}
+
+/// HDBSCAN* over a matrix, two threads.
+fn hdbscan(m: &CondensedMatrix, params: &HdbscanParams) -> Clustering {
+    cluster::hdbscan(&MatrixProvider::new(m), params, 2)
+}
 
 fn points() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0f64..100.0, 2..50)

@@ -1,9 +1,25 @@
 //! Property-based invariants for DBSCAN and refinement.
 
-use cluster::dbscan::{dbscan, Clustering, Label};
-use cluster::refine::{merge_clusters, split_clusters, RefineParams};
-use dissim::CondensedMatrix;
+use cluster::dbscan::{Clustering, Label};
+use cluster::refine::{split_clusters, RefineParams};
+use dissim::{CondensedMatrix, MatrixProvider};
 use proptest::prelude::*;
+
+/// Unit-weight DBSCAN over a matrix, two threads.
+fn dbscan(m: &CondensedMatrix, eps: f64, min_samples: usize) -> Clustering {
+    cluster::dbscan(
+        &MatrixProvider::new(m),
+        eps,
+        min_samples,
+        &vec![1; m.len()],
+        2,
+    )
+}
+
+/// Merge refinement over a matrix, two threads.
+fn merge_clusters(c: &Clustering, m: &CondensedMatrix, params: &RefineParams) -> Clustering {
+    cluster::merge_clusters(c, &MatrixProvider::new(m), params, 2)
+}
 
 fn points() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0f64..100.0, 2..60)

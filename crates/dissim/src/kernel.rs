@@ -50,6 +50,7 @@ use std::sync::OnceLock;
 use crate::canberra::DissimParams;
 #[cfg(test)]
 use crate::canberra::{canberra_distance, dissimilarity};
+use crate::cells::Cells;
 use crate::matrix::{condensed_index, CondensedMatrix};
 
 /// Lazily initialized 256 × 256 table of per-byte Canberra terms
@@ -262,101 +263,6 @@ pub fn dissimilarity_kernel(a: &[u8], b: &[u8], params: &DissimParams, lut: &Can
     mixed_length(short.len(), long.len(), best, penalty)
 }
 
-/// Canberra term sum of two equal-length slices with an opt-in SWAR
-/// equality skip: bytes are compared eight at a time as little-endian
-/// `u64` lanes, and a lane whose XOR is zero skips all eight LUT
-/// lookups.
-///
-/// Bit-identical to the strict left-to-right LUT accumulation: the
-/// per-byte term of an equal byte pair is exactly `+0.0` (`0/2x`, or
-/// `0/0 := 0`), every term is non-negative so the accumulator is never
-/// `-0.0`, and `s + 0.0 == s` bit-for-bit for every non-negative f64 —
-/// skipping the additions is a bitwise no-op on the sum.
-#[inline]
-fn canberra_sum_swar(a: &[u8], b: &[u8], lut: &CanberraLut) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut sum = 0.0f64;
-    let mut ac = a.chunks_exact(8);
-    let mut bc = b.chunks_exact(8);
-    for (ca, cb) in ac.by_ref().zip(bc.by_ref()) {
-        let wa = u64::from_le_bytes(ca.try_into().expect("8-byte chunk"));
-        let wb = u64::from_le_bytes(cb.try_into().expect("8-byte chunk"));
-        if wa ^ wb == 0 {
-            continue;
-        }
-        sum += lut.term(ca[0], cb[0]);
-        sum += lut.term(ca[1], cb[1]);
-        sum += lut.term(ca[2], cb[2]);
-        sum += lut.term(ca[3], cb[3]);
-        sum += lut.term(ca[4], cb[4]);
-        sum += lut.term(ca[5], cb[5]);
-        sum += lut.term(ca[6], cb[6]);
-        sum += lut.term(ca[7], cb[7]);
-    }
-    for (&x, &y) in ac.remainder().iter().zip(bc.remainder()) {
-        sum += lut.term(x, y);
-    }
-    sum
-}
-
-/// [`crate::canberra_distance`] with the SWAR equality skip of
-/// [`canberra_sum_swar`]; bit-identical to the scalar reference.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn canberra_distance_swar(a: &[u8], b: &[u8], lut: &CanberraLut) -> f64 {
-    assert_eq!(a.len(), b.len(), "canberra distance needs equal lengths");
-    if a.is_empty() {
-        return 0.0;
-    }
-    canberra_sum_swar(a, b, lut) / a.len() as f64
-}
-
-/// Minimum windowed Canberra distance with the SWAR equality skip
-/// applied inside each window. Every window's complete sum is exact
-/// (see [`canberra_sum_swar`]) and the minimum over complete sums is
-/// order-independent, so the result is bit-identical to
-/// [`windowed_min_full`].
-fn windowed_min_swar(short: &[u8], long: &[u8], lut: &CanberraLut) -> f64 {
-    debug_assert!(!short.is_empty() && short.len() < long.len());
-    let mut best_sum = f64::INFINITY;
-    for offset in 0..=(long.len() - short.len()) {
-        let window = &long[offset..offset + short.len()];
-        let sum = canberra_sum_swar(short, window, lut);
-        if sum < best_sum {
-            best_sum = sum;
-            if best_sum == 0.0 {
-                break;
-            }
-        }
-    }
-    best_sum / short.len() as f64
-}
-
-/// [`crate::dissimilarity`] with the opt-in SWAR fast path: u64 lane
-/// packing skips whole 8-byte runs of equal bytes before touching the
-/// LUT, which pays off on traces full of near-duplicate segments
-/// (repeated header fields, zero padding). Bit-identical to
-/// [`dissimilarity_kernel`] and oracle-checked against it in the tests;
-/// callers opt in explicitly (e.g. [`crate::vptree::VpProvider::with_swar`])
-/// and the choice never enters any cache key.
-pub fn dissimilarity_swar(a: &[u8], b: &[u8], params: &DissimParams, lut: &CanberraLut) -> f64 {
-    let penalty = params.effective_penalty();
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if long.is_empty() {
-        return 0.0;
-    }
-    if short.is_empty() {
-        return 1.0;
-    }
-    if short.len() == long.len() {
-        return canberra_distance_swar(short, long, lut);
-    }
-    let best = windowed_min_swar(short, long, lut);
-    mixed_length(short.len(), long.len(), best, penalty)
-}
-
 /// Mean pairwise dissimilarity of `segments`, streamed pair by pair in
 /// condensed row-major order without materializing the matrix; `None`
 /// for fewer than two segments.
@@ -528,41 +434,37 @@ fn windowed_min_sum_long_keys(long_keys: &[usize], short: &[u8], lut: &CanberraL
     best_sum
 }
 
-/// A per-query kernel configuration: the query segment's LUT row keys,
-/// the hoisted penalty, and the kernel-variant choice, computed **once
-/// per query** so a scan over thousands of candidates stops redoing the
-/// per-pair setup (`effective_penalty`, the `byte << 8` key shifts)
-/// that [`dissimilarity_kernel`] performs on every call.
+/// A per-query kernel configuration: the query segment's LUT row keys
+/// and the hoisted penalty, computed **once per query** so a scan over
+/// thousands of candidates stops redoing the per-pair setup
+/// (`effective_penalty`, the `byte << 8` key shifts) that
+/// [`dissimilarity_kernel`] performs on every call.
 ///
 /// [`dist`](Self::dist) is bit-identical to
-/// `dissimilarity_kernel(query, other, ..)` (or, with `swar` enabled,
-/// `dissimilarity_swar`): equal-length pairs take the same strict
-/// left-to-right LUT accumulation, a shorter query takes the same
-/// sum-domain windowed minimum ([`windowed_min_sum4`], pinned against
-/// the scalar sweep by the matrix-build tests), and a longer query
-/// takes the key-transposed sweep [`windowed_min_sum_long_keys`], equal
-/// bit for bit by LUT-term symmetry. Pinned against the plain kernel by
+/// `dissimilarity_kernel(query, other, ..)`: equal-length pairs take
+/// the same strict left-to-right LUT accumulation, a shorter query
+/// takes the same sum-domain windowed minimum ([`windowed_min_sum4`],
+/// pinned against the scalar sweep by the matrix-build tests), and a
+/// longer query takes the key-transposed sweep
+/// [`windowed_min_sum_long_keys`], equal bit for bit by LUT-term
+/// symmetry. Pinned against the plain kernel by
 /// `query_dist_matches_kernel_bitwise`.
 #[derive(Debug)]
 pub struct QueryDist<'a> {
     query: &'a [u8],
     keys: Vec<usize>,
-    params: DissimParams,
     penalty: f64,
     lut: &'static CanberraLut,
-    swar: bool,
 }
 
 impl<'a> QueryDist<'a> {
     /// Hoists the per-query kernel setup for `query`.
-    pub fn new(query: &'a [u8], params: &DissimParams, swar: bool) -> Self {
+    pub fn new(query: &'a [u8], params: &DissimParams) -> Self {
         Self {
             query,
             keys: query.iter().map(|&b| usize::from(b) << 8).collect(),
-            params: *params,
             penalty: params.effective_penalty(),
             lut: CanberraLut::global(),
-            swar,
         }
     }
 
@@ -581,13 +483,9 @@ impl<'a> QueryDist<'a> {
     }
 
     /// The dissimilarity of the query to `other`; bit-identical to
-    /// [`dissimilarity_kernel`] (or [`dissimilarity_swar`] when the
-    /// SWAR path was requested) of the pair.
+    /// [`dissimilarity_kernel`] of the pair.
     #[inline]
     pub fn dist(&self, other: &[u8]) -> f64 {
-        if self.swar {
-            return dissimilarity_swar(self.query, other, &self.params, self.lut);
-        }
         let lq = self.query.len();
         let lo = other.len();
         if lq.max(lo) == 0 {
@@ -808,12 +706,12 @@ pub(crate) fn build_bucketed(
     let n = segments.len();
     let penalty = params.effective_penalty();
     if n < 2 {
-        return CondensedMatrix::from_raw(n, Vec::new());
+        return CondensedMatrix::from_raw(n, Cells::zeroed(0));
     }
     let lut = CanberraLut::global();
     let buckets = make_buckets(segments, 0..n);
     let key_table = KeyTable::new(segments);
-    let mut data = vec![0.0f64; n * (n - 1) / 2];
+    let mut data = Cells::zeroed(n * (n - 1) / 2);
     let threads = threads.max(1).min(n - 1);
     if threads == 1 {
         for i in 0..(n - 1) {
@@ -862,7 +760,7 @@ pub(crate) fn extend_bucketed(
     assert!(old_n <= n, "extension must not shrink the segment set");
     debug_assert_eq!(old_data.len(), old_n * old_n.saturating_sub(1) / 2);
     if old_n == n {
-        return CondensedMatrix::from_raw(n, old_data.to_vec());
+        return CondensedMatrix::from_raw(n, Cells::copy_of(old_data));
     }
     if old_n < 2 {
         // Nothing reusable: every pair touches a new segment.
@@ -877,7 +775,7 @@ pub(crate) fn extend_bucketed(
     // entries of every row.
     let buckets = make_buckets(segments, old_n..n);
     let key_table = KeyTable::new(segments);
-    let mut data = vec![0.0f64; n * (n - 1) / 2];
+    let mut data = Cells::zeroed(n * (n - 1) / 2);
     // Splice the old rows: row i of the old matrix is the contiguous
     // condensed range for pairs (i, i+1..old_n), which lands at the
     // start of new row i.
@@ -1072,73 +970,18 @@ mod tests {
     }
 
     #[test]
-    fn swar_path_matches_kernel_bitwise() {
-        // Oracle check over a corpus dense in equal 8-byte runs (zero
-        // padding, repeated values) and in mixed lengths, so both the
-        // skip branch and the fallthrough branch are exercised.
-        let lut = CanberraLut::global();
-        let mut segs = corpus(64);
-        segs.push(vec![0u8; 24]);
-        segs.push(vec![0u8; 24]);
-        segs.push(vec![7u8; 16]);
-        segs.push(vec![7u8; 17]);
-        let mut run: Vec<u8> = vec![42; 32];
-        run[31] = 43;
-        segs.push(run);
-        for a in &segs {
-            for b in &segs {
-                let want = dissimilarity_kernel(a, b, &P, lut).to_bits();
-                assert_eq!(
-                    dissimilarity_swar(a, b, &P, lut).to_bits(),
-                    want,
-                    "{a:?} {b:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn swar_distance_matches_lut_distance() {
-        let lut = CanberraLut::global();
-        for len in [0usize, 1, 7, 8, 9, 15, 16, 31] {
-            let a: Vec<u8> = (0..len).map(|k| (k * 37 % 256) as u8).collect();
-            let mut b = a.clone();
-            if len > 2 {
-                b[len / 2] ^= 0x5a;
-            }
-            assert_eq!(
-                canberra_distance_swar(&a, &b, lut).to_bits(),
-                canberra_distance_lut(&a, &b, lut).to_bits(),
-                "len {len}"
-            );
-            assert_eq!(canberra_distance_swar(&a, &a, lut), 0.0, "len {len}");
-        }
-    }
-
-    #[test]
     fn query_dist_matches_kernel_bitwise() {
         // Every (query, candidate) pair over a mixed-length corpus —
         // equal-length, query-shorter and query-longer paths all hit —
-        // plus empty segments for the trivial cases, against both
-        // kernel variants.
+        // plus empty segments for the trivial cases.
         let lut = CanberraLut::global();
         let segs = corpus(40);
-        for swar in [false, true] {
-            let mut qd = QueryDist::new(&segs[0], &P, swar);
-            for q in &segs {
-                qd.set_query(q);
-                for c in &segs {
-                    let want = if swar {
-                        dissimilarity_swar(q, c, &P, lut)
-                    } else {
-                        dissimilarity_kernel(q, c, &P, lut)
-                    };
-                    assert_eq!(
-                        qd.dist(c).to_bits(),
-                        want.to_bits(),
-                        "swar={swar} {q:?} {c:?}"
-                    );
-                }
+        let mut qd = QueryDist::new(&segs[0], &P);
+        for q in &segs {
+            qd.set_query(q);
+            for c in &segs {
+                let want = dissimilarity_kernel(q, c, &P, lut);
+                assert_eq!(qd.dist(c).to_bits(), want.to_bits(), "{q:?} {c:?}");
             }
         }
     }

@@ -10,8 +10,8 @@
 //! [`TiledMatrix::knn_table`](crate::TiledMatrix::knn_table) over
 //! per-tile partials — yields a [`KnnTable`] bit-identical to
 //! [`CondensedMatrix::knn_dissimilarities`](crate::CondensedMatrix::knn_dissimilarities)
-//! for every `k <= k_max`, without sorting full rows. The forest
-//! backends build the same table from one `k_max`-deep k-NN query per
+//! for every `k <= k_max`, without sorting full rows. The stratified
+//! index builds the same table from one `k_max`-deep k-NN query per
 //! item ([`NeighborProvider::knn_table`](crate::NeighborProvider::knn_table)).
 
 /// Accumulates, per item, the `k_max` smallest dissimilarities seen so
@@ -142,10 +142,10 @@ impl KnnTable {
 /// Builds a table from one independent row per item, fanned out over
 /// `threads` workers: `fill(item, scratch, row)` writes the item's
 /// `depth = min(k_max, n − 1)` nearest dissimilarities ascending into
-/// `row` (exactly `depth` long). Each worker chunk gets its own
-/// `scratch()` and returns its rows as one block, placed by its first
-/// item, so the table does not depend on the schedule. Entries past
-/// `depth` stay `f64::INFINITY`, as in [`KnnAccumulator`].
+/// `row` (exactly `depth` long). Each worker chunk fills its rows as
+/// one [`parkit::map_blocks`] block, placed by its first item, so the
+/// table does not depend on the schedule. Entries past `depth` stay
+/// `f64::INFINITY`, as in [`KnnAccumulator`].
 ///
 /// # Panics
 ///
@@ -154,33 +154,30 @@ pub(crate) fn table_by_rows<S, F>(
     n: usize,
     k_max: usize,
     threads: usize,
-    scratch: impl Fn() -> S + Sync,
+    scratch: impl Fn() -> S,
     fill: F,
 ) -> KnnTable
 where
+    S: Send,
     F: Fn(usize, &mut S, &mut [f64]) + Sync,
 {
     assert!(k_max >= 1, "k_max must be at least 1");
     let depth = k_max.min(n.saturating_sub(1));
-    let mut lists = vec![f64::INFINITY; n * k_max];
-    if depth > 0 {
-        let parts = parkit::map_parts(
-            threads,
-            n,
-            crate::provider::BATCH_MIN_CHUNK,
-            Vec::new,
-            |blocks: &mut Vec<(usize, Vec<f64>)>, items| {
-                let mut s = scratch();
-                let mut block = vec![f64::INFINITY; items.len() * k_max];
-                for (item, row) in items.clone().zip(block.chunks_exact_mut(k_max)) {
-                    fill(item, &mut s, &mut row[..depth]);
-                }
-                blocks.push((items.start, block));
-            },
-        );
-        for (start, block) in parts.into_iter().flatten() {
-            lists[start * k_max..start * k_max + block.len()].copy_from_slice(&block);
-        }
+    if depth == 0 {
+        let lists = vec![f64::INFINITY; n * k_max];
+        return KnnTable { n, k_max, lists };
     }
+    let lists = parkit::map_blocks(
+        threads,
+        n,
+        crate::provider::BATCH_MIN_CHUNK,
+        scratch,
+        |s, items, block| {
+            block.resize(items.len() * k_max, f64::INFINITY);
+            for (item, row) in items.zip(block.chunks_exact_mut(k_max)) {
+                fill(item, s, &mut row[..depth]);
+            }
+        },
+    );
     KnnTable { n, k_max, lists }
 }

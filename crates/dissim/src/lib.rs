@@ -31,6 +31,7 @@
 
 pub mod artifact;
 pub mod canberra;
+mod cells;
 pub mod kernel;
 pub mod knn;
 pub mod matrix;
@@ -47,4 +48,4 @@ pub use matrix::CondensedMatrix;
 pub use provider::{MatrixProvider, NeighborProvider};
 pub use strata::{length_lower_bound, QueryCounters, StrataIndex, StratifiedProvider, Stratum};
 pub use tiled::{MatrixTile, TiledMatrix};
-pub use vptree::{VpForest, VpProvider, VpTree};
+pub use vptree::{VpForest, VpTree};

@@ -6,6 +6,7 @@
 //! `parkit` work-stealing scheduler since it is the pipeline's dominant
 //! cost (O(n²) sliding-window Canberra evaluations).
 
+use crate::cells::Cells;
 use crate::knn::{KnnAccumulator, KnnTable};
 
 /// A symmetric zero-diagonal dissimilarity matrix in condensed form.
@@ -25,7 +26,7 @@ use crate::knn::{KnnAccumulator, KnnTable};
 #[derive(Debug, Clone, PartialEq)]
 pub struct CondensedMatrix {
     n: usize,
-    data: Vec<f64>,
+    data: Cells,
 }
 
 impl CondensedMatrix {
@@ -38,7 +39,10 @@ impl CondensedMatrix {
                 data.push(f(i, j));
             }
         }
-        Self { n, data }
+        Self {
+            n,
+            data: data.into(),
+        }
     }
 
     /// Builds the pairwise Canberra dissimilarity matrix directly from
@@ -61,21 +65,36 @@ impl CondensedMatrix {
 
     /// Wraps an already-filled condensed buffer (`data.len()` must be
     /// `n·(n−1)/2`).
-    pub(crate) fn from_raw(n: usize, data: Vec<f64>) -> Self {
+    pub(crate) fn from_raw(n: usize, data: Cells) -> Self {
         debug_assert_eq!(data.len(), n * n.saturating_sub(1) / 2);
         Self { n, data }
     }
 
-    /// Checked variant of the raw constructor for deserialized buffers:
-    /// `None` unless `data.len()` is exactly `n·(n−1)/2`. Used by the
-    /// artifact store, where a mismatched buffer must degrade to a cache
-    /// miss instead of corrupting every later index computation.
+    /// Adopts an already-filled condensed buffer as is, on the heap:
+    /// `None` unless `data.len()` is exactly `n·(n−1)/2`, so a
+    /// mismatched buffer is refused instead of corrupting every later
+    /// index computation.
     pub fn from_condensed(n: usize, data: Vec<f64>) -> Option<Self> {
         if data.len() == n * n.saturating_sub(1) / 2 {
-            Some(Self { n, data })
+            Some(Self {
+                n,
+                data: data.into(),
+            })
         } else {
             None
         }
+    }
+
+    /// Reads the `n·(n−1)/2` condensed entries from `next`, row by
+    /// row, straight into the matrix's own buffer; `None` as soon as
+    /// `next` returns `None`. The artifact store decodes matrices this
+    /// way, so a decoded matrix is placed like a built one.
+    pub fn try_from_fn(n: usize, mut next: impl FnMut() -> Option<f64>) -> Option<Self> {
+        let mut data = Cells::zeroed(n * n.saturating_sub(1) / 2);
+        for cell in data.iter_mut() {
+            *cell = next()?;
+        }
+        Some(Self { n, data })
     }
 
     /// Extends this matrix (built over the first `self.len()` of
@@ -119,7 +138,7 @@ impl CondensedMatrix {
             return Self::build(n, f);
         }
         let total = n * (n - 1) / 2;
-        let mut data = vec![0.0f64; total];
+        let mut data = Cells::zeroed(total);
         let data_ptr = SendPtr(data.as_mut_ptr());
         // The last row has no pairs (j > i required), so n - 1 rows.
         parkit::for_each_chunk(threads, n - 1, 1, |rows| {
@@ -343,6 +362,21 @@ mod tests {
             }
         }
         assert_eq!(m.get(1, 4), 3.0);
+    }
+
+    #[test]
+    fn try_from_fn_reads_every_entry_in_order() {
+        // 1 500 items: a buffer past the mapping threshold.
+        for n in [0, 1, 5, 1500] {
+            let m = toy(n);
+            let mut values = m.values().iter().copied();
+            let read = CondensedMatrix::try_from_fn(n, || values.next()).unwrap();
+            assert_eq!(read, m);
+            assert_eq!(read.clone(), m);
+        }
+        let five = toy(5);
+        let mut short = five.values()[..9].iter().copied();
+        assert!(CondensedMatrix::try_from_fn(5, || short.next()).is_none());
     }
 
     #[test]

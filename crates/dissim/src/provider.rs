@@ -7,9 +7,9 @@
 //! (auto-configuration ECDFs, core distances) and "how far apart are
 //! items `i` and `j`?" (mutual reachability, cluster statistics). The
 //! trait decouples those questions from *how* the answers are produced,
-//! so the clustering stack can run against a full condensed matrix or a
-//! triangle-inequality-pruned vantage-point forest ([`crate::vptree`],
-//! [`crate::strata`]) without materializing the O(u²) triangle.
+//! so the clustering stack can run against a full condensed matrix or
+//! the length-stratified, triangle-inequality-pruned index
+//! ([`crate::strata`]) without materializing the O(u²) triangle.
 //!
 //! **Bit-identity contract.** Whatever the backend, the *dissimilarity
 //! values* a provider reports must be bit-identical to the scalar
@@ -18,27 +18,27 @@
 //! perturbation can cascade into a structurally different clustering
 //! (see `crate::kernel`). Region *emission order* may differ between
 //! backends (documented per implementation): the matrix emits in index
-//! order, the forests in ascending `(dissimilarity, index)`. Every
+//! order, the stratified index in ascending `(dissimilarity, index)`. Every
 //! consumer is order-insensitive — DBSCAN labels, OPTICS minima and
 //! refinement medians depend only on the region's set of pairs.
 //!
 //! **Batched queries.** The per-point methods answer one query at a
-//! time on the calling thread; the `*_batch` methods answer a whole
-//! query slice at once, fanning the points out over the `parkit`
-//! work-stealing pool. Each query writes into its own disjoint result
-//! slot, so batch answers are bit-identical to the scalar calls in
-//! query order no matter how the scheduler interleaves workers — the
-//! batch API is a throughput knob, never a result knob. The default
-//! implementations already run each backend's native per-point kernel
-//! (a matrix row sweep, a pruned tree search)
-//! in parallel; backends with reusable per-worker scratch (the
-//! vantage-point forest) override them.
+//! time on the calling thread;
+//! [`neighbors_within_batch`](NeighborProvider::neighbors_within_batch)
+//! answers a whole query slice at once, fanning the points out over the
+//! `parkit` work-stealing pool. Each query fills its own result slot
+//! ([`parkit::map_indexed`]), so batch answers are bit-identical to the
+//! scalar calls in query order no matter how the scheduler interleaves
+//! workers — the batch API is a throughput knob, never a result knob.
+//! The default implementation runs the backend's native per-point
+//! kernel (a matrix row sweep) in parallel; the stratified index
+//! overrides it to reuse per-worker query scratch.
 //!
 //! **k-NN tables.** Algorithm 1 reads every item's k-th nearest
 //! dissimilarity for each `k` up to `round(ln n)`, and §III-E's trimmed
 //! rerun reads them again. [`NeighborProvider::knn_table`] answers all
-//! of that at once: the matrix sweeps its triangle, the forests run one
-//! `k_max`-deep k-NN query per item. A `k_max`-deep search is exact, so
+//! of that at once: the matrix sweeps its triangle, the stratified index
+//! runs one `k_max`-deep k-NN query per item. A `k_max`-deep search is exact, so
 //! its j-th smallest value is the j-th nearest dissimilarity for every
 //! `j <= k_max`; only values are kept, so ties cannot matter.
 
@@ -50,65 +50,6 @@ use crate::matrix::CondensedMatrix;
 /// that the scheduler's per-chunk overhead stays invisible next to even
 /// the cheapest query kernel.
 pub(crate) const BATCH_MIN_CHUNK: usize = 8;
-
-/// A raw pointer wrapper asserting cross-thread shareability for the
-/// disjoint-slot-write pattern of the batch queries: slot `i` is
-/// written by exactly one worker (the one that received query `i` from
-/// the scheduler), so writes never alias.
-pub(crate) struct SendSlotPtr<T>(pub(crate) *mut T);
-unsafe impl<T> Sync for SendSlotPtr<T> {}
-
-/// Fans `count` region queries out over `threads` workers, each query
-/// writing its own result vector. `fill(qi, out)` must clear and fill
-/// `out` for query `qi` (the scalar `neighbors_within` contract).
-pub(crate) fn fan_out_regions<F>(threads: usize, count: usize, fill: F) -> Vec<Vec<(f64, u32)>>
-where
-    F: Fn(usize, &mut Vec<(f64, u32)>) + Sync,
-{
-    let mut results: Vec<Vec<(f64, u32)>> = vec![Vec::new(); count];
-    if threads <= 1 || count < 2 {
-        for (qi, slot) in results.iter_mut().enumerate() {
-            fill(qi, slot);
-        }
-        return results;
-    }
-    let slots = SendSlotPtr(results.as_mut_ptr());
-    parkit::for_each_chunk(threads, count, BATCH_MIN_CHUNK, |queries| {
-        let slots = &slots;
-        for qi in queries {
-            // SAFETY: slot `qi` belongs to query `qi` alone and the
-            // scheduler hands out each query exactly once, so no two
-            // workers ever write the same slot.
-            let out = unsafe { &mut *slots.0.add(qi) };
-            fill(qi, out);
-        }
-    });
-    results
-}
-
-/// Fans `count` scalar-valued queries out over `threads` workers into a
-/// dense result vector (slot `qi` = `eval(qi)`).
-pub(crate) fn fan_out_scalars<F>(threads: usize, count: usize, eval: F) -> Vec<f64>
-where
-    F: Fn(usize) -> f64 + Sync,
-{
-    let mut results = vec![0.0f64; count];
-    if threads <= 1 || count < 2 {
-        for (qi, slot) in results.iter_mut().enumerate() {
-            *slot = eval(qi);
-        }
-        return results;
-    }
-    let slots = SendSlotPtr(results.as_mut_ptr());
-    parkit::for_each_chunk(threads, count, BATCH_MIN_CHUNK, |queries| {
-        let slots = &slots;
-        for qi in queries {
-            // SAFETY: disjoint slots, each handed out exactly once.
-            unsafe { *slots.0.add(qi) = eval(qi) };
-        }
-    });
-    results
-}
 
 /// Answers ε-range, k-NN and pair queries over one item set.
 ///
@@ -159,30 +100,17 @@ pub trait NeighborProvider {
     where
         Self: Sync,
     {
-        fan_out_regions(threads, queries.len(), |qi, out| {
-            self.neighbors_within(queries[qi], eps, out);
-        })
-    }
-
-    /// Answers one k-NN query per entry of `queries` at once on
-    /// `threads` workers: slot `qi` holds exactly
-    /// [`knn`](Self::knn)`(queries[qi], k)`.
-    fn knn_batch(&self, queries: &[usize], k: usize, threads: usize) -> Vec<f64>
-    where
-        Self: Sync,
-    {
-        fan_out_scalars(threads, queries.len(), |qi| self.knn(queries[qi], k))
-    }
-
-    /// The parallel twin of
-    /// [`knn_dissimilarities`](Self::knn_dissimilarities): the k-NN
-    /// dissimilarity of *every* item, computed on `threads` workers
-    /// without materializing a query-index list.
-    fn knn_dissimilarities_parallel(&self, k: usize, threads: usize) -> Vec<f64>
-    where
-        Self: Sync,
-    {
-        fan_out_scalars(threads, self.len(), |i| self.knn(i, k))
+        parkit::map_indexed(
+            threads,
+            queries.len(),
+            BATCH_MIN_CHUNK,
+            || (),
+            |_, qi| {
+                let mut out = Vec::new();
+                self.neighbors_within(queries[qi], eps, &mut out);
+                out
+            },
+        )
     }
 
     /// Each item's `k_max` nearest-neighbor dissimilarities, ascending,
@@ -329,25 +257,9 @@ mod tests {
                     assert_eq!(got, &want, "query {q}, eps {eps}, threads {threads}");
                 }
             }
-            for k in [1usize, 3, 22] {
-                let got = mp.knn_batch(&queries, k, threads);
-                for (&q, d) in queries.iter().zip(&got) {
-                    assert_eq!(d.to_bits(), mp.knn(q, k).to_bits(), "query {q}, k {k}");
-                }
-                let all = mp.knn_dissimilarities_parallel(k, threads);
-                assert_eq!(
-                    all.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-                    mp.knn_dissimilarities(k)
-                        .iter()
-                        .map(|d| d.to_bits())
-                        .collect::<Vec<_>>(),
-                    "k {k}, threads {threads}"
-                );
-            }
         }
-        // Empty batches stay empty on every path.
+        // Empty batches stay empty.
         assert!(mp.neighbors_within_batch(&[], 1.0, 4).is_empty());
-        assert!(mp.knn_batch(&[], 1, 4).is_empty());
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! The penalized Canberra dissimilarity is a true metric only between
 //! equal-length segments; on a mixed-length corpus the triangle
-//! inequality fails and [`crate::vptree::metric_eligible`] forces the
-//! vantage-point forest into an exact O(u²)-per-query linear fallback.
-//! This module restores pruning without giving up exactness by
-//! exploiting the structure of the mixed-length formula itself:
+//! inequality fails, so a single vantage-point forest over all segments
+//! could not prune soundly. This module prunes without giving up
+//! exactness by exploiting the structure of the mixed-length formula
+//! itself:
 //!
 //! 1. **Stratification.** Values are partitioned by exact segment
 //!    length. Within a stratum every pair is equal-length, so the
@@ -46,12 +46,12 @@
 //! Pruning only ever decides which candidates are *visited*; every
 //! emitted distance comes from the exact kernel, every bound is padded
 //! by [`PRUNE_SLACK`], and results are emitted in `(dissimilarity,
-//! index)` order — so answers are bit-identical to the linear
-//! fallback (pinned by the oracle tests here and the
+//! index)` order — so answers are bit-identical to an exact linear scan
+//! (pinned against the matrix oracle by the tests here and the
 //! session-equivalence suite).
 //!
 //! The index persists through `crates/store` under `Kind::STRATA` with
-//! the same chained-prefix-digest keys the tiles and forests use, and
+//! the same chained-prefix-digest keys the tiles use, and
 //! [`StrataIndex::extend_from`] reuses complete chunk trees and pivot
 //! rows verbatim on growth — appended values only ever append to a
 //! stratum, so the per-stratum local index spaces are append-stable.
@@ -61,9 +61,9 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 use crate::canberra::DissimParams;
-use crate::kernel::{dissimilarity_kernel, dissimilarity_swar, CanberraLut, QueryDist};
+use crate::kernel::{dissimilarity_kernel, CanberraLut, QueryDist};
 use crate::knn::{table_by_rows, KnnTable};
-use crate::provider::{NeighborProvider, SendSlotPtr, BATCH_MIN_CHUNK};
+use crate::provider::{NeighborProvider, BATCH_MIN_CHUNK};
 use crate::vptree::{Cand, Fnv64, VpForest, NO_NODE, PRUNE_SLACK};
 
 /// Pivots per stratum for the LAESA screen: enough to give several
@@ -324,19 +324,13 @@ impl StrataIndex {
                     return Stratum::build(values, params, chunk, len, items);
                 };
                 let local: Vec<&[u8]> = items.iter().map(|&g| values[g as usize]).collect();
-                let forest = VpForest::build_with(
-                    &local,
-                    params,
-                    chunk,
-                    |t, span| {
-                        old.forest
-                            .trees()
-                            .get(t)
-                            .filter(|tree| tree.span() == *span)
-                            .cloned()
-                    },
-                    |_, _, _| {},
-                );
+                let forest = VpForest::build_with(&local, params, chunk, |t, span| {
+                    old.forest
+                        .trees()
+                        .get(t)
+                        .filter(|tree| tree.span() == *span)
+                        .cloned()
+                });
                 let size = local.len();
                 let old_size = old.size();
                 let m = DEFAULT_PIVOTS.min(size);
@@ -479,9 +473,9 @@ struct Scratch<'a> {
 }
 
 impl<'a> Scratch<'a> {
-    fn new(params: &DissimParams, swar: bool) -> Self {
+    fn new(params: &DissimParams) -> Self {
         Self {
-            qd: QueryDist::new(&[], params, swar),
+            qd: QueryDist::new(&[], params),
             stack: Vec::new(),
             dqp: Vec::new(),
             heap: BinaryHeap::new(),
@@ -501,7 +495,6 @@ pub struct StratifiedProvider<'a> {
     params: DissimParams,
     index: &'a StrataIndex,
     lut: &'static CanberraLut,
-    swar: bool,
     counters: Option<Arc<QueryCounters>>,
 }
 
@@ -522,16 +515,8 @@ impl<'a> StratifiedProvider<'a> {
             params: *params,
             index,
             lut: CanberraLut::global(),
-            swar: false,
             counters: None,
         }
-    }
-
-    /// Toggles the opt-in SWAR kernel fast path (bit-identical to the
-    /// default kernel; see [`dissimilarity_swar`]).
-    pub fn with_swar(mut self, swar: bool) -> Self {
-        self.swar = swar;
-        self
     }
 
     /// Attaches shared query-work counters; every query flushes its
@@ -542,7 +527,7 @@ impl<'a> StratifiedProvider<'a> {
     }
 
     fn scratch(&self) -> Scratch<'a> {
-        Scratch::new(&self.params, self.swar)
+        Scratch::new(&self.params)
     }
 
     fn flush(&self, local: &LocalCounters) {
@@ -561,8 +546,9 @@ impl<'a> StratifiedProvider<'a> {
 
     /// ε-range over the query's own stratum via the local VP forest;
     /// the query is a member, lengths are uniform, full metric pruning
-    /// applies. Mirrors `VpProvider::range_tree` with local→global
-    /// index translation.
+    /// applies. Inclusion is decided on the exact kernel value; the
+    /// triangle bounds (padded by [`PRUNE_SLACK`]) only skip subtrees.
+    /// Tree items are stratum-local indices, translated to global ones.
     fn range_own(
         &self,
         s: &Stratum,
@@ -698,7 +684,8 @@ impl<'a> StratifiedProvider<'a> {
     }
 
     /// Folds the query's own stratum into the bounded k-NN max-heap
-    /// via the local VP forest. Mirrors `VpProvider::knn_tree`.
+    /// via the local VP forest, pruning with the current k-th-best
+    /// bound.
     fn knn_own(
         &self,
         s: &Stratum,
@@ -885,16 +872,12 @@ impl NeighborProvider for StratifiedProvider<'_> {
         if i == j {
             return 0.0;
         }
-        if self.swar {
-            dissimilarity_swar(self.values[i], self.values[j], &self.params, self.lut)
-        } else {
-            dissimilarity_kernel(self.values[i], self.values[j], &self.params, self.lut)
-        }
+        dissimilarity_kernel(self.values[i], self.values[j], &self.params, self.lut)
     }
 
     /// Native batch override: one [`Scratch`] per worker chunk, zero
     /// per-query allocations on the hot path. Bit-identical to
-    /// per-point calls (disjoint result slots, scratch cleared per
+    /// per-point calls (one result slot per query, scratch cleared per
     /// query, counter tallies flushed per query).
     fn neighbors_within_batch(
         &self,
@@ -905,66 +888,17 @@ impl NeighborProvider for StratifiedProvider<'_> {
     where
         Self: Sync,
     {
-        let mut results: Vec<Vec<(f64, u32)>> = vec![Vec::new(); queries.len()];
-        if threads <= 1 || queries.len() < 2 {
-            let mut scratch = self.scratch();
-            for (slot, &q) in results.iter_mut().zip(queries) {
-                self.range_query(q, eps, slot, &mut scratch);
-            }
-            return results;
-        }
-        let slots = SendSlotPtr(results.as_mut_ptr());
-        parkit::for_each_chunk(threads, queries.len(), BATCH_MIN_CHUNK, |chunk| {
-            let slots = &slots;
-            let mut scratch = self.scratch();
-            for qi in chunk {
-                // SAFETY: slot `qi` belongs to query `qi` alone and the
-                // scheduler hands out each query exactly once.
-                let out = unsafe { &mut *slots.0.add(qi) };
-                self.range_query(queries[qi], eps, out, &mut scratch);
-            }
-        });
-        results
-    }
-
-    /// Native batch override: per-worker reusable scratch.
-    fn knn_batch(&self, queries: &[usize], k: usize, threads: usize) -> Vec<f64>
-    where
-        Self: Sync,
-    {
-        let n = self.values.len();
-        if n < 2 {
-            return vec![f64::INFINITY; queries.len()];
-        }
-        let k = k.clamp(1, n - 1);
-        let mut results = vec![0.0f64; queries.len()];
-        if threads <= 1 || queries.len() < 2 {
-            let mut scratch = self.scratch();
-            for (slot, &q) in results.iter_mut().zip(queries) {
-                *slot = self.knn_query(q, k, &mut scratch);
-            }
-            return results;
-        }
-        let slots = SendSlotPtr(results.as_mut_ptr());
-        parkit::for_each_chunk(threads, queries.len(), BATCH_MIN_CHUNK, |chunk| {
-            let slots = &slots;
-            let mut scratch = self.scratch();
-            for qi in chunk {
-                // SAFETY: disjoint slots, each handed out exactly once.
-                unsafe {
-                    *slots.0.add(qi) = self.knn_query(queries[qi], k, &mut scratch);
-                }
-            }
-        });
-        results
-    }
-
-    fn knn_dissimilarities_parallel(&self, k: usize, threads: usize) -> Vec<f64>
-    where
-        Self: Sync,
-    {
-        let queries: Vec<usize> = (0..self.len()).collect();
-        self.knn_batch(&queries, k, threads)
+        parkit::map_indexed(
+            threads,
+            queries.len(),
+            BATCH_MIN_CHUNK,
+            || self.scratch(),
+            |scratch, qi| {
+                let mut out = Vec::new();
+                self.range_query(queries[qi], eps, &mut out, scratch);
+                out
+            },
+        )
     }
 
     /// One `k_max`-deep k-NN query per item, its bounded max-heap
@@ -1025,11 +959,11 @@ mod tests {
             .collect()
     }
 
-    fn assert_matches_oracle(segs: &[Vec<u8>], swar: bool) {
+    fn assert_matches_oracle(segs: &[Vec<u8>]) {
         let values: Vec<&[u8]> = segs.iter().map(|s| &s[..]).collect();
         let n = values.len();
         let index = StrataIndex::build(&values, &P, 16);
-        let provider = StratifiedProvider::new(&values, &P, &index).with_swar(swar);
+        let provider = StratifiedProvider::new(&values, &P, &index);
         let matrix = CondensedMatrix::build_segments(&values, &P, 1);
         let oracle = MatrixProvider::new(&matrix);
         let mut got = Vec::new();
@@ -1041,11 +975,7 @@ mod tests {
                 let got_bits: Vec<(u64, u32)> =
                     got.iter().map(|&(d, j)| (d.to_bits(), j)).collect();
                 // Strata emit (dissimilarity, index) order.
-                assert_eq!(
-                    got_bits,
-                    sorted_bits(&want),
-                    "range i={i} eps={eps} swar={swar}"
-                );
+                assert_eq!(got_bits, sorted_bits(&want), "range i={i} eps={eps}");
             }
         }
         for k in [1usize, 2, 5, n.saturating_sub(1).max(1), n + 3] {
@@ -1053,7 +983,7 @@ mod tests {
                 assert_eq!(
                     provider.knn(i, k).to_bits(),
                     oracle.knn(i, k).to_bits(),
-                    "knn i={i} k={k} swar={swar}"
+                    "knn i={i} k={k}"
                 );
             }
         }
@@ -1062,7 +992,7 @@ mod tests {
                 assert_eq!(
                     provider.pair(i, j).to_bits(),
                     oracle.pair(i, j).to_bits(),
-                    "pair {i} {j} swar={swar}"
+                    "pair {i} {j}"
                 );
             }
         }
@@ -1070,13 +1000,12 @@ mod tests {
 
     #[test]
     fn mixed_corpus_matches_oracle() {
-        assert_matches_oracle(&mixed_corpus(60), false);
-        assert_matches_oracle(&mixed_corpus(60), true);
+        assert_matches_oracle(&mixed_corpus(60));
     }
 
     #[test]
     fn uniform_corpus_matches_oracle() {
-        assert_matches_oracle(&uniform_corpus(40), false);
+        assert_matches_oracle(&uniform_corpus(40));
     }
 
     #[test]
@@ -1086,8 +1015,7 @@ mod tests {
             segs.push(vec![0u8; 4]);
             segs.push(vec![7u8; 12]);
         }
-        assert_matches_oracle(&segs, false);
-        assert_matches_oracle(&segs, true);
+        assert_matches_oracle(&segs);
     }
 
     #[test]
@@ -1118,26 +1046,26 @@ mod tests {
         let segs = mixed_corpus(50);
         let values: Vec<&[u8]> = segs.iter().map(|s| &s[..]).collect();
         let index = StrataIndex::build(&values, &P, 16);
-        for swar in [false, true] {
-            let provider = StratifiedProvider::new(&values, &P, &index).with_swar(swar);
-            let queries: Vec<usize> = (0..values.len()).rev().collect();
-            let mut scalar_out = Vec::new();
-            for threads in [1usize, 4] {
-                let batched = provider.neighbors_within_batch(&queries, 0.3, threads);
-                for (qi, &q) in queries.iter().enumerate() {
-                    provider.neighbors_within(q, 0.3, &mut scalar_out);
-                    let got: Vec<(u64, u32)> =
-                        batched[qi].iter().map(|&(d, j)| (d.to_bits(), j)).collect();
-                    let want: Vec<(u64, u32)> =
-                        scalar_out.iter().map(|&(d, j)| (d.to_bits(), j)).collect();
-                    assert_eq!(got, want, "range q={q} threads={threads} swar={swar}");
-                }
-                let knns = provider.knn_batch(&queries, 3, threads);
-                for (qi, &q) in queries.iter().enumerate() {
+        let provider = StratifiedProvider::new(&values, &P, &index);
+        let queries: Vec<usize> = (0..values.len()).rev().collect();
+        let mut scalar_out = Vec::new();
+        for threads in [1usize, 4] {
+            let batched = provider.neighbors_within_batch(&queries, 0.3, threads);
+            for (qi, &q) in queries.iter().enumerate() {
+                provider.neighbors_within(q, 0.3, &mut scalar_out);
+                let got: Vec<(u64, u32)> =
+                    batched[qi].iter().map(|&(d, j)| (d.to_bits(), j)).collect();
+                let want: Vec<(u64, u32)> =
+                    scalar_out.iter().map(|&(d, j)| (d.to_bits(), j)).collect();
+                assert_eq!(got, want, "range q={q} threads={threads}");
+            }
+            let table = provider.knn_table(3, threads);
+            for q in 0..values.len() {
+                for k in 1..=3 {
                     assert_eq!(
-                        knns[qi].to_bits(),
-                        provider.knn(q, 3).to_bits(),
-                        "knn q={q} threads={threads} swar={swar}"
+                        table.kth(q, k).to_bits(),
+                        provider.knn(q, k).to_bits(),
+                        "knn q={q} k={k} threads={threads}"
                     );
                 }
             }
@@ -1156,7 +1084,7 @@ mod tests {
             let provider =
                 StratifiedProvider::new(&values, &P, &index).with_counters(Arc::clone(&counters));
             provider.neighbors_within_batch(&queries, 0.1, threads);
-            provider.knn_batch(&queries, 3, threads);
+            provider.knn_table(3, threads);
             snapshots.push(counters.snapshot());
         }
         assert_eq!(

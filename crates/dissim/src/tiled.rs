@@ -40,6 +40,7 @@
 use std::ops::Range;
 
 use crate::canberra::DissimParams;
+use crate::cells::Cells;
 use crate::kernel::PairContext;
 use crate::knn::{KnnAccumulator, KnnTable};
 use crate::matrix::{condensed_index, CondensedMatrix};
@@ -337,7 +338,7 @@ impl TiledMatrix {
     /// every tile entry is the exact kernel value of its pair.
     pub fn assemble(&self) -> CondensedMatrix {
         let n = self.n;
-        let mut data = vec![0.0f64; n * n.saturating_sub(1) / 2];
+        let mut data = Cells::zeroed(n * n.saturating_sub(1) / 2);
         for tile in &self.tiles {
             for j in tile.rows() {
                 for (i, &d) in tile.row(j).iter().enumerate() {
@@ -345,7 +346,7 @@ impl TiledMatrix {
                 }
             }
         }
-        CondensedMatrix::from_condensed(n, data).expect("tile spans cover the triangle")
+        CondensedMatrix::from_raw(n, data)
     }
 
     /// Builds the per-item k-nearest-neighbor table by folding per-tile

@@ -1,8 +1,8 @@
-//! Vantage-point forest over segments: triangle-inequality-pruned
-//! ε-range and k-NN queries without materializing the O(u²) condensed
-//! triangle.
+//! Vantage-point forest over segments: the metric tree the
+//! length-stratified index ([`crate::strata`]) builds inside every
+//! stratum.
 //!
-//! # Metricity and the exact fallback
+//! # Metricity
 //!
 //! Pruning a metric tree is only sound when the dissimilarity satisfies
 //! the triangle inequality. The plain Canberra distance does (Lance &
@@ -13,41 +13,35 @@
 //! **not**: two maximally dissimilar equal-length segments can both sit
 //! within `penalty / 2`-reach of a common shorter segment (see the
 //! counterexample pinned in `dissim/tests/metric_property.rs`), which
-//! breaks the triangle whenever `penalty < D(a, b)`. [`VpProvider`]
-//! therefore checks eligibility up front ([`metric_eligible`]): uniform
-//! lengths run the pruned tree search, anything else degrades to an
-//! exact linear scan per query — still O(u) memory, never a wrong
-//! neighbor.
+//! breaks the triangle whenever `penalty < D(a, b)`. A forest is
+//! therefore only ever built over one length class: the strata index
+//! partitions the corpus by exact length and searches each stratum's
+//! forest with full metric pruning.
 //!
 //! # Bit-identity
 //!
-//! Candidate distances are always computed exactly through
+//! Construction distances are computed exactly through
 //! [`dissimilarity_kernel`] (pinned bit-identical to the scalar
-//! reference), and inclusion is decided on the exact value — pruning
-//! only decides which *subtrees* are visited. Pruning bounds carry a
-//! conservative [`PRUNE_SLACK`] pad so floating-point roundoff in the
-//! triangle argument can never drop a true neighbor. Results are sorted
-//! by `(dissimilarity, index)`, so the emission order is a pure function
-//! of the answer set and never of the tree layout.
+//! reference). Searches decide inclusion on the exact value — pruning
+//! only decides which *subtrees* are visited — and pad every pruning
+//! bound with a conservative [`PRUNE_SLACK`] so floating-point roundoff
+//! in the triangle argument can never drop a true neighbor.
 //!
 //! # Chunked forest and persistence
 //!
-//! Mirroring the tiled matrix, the forest is **chunked**: tree `t`
-//! covers items `t·C .. min((t+1)·C, n)` and is built only from the
-//! items of its chunk, so a tree's content is a pure function of that
-//! item range. Growing the trace reuses every complete chunk's tree
-//! verbatim (same chained cache key) and rebuilds only the clamped
-//! boundary chunk — the same warm-start + growth-append contract the
-//! tiles have, persisted through `crates/store` under `Kind::VPTREE`.
+//! The forest is **chunked**: tree `t` covers items
+//! `t·C .. min((t+1)·C, n)` and is built only from the items of its
+//! chunk, so a tree's content is a pure function of that item range.
+//! Growing a stratum reuses every complete chunk's tree verbatim
+//! ([`VpForest::build_with`]) and rebuilds only the clamped boundary
+//! chunk; the trees persist through `crates/store` inside the
+//! `Kind::STRATA` payload.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::ops::Range;
 
 use crate::canberra::DissimParams;
-use crate::kernel::{dissimilarity_kernel, dissimilarity_swar, CanberraLut, QueryDist};
-use crate::knn::{table_by_rows, KnnTable};
-use crate::provider::{NeighborProvider, SendSlotPtr, BATCH_MIN_CHUNK};
+use crate::kernel::{dissimilarity_kernel, CanberraLut};
 
 /// Sentinel child index: no subtree.
 pub const NO_NODE: u32 = u32::MAX;
@@ -309,34 +303,30 @@ impl VpForest {
 
     /// Builds all chunk trees in memory (no store interaction).
     pub fn build(values: &[&[u8]], params: &DissimParams, chunk: usize) -> Self {
-        Self::build_with(values, params, chunk, |_, _| None, |_, _, _| {})
+        Self::build_with(values, params, chunk, |_, _| None)
     }
 
     /// Builds the forest, probing `fault_in` before building each chunk
-    /// tree and reporting every finished tree to `persist`.
+    /// tree.
     ///
-    /// `fault_in(t, span)` may return a previously persisted tree; it
-    /// is used only if its span matches and its checksum verifies, so a
-    /// stale or damaged store degrades to a rebuild. `persist(t, tree,
-    /// built)` sees every tree in order with `built` telling a fresh
-    /// build apart from a cache hit.
+    /// `fault_in(t, span)` may return a previously built tree; it is
+    /// used only if its span matches and its checksum verifies, so a
+    /// stale or damaged tree degrades to a rebuild.
     pub fn build_with(
         values: &[&[u8]],
         params: &DissimParams,
         chunk: usize,
         mut fault_in: impl FnMut(usize, &Range<usize>) -> Option<VpTree>,
-        mut persist: impl FnMut(usize, &VpTree, bool),
     ) -> Self {
         let n = values.len();
         let chunk = chunk.max(1);
         let mut trees = Vec::with_capacity(Self::chunk_count(n, chunk));
         for t in 0..Self::chunk_count(n, chunk) {
             let span = Self::chunk_span(n, chunk, t);
-            let (tree, built) = match fault_in(t, &span) {
-                Some(tree) if tree.span() == span && tree.verify() => (tree, false),
-                _ => (VpTree::build(values, span, params), true),
+            let tree = match fault_in(t, &span) {
+                Some(tree) if tree.span() == span && tree.verify() => tree,
+                _ => VpTree::build(values, span, params),
             };
-            persist(t, &tree, built);
             trees.push(tree);
         }
         Self { n, chunk, trees }
@@ -379,17 +369,6 @@ impl VpForest {
     }
 }
 
-/// Whether the pruned (metric) search mode is sound for `values`: true
-/// exactly when every segment has the same length, making the
-/// dissimilarity `canberra_sum / len` — a true metric. Vacuously true
-/// for fewer than two segments.
-pub fn metric_eligible(values: &[&[u8]]) -> bool {
-    match values.first() {
-        None => true,
-        Some(first) => values.iter().all(|v| v.len() == first.len()),
-    }
-}
-
 /// A non-NaN f64 with a total order, for the bounded k-NN max-heap.
 #[derive(PartialEq)]
 pub(crate) struct Cand(pub(crate) f64);
@@ -410,375 +389,20 @@ impl Ord for Cand {
     }
 }
 
-/// The [`NeighborProvider`] over a [`VpForest`]: pruned metric search
-/// when [`metric_eligible`] holds, exact linear-scan fallback otherwise.
-/// Either way, O(u) memory per query and bit-identical answers to the
-/// matrix oracle.
-#[derive(Debug, Clone, Copy)]
-pub struct VpProvider<'a> {
-    values: &'a [&'a [u8]],
-    params: DissimParams,
-    forest: &'a VpForest,
-    lut: &'static CanberraLut,
-    prunable: bool,
-    swar: bool,
-}
-
-impl<'a> VpProvider<'a> {
-    /// Pairs segment `values` with their forest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the forest covers a different item count.
-    pub fn new(values: &'a [&'a [u8]], params: &DissimParams, forest: &'a VpForest) -> Self {
-        assert_eq!(
-            values.len(),
-            forest.len(),
-            "forest and values must cover the same items"
-        );
-        Self {
-            values,
-            params: *params,
-            forest,
-            lut: CanberraLut::global(),
-            prunable: metric_eligible(values),
-            swar: false,
-        }
-    }
-
-    /// Toggles the opt-in SWAR kernel fast path for distance
-    /// evaluations (bit-identical to the default kernel; see
-    /// [`dissimilarity_swar`]).
-    pub fn with_swar(mut self, swar: bool) -> Self {
-        self.swar = swar;
-        self
-    }
-
-    /// Whether queries run the pruned metric search (uniform segment
-    /// lengths) rather than the exact linear-scan fallback.
-    pub fn prunable(&self) -> bool {
-        self.prunable
-    }
-
-    #[inline]
-    fn dist(&self, i: usize, j: usize) -> f64 {
-        if self.swar {
-            dissimilarity_swar(self.values[i], self.values[j], &self.params, self.lut)
-        } else {
-            dissimilarity_kernel(self.values[i], self.values[j], &self.params, self.lut)
-        }
-    }
-
-    /// Collects all in-range items of one tree via triangle pruning.
-    /// `stack` is caller-provided traversal scratch (cleared here) so
-    /// batched queries can reuse one allocation across thousands of
-    /// tree walks.
-    fn range_tree(
-        &self,
-        tree: &VpTree,
-        q: usize,
-        eps: f64,
-        out: &mut Vec<(f64, u32)>,
-        stack: &mut Vec<u32>,
-    ) {
-        stack.clear();
-        stack.push(tree.root());
-        while let Some(ni) = stack.pop() {
-            if ni == NO_NODE {
-                continue;
-            }
-            let node = &tree.nodes()[ni as usize];
-            let d = self.dist(q, node.item as usize);
-            if d <= eps && node.item as usize != q {
-                out.push((d, node.item));
-            }
-            if node.inside == NO_NODE && node.outside == NO_NODE {
-                continue;
-            }
-            // Inside items x have d(v, x) <= threshold; a hit needs
-            // d(v, x) >= d - eps by the triangle inequality.
-            if d - eps <= node.threshold + PRUNE_SLACK {
-                stack.push(node.inside);
-            }
-            // Outside items have d(v, x) >= threshold and a hit needs
-            // d(v, x) <= d + eps.
-            if d + eps >= node.threshold - PRUNE_SLACK {
-                stack.push(node.outside);
-            }
-        }
-    }
-
-    /// Folds one tree into the bounded k-NN max-heap, pruning with the
-    /// current k-th-best bound. `stack` is caller-provided traversal
-    /// scratch, cleared here.
-    fn knn_tree(
-        &self,
-        tree: &VpTree,
-        q: usize,
-        k: usize,
-        heap: &mut BinaryHeap<Cand>,
-        stack: &mut Vec<u32>,
-    ) {
-        stack.clear();
-        stack.push(tree.root());
-        while let Some(ni) = stack.pop() {
-            if ni == NO_NODE {
-                continue;
-            }
-            let node = &tree.nodes()[ni as usize];
-            let d = self.dist(q, node.item as usize);
-            if node.item as usize != q {
-                if heap.len() < k {
-                    heap.push(Cand(d));
-                } else if d < heap.peek().expect("heap is non-empty").0 {
-                    heap.push(Cand(d));
-                    heap.pop();
-                }
-            }
-            if node.inside == NO_NODE && node.outside == NO_NODE {
-                continue;
-            }
-            // The bound only shrinks as better candidates arrive, so
-            // reading it after the candidate update is conservative.
-            let tau = if heap.len() == k {
-                heap.peek().expect("heap is non-empty").0
-            } else {
-                f64::INFINITY
-            };
-            if d - tau <= node.threshold + PRUNE_SLACK {
-                stack.push(node.inside);
-            }
-            if d + tau >= node.threshold - PRUNE_SLACK {
-                stack.push(node.outside);
-            }
-        }
-    }
-
-    /// One full ε-range query — all chunk trees when prunable, the
-    /// exact linear fallback otherwise — writing the sorted result into
-    /// `out` and borrowing the traversal `stack`.
-    fn range_query(&self, i: usize, eps: f64, out: &mut Vec<(f64, u32)>, stack: &mut Vec<u32>) {
-        out.clear();
-        if self.prunable {
-            for tree in self.forest.trees() {
-                self.range_tree(tree, i, eps, out, stack);
-            }
-        } else {
-            // Hoist the per-query kernel setup (penalty, LUT row keys)
-            // out of the candidate loop; `QueryDist::dist` is
-            // bit-identical to the per-pair kernel call.
-            let qd = QueryDist::new(self.values[i], &self.params, self.swar);
-            for (j, v) in self.values.iter().enumerate() {
-                if j == i {
-                    continue;
-                }
-                let d = qd.dist(v);
-                if d <= eps {
-                    out.push((d, j as u32));
-                }
-            }
-        }
-        // Emit in (dissimilarity, index) order, independent of the
-        // tree layout.
-        out.sort_unstable_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("dissimilarities are not NaN")
-                .then_with(|| a.1.cmp(&b.1))
-        });
-    }
-
-    /// One full k-NN query with caller-provided scratch; `k` must
-    /// already be clamped to `[1, n − 1]` with `n >= 2`.
-    fn knn_query(
-        &self,
-        i: usize,
-        k: usize,
-        heap: &mut BinaryHeap<Cand>,
-        stack: &mut Vec<u32>,
-    ) -> f64 {
-        if self.prunable {
-            heap.clear();
-            for tree in self.forest.trees() {
-                self.knn_tree(tree, i, k, heap, stack);
-            }
-            heap.peek().expect("k >= 1 and n >= 2").0
-        } else {
-            let mut dists = self.scan(i);
-            let (_, kth, _) = dists.select_nth_unstable_by(k - 1, |a, b| {
-                a.partial_cmp(b).expect("dissimilarities are not NaN")
-            });
-            *kth
-        }
-    }
-
-    /// The linear fallback's exact scan: item `i`'s dissimilarity to
-    /// every other item, in index order.
-    fn scan(&self, i: usize) -> Vec<f64> {
-        // Hoist the per-query kernel setup (penalty, LUT row keys) out
-        // of the candidate loop; `QueryDist::dist` is bit-identical to
-        // the per-pair kernel call.
-        let qd = QueryDist::new(self.values[i], &self.params, self.swar);
-        self.values
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(_, v)| qd.dist(v))
-            .collect()
-    }
-}
-
-impl NeighborProvider for VpProvider<'_> {
-    fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    fn neighbors_within(&self, i: usize, eps: f64, out: &mut Vec<(f64, u32)>) {
-        let mut stack = Vec::new();
-        self.range_query(i, eps, out, &mut stack);
-    }
-
-    fn knn(&self, i: usize, k: usize) -> f64 {
-        let n = self.values.len();
-        if n < 2 {
-            return f64::INFINITY;
-        }
-        let k = k.clamp(1, n - 1);
-        let mut heap = BinaryHeap::with_capacity(k + 1);
-        let mut stack = Vec::new();
-        self.knn_query(i, k, &mut heap, &mut stack)
-    }
-
-    fn pair(&self, i: usize, j: usize) -> f64 {
-        if i == j {
-            return 0.0;
-        }
-        self.dist(i, j)
-    }
-
-    /// Native batch override: queries fan out over the `parkit` pool
-    /// with one traversal stack per worker chunk, so a batched range
-    /// sweep performs zero per-query allocations on the hot path.
-    /// Bit-identical to per-point calls (disjoint result slots, and the
-    /// scratch is cleared per query).
-    fn neighbors_within_batch(
-        &self,
-        queries: &[usize],
-        eps: f64,
-        threads: usize,
-    ) -> Vec<Vec<(f64, u32)>>
-    where
-        Self: Sync,
-    {
-        let mut results: Vec<Vec<(f64, u32)>> = vec![Vec::new(); queries.len()];
-        if threads <= 1 || queries.len() < 2 {
-            let mut stack = Vec::new();
-            for (slot, &q) in results.iter_mut().zip(queries) {
-                self.range_query(q, eps, slot, &mut stack);
-            }
-            return results;
-        }
-        let slots = SendSlotPtr(results.as_mut_ptr());
-        parkit::for_each_chunk(threads, queries.len(), BATCH_MIN_CHUNK, |chunk| {
-            let slots = &slots;
-            let mut stack = Vec::new();
-            for qi in chunk {
-                // SAFETY: slot `qi` belongs to query `qi` alone and the
-                // scheduler hands out each query exactly once.
-                let out = unsafe { &mut *slots.0.add(qi) };
-                self.range_query(queries[qi], eps, out, &mut stack);
-            }
-        });
-        results
-    }
-
-    /// Native batch override: per-worker reusable candidate heap and
-    /// traversal stack.
-    fn knn_batch(&self, queries: &[usize], k: usize, threads: usize) -> Vec<f64>
-    where
-        Self: Sync,
-    {
-        let n = self.values.len();
-        if n < 2 {
-            return vec![f64::INFINITY; queries.len()];
-        }
-        let k = k.clamp(1, n - 1);
-        let mut results = vec![0.0f64; queries.len()];
-        if threads <= 1 || queries.len() < 2 {
-            let mut heap = BinaryHeap::with_capacity(k + 1);
-            let mut stack = Vec::new();
-            for (slot, &q) in results.iter_mut().zip(queries) {
-                *slot = self.knn_query(q, k, &mut heap, &mut stack);
-            }
-            return results;
-        }
-        let slots = SendSlotPtr(results.as_mut_ptr());
-        parkit::for_each_chunk(threads, queries.len(), BATCH_MIN_CHUNK, |chunk| {
-            let slots = &slots;
-            let mut heap = BinaryHeap::with_capacity(k + 1);
-            let mut stack = Vec::new();
-            for qi in chunk {
-                // SAFETY: disjoint slots, each handed out exactly once.
-                unsafe {
-                    *slots.0.add(qi) = self.knn_query(queries[qi], k, &mut heap, &mut stack);
-                }
-            }
-        });
-        results
-    }
-
-    fn knn_dissimilarities_parallel(&self, k: usize, threads: usize) -> Vec<f64>
-    where
-        Self: Sync,
-    {
-        let queries: Vec<usize> = (0..self.len()).collect();
-        self.knn_batch(&queries, k, threads)
-    }
-
-    /// One `k_max`-deep k-NN query per item: the pruned search drains
-    /// its bounded max-heap into the item's ascending row; the linear
-    /// fallback selects and sorts the `k_max` smallest of its scan.
-    fn knn_table(&self, k_max: usize, threads: usize) -> KnnTable
-    where
-        Self: Sync,
-    {
-        table_by_rows(
-            self.len(),
-            k_max,
-            threads,
-            || (BinaryHeap::with_capacity(k_max + 1), Vec::new()),
-            |i, (heap, stack), row| {
-                let depth = row.len();
-                if self.prunable {
-                    self.knn_query(i, depth, heap, stack);
-                    for slot in row.iter_mut().rev() {
-                        *slot = heap.pop().expect("heap holds k entries").0;
-                    }
-                } else {
-                    let mut dists = self.scan(i);
-                    let by_value =
-                        |a: &f64, b: &f64| a.partial_cmp(b).expect("dissimilarities are not NaN");
-                    dists.select_nth_unstable_by(depth - 1, by_value);
-                    dists.truncate(depth);
-                    dists.sort_unstable_by(by_value);
-                    row.copy_from_slice(&dists);
-                }
-            },
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::matrix::CondensedMatrix;
-    use crate::provider::{sorted_bits, MatrixProvider};
+    use crate::provider::{sorted_bits, MatrixProvider, NeighborProvider};
+    use crate::strata::{StrataIndex, StratifiedProvider};
 
     const P: DissimParams = DissimParams {
         length_penalty: 0.59,
     };
 
-    /// Uniform-length corpus (metric-eligible): clustered 8-byte
-    /// segments with noise.
+    /// Uniform-length corpus: clustered 8-byte segments with noise, so
+    /// the whole corpus is one length stratum and every query runs the
+    /// pruned forest walk.
     fn uniform_corpus(n: usize) -> Vec<Vec<u8>> {
         (0..n)
             .map(|i| {
@@ -790,23 +414,16 @@ mod tests {
             .collect()
     }
 
-    /// Mixed-length corpus (fallback mode).
-    fn mixed_corpus(n: usize) -> Vec<Vec<u8>> {
-        (0..n)
-            .map(|i| {
-                let len = [0usize, 1, 2, 3, 4, 4, 7, 8, 12][i % 9];
-                (0..len)
-                    .map(|k| ((i * 31 + k * 17 + i * k) % 256) as u8)
-                    .collect()
-            })
-            .collect()
-    }
-
     fn vals(segs: &[Vec<u8>]) -> Vec<&[u8]> {
         segs.iter().map(|s| &s[..]).collect()
     }
 
-    fn assert_matches_oracle(values: &[&[u8]], provider: &VpProvider<'_>, label: &str) {
+    /// Searches a single-stratum index (one forest at `chunk` items per
+    /// tree) and pins every answer against the matrix oracle.
+    fn assert_forest_search_matches_oracle(values: &[&[u8]], chunk: usize, label: &str) {
+        let index = StrataIndex::build(values, &P, chunk);
+        assert_eq!(index.strata().len(), 1, "{label}: one length, one stratum");
+        let provider = StratifiedProvider::new(values, &P, &index);
         let m = CondensedMatrix::build_segments(values, &P, 1);
         let ip = MatrixProvider::new(&m);
         let n = values.len();
@@ -817,7 +434,7 @@ mod tests {
             for &eps in &epss {
                 provider.neighbors_within(i, eps, &mut got);
                 ip.neighbors_within(i, eps, &mut want);
-                // The forest emits (dissimilarity, index) order.
+                // The forest search emits (dissimilarity, index) order.
                 assert_eq!(
                     got.iter()
                         .map(|&(d, j)| (d.to_bits(), j))
@@ -833,13 +450,6 @@ mod tests {
                     "{label}: item {i}, k {k}"
                 );
             }
-            for j in 0..n {
-                assert_eq!(
-                    provider.pair(i, j).to_bits(),
-                    ip.pair(i, j).to_bits(),
-                    "{label}: pair ({i}, {j})"
-                );
-            }
         }
     }
 
@@ -847,78 +457,49 @@ mod tests {
     fn pruned_search_matches_oracle_bitwise() {
         let segs = uniform_corpus(120);
         let values = vals(&segs);
-        assert!(metric_eligible(&values));
         for chunk in [7usize, 32, 120, 500] {
-            let forest = VpForest::build(&values, &P, chunk);
-            let provider = VpProvider::new(&values, &P, &forest);
-            assert!(provider.prunable());
-            assert_matches_oracle(&values, &provider, &format!("chunk {chunk}"));
+            assert_forest_search_matches_oracle(&values, chunk, &format!("chunk {chunk}"));
         }
-    }
-
-    #[test]
-    fn fallback_mode_matches_oracle_bitwise() {
-        let segs = mixed_corpus(60);
-        let values = vals(&segs);
-        assert!(!metric_eligible(&values));
-        let forest = VpForest::build(&values, &P, 16);
-        let provider = VpProvider::new(&values, &P, &forest);
-        assert!(!provider.prunable());
-        assert_matches_oracle(&values, &provider, "fallback");
-    }
-
-    #[test]
-    fn swar_path_matches_oracle_bitwise() {
-        let segs = uniform_corpus(80);
-        let values = vals(&segs);
-        let forest = VpForest::build(&values, &P, 25);
-        let provider = VpProvider::new(&values, &P, &forest).with_swar(true);
-        assert_matches_oracle(&values, &provider, "swar");
     }
 
     #[test]
     fn duplicate_heavy_corpus_matches_oracle() {
         // Many identical segments: zero-distance ties everywhere.
         let segs: Vec<Vec<u8>> = (0..40).map(|i| vec![(i % 3) as u8 * 100; 6]).collect();
-        let values = vals(&segs);
-        let forest = VpForest::build(&values, &P, 8);
-        let provider = VpProvider::new(&values, &P, &forest);
-        assert!(provider.prunable());
-        assert_matches_oracle(&values, &provider, "duplicates");
+        assert_forest_search_matches_oracle(&vals(&segs), 8, "duplicates");
     }
 
     #[test]
     fn batch_queries_match_scalar_bitwise() {
-        for (label, segs) in [("uniform", uniform_corpus(90)), ("mixed", mixed_corpus(45))] {
-            let values = vals(&segs);
-            let forest = VpForest::build(&values, &P, 16);
-            for swar in [false, true] {
-                let p = VpProvider::new(&values, &P, &forest).with_swar(swar);
-                let queries: Vec<usize> = (0..values.len()).rev().chain([0, 7, 7]).collect();
-                for threads in [1usize, 4] {
-                    let tag = format!("{label}, swar {swar}, threads {threads}");
-                    for eps in [0.0, 0.2, 0.8] {
-                        let regions = p.neighbors_within_batch(&queries, eps, threads);
-                        let mut want = Vec::new();
-                        for (&q, got) in queries.iter().zip(&regions) {
-                            p.neighbors_within(q, eps, &mut want);
-                            assert_eq!(got.len(), want.len(), "{tag}, query {q}, eps {eps}");
-                            for (a, b) in got.iter().zip(&want) {
-                                assert_eq!(a.0.to_bits(), b.0.to_bits(), "{tag}, query {q}");
-                                assert_eq!(a.1, b.1, "{tag}, query {q}");
-                            }
-                        }
-                    }
-                    for k in [1usize, 4, values.len() - 1] {
-                        let got = p.knn_batch(&queries, k, threads);
-                        for (&q, d) in queries.iter().zip(&got) {
-                            assert_eq!(
-                                d.to_bits(),
-                                p.knn(q, k).to_bits(),
-                                "{tag}, query {q}, k {k}"
-                            );
-                        }
-                    }
+        let segs = uniform_corpus(90);
+        let values = vals(&segs);
+        let index = StrataIndex::build(&values, &P, 16);
+        let p = StratifiedProvider::new(&values, &P, &index);
+        let queries: Vec<usize> = (0..values.len()).rev().chain([0, 7, 7]).collect();
+        let mut want = Vec::new();
+        for threads in [1usize, 4] {
+            for eps in [0.0, 0.2, 0.8] {
+                let regions = p.neighbors_within_batch(&queries, eps, threads);
+                for (&q, got) in queries.iter().zip(&regions) {
+                    p.neighbors_within(q, eps, &mut want);
+                    assert_eq!(
+                        sorted_bits(got),
+                        sorted_bits(&want),
+                        "threads {threads}, query {q}, eps {eps}"
+                    );
+                    assert_eq!(got.len(), want.len());
+                }
+            }
+            // The k-NN table's rows are the forest's k-NN answers.
+            let k_max = 4;
+            let table = p.knn_table(k_max, threads);
+            for q in 0..values.len() {
+                for k in 1..=k_max {
+                    assert_eq!(
+                        table.kth(q, k).to_bits(),
+                        p.knn(q, k).to_bits(),
+                        "threads {threads}, query {q}, k {k}"
+                    );
                 }
             }
         }
@@ -950,22 +531,17 @@ mod tests {
         let old = VpForest::build(&values[..old_n], &P, chunk);
 
         let mut built = Vec::new();
-        let grown = VpForest::build_with(
-            &values,
-            &P,
-            chunk,
-            |t, span| {
-                old.trees()
-                    .get(t)
-                    .filter(|tree| tree.span() == *span)
-                    .cloned()
-            },
-            |t, _tree, was_built| {
-                if was_built {
-                    built.push(t);
-                }
-            },
-        );
+        let grown = VpForest::build_with(&values, &P, chunk, |t, span| {
+            let reused = old
+                .trees()
+                .get(t)
+                .filter(|tree| tree.span() == *span)
+                .cloned();
+            if reused.is_none() {
+                built.push(t);
+            }
+            reused
+        });
         assert_eq!(built, vec![4, 5, 6]);
         let cold = VpForest::build(&values, &P, chunk);
         assert_eq!(grown, cold, "chunk append must be bit-identical");
@@ -976,31 +552,27 @@ mod tests {
         let segs = uniform_corpus(19);
         let values = vals(&segs);
         let good = VpForest::build(&values, &P, 5);
-        let mut rebuilt = 0;
-        let warm = VpForest::build_with(
-            &values,
-            &P,
-            5,
-            |t, _span| {
-                let tree = &good.trees()[t];
-                let mut nodes = tree.nodes().to_vec();
-                if t == 1 {
-                    nodes[0].threshold += 1.0; // corrupt; checksum now stale
-                }
-                Some(VpTree {
-                    span: tree.span(),
-                    root: tree.root(),
-                    nodes,
-                    checksum: tree.checksum(),
-                })
-            },
-            |_, _, built| {
-                if built {
-                    rebuilt += 1;
-                }
-            },
-        );
-        assert_eq!(rebuilt, 1, "only the damaged tree is rebuilt");
+        let mut damaged = 0;
+        let warm = VpForest::build_with(&values, &P, 5, |t, _span| {
+            let tree = &good.trees()[t];
+            let mut nodes = tree.nodes().to_vec();
+            if t == 1 {
+                nodes[0].threshold += 1.0; // corrupt; checksum now stale
+            }
+            let offered = VpTree {
+                span: tree.span(),
+                root: tree.root(),
+                nodes,
+                checksum: tree.checksum(),
+            };
+            if !offered.verify() {
+                damaged += 1;
+            }
+            Some(offered)
+        });
+        assert_eq!(damaged, 1, "the fixture damages exactly one tree");
+        // The damaged tree's threshold differs, so equality shows it was
+        // rebuilt rather than used.
         assert_eq!(warm, good);
     }
 
@@ -1061,20 +633,8 @@ mod tests {
         let one_seg: Vec<&[u8]> = vec![b"abcd"];
         let one = VpForest::build(&one_seg, &P, 4);
         assert_eq!(one.len(), 1);
-        let provider = VpProvider::new(&one_seg, &P, &one);
-        assert_eq!(provider.knn(0, 1), f64::INFINITY);
-        let mut out = vec![(0.0, 0u32)];
-        provider.neighbors_within(0, 10.0, &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn metric_eligibility() {
-        let a: Vec<&[u8]> = vec![b"abcd", b"efgh", b"ijkl"];
-        assert!(metric_eligible(&a));
-        let b: Vec<&[u8]> = vec![b"abcd", b"efg"];
-        assert!(!metric_eligible(&b));
-        assert!(metric_eligible(&[]));
-        assert!(metric_eligible(&[b"".as_slice(), b""]));
+        assert_eq!(one.trees().len(), 1);
+        assert_eq!(one.trees()[0].nodes().len(), 1);
+        assert!(one.trees()[0].verify());
     }
 }

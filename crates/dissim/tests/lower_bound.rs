@@ -3,12 +3,12 @@
 //! dissimilarity (the soundness condition that makes stratum skipping
 //! exact), and stratified range / k-NN answers equal a brute-force
 //! linear scan bit for bit on arbitrary mixed-length corpora and
-//! arbitrary penalties. The forest backends' k-NN tables equal the
-//! matrix sweep's bit for bit.
+//! arbitrary penalties. The stratified k-NN tables equal the matrix
+//! sweep's bit for bit.
 
 use dissim::{
     dissimilarity, length_lower_bound, CondensedMatrix, DissimParams, KnnTable, NeighborProvider,
-    StrataIndex, StratifiedProvider, VpForest, VpProvider,
+    StrataIndex, StratifiedProvider,
 };
 use proptest::prelude::*;
 
@@ -73,24 +73,18 @@ fn autoconf_depth(n: usize) -> usize {
         .max(1)
 }
 
-/// Asserts both forest providers' k-NN tables over `values` equal the
-/// matrix sweep's bitwise, for the depths that matter (1, Algorithm
+/// Asserts the stratified provider's k-NN tables over `values` equal
+/// the matrix sweep's bitwise, for the depths that matter (1, Algorithm
 /// 1's, `n − 1`, and one past the pair count) at 1 and 4 threads.
 /// Chunks of 8 give multi-chunk forests from `n > 8`.
 fn assert_forest_tables_match_matrix(
     values: &[&[u8]],
     params: &DissimParams,
-    expect_prunable: Option<bool>,
 ) -> Result<(), TestCaseError> {
     let n = values.len();
     let m = CondensedMatrix::build(n, |i, j| dissimilarity(values[i], values[j], params));
     let index = StrataIndex::build(values, params, 8);
     let strat = StratifiedProvider::new(values, params, &index);
-    let forest = VpForest::build(values, params, 8);
-    let vp = VpProvider::new(values, params, &forest);
-    if let Some(prunable) = expect_prunable {
-        prop_assert_eq!(vp.prunable(), prunable);
-    }
     for k_max in [1, autoconf_depth(n), n - 1, n + 1] {
         let want = table_bits(&m.knn_table(k_max));
         for threads in [1, 4] {
@@ -104,24 +98,14 @@ fn assert_forest_tables_match_matrix(
                 k_max,
                 threads
             );
-            prop_assert_eq!(
-                table_bits(&vp.knn_table(k_max, threads)),
-                want.clone(),
-                "vptree, n {} k_max {} threads {}",
-                n,
-                k_max,
-                threads
-            );
         }
     }
     Ok(())
 }
 
 proptest! {
-    /// The forest providers' k-NN tables equal the matrix sweep's on
-    /// arbitrary mixed-length sets (the stratified search, the vp
-    /// forest's linear fallback), including their 2- and 3-item
-    /// prefixes.
+    /// The stratified k-NN tables equal the matrix sweep's on arbitrary
+    /// mixed-length sets, including their 2- and 3-item prefixes.
     #[test]
     fn forest_knn_tables_equal_matrix_table_on_mixed_sets(
         values in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..12), 4..30),
@@ -130,12 +114,12 @@ proptest! {
         let params = DissimParams { length_penalty };
         let refs: Vec<&[u8]> = values.iter().map(|v| &v[..]).collect();
         for n in [2, 3, refs.len()] {
-            assert_forest_tables_match_matrix(&refs[..n], &params, None)?;
+            assert_forest_tables_match_matrix(&refs[..n], &params)?;
         }
     }
 
-    /// The same on uniform-length sets, where the vp forest runs its
-    /// pruned search and the stratified index is one stratum.
+    /// The same on uniform-length sets, where the stratified index is
+    /// one stratum and every query runs the pruned forest search.
     #[test]
     fn forest_knn_tables_equal_matrix_table_on_uniform_sets(
         len in 1usize..8,
@@ -148,7 +132,8 @@ proptest! {
         let refs: Vec<&[u8]> = values.iter().map(|v| &v[..]).collect();
         let params = DissimParams::default();
         for n in [2, 3, refs.len()] {
-            assert_forest_tables_match_matrix(&refs[..n], &params, Some(true))?;
+            prop_assert_eq!(StrataIndex::build(&refs[..n], &params, 8).strata().len(), 1);
+            assert_forest_tables_match_matrix(&refs[..n], &params)?;
         }
     }
 

@@ -1,18 +1,27 @@
-//! Metricity guard for the vantage-point backend: establishes the
-//! triangle inequality for plain Canberra (and for the uniform-length
-//! dissimilarity the pruned search actually runs on), and pins the
-//! exact failure mode of the length-penalized mixed-length variant —
-//! the property `dissim::vptree::metric_eligible` gates on.
+//! Metricity guard for the vantage-point trees inside the stratified
+//! index: establishes the triangle inequality for plain Canberra (and
+//! for the uniform-length dissimilarity the pruned in-stratum search
+//! actually runs on), and pins the exact failure mode of the
+//! length-penalized mixed-length variant — the reason strata prune with
+//! metric trees only within one segment length.
 
-use dissim::vptree::{metric_eligible, VpForest, VpProvider};
-use dissim::{canberra_distance, dissimilarity, DissimParams, NeighborProvider};
+use dissim::{
+    canberra_distance, dissimilarity, DissimParams, NeighborProvider, StrataIndex,
+    StratifiedProvider,
+};
 use proptest::prelude::*;
+
+/// How many length strata the stratified index splits `vals` into: a
+/// metric tree only ever spans one of them.
+fn strata_count(vals: &[&[u8]], p: &DissimParams) -> usize {
+    StrataIndex::build(vals, p, 8).strata().len()
+}
 
 /// Slack for accumulated f64 roundoff in the triangle comparison: the
 /// real-arithmetic inequality is exact, and per-byte terms are in
 /// [0, 1], so rounding across ≤ 40 terms sits orders of magnitude below
-/// this. `VpProvider` pads its pruning bounds with the same margin
-/// (`dissim::vptree::PRUNE_SLACK`).
+/// this. The forest search pads its pruning bounds with the same
+/// margin (`dissim::vptree::PRUNE_SLACK`).
 const FP_SLACK: f64 = 1e-9;
 
 fn equal_len_triple() -> impl Strategy<Value = (Vec<u8>, Vec<u8>, Vec<u8>)> {
@@ -44,13 +53,14 @@ proptest! {
 
     /// On a uniform-length segment set the pipeline dissimilarity
     /// reduces to the plain Canberra distance, so it inherits the
-    /// metric property — this is exactly the configuration
-    /// `metric_eligible` admits to the pruned vantage-point search.
+    /// metric property — this is exactly the configuration one length
+    /// stratum holds, the only place the pruned vantage-point search
+    /// runs.
     #[test]
     fn uniform_length_dissimilarity_is_metric((a, b, c) in equal_len_triple()) {
         let p = DissimParams::default();
         let vals: Vec<&[u8]> = vec![&a, &b, &c];
-        prop_assert!(metric_eligible(&vals));
+        prop_assert_eq!(strata_count(&vals, &p), 1);
         let ab = dissimilarity(&a, &b, &p);
         let bc = dissimilarity(&b, &c, &p);
         let ac = dissimilarity(&a, &c, &p);
@@ -64,8 +74,8 @@ proptest! {
     }
 
     /// Every triangle violation of the mixed-length variant involves
-    /// mixed lengths — so the eligibility gate (uniform lengths) admits
-    /// no violating configuration to the pruned search.
+    /// mixed lengths — so stratification by length admits no violating
+    /// configuration to the pruned search.
     #[test]
     fn triangle_violations_imply_mixed_lengths((a, b, c) in mixed_triple()) {
         let p = DissimParams::default();
@@ -75,7 +85,7 @@ proptest! {
         if ac > ab + bc + FP_SLACK {
             let vals: Vec<&[u8]> = vec![&a, &b, &c];
             prop_assert!(
-                !metric_eligible(&vals),
+                strata_count(&vals, &p) > 1,
                 "triangle violated on a uniform-length triple: ac = {}, ab + bc = {}",
                 ac,
                 ab + bc
@@ -110,7 +120,7 @@ proptest! {
             // A genuine triangle violation: route through c is free while
             // the direct distance is not.
             let vals: Vec<&[u8]> = vec![&a, &b, &c];
-            prop_assert!(!metric_eligible(&vals));
+            prop_assert!(strata_count(&vals, &p) > 1);
         }
     }
 }
@@ -119,8 +129,8 @@ proptest! {
 /// docs): `a = [255, 0]`, `b = [0, 255]` are maximally dissimilar
 /// (D = 1), yet `c = [255]` slides to a zero-cost window in both, so
 /// D(a,c) = D(c,b) = penalty/2 = 0.295 and the triangle fails by
-/// 1 − 0.59 = 0.41. This is why `length_penalty` segments are never
-/// admitted to the pruned search.
+/// 1 − 0.59 = 0.41. This is why a metric tree never spans two segment
+/// lengths.
 #[test]
 fn pinned_counterexample_breaks_triangle_and_is_gated() {
     let p = DissimParams::default(); // length_penalty = 0.59
@@ -135,15 +145,15 @@ fn pinned_counterexample_breaks_triangle_and_is_gated() {
     assert_eq!(cb, 0.59 / 2.0);
     assert!(ab > ac + cb, "triangle must fail: {ab} > {ac} + {cb}");
 
-    // The eligibility gate rejects the configuration…
+    // Stratification keeps `c` out of the tree over `a` and `b`…
     let vals: Vec<&[u8]> = vec![a, b, c];
-    assert!(!metric_eligible(&vals));
+    let index = StrataIndex::build(&vals, &p, 2);
+    let lens: Vec<usize> = index.strata().iter().map(|s| s.value_len()).collect();
+    assert_eq!(lens, vec![1, 2]);
 
-    // …and the vantage-point provider falls back to the exact scan,
-    // still answering correctly on the violating triple.
-    let forest = VpForest::build(&vals, &p, 2);
-    let provider = VpProvider::new(&vals, &p, &forest);
-    assert!(!provider.prunable());
+    // …so the stratified provider answers exactly on the violating
+    // triple.
+    let provider = StratifiedProvider::new(&vals, &p, &index);
     let mut out = Vec::new();
     provider.neighbors_within(0, 0.3, &mut out);
     assert_eq!(out, vec![(0.295, 2)]);

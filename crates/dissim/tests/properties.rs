@@ -3,7 +3,7 @@
 use dissim::kernel::{canberra_distance_lut, dissimilarity_kernel, dissimilarity_lut};
 use dissim::{
     canberra_distance, dissimilarity, CanberraLut, CondensedMatrix, DissimParams, MatrixProvider,
-    NeighborProvider, VpForest, VpProvider,
+    NeighborProvider, StrataIndex, StratifiedProvider,
 };
 use proptest::prelude::*;
 
@@ -23,10 +23,13 @@ fn assert_batch_matches_scalar<P: NeighborProvider + Sync>(
         provider.neighbors_within(q, eps, &mut want);
         prop_assert_eq!(got, &want, "range query {} (threads {})", q, threads);
     }
-    let knns = provider.knn_batch(queries, k, threads);
-    for (&q, d) in queries.iter().zip(&knns) {
+    // The threaded k-NN path: one table row per item, its k-th entry
+    // the scalar query's answer (clamped like `knn` to the pair count).
+    let k = k.min(provider.len() - 1);
+    let table = provider.knn_table(k, threads);
+    for q in 0..provider.len() {
         prop_assert_eq!(
-            d.to_bits(),
+            table.kth(q, k).to_bits(),
             provider.knn(q, k).to_bits(),
             "knn query {} (k {}, threads {})",
             q,
@@ -34,17 +37,6 @@ fn assert_batch_matches_scalar<P: NeighborProvider + Sync>(
             threads
         );
     }
-    let parallel: Vec<u64> = provider
-        .knn_dissimilarities_parallel(k, threads)
-        .iter()
-        .map(|d| d.to_bits())
-        .collect();
-    let scalar: Vec<u64> = provider
-        .knn_dissimilarities(k)
-        .iter()
-        .map(|d| d.to_bits())
-        .collect();
-    prop_assert_eq!(parallel, scalar, "knn_dissimilarities (k {})", k);
     Ok(())
 }
 
@@ -241,14 +233,13 @@ proptest! {
         let refs: Vec<&[u8]> = segs.iter().map(|s| &s[..]).collect();
         let m = CondensedMatrix::build_segments(&refs, &p, 1);
         // Small chunk so multi-chunk forests occur even at these sizes.
-        let forest = VpForest::build(&refs, &p, 7);
+        let index = StrataIndex::build(&refs, &p, 7);
         // Reversed order plus duplicates: scheduling must not reorder
         // or conflate answers.
         let queries: Vec<usize> = (0..refs.len()).rev().chain([0, 0]).collect();
         assert_batch_matches_scalar(&MatrixProvider::new(&m), &queries, eps, k, threads)?;
-        assert_batch_matches_scalar(&VpProvider::new(&refs, &p, &forest), &queries, eps, k, threads)?;
         assert_batch_matches_scalar(
-            &VpProvider::new(&refs, &p, &forest).with_swar(true),
+            &StratifiedProvider::new(&refs, &p, &index),
             &queries,
             eps,
             k,

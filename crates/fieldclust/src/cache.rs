@@ -32,7 +32,7 @@ use crate::segments::{SegmentInstance, SegmentStore, UniqueSegment};
 use cluster::autoconf::{AutoConfig, SelectedParams};
 use cluster::dbscan::Clustering;
 use cluster::refine::RefineParams;
-use dissim::{DissimParams, TiledMatrix, VpForest};
+use dissim::{DissimParams, TiledMatrix};
 use segment::TraceSegmentation;
 use store::{Key, KeyDigest, Kind, Persist, Reader, Writer};
 use trace::Trace;
@@ -131,37 +131,10 @@ pub(crate) fn tile_keys(values: &[&[u8]], params: &DissimParams, tile_rows: usiz
     keys
 }
 
-/// Keys of every chunk tree of the vantage-point forest, in chunk
-/// order, from a single chained pass — the vptree analog of
-/// [`tile_keys`]. A chunk tree covering items `s..e` is a pure function
-/// of `values[..e]` and the parameters, so complete chunk trees of a
-/// *grown* trace keep their keys and fault straight back in while only
-/// the appended (and formerly partial) chunks rebuild.
-pub(crate) fn vptree_keys(values: &[&[u8]], params: &DissimParams, chunk: usize) -> Vec<Key> {
-    let n = values.len();
-    let count = VpForest::chunk_count(n, chunk);
-    let mut d = KeyDigest::new(Kind::VPTREE);
-    digest_dissim_params(&mut d, params);
-    let mut keys = Vec::with_capacity(count);
-    let mut fed = 0usize;
-    for t in 0..count {
-        let span = VpForest::chunk_span(n, chunk, t);
-        for v in &values[fed..span.end] {
-            d.frame(v);
-        }
-        fed = span.end;
-        let mut snap = d.clone();
-        snap.usize(span.start);
-        snap.usize(span.end);
-        keys.push(snap.finish());
-    }
-    keys
-}
-
 /// Keys of the whole length-stratified index over each prefix
 /// `values[..u]`, one per requested `u` (ascending), from a single
 /// chained pass — the strata analog of [`dissim_keys_at`]. Unlike the
-/// per-chunk tile and vptree keys, the index is persisted as one
+/// per-tile keys, the index is persisted as one
 /// artifact (its strata partition the whole prefix, so no part is a
 /// pure function of a shorter prefix); growth reuse happens inside
 /// `StrataIndex::extend_from` after the longest matching prefix is
@@ -198,24 +171,11 @@ pub(crate) fn strata_key(values: &[&[u8]], params: &DissimParams, chunk: usize) 
         .expect("one prefix requested")
 }
 
-/// Manifest family for stratified indexes: like [`vptree_family_key`]
+/// Manifest family for stratified indexes: like [`tile_family_key`]
 /// but tagged for strata, so the artifact families never mix.
 pub(crate) fn strata_family_key(values: &[&[u8]], params: &DissimParams) -> Key {
     let mut d = KeyDigest::new(Kind::MANIFEST);
     d.u64(u64::from(Kind::STRATA.tag()));
-    digest_dissim_params(&mut d, params);
-    for v in values.iter().take(4) {
-        d.frame(v);
-    }
-    d.finish()
-}
-
-/// Manifest family for vantage-point chunk trees: like
-/// [`tile_family_key`] but tagged for vptrees, so the three artifact
-/// families never mix.
-pub(crate) fn vptree_family_key(values: &[&[u8]], params: &DissimParams) -> Key {
-    let mut d = KeyDigest::new(Kind::MANIFEST);
-    d.u64(u64::from(Kind::VPTREE.tag()));
     digest_dissim_params(&mut d, params);
     for v in values.iter().take(4) {
         d.frame(v);
@@ -327,10 +287,10 @@ fn digest_refine(d: &mut KeyDigest, r: &RefineParams) {
 }
 
 fn digest_config(d: &mut KeyDigest, c: &FieldTypeClusterer) {
-    // `threads`, `tile_rows`, `max_memory`, `neighbor_backend` and
-    // `swar` are deliberately absent: every parallel build, tile
-    // geometry, neighbor backend and kernel fast path is pinned
-    // bit-identical, so none of them can change artifact bits.
+    // `threads`, `tile_rows`, `max_memory` and `neighbor_backend` are
+    // deliberately absent: every parallel build, tile geometry and
+    // neighbor backend is pinned bit-identical, so none of them can
+    // change artifact bits.
     digest_dissim_params(d, &c.dissim);
     digest_autoconf(d, &c.autoconf);
     digest_refine(d, &c.refine);
@@ -610,32 +570,6 @@ mod tests {
     }
 
     #[test]
-    fn vptree_keys_are_prefix_stable() {
-        let values: Vec<&[u8]> = vec![b"aa", b"bb", b"cc", b"dd", b"ee", b"ff", b"gg"];
-        let params = DissimParams::default();
-        let keys = vptree_keys(&values, &params, 3); // spans 0..3, 3..6, 6..7
-        assert_eq!(keys.len(), 3);
-        // Complete chunk trees keep their keys when the segment set grows.
-        let earlier = vptree_keys(&values[..5], &params, 3); // spans 0..3, 3..5
-        assert_eq!(keys[0], earlier[0]);
-        // A formerly partial chunk (span changed 3..5 → 3..6) does not.
-        assert_ne!(keys[1], earlier[1]);
-        // Different geometry, parameters, or values move every key.
-        assert_ne!(vptree_keys(&values, &params, 4)[0], keys[0]);
-        let other = DissimParams {
-            length_penalty: params.length_penalty + 0.25,
-        };
-        assert_ne!(vptree_keys(&values, &other, 3)[0], keys[0]);
-        // Vptree keys and families never collide with the tile ones at
-        // the same geometry.
-        assert_ne!(keys[0], tile_keys(&values, &params, 3)[0]);
-        assert_ne!(
-            vptree_family_key(&values, &params),
-            tile_family_key(&values, &params)
-        );
-    }
-
-    #[test]
     fn strata_prefix_keys_chain() {
         let values: Vec<&[u8]> = vec![b"a", b"bb", b"cc", b"ddd", b"ee", b"f", b"ggg"];
         let params = DissimParams::default();
@@ -652,11 +586,11 @@ mod tests {
         assert_ne!(strata_key(&values, &other, 3), keys[2]);
         let shuffled: Vec<&[u8]> = vec![b"a", b"bb", b"cc", b"ddd", b"ee", b"f", b"xxx"];
         assert_ne!(strata_key(&shuffled, &params, 3), keys[2]);
-        // Strata keys and families never collide with the vptree ones.
-        assert_ne!(keys[0], vptree_keys(&values, &params, 3)[0]);
+        // Strata keys and families never collide with the tile ones.
+        assert_ne!(keys[0], tile_keys(&values, &params, 3)[0]);
         assert_ne!(
             strata_family_key(&values, &params),
-            vptree_family_key(&values, &params)
+            tile_family_key(&values, &params)
         );
     }
 
@@ -676,12 +610,8 @@ mod tests {
         tiled.tile_rows = Some(64);
         tiled.max_memory = Some(1 << 20);
         assert_eq!(k0, stage_key(Kind::SELECTION, &input, &tiled));
-        // ...nor the neighbor backend or the SWAR fast path — both are
-        // pinned bit-identical to the matrix oracle.
-        let mut vptree = base.clone();
-        vptree.neighbor_backend = crate::pipeline::NeighborBackend::Vptree;
-        vptree.swar = true;
-        assert_eq!(k0, stage_key(Kind::SELECTION, &input, &vptree));
+        // ...nor the neighbor backend — every backend is pinned
+        // bit-identical to the matrix oracle.
         let mut stratified = base.clone();
         stratified.neighbor_backend = crate::pipeline::NeighborBackend::Stratified;
         assert_eq!(k0, stage_key(Kind::SELECTION, &input, &stratified));

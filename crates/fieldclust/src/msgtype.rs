@@ -179,14 +179,14 @@ pub(crate) fn alignment_matrix(
     let stopped = AtomicBool::new(false);
     // Each chunk of consecutive outer rows fills one contiguous block of
     // the condensed triangle; blocks are placed by their first row.
-    let parts = parkit::map_parts(
+    let data = parkit::map_blocks(
         threads,
         n.saturating_sub(1),
         1,
-        || (Scratch::default(), Vec::new()),
-        |(scratch, blocks): &mut (Scratch, Vec<(usize, Vec<f64>)>), rows| {
-            let mut block = Vec::with_capacity(rows.clone().map(|a| n - a - 1).sum());
-            for a in rows.clone() {
+        Scratch::default,
+        |scratch, rows, block| {
+            block.reserve(rows.clone().map(|a| n - a - 1).sum());
+            for a in rows {
                 if stopped.load(Ordering::Relaxed) || stop() {
                     stopped.store(true, Ordering::Relaxed);
                     return;
@@ -195,15 +195,11 @@ pub(crate) fn alignment_matrix(
                 block.resize(start + n - a - 1, 0.0);
                 aligner.row(a, scratch, &mut block[start..]);
             }
-            blocks.push((rows.start, block));
         },
     );
     if stopped.into_inner() {
         return Err(MessageTypeError::Cancelled);
     }
-    let mut blocks: Vec<(usize, Vec<f64>)> = parts.into_iter().flat_map(|(_, b)| b).collect();
-    blocks.sort_unstable_by_key(|&(first_row, _)| first_row);
-    let data = blocks.into_iter().flat_map(|(_, block)| block).collect();
     Ok(CondensedMatrix::from_condensed(n, data).expect("blocks cover every outer row"))
 }
 

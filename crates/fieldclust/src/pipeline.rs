@@ -36,20 +36,17 @@ pub enum NeighborBackend {
     /// The row-block tiled matrix build (bounded peak memory during the
     /// build; the assembled matrix is still O(u²)).
     Tiled,
-    /// A vantage-point tree forest answering queries directly from
+    /// Length-stratified search answering queries directly from
     /// segment values — no condensed matrix is ever materialized
-    /// (O(u) memory). On mixed-length corpora the metric pruning is
-    /// unsound and queries fall back to exact linear scans.
-    Vptree,
-    /// Length-stratified search: per-length vantage-point forests plus
-    /// penalty-aware lower bounds and LAESA pivots across strata —
-    /// pruned queries on mixed-length corpora, still O(u) memory.
+    /// (O(u) memory): per-length vantage-point forests plus
+    /// penalty-aware lower bounds and LAESA pivots across strata. On a
+    /// uniform-length corpus the index is a single vp-forest stratum.
     Stratified,
 }
 
 impl NeighborBackend {
     /// All selectable backends, for usage strings and error messages.
-    pub const NAMES: &'static [&'static str] = &["auto", "matrix", "tiled", "vptree", "stratified"];
+    pub const NAMES: &'static [&'static str] = &["auto", "matrix", "tiled", "stratified"];
 }
 
 impl FromStr for NeighborBackend {
@@ -60,7 +57,6 @@ impl FromStr for NeighborBackend {
             "auto" => Ok(Self::Auto),
             "matrix" => Ok(Self::Matrix),
             "tiled" => Ok(Self::Tiled),
-            "vptree" => Ok(Self::Vptree),
             "stratified" => Ok(Self::Stratified),
             other => Err(format!(
                 "unknown neighbor backend '{other}' (expected one of: {})",
@@ -76,7 +72,6 @@ impl std::fmt::Display for NeighborBackend {
             Self::Auto => "auto",
             Self::Matrix => "matrix",
             Self::Tiled => "tiled",
-            Self::Vptree => "vptree",
             Self::Stratified => "stratified",
         })
     }
@@ -127,10 +122,6 @@ pub struct FieldTypeClusterer {
     /// changes results (pinned bit-identical) and never enters cache
     /// keys.
     pub neighbor_backend: NeighborBackend,
-    /// Opt-in SWAR kernel fast path for vantage-point tree distance
-    /// evaluations (bit-identical to the scalar kernel). Ignored by the
-    /// matrix and tiled backends; never enters cache keys.
-    pub swar: bool,
 }
 
 impl Default for FieldTypeClusterer {
@@ -145,7 +136,6 @@ impl Default for FieldTypeClusterer {
             tile_rows: None,
             max_memory: None,
             neighbor_backend: NeighborBackend::default(),
-            swar: false,
         }
     }
 }
@@ -290,8 +280,8 @@ impl FieldTypeClusterer {
     /// Resolves [`neighbor_backend`](Self::neighbor_backend) with the
     /// corpus's length profile in hand: `Auto` becomes `Tiled` when a
     /// tile geometry is configured, else `Stratified` when `mixed` (the
-    /// segments vary in length, so the plain vp-forest would degrade to
-    /// linear scans), else `Matrix`. Explicit choices pass through.
+    /// segments vary in length, which the stratified index prunes
+    /// across), else `Matrix`. Explicit choices pass through.
     /// Never returns [`NeighborBackend::Auto`].
     pub fn resolved_backend_mixed(&self, n: usize, mixed: bool) -> NeighborBackend {
         match self.neighbor_backend {
@@ -312,7 +302,8 @@ impl FieldTypeClusterer {
     /// backend: `Some(rows)` exactly when the resolved backend is
     /// [`NeighborBackend::Tiled`], falling back to
     /// [`DEFAULT_TILE_ROWS`] when the backend was forced without a
-    /// configured geometry. `None` for the matrix and vptree backends.
+    /// configured geometry. `None` for the matrix and stratified
+    /// backends.
     pub(crate) fn tiled_rows(&self, n: usize) -> Option<usize> {
         match self.resolved_backend(n) {
             NeighborBackend::Tiled => {
@@ -454,6 +445,8 @@ mod tests {
             assert_eq!(parsed.to_string(), *name);
         }
         assert!("vp-tree".parse::<NeighborBackend>().is_err());
+        // The vantage-point backend is gone; its name no longer parses.
+        assert!("vptree".parse::<NeighborBackend>().is_err());
         assert_eq!(NeighborBackend::default(), NeighborBackend::Auto);
     }
 
@@ -466,8 +459,8 @@ mod tests {
         assert_eq!(c.resolved_backend(100), NeighborBackend::Tiled);
         assert_eq!(c.tiled_rows(100), Some(16));
         // Explicit choices win over geometry.
-        c.neighbor_backend = NeighborBackend::Vptree;
-        assert_eq!(c.resolved_backend(100), NeighborBackend::Vptree);
+        c.neighbor_backend = NeighborBackend::Stratified;
+        assert_eq!(c.resolved_backend(100), NeighborBackend::Stratified);
         assert_eq!(c.tiled_rows(100), None);
         c.neighbor_backend = NeighborBackend::Matrix;
         assert_eq!(c.resolved_backend(100), NeighborBackend::Matrix);
@@ -501,8 +494,8 @@ mod tests {
             NeighborBackend::Stratified
         );
         assert_eq!(c.tiled_rows(100), None);
-        c.neighbor_backend = NeighborBackend::Vptree;
-        assert_eq!(c.resolved_backend_mixed(100, true), NeighborBackend::Vptree);
+        c.neighbor_backend = NeighborBackend::Matrix;
+        assert_eq!(c.resolved_backend_mixed(100, true), NeighborBackend::Matrix);
     }
 
     #[test]

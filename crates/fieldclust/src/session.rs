@@ -21,15 +21,15 @@
 //! [`required_k_max`] — Algorithm 1 reads each segment's k-th-nearest
 //! dissimilarity for a handful of `k` — built in one linear sweep of
 //! the condensed triangle, while ε-regions are plain matrix row scans
-//! ([`MatrixProvider`]). The vptree and stratified backends answer both
-//! query kinds from vantage-point forests over the segment values,
-//! skipping the matrix stage (and its O(u²) memory) entirely; their
-//! autoconf stage builds the same table from one `required_k_max`-deep
-//! k-NN query per segment. Every backend selects ε, and reruns the
-//! §III-E trimmed selection, from that one table per session. The
-//! autoconf, cluster, and refine stages consume neighbors only through
-//! the [`NeighborProvider`] abstraction, so every backend is pinned
-//! bit-identical. With a tile height configured
+//! ([`MatrixProvider`]). The stratified backend answers both query
+//! kinds from per-length vantage-point forests over the segment values
+//! ([`StratifiedProvider`]), skipping the matrix stage (and its O(u²)
+//! memory) entirely; its autoconf stage builds the same table from one
+//! `required_k_max`-deep k-NN query per segment. Every backend selects
+//! ε, and reruns the §III-E trimmed selection, from that one table per
+//! session. The autoconf, cluster, and refine stages consume neighbors
+//! only through the session's one [`NeighborProvider`], so every
+//! backend is pinned bit-identical. With a tile height configured
 //! ([`FieldTypeClusterer::tile_rows`] or
 //! [`FieldTypeClusterer::max_memory`]) the matrix stage instead
 //! computes, persists, and faults in fixed-height row tiles and merges
@@ -78,15 +78,14 @@ use crate::pipeline::{
 };
 use crate::segments::SegmentStore;
 use cluster::autoconf::{
-    auto_configure, auto_configure_with_knn, required_k_max, AutoConfError, AutoConfig,
-    SelectedParams,
+    auto_configure, required_k_max, AutoConfError, AutoConfig, SelectedParams,
 };
-use cluster::dbscan::{dbscan, dbscan_weighted_parallel_with_provider, Clustering};
-use cluster::refine::{merge_clusters_with_provider, split_clusters};
+use cluster::dbscan::{dbscan, Clustering};
+use cluster::refine::{merge_clusters, split_clusters};
 use dissim::kernel::pairwise_mean;
 use dissim::{
     CondensedMatrix, DissimArtifact, KnnTable, MatrixProvider, MatrixTile, NeighborProvider,
-    QueryCounters, StrataIndex, StratifiedProvider, TiledMatrix, VpForest, VpProvider, VpTree,
+    QueryCounters, StrataIndex, StratifiedProvider, TiledMatrix,
 };
 use segment::{SegmentError, Segmenter, TraceSegmentation};
 use store::{ArtifactStore, Key, Kind, StoreStats};
@@ -107,16 +106,11 @@ pub struct AnalysisSession<'t> {
     // the autoconf ECDFs and the §III-E trimmed rerun on every backend:
     // merged from per-tile partials at the tiled build's barrier, swept
     // off the monolithic matrix by the neighbors stage, or queried once
-    // per segment through the forest provider by the autoconf stage.
+    // per segment through the stratified provider by the autoconf stage.
     knn: Option<KnnTable>,
-    // The vantage-point tree forest; present only when the vptree
-    // backend is resolved. Replaces the matrix entirely: no O(u²)
-    // structure is built on this path.
-    vpforest: Option<VpForest>,
     // The length-stratified neighbor index; present only when the
-    // stratified backend is resolved. Like the forest it replaces the
-    // matrix: per-length VP forests plus LAESA pivot tables, O(u)
-    // memory.
+    // stratified backend is resolved. Replaces the matrix entirely:
+    // per-length VP forests plus LAESA pivot tables, O(u) memory.
     strata: Option<StrataIndex>,
     // Cumulative neighbor-query counters (kernel evaluations, pruned
     // candidates, skipped strata), shared with every stratified
@@ -169,7 +163,6 @@ impl<'t> AnalysisSession<'t> {
             store: None,
             dissim: None,
             knn: None,
-            vpforest: None,
             strata: None,
             neighbor_counters: Arc::new(QueryCounters::new()),
             selection: None,
@@ -300,7 +293,6 @@ impl<'t> AnalysisSession<'t> {
         self.store = None;
         self.dissim = None;
         self.knn = None;
-        self.vpforest = None;
         self.strata = None;
         self.selection = None;
         self.clustering = None;
@@ -342,10 +334,10 @@ impl<'t> AnalysisSession<'t> {
 
     /// Stage 4b (neighbors): builds what the resolved backend answers
     /// neighbor queries from — the condensed matrix plus its k-NN table
-    /// (matrix/tiled backends), or the vantage-point forests (vptree and
-    /// stratified backends, which materialize no matrix at all; their
-    /// k-NN table is queried from the forests by the autoconf stage, so
-    /// a refine-only run never pays for it). Later stages answer their
+    /// (matrix/tiled backends), or the length-stratified index (the
+    /// stratified backend, which materializes no matrix at all; its
+    /// k-NN table is queried from the index by the autoconf stage, so a
+    /// refine-only run never pays for it). Later stages answer their
     /// ε-region and k-NN queries through it; all backends are pinned
     /// bit-identical.
     ///
@@ -359,15 +351,12 @@ impl<'t> AnalysisSession<'t> {
     pub fn ensure_neighbors(&mut self) -> Result<(), PipelineError> {
         self.check_cancelled()?;
         self.ensure_store()?;
-        match self.session_backend() {
-            NeighborBackend::Vptree => self.ensure_vpforest(),
-            NeighborBackend::Stratified => self.ensure_strata(),
-            _ => {
-                self.ensure_dissim()?;
-                self.ensure_knn();
-                Ok(())
-            }
+        if self.session_backend() == NeighborBackend::Stratified {
+            return self.ensure_strata();
         }
+        self.ensure_dissim()?;
+        self.ensure_knn();
+        Ok(())
     }
 
     /// The neighbor backend this session resolves for its current
@@ -399,13 +388,6 @@ impl<'t> AnalysisSession<'t> {
         Ok(self.session_backend())
     }
 
-    /// The vantage-point tree forest, if the vptree backend has built
-    /// one ([`ensure_neighbors`](Self::ensure_neighbors) under
-    /// [`NeighborBackend::Vptree`]).
-    pub fn vp_forest(&self) -> Option<&VpForest> {
-        self.vpforest.as_ref()
-    }
-
     /// The length-stratified neighbor index, if the stratified backend
     /// has built one ([`ensure_neighbors`](Self::ensure_neighbors)
     /// under [`NeighborBackend::Stratified`]).
@@ -430,7 +412,7 @@ impl<'t> AnalysisSession<'t> {
     /// Each segment's `required_k_max` nearest dissimilarities, once a
     /// stage has built them: the neighbors stage (or a tiled
     /// dissimilarity build) on the matrix-backed backends, the autoconf
-    /// stage on the forest backends. Every backend builds it once per
+    /// stage on the stratified backend. Every backend builds it once per
     /// session; it serves the autoconf stage's k-dist ECDFs and the
     /// §III-E trimmed rerun, and its values are bit-identical to the
     /// matrix scan whatever the backend or thread count.
@@ -613,13 +595,16 @@ impl<'t> AnalysisSession<'t> {
     ) -> Result<MessageTypes, MessageTypeError> {
         let n = self.trace.len();
         let autoconf = config.autoconf;
+        let threads = self.config.threads;
         let matrix = self.message_matrix(config.gap_penalty)?;
         let min_samples = ((n as f64).ln().round() as usize).max(2);
-        let epsilon = match auto_configure(matrix, &autoconf) {
+        let provider = MatrixProvider::new(matrix);
+        let table = provider.knn_table(required_k_max(matrix.len()), threads);
+        let epsilon = match auto_configure(&table, &autoconf) {
             Ok(p) => p.epsilon,
             Err(_) => matrix.mean().unwrap_or(0.5) / 2.0,
         };
-        let clustering = dbscan(matrix, epsilon, min_samples);
+        let clustering = dbscan(&provider, epsilon, min_samples, &vec![1; n], threads);
         Ok(MessageTypes {
             clustering,
             epsilon,
@@ -820,52 +805,6 @@ impl<'t> AnalysisSession<'t> {
         (DissimArtifact::from_matrix(tiled.assemble()), knn)
     }
 
-    /// Builds (or fetches, or incrementally extends) the vantage-point
-    /// tree forest over `values` — chunk trees computed, checksummed,
-    /// and (with a cache attached) persisted individually, with cached
-    /// trees faulted back in on warm runs; a damaged tree degrades to
-    /// rebuild. Growing the segment set is a pure chunk-append:
-    /// complete chunk trees keep their keys (`cache::vptree_keys`), so
-    /// only the appended and formerly partial chunks rebuild.
-    fn build_vpforest_cached(&self, values: &[&[u8]]) -> VpForest {
-        let params = &self.config.dissim;
-        let chunk = dissim::vptree::DEFAULT_CHUNK;
-        let Some(cache) = self.cache.as_ref() else {
-            return VpForest::build(values, params, chunk);
-        };
-        let keys = cache::vptree_keys(values, params, chunk);
-        let family = cache::vptree_family_key(values, params);
-        VpForest::build_with(
-            values,
-            params,
-            chunk,
-            |t, _span| cache.get::<VpTree>(&keys[t]),
-            |t, tree, built| {
-                if built {
-                    cache.put(&keys[t], tree);
-                    cache.manifest_add(&family, tree.span().end, &keys[t]);
-                }
-            },
-        )
-    }
-
-    /// The vptree arm of the neighbors stage: builds (or faults in)
-    /// the chunk forest. No matrix or other O(u²) structure is touched.
-    fn ensure_vpforest(&mut self) -> Result<(), PipelineError> {
-        self.check_cancelled()?;
-        if self.vpforest.is_some() {
-            return Ok(());
-        }
-        self.ensure_store()?;
-        let forest = {
-            let store = self.store.as_ref().expect("ensured");
-            let values: Vec<&[u8]> = store.segments.iter().map(|s| &s.value[..]).collect();
-            self.build_vpforest_cached(&values)
-        };
-        self.vpforest = Some(forest);
-        Ok(())
-    }
-
     /// Builds (or fetches, or incrementally extends from a cached
     /// prefix) the length-stratified neighbor index over `values`.
     /// The index is persisted whole under a chained-prefix key
@@ -954,40 +893,37 @@ impl<'t> AnalysisSession<'t> {
     }
 
     /// The session's one k-NN table, built at most once per session
-    /// from whichever structure the resolved backend queries: one sweep
-    /// of the condensed matrix (unless a tiled build already merged the
-    /// table), or one `required_k_max`-deep query per segment through
-    /// the forest provider. The table is O(u · ln u) and cheap to
-    /// rebuild, so it is not persisted. Only called with the neighbors
-    /// stage ensured.
+    /// through the session's provider (unless a tiled build already
+    /// merged the table): one sweep of the condensed matrix, or one
+    /// `required_k_max`-deep query per segment through the stratified
+    /// index. The table is O(u · ln u) and cheap to rebuild, so it is
+    /// not persisted. Only called with the neighbors stage ensured.
     fn ensure_knn(&mut self) {
         if self.knn.is_some() {
             return;
         }
-        let store = self.store.as_ref().expect("ensured");
-        let k_max = required_k_max(store.segments.len());
-        let threads = self.config.threads;
-        let values: Vec<&[u8]> = store.segments.iter().map(|s| &s.value[..]).collect();
-        let table = match self.session_backend() {
-            NeighborBackend::Vptree => {
-                let forest = self.vpforest.as_ref().expect("ensured");
-                VpProvider::new(&values, &self.config.dissim, forest)
-                    .with_swar(self.config.swar)
-                    .knn_table(k_max, threads)
-            }
-            NeighborBackend::Stratified => {
-                let index = self.strata.as_ref().expect("ensured");
-                StratifiedProvider::new(&values, &self.config.dissim, index)
-                    .with_swar(self.config.swar)
-                    .with_counters(Arc::clone(&self.neighbor_counters))
-                    .knn_table(k_max, threads)
-            }
-            _ => {
-                let matrix = self.dissim.as_ref().expect("ensured").matrix();
-                MatrixProvider::new(matrix).knn_table(k_max, threads)
-            }
-        };
+        let k_max = required_k_max(self.store.as_ref().expect("ensured").segments.len());
+        let table = self.with_provider(|p| p.knn_table(k_max, self.config.threads));
         self.knn = Some(table);
+    }
+
+    /// Runs `f` against the session's one neighbor provider for the
+    /// resolved backend: the stratified index (sharing the session's
+    /// query counters) or row scans of the condensed matrix (the matrix
+    /// and tiled backends). The stratified provider borrows a segment
+    /// value list built here, hence the closure. Only called with the
+    /// neighbors stage ensured.
+    fn with_provider<R>(&self, f: impl FnOnce(&SessionProvider<'_>) -> R) -> R {
+        if self.session_backend() == NeighborBackend::Stratified {
+            let store = self.store.as_ref().expect("ensured");
+            let values: Vec<&[u8]> = store.segments.iter().map(|s| &s.value[..]).collect();
+            let index = self.strata.as_ref().expect("ensured");
+            let provider = StratifiedProvider::new(&values, &self.config.dissim, index)
+                .with_counters(Arc::clone(&self.neighbor_counters));
+            return f(&SessionProvider::Stratified(provider));
+        }
+        let matrix = self.dissim.as_ref().expect("ensured").matrix();
+        f(&SessionProvider::Matrix(MatrixProvider::new(matrix)))
     }
 
     /// The stage key for a configuration-dependent artifact, if a cache
@@ -1074,7 +1010,7 @@ impl<'t> AnalysisSession<'t> {
         // fallback mean comes from the matrix where one exists, else
         // from a pairwise kernel pass — pinned bit-identical.
         let table = self.knn.as_ref().expect("ensured");
-        let selection = auto_configure_with_knn(table, &self.config.autoconf);
+        let selection = auto_configure(table, &self.config.autoconf);
         let fallback_mean = selection
             .is_err()
             .then(|| match &self.dissim {
@@ -1135,32 +1071,9 @@ impl<'t> AnalysisSession<'t> {
         self.ensure_knn();
         let weights = self.store.as_ref().expect("ensured").occurrence_counts();
         let (selected, _) = self.selection.clone().expect("ensured");
-        let (clustering, reselected) = {
-            let store = self.store.as_ref().expect("ensured");
-            let knn = self.knn.as_ref().expect("ensured");
-            match self.session_backend() {
-                NeighborBackend::Vptree => {
-                    let values: Vec<&[u8]> = store.segments.iter().map(|s| &s.value[..]).collect();
-                    let forest = self.vpforest.as_ref().expect("ensured");
-                    let provider = VpProvider::new(&values, &self.config.dissim, forest)
-                        .with_swar(self.config.swar);
-                    cluster_with_provider(&self.config, &provider, knn, &selected, &weights)
-                }
-                NeighborBackend::Stratified => {
-                    let values: Vec<&[u8]> = store.segments.iter().map(|s| &s.value[..]).collect();
-                    let index = self.strata.as_ref().expect("ensured");
-                    let provider = StratifiedProvider::new(&values, &self.config.dissim, index)
-                        .with_swar(self.config.swar)
-                        .with_counters(Arc::clone(&self.neighbor_counters));
-                    cluster_with_provider(&self.config, &provider, knn, &selected, &weights)
-                }
-                _ => {
-                    let matrix = self.dissim.as_ref().expect("ensured").matrix();
-                    let provider = MatrixProvider::new(matrix);
-                    cluster_with_provider(&self.config, &provider, knn, &selected, &weights)
-                }
-            }
-        };
+        let knn = self.knn.as_ref().expect("ensured");
+        let (clustering, reselected) =
+            self.with_provider(|p| cluster_and_reselect(&self.config, p, knn, &selected, &weights));
         if let Some(sel) = reselected {
             self.selection = Some(sel);
         }
@@ -1199,47 +1112,11 @@ impl<'t> AnalysisSession<'t> {
         // neighbor structure; refinement itself needs one.
         self.ensure_neighbors()?;
         let weights = self.store.as_ref().expect("ensured").occurrence_counts();
-        let refined = {
-            let store = self.store.as_ref().expect("ensured");
-            let clustering = self.clustering.as_ref().expect("ensured");
-            let merged = match self.session_backend() {
-                NeighborBackend::Vptree => {
-                    let values: Vec<&[u8]> = store.segments.iter().map(|s| &s.value[..]).collect();
-                    let forest = self.vpforest.as_ref().expect("ensured");
-                    let provider = VpProvider::new(&values, &self.config.dissim, forest)
-                        .with_swar(self.config.swar);
-                    merge_clusters_with_provider(
-                        clustering,
-                        &provider,
-                        &self.config.refine,
-                        self.config.threads,
-                    )
-                }
-                NeighborBackend::Stratified => {
-                    let values: Vec<&[u8]> = store.segments.iter().map(|s| &s.value[..]).collect();
-                    let index = self.strata.as_ref().expect("ensured");
-                    let provider = StratifiedProvider::new(&values, &self.config.dissim, index)
-                        .with_swar(self.config.swar)
-                        .with_counters(Arc::clone(&self.neighbor_counters));
-                    merge_clusters_with_provider(
-                        clustering,
-                        &provider,
-                        &self.config.refine,
-                        self.config.threads,
-                    )
-                }
-                _ => {
-                    let matrix = self.dissim.as_ref().expect("ensured").matrix();
-                    merge_clusters_with_provider(
-                        clustering,
-                        &MatrixProvider::new(matrix),
-                        &self.config.refine,
-                        self.config.threads,
-                    )
-                }
-            };
-            split_clusters(&merged, &weights, &self.config.refine)
-        };
+        let clustering = self.clustering.as_ref().expect("ensured");
+        let merged = self.with_provider(|p| {
+            merge_clusters(clustering, p, &self.config.refine, self.config.threads)
+        });
+        let refined = split_clusters(&merged, &weights, &self.config.refine);
         if let (Some(cache), Some(key)) = (self.cache.as_ref(), &refined_key) {
             cache.put(key, &RefinedArtifact(refined.clone()));
         }
@@ -1304,13 +1181,74 @@ enum FullDissim {
     Own(DissimArtifact),
 }
 
+/// The one neighbor provider a session answers every clustering query
+/// through. Dispatch is a `match` per call, not a `dyn` call:
+/// refinement calls [`pair`](NeighborProvider::pair) millions of times
+/// per run.
+enum SessionProvider<'a> {
+    /// Row scans of the condensed matrix (matrix and tiled backends).
+    Matrix(MatrixProvider<'a>),
+    /// The length-stratified index (stratified backend).
+    Stratified(StratifiedProvider<'a>),
+}
+
+impl NeighborProvider for SessionProvider<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Self::Matrix(p) => p.len(),
+            Self::Stratified(p) => p.len(),
+        }
+    }
+
+    fn neighbors_within(&self, i: usize, eps: f64, out: &mut Vec<(f64, u32)>) {
+        match self {
+            Self::Matrix(p) => p.neighbors_within(i, eps, out),
+            Self::Stratified(p) => p.neighbors_within(i, eps, out),
+        }
+    }
+
+    fn knn(&self, i: usize, k: usize) -> f64 {
+        match self {
+            Self::Matrix(p) => p.knn(i, k),
+            Self::Stratified(p) => p.knn(i, k),
+        }
+    }
+
+    #[inline]
+    fn pair(&self, i: usize, j: usize) -> f64 {
+        match self {
+            Self::Matrix(p) => p.pair(i, j),
+            Self::Stratified(p) => p.pair(i, j),
+        }
+    }
+
+    fn neighbors_within_batch(
+        &self,
+        queries: &[usize],
+        eps: f64,
+        threads: usize,
+    ) -> Vec<Vec<(f64, u32)>> {
+        match self {
+            Self::Matrix(p) => p.neighbors_within_batch(queries, eps, threads),
+            Self::Stratified(p) => p.neighbors_within_batch(queries, eps, threads),
+        }
+    }
+
+    fn knn_table(&self, k_max: usize, threads: usize) -> KnnTable {
+        match self {
+            Self::Matrix(p) => p.knn_table(k_max, threads),
+            Self::Stratified(p) => p.knn_table(k_max, threads),
+        }
+    }
+}
+
 /// Occurrence-weighted DBSCAN at the selected parameters, plus the
 /// §III-E dominating-cluster re-configuration on the trimmed ECDF —
 /// over any neighbor backend. Returns the labels and, when the trimmed
 /// rerun fired, the re-selected parameters. The trimmed selection reads
 /// the session's `knn` table, so it issues no k-NN query. All backends
 /// are pinned bit-identical.
-fn cluster_with_provider<P: NeighborProvider + Sync>(
+fn cluster_and_reselect<P: NeighborProvider + Sync>(
     config: &FieldTypeClusterer,
     provider: &P,
     knn: &KnnTable,
@@ -1319,13 +1257,7 @@ fn cluster_with_provider<P: NeighborProvider + Sync>(
 ) -> (Clustering, Option<(SelectedParams, EpsilonSource)>) {
     let min_samples = selected.min_samples;
     let threads = config.threads;
-    let mut clustering = dbscan_weighted_parallel_with_provider(
-        provider,
-        selected.epsilon,
-        min_samples,
-        weights,
-        threads,
-    );
+    let mut clustering = dbscan(provider, selected.epsilon, min_samples, weights, threads);
     let mut reselected = None;
     // §III-E: a single dominating cluster signals a too-large ε from a
     // multi-knee ECDF; re-configure on the trimmed distribution.
@@ -1334,15 +1266,9 @@ fn cluster_with_provider<P: NeighborProvider + Sync>(
             max_dissimilarity: Some(selected.epsilon),
             ..config.autoconf
         };
-        if let Ok(p) = auto_configure_with_knn(knn, &trimmed_config) {
+        if let Ok(p) = auto_configure(knn, &trimmed_config) {
             if p.epsilon < selected.epsilon {
-                clustering = dbscan_weighted_parallel_with_provider(
-                    provider,
-                    p.epsilon,
-                    min_samples,
-                    weights,
-                    threads,
-                );
+                clustering = dbscan(provider, p.epsilon, min_samples, weights, threads);
                 reselected = Some((
                     SelectedParams { min_samples, ..p },
                     EpsilonSource::TrimmedKnee,

@@ -3,8 +3,11 @@
 //!
 //! `reference_cluster_trace` below is a line-for-line transcription of
 //! the original `FieldTypeClusterer::cluster_trace` body: serial matrix
-//! build, matrix-scan auto-configuration, matrix-scan weighted DBSCAN,
-//! matrix-scan merge refinement. The staged session replaces every one
+//! build, matrix-sweep auto-configuration, lazy matrix-scan weighted
+//! DBSCAN ([`reference_dbscan`], written out here so the session's
+//! batched region growing is checked against an independent
+//! implementation), matrix-scan merge refinement. The staged session
+//! replaces every one
 //! of those query paths with the shared `DissimArtifact`'s neighbor
 //! index; these tests pin down that the substitution is exact — same
 //! clustering, same ε (bit-for-bit), same `min_samples`, same coverage —
@@ -14,9 +17,9 @@
 use cluster::autoconf::{
     auto_configure, required_k_max, AutoConfError, AutoConfig, SelectedParams,
 };
-use cluster::dbscan::{dbscan_weighted, Clustering};
+use cluster::dbscan::{dbscan, Clustering, Label};
 use cluster::refine::{merge_clusters, split_clusters};
-use dissim::{dissimilarity, CondensedMatrix};
+use dissim::{dissimilarity, CondensedMatrix, MatrixProvider};
 use fieldclust::truth::truth_segmentation;
 use fieldclust::{AnalysisSession, FieldTypeClusterer, SegmentStore};
 use protocols::{corpus, Protocol};
@@ -24,8 +27,72 @@ use segment::nemesys::Nemesys;
 use segment::{Segmenter, TraceSegmentation};
 use trace::Trace;
 
+/// Serial weighted DBSCAN over the matrix, as the pipeline ran it
+/// before region queries were batched: seeds are taken in index order,
+/// each ε-region (`d <= eps`, self excluded) is scanned from the matrix
+/// when its item is visited, and an item is core when the weights of
+/// its region, its own included, reach `min_samples`.
+fn reference_dbscan(
+    matrix: &CondensedMatrix,
+    eps: f64,
+    min_samples: usize,
+    weights: &[usize],
+) -> Clustering {
+    const UNVISITED: u32 = u32::MAX;
+    const NOISE: u32 = u32::MAX - 1;
+    let n = matrix.len();
+    let region = |i: usize| -> Vec<usize> {
+        (0..n)
+            .filter(|&j| j != i && matrix.get(i, j) <= eps)
+            .collect()
+    };
+    let is_core = |i: usize, nb: &[usize]| {
+        weights[i] + nb.iter().map(|&j| weights[j]).sum::<usize>() >= min_samples
+    };
+    let mut labels = vec![UNVISITED; n];
+    let mut cluster_id = 0u32;
+    for i in 0..n {
+        if labels[i] != UNVISITED {
+            continue;
+        }
+        let nb = region(i);
+        if !is_core(i, &nb) {
+            labels[i] = NOISE;
+            continue;
+        }
+        labels[i] = cluster_id;
+        let mut queue: std::collections::VecDeque<usize> = nb.into();
+        while let Some(q) = queue.pop_front() {
+            if labels[q] == NOISE {
+                labels[q] = cluster_id;
+            }
+            if labels[q] != UNVISITED {
+                continue;
+            }
+            labels[q] = cluster_id;
+            let nb = region(q);
+            if is_core(q, &nb) {
+                queue.extend(nb);
+            }
+        }
+        cluster_id += 1;
+    }
+    Clustering::from_labels(
+        labels
+            .into_iter()
+            .map(|l| {
+                if l == NOISE {
+                    Label::Noise
+                } else {
+                    Label::Cluster(l)
+                }
+            })
+            .collect(),
+    )
+}
+
 /// The pre-refactor pipeline, inlined: every stage queries the matrix
-/// directly. Returns (clustering, params, weights).
+/// directly, on one thread. Returns (clustering, params, weights).
 fn reference_cluster_trace(
     config: &FieldTypeClusterer,
     trace: &Trace,
@@ -44,7 +111,9 @@ fn reference_cluster_trace(
     let total_instances: usize = weights.iter().sum();
     let min_samples = ((total_instances as f64).ln().round() as usize).max(2);
 
-    let mut selected = match auto_configure(&matrix, &config.autoconf) {
+    let knn = matrix.knn_table(required_k_max(n));
+    let rows = MatrixProvider::new(&matrix);
+    let mut selected = match auto_configure(&knn, &config.autoconf) {
         Ok(p) => p,
         Err(AutoConfError::TooFewSegments { .. }) => unreachable!("n >= 4"),
         Err(_) => SelectedParams {
@@ -56,7 +125,7 @@ fn reference_cluster_trace(
         },
     };
     selected.min_samples = min_samples;
-    let mut clustering = dbscan_weighted(&matrix, selected.epsilon, min_samples, &weights);
+    let mut clustering = reference_dbscan(&matrix, selected.epsilon, min_samples, &weights);
 
     // §III-E dominating-cluster fallback.
     let clusters = clustering.clusters();
@@ -71,15 +140,15 @@ fn reference_cluster_trace(
             max_dissimilarity: Some(selected.epsilon),
             ..config.autoconf
         };
-        if let Ok(p) = auto_configure(&matrix, &trimmed) {
+        if let Ok(p) = auto_configure(&knn, &trimmed) {
             if p.epsilon < selected.epsilon {
-                clustering = dbscan_weighted(&matrix, p.epsilon, min_samples, &weights);
+                clustering = reference_dbscan(&matrix, p.epsilon, min_samples, &weights);
                 selected = SelectedParams { min_samples, ..p };
             }
         }
     }
 
-    let merged = merge_clusters(&clustering, &matrix, &config.refine);
+    let merged = merge_clusters(&clustering, &rows, &config.refine, 1);
     let final_clustering = split_clusters(&merged, &weights, &config.refine);
     (store, final_clustering, selected, matrix)
 }
@@ -519,12 +588,12 @@ fn tiled_growth_reuses_complete_tiles() {
     }
 }
 
-// ----- neighbor-backend equivalence: matrix vs tiled vs vptree -----
+// ----- neighbor-backend equivalence: matrix vs tiled vs stratified -----
 //
 // The three neighbor backends answer the same ε-region and k-NN
-// queries through different structures — sorted index over the
-// monolithic matrix, tiled matrix + merged k-NN table, vantage-point
-// tree forest over the raw values. Every derived artifact (ε bits,
+// queries through different structures — row scans of the monolithic
+// matrix, tiled matrix + merged k-NN table, length-stratified
+// vantage-point forests over the raw values. Every derived artifact (ε bits,
 // min_samples, k, labels, refined clusters) must be identical across
 // them; the backend, like the tile geometry, is a performance knob
 // only.
@@ -555,6 +624,20 @@ fn all_neighbor_backends_are_bit_identical() {
             reference_session.knn_table().is_some(),
             "{label}: matrix oracle builds its table"
         );
+        // Anchor the matrix session itself to the inlined serial
+        // pipeline, so every backend below is compared against an
+        // independent DBSCAN, not against the session's own growing.
+        let (_, serial_clustering, serial_params, _) =
+            reference_cluster_trace(&FieldTypeClusterer::default(), &trace, &seg);
+        assert_eq!(
+            reference.clustering, serial_clustering,
+            "{label}: matrix session differs from the serial pipeline"
+        );
+        assert_eq!(
+            reference.params.epsilon.to_bits(),
+            serial_params.epsilon.to_bits(),
+            "{label}: matrix session eps differs from the serial pipeline"
+        );
         let backends = [
             FieldTypeClusterer {
                 neighbor_backend: NeighborBackend::Tiled,
@@ -562,21 +645,7 @@ fn all_neighbor_backends_are_bit_identical() {
                 ..FieldTypeClusterer::default()
             },
             FieldTypeClusterer {
-                neighbor_backend: NeighborBackend::Vptree,
-                ..FieldTypeClusterer::default()
-            },
-            FieldTypeClusterer {
-                neighbor_backend: NeighborBackend::Vptree,
-                swar: true,
-                ..FieldTypeClusterer::default()
-            },
-            FieldTypeClusterer {
                 neighbor_backend: NeighborBackend::Stratified,
-                ..FieldTypeClusterer::default()
-            },
-            FieldTypeClusterer {
-                neighbor_backend: NeighborBackend::Stratified,
-                swar: true,
                 ..FieldTypeClusterer::default()
             },
             FieldTypeClusterer {
@@ -591,13 +660,7 @@ fn all_neighbor_backends_are_bit_identical() {
             },
         ];
         for config in backends {
-            let tag = format!(
-                "{label}/{}{}/t{}",
-                config.neighbor_backend,
-                if config.swar { "+swar" } else { "" },
-                config.threads,
-            );
-            let vptree = config.neighbor_backend == NeighborBackend::Vptree;
+            let tag = format!("{label}/{}/t{}", config.neighbor_backend, config.threads);
             let stratified = config.neighbor_backend == NeighborBackend::Stratified;
             let (result, session) = run(config);
             // Every backend selects ε from one k-NN table, equal to the
@@ -607,12 +670,6 @@ fn all_neighbor_backends_are_bit_identical() {
                 reference_session.knn_table(),
                 "{tag}: k-NN table differs from the matrix oracle's"
             );
-            if vptree {
-                assert!(
-                    session.vp_forest().is_some(),
-                    "{tag}: vptree backend must build its forest"
-                );
-            }
             if stratified {
                 assert!(
                     session.strata_index().is_some(),
@@ -780,7 +837,6 @@ fn neighbor_counters_do_not_depend_on_threads() {
 
 #[test]
 fn trimmed_rerun_reselects_without_neighbor_queries() {
-    use cluster::dbscan::dbscan_weighted_parallel_with_provider;
     use dissim::{QueryCounters, StratifiedProvider};
     use fieldclust::{EpsilonSource, NeighborBackend};
     use std::sync::Arc;
@@ -816,13 +872,7 @@ fn trimmed_rerun_reselects_without_neighbor_queries() {
         let provider = StratifiedProvider::new(&values, &config.dissim, index)
             .with_counters(Arc::clone(&counters));
         for eps in [first.epsilon, rerun.epsilon] {
-            dbscan_weighted_parallel_with_provider(
-                &provider,
-                eps,
-                first.min_samples,
-                &weights,
-                threads,
-            );
+            dbscan(&provider, eps, first.min_samples, &weights, threads);
         }
         let (evals, pruned, skipped) = counters.snapshot();
         assert_eq!(
@@ -835,63 +885,6 @@ fn trimmed_rerun_reselects_without_neighbor_queries() {
             "threads {threads}: cluster stage beyond its two DBSCAN runs"
         );
     }
-}
-
-#[test]
-fn vptree_warm_run_faults_the_forest_back_in() {
-    use fieldclust::NeighborBackend;
-    let dir = cache_dir("vptree-warm");
-    let trace = corpus::build_trace(Protocol::Dns, 100, 27);
-    let config = FieldTypeClusterer {
-        neighbor_backend: NeighborBackend::Vptree,
-        ..FieldTypeClusterer::default()
-    };
-
-    // Cold vptree run persists chunk trees + stage artifacts — and no
-    // monolithic dissimilarity artifact (the matrix is never built).
-    let mut cold = truth_session_with(&trace, config.clone())
-        .with_store(&dir)
-        .expect("open store");
-    let cold_result = cold.finish().expect("cold pipeline");
-    let cold_stats = cold.cache_stats().expect("stats");
-    assert_eq!(cold_stats.hits, 0, "first vptree run must not hit");
-    assert!(cold_stats.writes > 0, "first vptree run must persist trees");
-    let trees: Vec<_> = std::fs::read_dir(&dir)
-        .expect("read cache dir")
-        .map(|e| e.expect("entry").file_name().to_string_lossy().to_string())
-        .filter(|name| name.starts_with("vptree-"))
-        .collect();
-    assert!(!trees.is_empty(), "chunk trees must be persisted on disk");
-    assert!(
-        !std::fs::read_dir(&dir)
-            .expect("read cache dir")
-            .map(|e| e.expect("entry").file_name().to_string_lossy().to_string())
-            .any(|name| name.starts_with("dissim-")),
-        "the vptree path must not persist a condensed matrix"
-    );
-
-    // Warm run: stage artifacts hit, and explicitly rebuilding the
-    // neighbors stage faults the forest in — no misses, no writes.
-    let mut warm = truth_session_with(&trace, config)
-        .with_store(&dir)
-        .expect("open store");
-    let warm_result = warm.finish().expect("warm pipeline");
-    warm.ensure_neighbors().expect("fault the forest in");
-    assert!(warm.vp_forest().is_some());
-    let stats = warm.cache_stats().expect("stats");
-    assert_eq!(
-        stats.misses, 0,
-        "fully warm vptree run must not miss: {stats}"
-    );
-    assert_eq!(
-        stats.writes, 0,
-        "fully warm vptree run must not write: {stats}"
-    );
-    assert_eq!(warm_result.clustering, cold_result.clustering);
-    assert_eq!(
-        warm_result.params.epsilon.to_bits(),
-        cold_result.params.epsilon.to_bits()
-    );
 }
 
 #[test]
@@ -912,6 +905,9 @@ fn stratified_warm_and_grown_runs_reuse_the_index() {
         .expect("open store");
     let cold_result = cold.finish().expect("cold pipeline");
     assert!(cold.strata_index().is_some());
+    let cold_stats = cold.cache_stats().expect("stats");
+    assert_eq!(cold_stats.hits, 0, "first stratified run must not hit");
+    assert!(cold_stats.writes > 0, "first stratified run must persist");
     let names = || -> Vec<String> {
         std::fs::read_dir(&dir)
             .expect("read cache dir")

@@ -8,8 +8,9 @@
 //! shared [`ArtifactStore`]. That mirrors the daemon's append
 //! semantics exactly: preprocessing (global de-duplication) must see
 //! the full concatenation, and warmth comes from the store's
-//! chained-prefix-digest keys — the matrix grows by tile-append and
-//! the vptree forest by graft, never a cold rebuild. With sampling
+//! chained-prefix-digest keys — the matrix grows by tile-append or
+//! prefix extension and the stratified index by
+//! `StrataIndex::extend_from`, never a cold rebuild. With sampling
 //! off, the final batch's session state is therefore byte-identical to
 //! a one-shot analysis of the merged capture, which is what makes
 //! `fieldclust follow` equivalent to `fieldclust analyze` (pinned by
@@ -177,14 +178,11 @@ impl StreamSession {
         let t = Instant::now();
         session.store().map_err(err)?;
         timed("dedup", t);
-        // Same bucket split as the daemon: under the vptree and
-        // stratified backends no pairwise matrix exists, so that wall
-        // stays empty and the build cost lands under "neighbors".
+        // Same bucket split as the daemon: under the stratified backend
+        // no pairwise matrix exists, so that wall stays empty and the
+        // build cost lands under "neighbors".
         let backend = session.resolved_neighbor_backend().map_err(err)?;
-        if !matches!(
-            backend,
-            NeighborBackend::Vptree | NeighborBackend::Stratified
-        ) {
+        if backend != NeighborBackend::Stratified {
             let t = Instant::now();
             session.matrix().map_err(err)?;
             timed("matrix", t);

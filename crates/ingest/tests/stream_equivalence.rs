@@ -63,7 +63,7 @@ fn follow_converges_to_one_shot_for_every_backend() {
     for backend in [
         NeighborBackend::Matrix,
         NeighborBackend::Tiled,
-        NeighborBackend::Vptree,
+        NeighborBackend::Stratified,
     ] {
         let expected = one_shot_report(&msgs, backend);
         let (dir, store) = temp_store(&format!("backend-{backend}"));
@@ -91,8 +91,8 @@ fn warm_batches_reuse_the_store_instead_of_rebuilding() {
     let msgs = trace.messages().to_vec();
     // Matrix reuses via monolithic prefix extension; Tiled via re-read
     // complete tiles — 16-row tiles so complete tiles exist at this
-    // scale. (Vptree's reuse unit is a 1024-value chunk tree, coarser
-    // than any small-stream test; its byte-identity is pinned above.)
+    // scale; Stratified via `StrataIndex::extend_from` on the cached
+    // prefix index.
     let tiled_small = FieldTypeClusterer {
         neighbor_backend: NeighborBackend::Tiled,
         tile_rows: Some(16),
@@ -101,6 +101,7 @@ fn warm_batches_reuse_the_store_instead_of_rebuilding() {
     for (tag, clusterer) in [
         ("matrix", clusterer(NeighborBackend::Matrix)),
         ("tiled-16", tiled_small),
+        ("stratified", clusterer(NeighborBackend::Stratified)),
     ] {
         let (dir, store) = temp_store(&format!("warmth-{tag}"));
         let mut s = StreamSession::new(

@@ -7,13 +7,17 @@
 //! `thread::scope` + `AtomicUsize` blocks that used to be copy-pasted
 //! across `dissim::matrix`, `dissim::kernel`, and `dissim::neighbor`
 //! shared that shape but not their load-balancing logic; this crate
-//! centralizes it behind two entry points:
+//! centralizes it behind these entry points:
 //!
 //! - [`for_each_chunk`]: covers `0..items` with disjoint, non-empty
 //!   chunks, each handed to the callback exactly once.
 //! - [`map_parts`]: like [`for_each_chunk`] but each worker folds the
 //!   chunks it processes into its own accumulator; the per-worker
 //!   accumulators are returned for the caller to merge.
+//! - [`map_blocks`]: the disjoint-slot write — each chunk's output
+//!   block placed by its first index, concatenated in index order — as
+//!   a safe map over [`map_parts`]; [`map_indexed`] is its one result
+//!   per index form.
 //!
 //! # Scheduling
 //!
@@ -42,6 +46,8 @@
 //! construction instead: workers write only to disjoint output slots
 //! indexed by item, or fold into per-worker accumulators whose merge is
 //! order-independent (minima, k-smallest multisets, integer sums).
+
+#![forbid(unsafe_code)]
 
 pub mod pool;
 
@@ -304,9 +310,81 @@ where
     accs
 }
 
+/// Maps `0..items` chunk by chunk on `threads` workers and returns the
+/// chunks' outputs concatenated in index order: `f(scratch, chunk, out)`
+/// appends the results for `chunk` to `out`, which is empty for every
+/// chunk. When `f`'s output for a range is the concatenation of its
+/// outputs for the range's pieces (a row per index, a block of rows per
+/// range), the result equals the serial `f(scratch, 0..items, out)`
+/// whatever the schedule.
+///
+/// Built on [`map_parts`]: every chunk's output is one block tagged
+/// with the chunk's first index, and the disjoint blocks are
+/// concatenated in index order, so no two workers ever write the same
+/// slot. Each worker slot gets one `scratch()`, reused across the
+/// chunks it maps (traversal stacks, heaps, alignment buffers); `f`
+/// must not let its output depend on what earlier calls left there.
+pub fn map_blocks<S, T, F>(
+    threads: usize,
+    items: usize,
+    min_chunk: usize,
+    scratch: impl Fn() -> S,
+    f: F,
+) -> Vec<T>
+where
+    S: Send,
+    T: Send,
+    F: Fn(&mut S, Range<usize>, &mut Vec<T>) + Sync,
+{
+    let mut blocks: Vec<(usize, Vec<T>)> = map_parts(
+        threads,
+        items,
+        min_chunk,
+        || (scratch(), Vec::new()),
+        |(s, blocks): &mut (S, Vec<(usize, Vec<T>)>), chunk| {
+            let start = chunk.start;
+            let mut block = Vec::new();
+            f(s, chunk, &mut block);
+            blocks.push((start, block));
+        },
+    )
+    .into_iter()
+    .flat_map(|(_, blocks)| blocks)
+    .collect();
+    blocks.sort_unstable_by_key(|&(start, _)| start);
+    let mut out = Vec::with_capacity(blocks.iter().map(|(_, b)| b.len()).sum());
+    for (_, block) in blocks {
+        out.extend(block);
+    }
+    out
+}
+
+/// Maps every index of `0..items` to its own result on `threads`
+/// workers and returns the results in index order: slot `i` holds
+/// `f(scratch, i)`, so the output equals a serial map whatever the
+/// schedule. The [`map_blocks`] of one result per index; `scratch` is
+/// reused as there.
+pub fn map_indexed<S, T, F>(
+    threads: usize,
+    items: usize,
+    min_chunk: usize,
+    scratch: impl Fn() -> S,
+    f: F,
+) -> Vec<T>
+where
+    S: Send,
+    T: Send,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
+    map_blocks(threads, items, min_chunk, scratch, |s, chunk, out| {
+        out.extend(chunk.map(|i| f(s, i)));
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicU32;
 
     fn coverage(threads: usize, items: usize, min_chunk: usize) {
@@ -405,6 +483,65 @@ mod tests {
             );
             let total: u64 = parts.into_iter().sum();
             assert_eq!(total, (0..1000u64).sum::<u64>(), "threads = {threads}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn map_indexed_equals_serial_map(items in 0usize..300, min_chunk in 1usize..64) {
+            let serial: Vec<u64> = (0..items).map(|i| (i as u64) * 7 + 3).collect();
+            for threads in [1usize, 2, 4] {
+                let got = map_indexed(
+                    threads,
+                    items,
+                    min_chunk,
+                    || 0u64,
+                    |calls, i| {
+                        *calls += 1;
+                        (i as u64) * 7 + 3
+                    },
+                );
+                prop_assert_eq!(&got, &serial, "threads = {}", threads);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn map_blocks_equals_serial_concatenation(items in 0usize..300, min_chunk in 1usize..64) {
+            // Index i contributes i % 3 entries: blocks of uneven and
+            // zero length must still land in index order.
+            let emit = |chunk: Range<usize>, out: &mut Vec<usize>| {
+                for i in chunk {
+                    out.extend(std::iter::repeat_n(i, i % 3));
+                }
+            };
+            let mut serial = Vec::new();
+            emit(0..items, &mut serial);
+            for threads in [1usize, 2, 4] {
+                let got = map_blocks(threads, items, min_chunk, || (), |_, chunk, out| emit(chunk, out));
+                prop_assert_eq!(&got, &serial, "threads = {}", threads);
+            }
+        }
+    }
+
+    #[test]
+    fn map_indexed_covers_tiny_inputs() {
+        for threads in [1usize, 2, 4] {
+            let empty: Vec<usize> = map_indexed(threads, 0, 8, || (), |_, i| i);
+            assert!(empty.is_empty());
+            // Fewer items than one minimum chunk: a single inline chunk.
+            let few = map_indexed(
+                threads,
+                3,
+                8,
+                || 0usize,
+                |seen, i| {
+                    *seen += 1;
+                    (i, *seen)
+                },
+            );
+            assert_eq!(few, vec![(0, 1), (1, 2), (2, 3)], "threads = {threads}");
         }
     }
 

@@ -31,7 +31,7 @@ OPTIONS:
   --no-mmap        read cache artifacts via heap reads instead of memory
                    mappings (never affects results, only copies)
   --neighbor-backend B
-                   neighbor queries: auto|matrix|tiled|vptree (default auto;
+                   neighbor queries: auto|matrix|tiled|stratified (default auto;
                    never affects results, only memory and wall time)
 
 EXIT CODES:

@@ -87,8 +87,8 @@ pub struct ServerConfig {
     /// session states observable deterministically.
     pub worker_delay_ms: u64,
     /// Neighbor backend for every analysis session (matrix, tiled,
-    /// vptree, or auto). Never affects results, only memory and wall
-    /// time.
+    /// stratified, or auto). Never affects results, only memory and
+    /// wall time.
     pub neighbor_backend: NeighborBackend,
     /// Warm sessions parked at once, across all traces (floor 1).
     /// Beyond this the least recently used session is dropped — its
@@ -1058,18 +1058,15 @@ fn drive_stages(
     timed("dedup", t.elapsed());
     // The matrix and neighbor builds get separate wall buckets: the
     // matrix stage is the O(u²) pairwise build, the neighbors stage the
-    // backend's query structure (k-NN table sweep, vptree forest, or
-    // stratified per-length forests). Under the vptree and stratified
-    // backends no matrix exists, so that bucket stays untouched and the
-    // whole build cost lands under "neighbors".
+    // backend's query structure (k-NN table sweep or stratified
+    // per-length forests). Under the stratified backend no matrix
+    // exists, so that bucket stays untouched and the whole build cost
+    // lands under "neighbors".
     let backend = match session.resolved_neighbor_backend() {
         Ok(b) => b,
         Err(e) => return phase_of(e),
     };
-    if !matches!(
-        backend,
-        NeighborBackend::Vptree | NeighborBackend::Stratified
-    ) {
+    if backend != NeighborBackend::Stratified {
         let t = Instant::now();
         if let Err(e) = session.matrix().map(|_| ()) {
             return phase_of(e);

@@ -251,7 +251,7 @@ pub struct ServerStats {
     /// Streamed batches committed across all streams.
     pub stream_batches: u64,
     /// Exact dissimilarity-kernel evaluations performed by stratified
-    /// neighbor queries (0 on the matrix/tiled/vptree backends).
+    /// neighbor queries (0 on the matrix and tiled backends).
     pub kernel_evals: u64,
     /// Candidates skipped by the stratified backend's lower bounds
     /// without a kernel evaluation.

@@ -70,7 +70,10 @@ impl Kind {
         tag: 9,
         name: "tile",
     };
-    /// One chunk tree of a vantage-point forest ([`VpTree`]).
+    /// One chunk tree of a vantage-point forest ([`VpTree`]). Trees now
+    /// persist only inside a [`StrataIndex`] payload; nothing is stored
+    /// under this kind any more, and tag 10 stays reserved so entries
+    /// written when trees were stored on their own read as misses.
     pub const VPTREE: Kind = Kind {
         tag: 10,
         name: "vptree",
@@ -192,11 +195,7 @@ impl Persist for CondensedMatrix {
         if m.checked_mul(8)? > r.remaining() {
             return None;
         }
-        let mut data = Vec::with_capacity(m);
-        for _ in 0..m {
-            data.push(r.f64()?);
-        }
-        CondensedMatrix::from_condensed(n, data)
+        CondensedMatrix::try_from_fn(n, || r.f64())
     }
 }
 

@@ -40,28 +40,31 @@ echo "mmap smoke test: heap-read warm run reproduced the mmap warm report byte f
 
 # Neighbor-backend equivalence smoke test: the same capture analyzed
 # through every neighbor backend (matrix row scans + k-NN table, tiled
-# build + merged k-NN table, vantage-point forest, vptree + SWAR kernel,
-# length-stratified forest) must produce byte-identical reports — the backend is a
-# performance knob, never a result knob. The NTP capture's NEMESYS
-# segments are mixed-length, so the stratified run must also report
-# nonzero prune counters: its speed comes from skipping work, and the
-# counters prove the skipping actually happened.
+# build + merged k-NN table, length-stratified forests) must produce
+# byte-identical reports — the backend is a performance knob, never a
+# result knob. The NTP capture's NEMESYS segments are mixed-length, so
+# the stratified run must also report nonzero prune counters: its speed
+# comes from skipping work, and the counters prove the skipping actually
+# happened. The fixed-width pair covers uniform-length input, where the
+# stratified index is a single vp-forest stratum: its report must match
+# the matrix run's and its in-stratum metric pruning must fire.
 cargo run --release -q -p cli -- analyze "$tmp/smoke.pcap" --neighbor-backend matrix \
     --report "$tmp/backend-matrix.md"
 cargo run --release -q -p cli -- analyze "$tmp/smoke.pcap" --neighbor-backend tiled --tile-rows 64 \
     --report "$tmp/backend-tiled.md"
-cargo run --release -q -p cli -- analyze "$tmp/smoke.pcap" --neighbor-backend vptree \
-    --report "$tmp/backend-vptree.md"
-cargo run --release -q -p cli -- analyze "$tmp/smoke.pcap" --neighbor-backend vptree --swar \
-    --report "$tmp/backend-swar.md"
 cargo run --release -q -p cli -- analyze "$tmp/smoke.pcap" --neighbor-backend stratified \
     --report "$tmp/backend-stratified.md" 2>"$tmp/backend-stratified.err"
+cargo run --release -q -p cli -- analyze "$tmp/smoke.pcap" --segmenter fixed \
+    --neighbor-backend matrix --report "$tmp/backend-fixed-matrix.md"
+cargo run --release -q -p cli -- analyze "$tmp/smoke.pcap" --segmenter fixed \
+    --neighbor-backend stratified --report "$tmp/backend-fixed-stratified.md" \
+    2>"$tmp/backend-fixed-stratified.err"
 cmp "$tmp/backend-matrix.md" "$tmp/backend-tiled.md"
-cmp "$tmp/backend-matrix.md" "$tmp/backend-vptree.md"
-cmp "$tmp/backend-matrix.md" "$tmp/backend-swar.md"
 cmp "$tmp/backend-matrix.md" "$tmp/backend-stratified.md"
 grep -Eq 'neighbors: kernel_evals=[1-9][0-9]* pruned=[1-9][0-9]*' "$tmp/backend-stratified.err"
-echo "backend smoke test: matrix, tiled, vptree, vptree+swar and stratified reports are byte-identical"
+cmp "$tmp/backend-fixed-matrix.md" "$tmp/backend-fixed-stratified.md"
+grep -Eq 'neighbors: kernel_evals=[1-9][0-9]* pruned=[1-9][0-9]*' "$tmp/backend-fixed-stratified.err"
+echo "backend smoke test: matrix, tiled and stratified reports are byte-identical, mixed and fixed-width"
 
 # Stratified thread-invariance smoke test: the stratified backend builds
 # its k-NN table and answers DBSCAN's one region query per segment on
@@ -108,17 +111,18 @@ else
 fi
 echo "rss smoke test: tiled build at u=2000 stayed under $rss_budget bytes"
 
-# Same budget for the matrix-free vptree path: the ladder's budget mode
-# skips the matrix oracle rungs and self-checks VmHWM, so the vp-forest
-# ε-search at u=2000 — including the batched parallel query pass, which
-# every rung runs and pins bit-identical to the scalar queries — must
-# fit where the full matrix would not.
+# Same budget for the matrix-free stratified path: the ladder's budget
+# mode skips the matrix oracle rungs and self-checks VmHWM, so the
+# stratified ε-search at u=2000 — on the uniform corpus (one vp-forest
+# stratum) and the mixed-length one, each including the batched parallel
+# query pass, which every rung runs and pins bit-identical to the scalar
+# queries — must fit where the full matrix would not.
 cargo build --release -q -p bench --bin neighbor_ladder
 ./target/release/neighbor_ladder 2000 128 "$rss_budget" >"$tmp/ladder.out"
-grep -q 'u=2000 backend=vptree+batch' "$tmp/ladder.out"
+grep -q '^neighbor_ladder: u=2000 backend=stratified+batch' "$tmp/ladder.out"
 grep -q 'corpus=mixed u=2000 backend=stratified+batch' "$tmp/ladder.out"
 grep -q 'corpus=mixed u=2000 stratified_speedup_vs_linear' "$tmp/ladder.out"
-echo "rss smoke test: vptree and stratified search at u=2000 stayed under $rss_budget bytes"
+echo "rss smoke test: stratified search at u=2000, uniform and mixed, stayed under $rss_budget bytes"
 
 # Daemon smoke test: ftcd on an ephemeral port must serve a report
 # byte-identical to the offline CLI's, report sane stats, and exit 0
