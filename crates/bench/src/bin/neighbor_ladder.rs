@@ -52,6 +52,15 @@
 //! `…_stratified_kdist_sweeps` / `…_stratified_knn_table` record pair
 //! appended.
 //!
+//! A refinement rung ([`REFINE_LADDER`]) clusters the mixed-length
+//! corpus the way a session does — a k-NN table, Algorithm 1's ε, then
+//! DBSCAN — and times merge refinement (paper §III-F) on the stratified
+//! provider. It prints the refine wall, the merge rounds, the pair
+//! evaluations (counted by a wrapping provider in a second, untimed
+//! run), the number `K` of clusters entering refinement and the
+//! `K² × 16`-byte size of a per-pair link table, and appends
+//! `neighbor_ladder_mixed_u{u}_dbscan` / `…_refine` records.
+//!
 //! Run with:
 //! `cargo run --release -p bench --bin neighbor_ladder -- [max_u] [samples] [budget_bytes]
 //!  [--cache-dir D] [--max-memory BYTES]`
@@ -69,7 +78,9 @@
 //! skipped (and logged) before a byte of it is allocated, instead of
 //! blowing past the budget mid-build.
 
-use cluster::autoconf::required_k_max;
+use cluster::autoconf::{auto_configure, required_k_max, AutoConfig};
+use cluster::dbscan::dbscan;
+use cluster::refine::{merge_clusters, RefineParams};
 use dissim::kernel::dissimilarity_kernel;
 use dissim::vptree::DEFAULT_CHUNK;
 use dissim::{
@@ -80,6 +91,7 @@ use protocols::{corpus, Protocol};
 use rand::{Rng, SeedableRng, StdRng};
 use segment::nemesys::Nemesys;
 use segment::Segmenter;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use store::{ArtifactStore, Key, KeyDigest, Kind};
@@ -110,6 +122,9 @@ const MIXED_LADDER: [usize; 4] = [2_000, 5_000, 50_000, 250_000];
 /// Seed for the mixed-length corpus — distinct from [`CORPUS_SEED`] so
 /// the two generators can never be confused in cache keys.
 const MIXED_SEED: u64 = 12;
+
+/// The refinement rungs on the mixed-length corpus; trimmed by `max_u`.
+const REFINE_LADDER: [usize; 2] = [2_000, 10_000];
 
 /// Uniform-length corpus (8-byte segments) drawn from a few field-type
 /// templates, so dense ε-neighborhoods exist and the dissimilarity is a
@@ -326,6 +341,111 @@ impl NeighborProvider for LinearScan<'_> {
         }
         acc.finish()
     }
+}
+
+/// Counts the [`NeighborProvider::pair`] evaluations made through it;
+/// every other query goes straight to the wrapped provider. Its
+/// `pairs_from` is the trait default, a loop over `pair`, so the count
+/// covers row reads too and means the same for any mix of pair and
+/// row calls a refinement makes.
+struct CountingPairs<'a, P> {
+    inner: &'a P,
+    pairs: AtomicU64,
+}
+
+impl<P: NeighborProvider + Sync> NeighborProvider for CountingPairs<'_, P> {
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+
+    fn neighbors_within(&self, i: usize, eps: f64, out: &mut Vec<(f64, u32)>) {
+        self.inner.neighbors_within(i, eps, out);
+    }
+
+    fn knn(&self, i: usize, k: usize) -> f64 {
+        self.inner.knn(i, k)
+    }
+
+    fn pair(&self, i: usize, j: usize) -> f64 {
+        self.pairs.fetch_add(1, Ordering::Relaxed);
+        self.inner.pair(i, j)
+    }
+
+    fn knn_table(&self, k_max: usize, threads: usize) -> KnnTable {
+        self.inner.knn_table(k_max, threads)
+    }
+}
+
+/// The refinement rung: ε from the k-NN table (Algorithm 1), unit-weight
+/// DBSCAN, then timed merge refinement, all on the stratified provider.
+/// A second merge through [`CountingPairs`] counts the pair
+/// evaluations, and re-runs under growing round bounds find the rounds
+/// that merged something.
+fn run_refine_rung(
+    u: usize,
+    values: &[&[u8]],
+    params: &DissimParams,
+    index: &StrataIndex,
+    threads: usize,
+) {
+    let provider = StratifiedProvider::new(values, params, index);
+    let table = provider.knn_table(required_k_max(u), threads);
+    let eps = match auto_configure(&table, &AutoConfig::default()) {
+        Ok(selected) => selected.epsilon,
+        Err(e) => {
+            println!("neighbor_ladder: corpus=mixed u={u} refine skipped (autoconf: {e})");
+            return;
+        }
+    };
+    let min_samples = ((u as f64).ln().round() as usize).max(2);
+    let start = Instant::now();
+    let clustering = dbscan(&provider, eps, min_samples, &vec![1; u], threads);
+    let dbscan_wall = start.elapsed();
+    let entering: Vec<usize> = clustering
+        .clusters()
+        .iter()
+        .map(Vec::len)
+        .filter(|&len| len >= 2)
+        .collect();
+    let k = entering.len();
+    let members: usize = entering.iter().sum();
+    bench::append_trajectory(&format!("neighbor_ladder_mixed_u{u}_dbscan"), dbscan_wall);
+
+    let refine = RefineParams::default();
+    let start = Instant::now();
+    let merged = merge_clusters(&clustering, &provider, &refine, threads);
+    let refine_wall = start.elapsed();
+    bench::append_trajectory(&format!("neighbor_ladder_mixed_u{u}_refine"), refine_wall);
+
+    let counting = CountingPairs {
+        inner: &provider,
+        pairs: AtomicU64::new(0),
+    };
+    assert_eq!(
+        merge_clusters(&clustering, &counting, &refine, threads),
+        merged,
+        "counted refinement diverged at mixed u={u}"
+    );
+    let merge_rounds = (0..refine.max_merge_rounds)
+        .find(|&r| {
+            let bounded = RefineParams {
+                max_merge_rounds: r,
+                ..refine
+            };
+            merge_clusters(&clustering, &provider, &bounded, threads) == merged
+        })
+        .unwrap_or(refine.max_merge_rounds);
+    println!(
+        "neighbor_ladder: corpus=mixed u={u} refine dbscan_wall_ms={:.1} refine_wall_ms={:.1} \
+         eps={eps:.6} clusters_in={k} members={members} clusters_out={} \
+         merge_rounds={merge_rounds} pair_evals={} link_table_bytes={} peak_rss_bytes={}",
+        dbscan_wall.as_secs_f64() * 1e3,
+        refine_wall.as_secs_f64() * 1e3,
+        merged.n_clusters(),
+        counting.pairs.load(Ordering::Relaxed),
+        k * k * 16,
+        bench::peak_rss_bytes()
+    );
 }
 
 /// Content key for one rung's persisted [`StrataIndex`] — a single
@@ -693,6 +813,15 @@ fn main() {
                 "neighbor_ladder: corpus=mixed u={u} backend=matrix skipped (cap {MATRIX_CAP})"
             );
         }
+    }
+
+    // Refinement rungs: DBSCAN and merge refinement on the mixed corpus.
+    for &u in REFINE_LADDER.iter().filter(|&&u| u <= max_u) {
+        let segments = mixed_segments(u, MIXED_SEED);
+        let values: Vec<&[u8]> = segments.iter().map(|s| &s[..]).collect();
+        let key = ladder_strata_key(b"neighbor_ladder_mixed", MIXED_SEED, u, DEFAULT_CHUNK);
+        let index = build_strata(&values, &params, store.as_ref().map(|s| (s, key)));
+        run_refine_rung(u, &values, &params, &index, threads);
     }
 
     // Real NEMESYS-segmented protocol corpora: the deduplicated segment

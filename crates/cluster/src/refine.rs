@@ -49,11 +49,146 @@ impl Default for RefineParams {
 /// holds the same cluster-mates for every backend, and the density is
 /// their median dissimilarity, which is order-insensitive.
 ///
-/// Each round's per-cluster statistics and per-pair merge decisions are
-/// computed on `threads` workers, each into its own slot
-/// ([`parkit::map_indexed`]) and folded in a fixed order, so the result
-/// is bit-identical for any thread count.
+/// **Incremental rounds.** Each cross-cluster member pair is evaluated
+/// at most once per call. Round 1 scans every pair of clusters (rows
+/// through [`NeighborProvider::pairs_from`]) and keeps both
+/// orientations of its link: the lexicographically first `(d, a, b)`
+/// minimum with `a` in the first cluster, and the one with `a` in the
+/// second. A round decides the lower-id cluster's orientation, and ids
+/// follow the smallest member, which a merge can move past another
+/// cluster's. Later rounds scan nothing:
+///
+/// - a merged cluster's link to another cluster is the minimum of its
+///   parts' links in the same orientation (a minimum over a union is
+///   the minimum of the minima), so it equals the nested scan's;
+/// - a cluster whose members did not change keeps its statistics; a
+///   merged one recomputes them in the nested member order, so its
+///   mean is the same float sum;
+/// - only pairs with a merged side are decided. A pair of unchanged
+///   clusters was decided "no merge" last round on the same inputs.
+///
+/// Clusters of one member have no intra-cluster mean and never merge,
+/// so they take no part. The result equals re-deciding every pair each
+/// round on freshly compacted labels (pinned against that per-round
+/// oracle in the tests below).
+///
+/// Statistics, round-1 links and merge decisions are computed on
+/// `threads` workers, each into its own slot ([`parkit::map_indexed`])
+/// and folded in a fixed order, so the result — and the queries issued,
+/// hence a counting provider's totals — is the same for any thread
+/// count. The link table takes `K² × 16` bytes for `K` clusters of two
+/// or more members.
 pub fn merge_clusters<P: NeighborProvider + Sync>(
+    clustering: &Clustering,
+    provider: &P,
+    params: &RefineParams,
+    threads: usize,
+) -> Clustering {
+    let start = Clustering::from_labels(clustering.labels().to_vec());
+    let members: Vec<Vec<usize>> = start
+        .clusters()
+        .into_iter()
+        .filter(|c| c.len() >= 2)
+        .collect();
+    if params.max_merge_rounds == 0 || members.len() < 2 {
+        return start;
+    }
+    // Each cluster keeps the link-table slot of its lowest-id part;
+    // slots, like ids, ascend with the smallest member.
+    let mut owner = vec![NO_SLOT; start.len()];
+    for (slot, c) in members.iter().enumerate() {
+        for &m in c {
+            owner[m] = slot as u32;
+        }
+    }
+    let mut links = LinkTable::scan(&members, provider, threads);
+    let mut live: Vec<Live> = members
+        .into_iter()
+        .enumerate()
+        .map(|(slot, members)| Live {
+            slot,
+            members,
+            stats: ClusterStats::default(),
+            fresh: true,
+        })
+        .collect();
+
+    for _ in 0..params.max_merge_rounds {
+        let fresh: Vec<&[usize]> = live
+            .iter()
+            .filter(|c| c.fresh)
+            .map(|c| &c.members[..])
+            .collect();
+        let stats = compute_stats(&fresh, provider, threads);
+        for (c, s) in live.iter_mut().filter(|c| c.fresh).zip(stats) {
+            c.stats = s;
+        }
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for i in 0..live.len() {
+            for j in (i + 1)..live.len() {
+                if live[i].fresh || live[j].fresh {
+                    pairs.push((i as u32, j as u32));
+                }
+            }
+        }
+        // A decision depends only on the two clusters, never on this
+        // round's earlier unions, so every candidate is decided into
+        // its own slot before the unions are applied.
+        let decisions = parkit::map_indexed(
+            threads,
+            pairs.len(),
+            1,
+            || (),
+            |_, p| {
+                let (ci, cj) = (&live[pairs[p].0 as usize], &live[pairs[p].1 as usize]);
+                let pair = MergeCandidate {
+                    si: &ci.stats,
+                    sj: &cj.stats,
+                    len_i: ci.members.len(),
+                    len_j: cj.members.len(),
+                    id_i: ci.slot as u32,
+                    id_j: cj.slot as u32,
+                    link: links.get(ci.slot, cj.slot),
+                };
+                should_merge(&pair, &owner, provider, params)
+            },
+        );
+        let mut merged_into: Vec<usize> = (0..live.len()).collect();
+        let mut any = false;
+        for (&(i, j), &merge) in pairs.iter().zip(&decisions) {
+            if merge {
+                union(&mut merged_into, i as usize, j as usize);
+                any = true;
+            }
+        }
+        if !any {
+            break;
+        }
+        live = regroup(live, &mut merged_into, &mut links, &mut owner);
+    }
+
+    // Merged clusters carry their slot, everything else its input label
+    // (offset past the slots); compaction renumbers by first member.
+    let offset = start.n_clusters();
+    let labels = start
+        .labels()
+        .iter()
+        .zip(&owner)
+        .map(|(&l, &slot)| match l {
+            Label::Cluster(_) if slot != NO_SLOT => Label::Cluster(slot),
+            Label::Cluster(c) => Label::Cluster(offset + c),
+            Label::Noise => Label::Noise,
+        })
+        .collect();
+    Clustering::from_labels(labels)
+}
+
+/// The per-round merge refinement [`merge_clusters`] replaces, kept as
+/// its test oracle: every round re-compacts the labels, recomputes
+/// every cluster's statistics and re-scans every cross-cluster member
+/// pair with [`NeighborProvider::pair`].
+#[cfg(test)]
+fn merge_clusters_rounds<P: NeighborProvider + Sync>(
     clustering: &Clustering,
     provider: &P,
     params: &RefineParams,
@@ -70,16 +205,13 @@ pub fn merge_clusters<P: NeighborProvider + Sync>(
             return current;
         }
         let stats = compute_stats(&clusters, provider, threads);
-
-        // A round's merge decision for (i, j) depends only on this
-        // round's labels, members and statistics — never on earlier
-        // unions — so every candidate pair (its cross-cluster link scan
-        // and Condition-1 link-density region queries) is decided into
-        // its own slot, on `threads` workers, before the unions are
-        // applied in pair order. Deciding every pair, including pairs an
-        // earlier union already joined, keeps the query sequence — and
-        // with it a counting provider's totals — the same at every
-        // thread count; a union of already-joined clusters is a no-op.
+        let owner: Vec<u32> = labels
+            .iter()
+            .map(|l| match l {
+                Label::Cluster(c) => *c,
+                Label::Noise => NO_SLOT,
+            })
+            .collect();
         let mut pairs: Vec<(u32, u32)> = Vec::new();
         for i in 0..clusters.len() {
             for j in (i + 1)..clusters.len() {
@@ -93,15 +225,27 @@ pub fn merge_clusters<P: NeighborProvider + Sync>(
             || (),
             |_, p| {
                 let (i, j) = (pairs[p].0 as usize, pairs[p].1 as usize);
+                let (ci, cj) = (&clusters[i], &clusters[j]);
+                // Link segments: the closest pair across the clusters.
+                let mut link = Link::unset(ci[0], cj[0]);
+                for &a in ci {
+                    for &b in cj {
+                        let d = provider.pair(a, b);
+                        if d < link.d {
+                            link = Link::new(d, a, b);
+                        }
+                    }
+                }
                 let pair = MergeCandidate {
-                    ci: &clusters[i],
-                    cj: &clusters[j],
                     si: &stats[i],
                     sj: &stats[j],
+                    len_i: ci.len(),
+                    len_j: cj.len(),
                     id_i: i as u32,
                     id_j: j as u32,
+                    link,
                 };
-                should_merge(&pair, &labels, provider, params)
+                should_merge(&pair, &owner, provider, params)
             },
         );
         let mut merged_into: Vec<usize> = (0..clusters.len()).collect();
@@ -171,25 +315,197 @@ pub fn split_clusters(
     Clustering::from_labels(labels)
 }
 
+/// Marks an item outside every cluster that takes part in merging.
+const NO_SLOT: u32 = u32::MAX;
+
+/// One cluster taking part in merging: its members (ascending), its
+/// link-table slot and statistics, and whether it is new this round
+/// (`fresh`: every cluster in round 1, then the ones a merge made),
+/// which means its statistics are still to be computed.
+struct Live {
+    slot: usize,
+    members: Vec<usize>,
+    stats: ClusterStats,
+    fresh: bool,
+}
+
+/// Applies a round's unions: each component becomes one cluster, in
+/// ascending order of its root (the lowest index, hence the smallest
+/// member). A component of one keeps its statistics and is no longer
+/// fresh; a larger one takes its root's slot, the union of the members
+/// and its parts' links.
+fn regroup(
+    live: Vec<Live>,
+    merged_into: &mut [usize],
+    links: &mut LinkTable,
+    owner: &mut [u32],
+) -> Vec<Live> {
+    let mut groups: Vec<Vec<Live>> = (0..live.len()).map(|_| Vec::new()).collect();
+    for (i, c) in live.into_iter().enumerate() {
+        groups[find(merged_into, i)].push(c);
+    }
+    let mut next = Vec::new();
+    for mut group in groups.into_iter().filter(|g| !g.is_empty()) {
+        if group.len() == 1 {
+            let mut c = group.pop().expect("one part");
+            c.fresh = false;
+            next.push(c);
+            continue;
+        }
+        let slot = group[0].slot;
+        let parts: Vec<usize> = group.iter().map(|c| c.slot).collect();
+        links.fold(slot, &parts);
+        let mut members: Vec<usize> = group.into_iter().flat_map(|c| c.members).collect();
+        members.sort_unstable();
+        for &m in &members {
+            owner[m] = slot as u32;
+        }
+        next.push(Live {
+            slot,
+            members,
+            stats: ClusterStats::default(),
+            fresh: true,
+        });
+    }
+    next
+}
+
+/// A link candidate: dissimilarity `d` between member `a` of one
+/// cluster and member `b` of the other. 16 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    d: f64,
+    a: u32,
+    b: u32,
+}
+
+impl Link {
+    fn new(d: f64, a: usize, b: usize) -> Self {
+        Self {
+            d,
+            a: a as u32,
+            b: b as u32,
+        }
+    }
+
+    /// What a scan reports when no pair beats infinity: the clusters'
+    /// first members.
+    fn unset(a: usize, b: usize) -> Self {
+        Self::new(f64::INFINITY, a, b)
+    }
+
+    /// Whether `self` precedes `other` in `(d, a, b)` order.
+    fn precedes(&self, other: &Link) -> bool {
+        self.d < other.d || (self.d == other.d && (self.a, self.b) < (other.a, other.b))
+    }
+}
+
+/// Every ordered pair of clusters' link: `get(p, q)` is the first
+/// `(d, a ∈ p, b ∈ q)` minimum, the link a nested scan of `p`'s members
+/// over `q`'s finds. Row-major `K × K`; the diagonal is unused.
+struct LinkTable {
+    k: usize,
+    cells: Vec<Link>,
+}
+
+impl LinkTable {
+    /// Scans every cross-cluster member pair once, on `threads`
+    /// workers, one [`NeighborProvider::pairs_from`] row per member of
+    /// the lower-id cluster, and records the link in both orientations.
+    fn scan<P: NeighborProvider + Sync>(
+        clusters: &[Vec<usize>],
+        provider: &P,
+        threads: usize,
+    ) -> Self {
+        let k = clusters.len();
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for p in 0..k {
+            for q in (p + 1)..k {
+                pairs.push((p as u32, q as u32));
+            }
+        }
+        let found = parkit::map_indexed(threads, pairs.len(), 1, Vec::new, |row, i| {
+            let (cp, cq) = (
+                &clusters[pairs[i].0 as usize],
+                &clusters[pairs[i].1 as usize],
+            );
+            let mut pq = Link::unset(cp[0], cq[0]);
+            let mut qp = Link::unset(cq[0], cp[0]);
+            for &a in cp {
+                provider.pairs_from(a, cq, row);
+                for (&b, &d) in cq.iter().zip(row.iter()) {
+                    // Members ascend, so a strict `<` keeps the first
+                    // minimum in (a, b) order; the reverse orientation
+                    // needs the full (d, b, a) comparison.
+                    if d < pq.d {
+                        pq = Link::new(d, a, b);
+                    }
+                    let rev = Link::new(d, b, a);
+                    if rev.precedes(&qp) {
+                        qp = rev;
+                    }
+                }
+            }
+            (pq, qp)
+        });
+        let mut cells = vec![Link::unset(0, 0); k * k];
+        for (&(p, q), &(pq, qp)) in pairs.iter().zip(&found) {
+            let (p, q) = (p as usize, q as usize);
+            cells[p * k + q] = pq;
+            cells[q * k + p] = qp;
+        }
+        Self { k, cells }
+    }
+
+    fn get(&self, p: usize, q: usize) -> Link {
+        self.cells[p * self.k + q]
+    }
+
+    /// Makes slot `into` the union of `parts` (which include it): for
+    /// every other slot `y`, `(into, y)` becomes the first of the
+    /// parts' `(part, y)` links and `(y, into)` the first of their
+    /// `(y, part)` links. Exact, since a minimum over a union is the
+    /// minimum of the parts' minima. Folding one merged cluster after
+    /// another also covers links between two of them: the second fold
+    /// reads the first's already-folded row and column.
+    fn fold(&mut self, into: usize, parts: &[usize]) {
+        let mut is_part = vec![false; self.k];
+        for &p in parts {
+            is_part[p] = true;
+        }
+        for y in (0..self.k).filter(|&y| !is_part[y]) {
+            let mut out = self.get(into, y);
+            let mut back = self.get(y, into);
+            for &p in parts {
+                let (o, b) = (self.get(p, y), self.get(y, p));
+                if o.precedes(&out) {
+                    out = o;
+                }
+                if b.precedes(&back) {
+                    back = b;
+                }
+            }
+            self.cells[into * self.k + y] = out;
+            self.cells[y * self.k + into] = back;
+        }
+    }
+}
+
 /// Computes every cluster's statistics on `threads` workers. Each
 /// cluster is folded serially in member order into its own slot, so the
 /// result is bit-identical to the serial map.
-fn compute_stats<P: NeighborProvider + Sync>(
-    clusters: &[Vec<usize>],
+fn compute_stats<P: NeighborProvider + Sync, C: AsRef<[usize]> + Sync>(
+    clusters: &[C],
     provider: &P,
     threads: usize,
 ) -> Vec<ClusterStats> {
-    parkit::map_indexed(
-        threads,
-        clusters.len(),
-        1,
-        || (),
-        |_, c| ClusterStats::compute(&clusters[c], provider),
-    )
+    parkit::map_indexed(threads, clusters.len(), 1, Vec::new, |row, c| {
+        ClusterStats::compute(clusters[c].as_ref(), provider, row)
+    })
 }
 
 /// Per-cluster statistics shared by both merge conditions.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ClusterStats {
     /// Arithmetic mean of all intra-cluster pairwise dissimilarities.
     mean_dissim: Option<f64>,
@@ -201,21 +517,24 @@ struct ClusterStats {
 }
 
 impl ClusterStats {
-    fn compute<P: NeighborProvider + ?Sized>(members: &[usize], provider: &P) -> Self {
+    /// Folds every member pair in nested order — row `a`, then each
+    /// later member `b` — read one [`NeighborProvider::pairs_from`] row
+    /// at a time into `row`.
+    fn compute<P: NeighborProvider + ?Sized>(
+        members: &[usize],
+        provider: &P,
+        row: &mut Vec<f64>,
+    ) -> Self {
         if members.len() < 2 {
-            return Self {
-                mean_dissim: None,
-                max_dissim: 0.0,
-                minmed: None,
-            };
+            return Self::default();
         }
         let mut sum = 0.0;
         let mut count = 0usize;
         let mut max = 0.0f64;
         let mut nearest = vec![f64::INFINITY; members.len()];
-        for (ai, &a) in members.iter().enumerate() {
-            for (bi, &b) in members.iter().enumerate().skip(ai + 1) {
-                let d = provider.pair(a, b);
+        for ai in 0..members.len() {
+            provider.pairs_from(members[ai], &members[ai + 1..], row);
+            for (bi, &d) in (ai + 1..).zip(row.iter()) {
                 sum += d;
                 count += 1;
                 max = max.max(d);
@@ -231,49 +550,41 @@ impl ClusterStats {
     }
 }
 
-/// One candidate cluster pair for [`should_merge`]: members, shared
-/// statistics and the dense cluster ids the current labels carry.
+/// One candidate cluster pair for [`should_merge`]: sizes, statistics,
+/// the ids `owner` marks their members with, and the link from the
+/// lower-id cluster `i` to `j`.
 struct MergeCandidate<'a> {
-    ci: &'a [usize],
-    cj: &'a [usize],
     si: &'a ClusterStats,
     sj: &'a ClusterStats,
+    len_i: usize,
+    len_j: usize,
     id_i: u32,
     id_j: u32,
+    link: Link,
 }
 
 fn should_merge<P: NeighborProvider + ?Sized>(
     pair: &MergeCandidate<'_>,
-    labels: &[Label],
+    owner: &[u32],
     provider: &P,
     params: &RefineParams,
 ) -> bool {
-    let (ci, cj, si, sj) = (pair.ci, pair.cj, pair.si, pair.sj);
+    let (si, sj) = (pair.si, pair.sj);
     let (Some(mean_i), Some(mean_j)) = (si.mean_dissim, sj.mean_dissim) else {
         return false;
     };
-    // Link segments: the closest pair across the two clusters.
-    let mut link = (ci[0], cj[0], f64::INFINITY);
-    for &a in ci {
-        for &b in cj {
-            let d = provider.pair(a, b);
-            if d < link.2 {
-                link = (a, b, d);
-            }
-        }
-    }
-    let (link_i, link_j, d_link) = link;
+    let (link_i, link_j, d_link) = (pair.link.a as usize, pair.link.b as usize, pair.link.d);
 
     // Condition 1: very close by, similar local ε-density at the links.
     if d_link < mean_i.max(mean_j) {
-        let smaller_extent = if ci.len() <= cj.len() {
+        let smaller_extent = if pair.len_i <= pair.len_j {
             si.max_dissim
         } else {
             sj.max_dissim
         };
         let eps_local = smaller_extent / 2.0;
-        let rho_i = local_density(link_i, pair.id_i, labels, provider, eps_local);
-        let rho_j = local_density(link_j, pair.id_j, labels, provider, eps_local);
+        let rho_i = local_density(link_i, pair.id_i, owner, provider, eps_local);
+        let rho_j = local_density(link_j, pair.id_j, owner, provider, eps_local);
         if (rho_i - rho_j).abs() < params.eps_rho_threshold {
             return true;
         }
@@ -293,13 +604,14 @@ fn should_merge<P: NeighborProvider + ?Sized>(
 
 /// Median dissimilarity from the link segment to its cluster-mates within
 /// `eps` (`ρ_ε`); zero when no mate lies that close. Answered by an
-/// ε-region query filtered to the items carrying the cluster's label —
-/// the same multiset of dissimilarities a member scan yields, whatever
-/// order the backend emits it in, hence the same median.
+/// ε-region query filtered to the items `owner` marks with the
+/// cluster's id — the same multiset of dissimilarities a member scan
+/// yields, whatever order the backend emits it in, hence the same
+/// median.
 fn local_density<P: NeighborProvider + ?Sized>(
     link: usize,
     cluster: u32,
-    labels: &[Label],
+    owner: &[u32],
     provider: &P,
     eps: f64,
 ) -> f64 {
@@ -307,7 +619,7 @@ fn local_density<P: NeighborProvider + ?Sized>(
     provider.neighbors_within(link, eps, &mut region);
     let within: Vec<f64> = region
         .iter()
-        .filter(|&&(_, j)| labels[j as usize] == Label::Cluster(cluster))
+        .filter(|&&(_, j)| owner[j as usize] == cluster)
         .map(|&(d, _)| d)
         .collect();
     stats::median(&within).unwrap_or(0.0)
@@ -336,6 +648,7 @@ mod tests {
     use super::*;
     use crate::testkit::{dbscan_unit as dbscan, line_matrix};
     use dissim::{CondensedMatrix, MatrixProvider};
+    use proptest::prelude::*;
 
     /// Merge refinement over a matrix on one thread.
     fn merge_matrix(c: &Clustering, m: &CondensedMatrix, params: &RefineParams) -> Clustering {
@@ -436,6 +749,209 @@ mod tests {
                 "threads={threads}"
             );
         }
+    }
+
+    /// A refinement input with exact link ties: points on a line at
+    /// whole coordinates, labelled so that clusters mostly follow the
+    /// line (and so merge over several rounds) but interleave in index
+    /// order (so a merge can move a cluster's smallest member past
+    /// another's and flip their id order), with noise and singletons.
+    #[derive(Debug, Clone)]
+    struct TieCase {
+        points: Vec<f64>,
+        labels: Vec<Label>,
+        params: RefineParams,
+    }
+
+    fn tie_case() -> impl Strategy<Value = TieCase> {
+        (
+            prop::collection::vec((0u8..30, 0u8..12), 3..36),
+            0usize..4,
+            0usize..3,
+        )
+            .prop_map(|(items, rho, density)| {
+                let points = items.iter().map(|&(x, _)| f64::from(x)).collect();
+                let labels = items
+                    .iter()
+                    .map(|&(x, jitter)| match jitter {
+                        10 => Label::Noise,
+                        11 => Label::Cluster(u32::from(x) % 9),
+                        j => Label::Cluster(u32::from(x / 4 + j / 4)),
+                    })
+                    .collect();
+                let params = RefineParams {
+                    eps_rho_threshold: [0.0, 0.01, 0.6, 3.0][rho],
+                    neighbor_density_threshold: [0.002, 0.6, 3.0][density],
+                    ..RefineParams::default()
+                };
+                TieCase {
+                    points,
+                    labels,
+                    params,
+                }
+            })
+    }
+
+    /// The rounds a merge takes: the smallest round bound whose result
+    /// equals the fix point.
+    fn rounds_to_fix_point(case: &TieCase, m: &CondensedMatrix) -> usize {
+        let c = Clustering::from_labels(case.labels.clone());
+        let p = MatrixProvider::new(m);
+        let full = merge_clusters_rounds(&c, &p, &case.params, 1);
+        (0..)
+            .find(|&r| {
+                let bounded = RefineParams {
+                    max_merge_rounds: r,
+                    ..case.params
+                };
+                merge_clusters_rounds(&c, &p, &bounded, 1) == full
+            })
+            .expect("the fix point is reached")
+    }
+
+    /// Whether round 1 merges some cluster whose lowest-id part and
+    /// the merged cluster sit on different sides of another cluster in
+    /// id order, so round 2 reads that pair's link flipped.
+    fn round_one_flips_an_orientation(case: &TieCase, m: &CondensedMatrix) -> bool {
+        let start = Clustering::from_labels(case.labels.clone());
+        let once = RefineParams {
+            max_merge_rounds: 1,
+            ..case.params
+        };
+        let after = merge_clusters_rounds(&start, &MatrixProvider::new(m), &once, 1).clusters();
+        let parts = start.clusters();
+        after.iter().any(|merged| {
+            let mine: Vec<&Vec<usize>> = parts.iter().filter(|p| merged.contains(&p[0])).collect();
+            mine.len() > 1
+                && after
+                    .iter()
+                    .filter(|x| x.len() > 1 && *x != merged)
+                    .any(|x| {
+                        mine.iter()
+                            .any(|p| (p[0] < x[0]) != (merged[0] < x[0]) && p.len() > 1)
+                    })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn incremental_merge_matches_per_round_oracle(case in tie_case()) {
+            let m = line_matrix(&case.points);
+            let p = MatrixProvider::new(&m);
+            let c = Clustering::from_labels(case.labels.clone());
+            for rounds in [0, 1, 2, 16] {
+                let params = RefineParams {
+                    max_merge_rounds: rounds,
+                    ..case.params
+                };
+                let want = merge_clusters_rounds(&c, &p, &params, 1);
+                for threads in [1, 2, 4] {
+                    prop_assert_eq!(
+                        &merge_clusters(&c, &p, &params, threads),
+                        &want,
+                        "rounds {}, threads {}",
+                        rounds,
+                        threads
+                    );
+                }
+            }
+        }
+    }
+
+    /// The link a nested scan of `ci`'s members over `cj`'s finds.
+    fn nested_link(ci: &[usize], cj: &[usize], m: &CondensedMatrix) -> (u64, u32, u32) {
+        let mut link = Link::unset(ci[0], cj[0]);
+        for &a in ci {
+            for &b in cj {
+                if m.get(a, b) < link.d {
+                    link = Link::new(m.get(a, b), a, b);
+                }
+            }
+        }
+        (link.d.to_bits(), link.a, link.b)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn folded_links_match_nested_scans_in_both_orientations(
+            cluster_of in prop::collection::vec(0u32..9, 2..40),
+            levels in prop::collection::vec(0u8..3, 780),
+            script in prop::collection::vec(0u16..64, 64),
+            four_threads in any::<bool>(),
+        ) {
+            // Three distance levels: most cross pairs tie at the minimum,
+            // and the two orientations' first minima differ.
+            let n = cluster_of.len();
+            let mut cells = levels.iter();
+            let m = CondensedMatrix::build(n, |_, _| {
+                f64::from(*cells.next().expect("enough levels"))
+            });
+            let labels = cluster_of.iter().map(|&c| Label::Cluster(c)).collect();
+            let clusters = Clustering::from_labels(labels).clusters();
+            let mut live: Vec<(usize, Vec<usize>)> = clusters.into_iter().enumerate().collect();
+            let members: Vec<Vec<usize>> = live.iter().map(|(_, c)| c.clone()).collect();
+            let threads = if four_threads { 4 } else { 1 };
+            let mut table = LinkTable::scan(&members, &MatrixProvider::new(&m), threads);
+            let mut script = script.iter().map(|&x| usize::from(x));
+            while live.len() > 1 {
+                for x in &live {
+                    for y in live.iter().filter(|y| y.0 != x.0) {
+                        let got = table.get(x.0, y.0);
+                        prop_assert_eq!(
+                            (got.d.to_bits(), got.a, got.b),
+                            nested_link(&x.1, &y.1, &m),
+                            "link {:?} -> {:?}", x.1, y.1
+                        );
+                    }
+                }
+                // Join each cluster to a random earlier one, or not;
+                // groups fold in root order, as a round's regroup does.
+                let mut parent: Vec<usize> = (0..live.len()).collect();
+                for i in 1..live.len() {
+                    let pick = script.next().unwrap_or(0);
+                    if pick % 3 == 0 {
+                        union(&mut parent, i, pick % i);
+                    }
+                }
+                if (0..live.len()).all(|i| find(&mut parent, i) == i) {
+                    union(&mut parent, live.len() - 1, 0);
+                }
+                let mut groups: Vec<Vec<(usize, Vec<usize>)>> = vec![Vec::new(); live.len()];
+                for (i, c) in live.into_iter().enumerate() {
+                    groups[find(&mut parent, i)].push(c);
+                }
+                live = Vec::new();
+                for group in groups.into_iter().filter(|g| !g.is_empty()) {
+                    let slot = group[0].0;
+                    let parts: Vec<usize> = group.iter().map(|c| c.0).collect();
+                    if parts.len() > 1 {
+                        table.fold(slot, &parts);
+                    }
+                    let mut all: Vec<usize> = group.into_iter().flat_map(|c| c.1).collect();
+                    all.sort_unstable();
+                    live.push((slot, all));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn oracle_cases_cover_multi_round_merges_and_flips() {
+        let mut rng = proptest::test_runner::TestRng::new(7);
+        let (mut multi_round, mut flips) = (0, 0);
+        for _ in 0..128 {
+            let case = tie_case().sample(&mut rng);
+            let m = line_matrix(&case.points);
+            multi_round += usize::from(rounds_to_fix_point(&case, &m) >= 2);
+            flips += usize::from(round_one_flips_an_orientation(&case, &m));
+        }
+        assert!(
+            multi_round >= 10,
+            "{multi_round} cases merge over 2+ rounds"
+        );
+        assert!(flips >= 20, "{flips} cases flip an orientation in round 1");
     }
 
     #[test]

@@ -79,6 +79,16 @@ pub trait NeighborProvider {
     /// The dissimilarity between items `i` and `j` (0 on the diagonal).
     fn pair(&self, i: usize, j: usize) -> f64;
 
+    /// The dissimilarities of item `i` to each entry of `js`, in order,
+    /// into `out` (cleared first): `out[t]` is bit-identical to
+    /// [`pair`](Self::pair)`(i, js[t])`, 0 where `js[t] == i`. One call
+    /// per row lets a backend hoist its per-query kernel setup out of
+    /// the row.
+    fn pairs_from(&self, i: usize, js: &[usize], out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(js.iter().map(|&j| self.pair(i, j)));
+    }
+
     /// The dissimilarity of each item to its `k`-th nearest neighbor —
     /// the vector Algorithm 1 builds its ECDFs over.
     fn knn_dissimilarities(&self, k: usize) -> Vec<f64> {

@@ -130,6 +130,12 @@ impl QueryCounters {
         self.strata_skipped.load(AtomicOrdering::Relaxed)
     }
 
+    /// Adds `n` kernel evaluations done outside a query — a pairwise
+    /// pass over the values, such as the ε mean fallback.
+    pub fn add_kernel_evals(&self, n: u64) {
+        self.kernel_evals.fetch_add(n, AtomicOrdering::Relaxed);
+    }
+
     /// `(kernel_evals, pruned_candidates, strata_skipped)` at once.
     pub fn snapshot(&self) -> (u64, u64, u64) {
         (
@@ -873,6 +879,26 @@ impl NeighborProvider for StratifiedProvider<'_> {
             return 0.0;
         }
         dissimilarity_kernel(self.values[i], self.values[j], &self.params, self.lut)
+    }
+
+    /// One hoisted [`QueryDist`] per row instead of a kernel setup per
+    /// pair. Each row flushes one tally of its kernel evaluations
+    /// (every entry but `j == i`) into the attached counters, so
+    /// row-wise consumers (refinement) are counted, and the totals do
+    /// not depend on how rows are spread over threads.
+    fn pairs_from(&self, i: usize, js: &[usize], out: &mut Vec<f64>) {
+        out.clear();
+        let qd = QueryDist::new(self.values[i], &self.params);
+        let mut local = LocalCounters::default();
+        out.extend(js.iter().map(|&j| {
+            if j == i {
+                0.0
+            } else {
+                local.evals += 1;
+                qd.dist(self.values[j])
+            }
+        }));
+        self.flush(&local);
     }
 
     /// Native batch override: one [`Scratch`] per worker chunk, zero

@@ -3,9 +3,10 @@
 use dissim::kernel::{canberra_distance_lut, dissimilarity_kernel, dissimilarity_lut};
 use dissim::{
     canberra_distance, dissimilarity, CanberraLut, CondensedMatrix, DissimParams, MatrixProvider,
-    NeighborProvider, StrataIndex, StratifiedProvider,
+    NeighborProvider, QueryCounters, StrataIndex, StratifiedProvider,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Asserts one backend's batched answers are bit-identical, in query
 /// order, to the scalar calls the defaults are specified against.
@@ -245,6 +246,39 @@ proptest! {
             k,
             threads,
         )?;
+    }
+
+    #[test]
+    fn pairs_from_matches_pair_bitwise_across_backends(
+        segs in seg_set(),
+        picks in prop::collection::vec(any::<u16>(), 0..32),
+    ) {
+        prop_assume!(!segs.is_empty());
+        let p = DissimParams::default();
+        let n = segs.len();
+        let refs: Vec<&[u8]> = segs.iter().map(|s| &s[..]).collect();
+        let m = CondensedMatrix::build_segments(&refs, &p, 1);
+        let index = StrataIndex::build(&refs, &p, 7);
+        let counters = Arc::new(QueryCounters::new());
+        let stratified =
+            StratifiedProvider::new(&refs, &p, &index).with_counters(Arc::clone(&counters));
+        let matrix = MatrixProvider::new(&m);
+        let mut out = vec![f64::NAN];
+        let mut counted = 0u64;
+        for i in 0..n {
+            // Arbitrary columns: repeats, any order, `i` itself included.
+            let js: Vec<usize> = picks.iter().map(|&x| usize::from(x) % n).chain([i]).collect();
+            counted += js.iter().filter(|&&j| j != i).count() as u64;
+            for provider in [&matrix as &dyn NeighborProvider, &stratified] {
+                provider.pairs_from(i, &js, &mut out);
+                prop_assert_eq!(out.len(), js.len());
+                for (&j, d) in js.iter().zip(&out) {
+                    prop_assert_eq!(d.to_bits(), provider.pair(i, j).to_bits(), "({}, {})", i, j);
+                }
+            }
+        }
+        // One evaluation per off-diagonal entry; `pair` itself is uncounted.
+        prop_assert_eq!(counters.kernel_evals(), counted);
     }
 
     #[test]

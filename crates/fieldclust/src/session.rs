@@ -402,9 +402,16 @@ impl<'t> AnalysisSession<'t> {
     /// on [`FieldTypeClusterer::threads`]: every stage issues the same
     /// queries at every thread count (the k-NN table is one query per
     /// segment, DBSCAN one region query per segment, batches only fan
-    /// them out, and refinement decides every candidate pair of a round
+    /// them out, and refinement decides its candidate pairs of a round
     /// before it merges), and each query's tally is a pure function of
     /// the query.
+    ///
+    /// `kernel_evals` also counts refinement's pair rows (the
+    /// statistics and the round-1 link scan, one tally per
+    /// [`pairs_from`](dissim::NeighborProvider::pairs_from) row) and
+    /// the n(n−1)/2 pairs of the ε mean fallback when it fires. Single
+    /// [`pair`](dissim::NeighborProvider::pair) calls (HDBSCAN's mutual
+    /// reachability) stay uncounted.
     pub fn neighbor_counters(&self) -> (u64, u64, u64) {
         self.neighbor_counters.snapshot()
     }
@@ -1017,6 +1024,8 @@ impl<'t> AnalysisSession<'t> {
                 Some(artifact) => artifact.matrix().mean(),
                 None => {
                     let values: Vec<&[u8]> = store.segments.iter().map(|s| &s.value[..]).collect();
+                    let pairs = n * n.saturating_sub(1) / 2;
+                    self.neighbor_counters.add_kernel_evals(pairs as u64);
                     pairwise_mean(&values, &self.config.dissim)
                 }
             })
@@ -1183,8 +1192,8 @@ enum FullDissim {
 
 /// The one neighbor provider a session answers every clustering query
 /// through. Dispatch is a `match` per call, not a `dyn` call:
-/// refinement calls [`pair`](NeighborProvider::pair) millions of times
-/// per run.
+/// refinement reads millions of pairs per run, one
+/// [`pairs_from`](NeighborProvider::pairs_from) row at a time.
 enum SessionProvider<'a> {
     /// Row scans of the condensed matrix (matrix and tiled backends).
     Matrix(MatrixProvider<'a>),
@@ -1219,6 +1228,13 @@ impl NeighborProvider for SessionProvider<'_> {
         match self {
             Self::Matrix(p) => p.pair(i, j),
             Self::Stratified(p) => p.pair(i, j),
+        }
+    }
+
+    fn pairs_from(&self, i: usize, js: &[usize], out: &mut Vec<f64>) {
+        match self {
+            Self::Matrix(p) => p.pairs_from(i, js, out),
+            Self::Stratified(p) => p.pairs_from(i, js, out),
         }
     }
 

@@ -6,7 +6,9 @@
 //! build, matrix-sweep auto-configuration, lazy matrix-scan weighted
 //! DBSCAN ([`reference_dbscan`], written out here so the session's
 //! batched region growing is checked against an independent
-//! implementation), matrix-scan merge refinement. The staged session
+//! implementation), per-round nested-scan merge refinement
+//! ([`reference_merge`], likewise independent of the incremental
+//! rounds the session runs). The staged session
 //! replaces every one
 //! of those query paths with the shared `DissimArtifact`'s neighbor
 //! index; these tests pin down that the substitution is exact — same
@@ -18,10 +20,11 @@ use cluster::autoconf::{
     auto_configure, required_k_max, AutoConfError, AutoConfig, SelectedParams,
 };
 use cluster::dbscan::{dbscan, Clustering, Label};
-use cluster::refine::{merge_clusters, split_clusters};
-use dissim::{dissimilarity, CondensedMatrix, MatrixProvider};
+use cluster::refine::{split_clusters, RefineParams};
+use dissim::{dissimilarity, CondensedMatrix};
 use fieldclust::truth::truth_segmentation;
 use fieldclust::{AnalysisSession, FieldTypeClusterer, SegmentStore};
+use mathkit::stats::median;
 use protocols::{corpus, Protocol};
 use segment::nemesys::Nemesys;
 use segment::{Segmenter, TraceSegmentation};
@@ -91,6 +94,108 @@ fn reference_dbscan(
     )
 }
 
+/// Merge refinement (paper §III-F) as the pipeline first ran it: every
+/// round compacts the labels, computes each cluster's statistics and
+/// each pair's link segments by nested scans of the matrix, decides
+/// every pair, then joins the pairs that merge. Link ties go to the
+/// first pair in (lower-id member, higher-id member) scan order; the
+/// link densities are medians over a member scan.
+fn reference_merge(
+    clustering: &Clustering,
+    matrix: &CondensedMatrix,
+    params: &RefineParams,
+) -> Clustering {
+    let mut labels = clustering.labels().to_vec();
+    for _ in 0..params.max_merge_rounds {
+        let current = Clustering::from_labels(labels);
+        labels = current.labels().to_vec();
+        let clusters = current.clusters();
+        // (mean, max, minmed) of every cluster of two or more members.
+        let stats: Vec<Option<(f64, f64, f64)>> = clusters
+            .iter()
+            .map(|c| {
+                if c.len() < 2 {
+                    return None;
+                }
+                let (mut sum, mut count, mut max) = (0.0, 0usize, 0.0f64);
+                let mut nearest = vec![f64::INFINITY; c.len()];
+                for ai in 0..c.len() {
+                    for bi in ai + 1..c.len() {
+                        let d = matrix.get(c[ai], c[bi]);
+                        sum += d;
+                        count += 1;
+                        max = max.max(d);
+                        nearest[ai] = nearest[ai].min(d);
+                        nearest[bi] = nearest[bi].min(d);
+                    }
+                }
+                Some((sum / count as f64, max, median(&nearest)?))
+            })
+            .collect();
+        let density = |link: usize, members: &[usize], eps: f64| {
+            let within: Vec<f64> = members
+                .iter()
+                .filter(|&&m| m != link)
+                .map(|&m| matrix.get(link, m))
+                .filter(|&d| d <= eps)
+                .collect();
+            median(&within).unwrap_or(0.0)
+        };
+        let mut root: Vec<usize> = (0..clusters.len()).collect();
+        let find = |root: &[usize], mut x: usize| {
+            while root[x] != x {
+                x = root[x];
+            }
+            x
+        };
+        let mut any = false;
+        for i in 0..clusters.len() {
+            for j in i + 1..clusters.len() {
+                let (Some((mean_i, max_i, mm_i)), Some((mean_j, max_j, mm_j))) =
+                    (stats[i], stats[j])
+                else {
+                    continue;
+                };
+                let (ci, cj) = (&clusters[i], &clusters[j]);
+                let (mut link_i, mut link_j, mut d_link) = (ci[0], cj[0], f64::INFINITY);
+                for &a in ci {
+                    for &b in cj {
+                        if matrix.get(a, b) < d_link {
+                            (link_i, link_j, d_link) = (a, b, matrix.get(a, b));
+                        }
+                    }
+                }
+                let mut merge = false;
+                if d_link < mean_i.max(mean_j) {
+                    let eps = if ci.len() <= cj.len() { max_i } else { max_j } / 2.0;
+                    let rho_i = density(link_i, ci, eps);
+                    let rho_j = density(link_j, cj, eps);
+                    merge = (rho_i - rho_j).abs() < params.eps_rho_threshold;
+                }
+                if !merge && mean_i > 0.0 && mean_j > 0.0 {
+                    let closeness = (mm_i / mean_i + mm_j / mean_j) / 2.0;
+                    merge = d_link < closeness
+                        && (mm_i - mm_j).abs() < params.neighbor_density_threshold;
+                }
+                if merge {
+                    let (ri, rj) = (find(&root, i), find(&root, j));
+                    root[ri.max(rj)] = ri.min(rj);
+                    any = true;
+                }
+            }
+        }
+        if !any {
+            break;
+        }
+        for l in &mut labels {
+            if let Label::Cluster(c) = l {
+                *l = Label::Cluster(find(&root, *c as usize) as u32);
+            }
+        }
+    }
+    Clustering::from_labels(labels)
+}
+
 /// The pre-refactor pipeline, inlined: every stage queries the matrix
 /// directly, on one thread. Returns (clustering, params, weights).
 fn reference_cluster_trace(
@@ -112,7 +217,6 @@ fn reference_cluster_trace(
     let min_samples = ((total_instances as f64).ln().round() as usize).max(2);
 
     let knn = matrix.knn_table(required_k_max(n));
-    let rows = MatrixProvider::new(&matrix);
     let mut selected = match auto_configure(&knn, &config.autoconf) {
         Ok(p) => p,
         Err(AutoConfError::TooFewSegments { .. }) => unreachable!("n >= 4"),
@@ -148,7 +252,7 @@ fn reference_cluster_trace(
         }
     }
 
-    let merged = merge_clusters(&clustering, &rows, &config.refine, 1);
+    let merged = reference_merge(&clustering, &matrix, &config.refine);
     let final_clustering = split_clusters(&merged, &weights, &config.refine);
     (store, final_clustering, selected, matrix)
 }
@@ -823,6 +927,14 @@ fn neighbor_counters_do_not_depend_on_threads() {
             },
         );
         s.set_segmentation(seg.clone());
+        s.cluster().expect("cluster");
+        let before_refine = s.neighbor_counters();
+        s.refine().expect("refine");
+        let after_refine = s.neighbor_counters();
+        assert!(
+            after_refine.0 > before_refine.0,
+            "threads {threads}: refinement must count its pair evaluations"
+        );
         let result = s.finish().expect("pipeline");
         (result.clustering, s.neighbor_counters())
     };
@@ -833,6 +945,37 @@ fn neighbor_counters_do_not_depend_on_threads() {
         assert_eq!(l, labels, "threads {threads}: labels");
         assert_eq!(c, counters, "threads {threads}: (evals, pruned, skipped)");
     }
+}
+
+#[test]
+fn mean_fallback_counts_its_pairwise_pass() {
+    use fieldclust::{EpsilonSource, NeighborBackend};
+    let trace = corpus::build_trace(Protocol::Smb, 60, 1);
+    let seg = Nemesys::default().segment_trace(&trace).expect("nemesys");
+    let run = |autoconf: AutoConfig| {
+        let mut s = AnalysisSession::new(
+            &trace,
+            FieldTypeClusterer {
+                neighbor_backend: NeighborBackend::Stratified,
+                autoconf,
+                ..FieldTypeClusterer::default()
+            },
+        );
+        s.set_segmentation(seg.clone());
+        s.autoconf().expect("autoconf");
+        let n = s.store().expect("store").segments.len() as u64;
+        (s.epsilon_source(), s.neighbor_counters().0, n)
+    };
+    let (source, knee_evals, n) = run(AutoConfig::default());
+    assert_eq!(source, Some(EpsilonSource::Knee));
+    // A cutoff of 0 starves every k-NN ECDF, so ε falls back to half
+    // the mean of all n(n−1)/2 pairs, computed without a matrix.
+    let (source, fallback_evals, _) = run(AutoConfig {
+        max_dissimilarity: Some(0.0),
+        ..AutoConfig::default()
+    });
+    assert_eq!(source, Some(EpsilonSource::MeanFallback));
+    assert_eq!(fallback_evals - knee_evals, n * (n - 1) / 2);
 }
 
 #[test]

@@ -80,6 +80,27 @@ cmp "$tmp/stratified-t1.md" "$tmp/stratified-t4.md"
 cmp "$tmp/stratified-t1.counters" "$tmp/stratified-t4.counters"
 echo "stratified smoke test: reports and neighbor counters at 1 and 4 threads are identical"
 
+# Refinement smoke test: NEMESYS segments of a 170-message SMB capture
+# merge over four rounds (the fifth finds the fix point), so the
+# incremental merge rounds — links derived from merged parts, only pairs
+# with a merged side re-decided — run on real data. The matrix and
+# stratified reports must be byte-identical at 1 and 4 threads, and the
+# stratified neighbor counters, which include refinement's pair rows,
+# must not depend on the thread count.
+cargo run --release -q -p cli -- generate smb 170 "$tmp/refine.pcap" --seed 3
+for t in 1 4; do
+    cargo run --release -q -p cli -- analyze "$tmp/refine.pcap" --neighbor-backend matrix \
+        --threads "$t" --report "$tmp/refine-matrix-t$t.md"
+    cargo run --release -q -p cli -- analyze "$tmp/refine.pcap" --neighbor-backend stratified \
+        --threads "$t" --report "$tmp/refine-stratified-t$t.md" 2>"$tmp/refine-stratified-t$t.err"
+    grep -E 'neighbors: kernel_evals=[1-9][0-9]* pruned=[0-9]+ strata_skipped=[0-9]+' \
+        "$tmp/refine-stratified-t$t.err" >"$tmp/refine-stratified-t$t.counters"
+    cmp "$tmp/refine-matrix-t1.md" "$tmp/refine-matrix-t$t.md"
+    cmp "$tmp/refine-matrix-t1.md" "$tmp/refine-stratified-t$t.md"
+done
+cmp "$tmp/refine-stratified-t1.counters" "$tmp/refine-stratified-t4.counters"
+echo "refine smoke test: SMB matrix and stratified reports at 1 and 4 threads are byte-identical"
+
 # Message-typing thread-invariance smoke test: the alignment build hands
 # outer message rows to parallel workers, and on fixed-width segments it
 # substitutes from the field matrix itself (no segment is short). The
