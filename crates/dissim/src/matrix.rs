@@ -85,15 +85,13 @@ impl CondensedMatrix {
         }
     }
 
-    /// Reads the `n·(n−1)/2` condensed entries from `next`, row by
-    /// row, straight into the matrix's own buffer; `None` as soon as
-    /// `next` returns `None`. The artifact store decodes matrices this
-    /// way, so a decoded matrix is placed like a built one.
-    pub fn try_from_fn(n: usize, mut next: impl FnMut() -> Option<f64>) -> Option<Self> {
+    /// Lets `fill` write the `n·(n−1)/2` condensed entries, row by row,
+    /// straight into the matrix's own buffer; `None` if `fill` returns
+    /// `None`. The artifact store decodes matrices this way, in one
+    /// pass, so a decoded matrix is placed like a built one.
+    pub fn try_filled(n: usize, fill: impl FnOnce(&mut [f64]) -> Option<()>) -> Option<Self> {
         let mut data = Cells::zeroed(n * n.saturating_sub(1) / 2);
-        for cell in data.iter_mut() {
-            *cell = next()?;
-        }
+        fill(&mut data)?;
         Some(Self { n, data })
     }
 
@@ -365,18 +363,19 @@ mod tests {
     }
 
     #[test]
-    fn try_from_fn_reads_every_entry_in_order() {
+    fn try_filled_reads_every_entry_in_order() {
         // 1 500 items: a buffer past the mapping threshold.
         for n in [0, 1, 5, 1500] {
             let m = toy(n);
-            let mut values = m.values().iter().copied();
-            let read = CondensedMatrix::try_from_fn(n, || values.next()).unwrap();
+            let read = CondensedMatrix::try_filled(n, |cells| {
+                cells.copy_from_slice(m.values());
+                Some(())
+            })
+            .unwrap();
             assert_eq!(read, m);
             assert_eq!(read.clone(), m);
         }
-        let five = toy(5);
-        let mut short = five.values()[..9].iter().copied();
-        assert!(CondensedMatrix::try_from_fn(5, || short.next()).is_none());
+        assert!(CondensedMatrix::try_filled(5, |_| None).is_none());
     }
 
     #[test]

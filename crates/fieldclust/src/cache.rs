@@ -17,6 +17,7 @@
 //! | segmentation | trace content, segmenter fingerprint |
 //! | segment store | trace content + cuts, `min_segment_len` |
 //! | dissimilarity | chained unique-value digest, dissim params |
+//! | message matrix | chained per-message segment-value digest, dissim params, gap penalty |
 //! | selection / clustering / refined | trace content + cuts, full config |
 //!
 //! The dissimilarity key is special: it is a **chained** digest over the
@@ -26,6 +27,15 @@
 //! values of the original trace — so the session can recognize a cached
 //! matrix for a prefix of its segment set (via the per-family manifest)
 //! and extend it incrementally instead of rebuilding from scratch.
+//!
+//! The message-matrix key is chained the same way, one message at a
+//! time: each message is fed as its sequence of segment values,
+//! snapshotted per message count. A pair's alignment cost depends only
+//! on the two value sequences and the parameters, so a cached matrix
+//! over the first messages of a grown trace is the top-left block of
+//! the grown matrix, and only pairs with an appended message align.
+//! [`cached_prefix`] is the one manifest walk all three prefix
+//! families (segment matrix, strata index, message matrix) search.
 
 use crate::pipeline::{EpsilonSource, FieldTypeClusterer};
 use crate::segments::{SegmentInstance, SegmentStore, UniqueSegment};
@@ -34,7 +44,7 @@ use cluster::dbscan::Clustering;
 use cluster::refine::RefineParams;
 use dissim::{DissimParams, TiledMatrix};
 use segment::TraceSegmentation;
-use store::{Key, KeyDigest, Kind, Persist, Reader, Writer};
+use store::{ArtifactStore, Key, KeyDigest, Kind, Persist, Reader, Writer};
 use trace::Trace;
 
 // ----- key derivation -----
@@ -250,15 +260,102 @@ pub(crate) fn fsm_key(
     d.finish()
 }
 
-/// Key for the message-alignment dissimilarity artifact (gap penalty on
-/// top of the segment dissimilarities over the full store).
-pub(crate) fn message_dissim_key(input: &Key, params: &DissimParams, gap_penalty: f64) -> Key {
+/// Keys of the message-alignment matrix over each prefix of the
+/// messages, one per requested message count `at` (ascending), from a
+/// single chained pass — the message analog of [`dissim_keys_at`]. Each
+/// message is fed as its segment-value sequence: `sequences` holds the
+/// segment ids of every message, `values` the value of every id. An
+/// alignment cost is a pure function of the two messages' value
+/// sequences, the dissimilarity parameters and the gap penalty, so the
+/// matrix over the first `u` messages is keyed by exactly those.
+pub(crate) fn message_keys_at(
+    sequences: &[Vec<usize>],
+    values: &[&[u8]],
+    params: &DissimParams,
+    gap_penalty: f64,
+    at: &[usize],
+) -> Vec<Key> {
+    debug_assert!(at.windows(2).all(|w| w[0] < w[1]), "prefixes must ascend");
+    debug_assert!(at.last().is_none_or(|&u| u <= sequences.len()));
     let mut d = KeyDigest::new(Kind::DISSIM);
-    d.str("message-alignment");
-    d.key(input);
-    digest_dissim_params(&mut d, params);
-    d.f64(gap_penalty);
+    digest_message_params(&mut d, params, gap_penalty);
+    let mut keys = Vec::with_capacity(at.len());
+    let mut fed = 0usize;
+    for &u in at {
+        for seq in &sequences[fed..u] {
+            digest_message(&mut d, seq, values);
+        }
+        fed = u;
+        let mut snap = d.clone();
+        snap.usize(u);
+        keys.push(snap.finish());
+    }
+    keys
+}
+
+/// Key of the message-alignment matrix over all of the messages.
+pub(crate) fn message_key(
+    sequences: &[Vec<usize>],
+    values: &[&[u8]],
+    params: &DissimParams,
+    gap_penalty: f64,
+) -> Key {
+    message_keys_at(sequences, values, params, gap_penalty, &[sequences.len()])
+        .pop()
+        .expect("one prefix requested")
+}
+
+/// Manifest family for message-alignment matrices: the parameters plus
+/// a stream identity (the first few messages' value sequences), like
+/// [`dissim_family_key`] for segment matrices.
+pub(crate) fn message_family_key(
+    sequences: &[Vec<usize>],
+    values: &[&[u8]],
+    params: &DissimParams,
+    gap_penalty: f64,
+) -> Key {
+    let mut d = KeyDigest::new(Kind::MANIFEST);
+    d.u64(u64::from(Kind::DISSIM.tag()));
+    digest_message_params(&mut d, params, gap_penalty);
+    for seq in sequences.iter().take(4) {
+        digest_message(&mut d, seq, values);
+    }
     d.finish()
+}
+
+/// The largest cached prefix of a growing item sequence: the newest
+/// manifest entry of `family` whose item count `u` lies in `min_u..n`,
+/// whose recorded key is the caller's own key for its first `u` items
+/// (`keys_at` computes those keys for ascending counts in one pass),
+/// and whose artifact loads and passes `accept(u, &artifact)`. Several
+/// streams may share a family; recomputing the expected key is what
+/// tells this stream's entries apart. Probes do not count as store
+/// hits or misses.
+pub(crate) fn cached_prefix<T: Persist>(
+    store: &ArtifactStore,
+    family: &Key,
+    min_u: usize,
+    n: usize,
+    keys_at: impl FnOnce(&[usize]) -> Vec<Key>,
+    accept: impl Fn(usize, &T) -> bool,
+) -> Option<T> {
+    let entries = store.manifest_entries(family);
+    let mut candidates: Vec<usize> = entries
+        .iter()
+        .map(|&(u, _)| u)
+        .filter(|&u| u >= min_u && u < n)
+        .collect();
+    candidates.dedup(); // entries are sorted by u
+    let expected = keys_at(&candidates);
+    candidates
+        .iter()
+        .zip(&expected)
+        .rev()
+        .filter(|&(&u, key)| entries.contains(&(u, *key)))
+        .find_map(|(&u, key)| {
+            let artifact = store.get_quiet::<T>(key)?;
+            accept(u, &artifact).then_some(artifact)
+        })
 }
 
 fn digest_trace(d: &mut KeyDigest, trace: &Trace) {
@@ -270,6 +367,20 @@ fn digest_trace(d: &mut KeyDigest, trace: &Trace) {
 
 fn digest_dissim_params(d: &mut KeyDigest, p: &DissimParams) {
     d.f64(p.length_penalty);
+}
+
+fn digest_message_params(d: &mut KeyDigest, p: &DissimParams, gap_penalty: f64) {
+    d.str("message-alignment");
+    digest_dissim_params(d, p);
+    d.f64(gap_penalty);
+}
+
+/// One message as its framed segment-value sequence.
+fn digest_message(d: &mut KeyDigest, sequence: &[usize], values: &[&[u8]]) {
+    d.usize(sequence.len());
+    for &id in sequence {
+        d.frame(values[id]);
+    }
 }
 
 fn digest_autoconf(d: &mut KeyDigest, a: &AutoConfig) {
@@ -543,6 +654,40 @@ mod tests {
         // And a different value stream diverges.
         let other: Vec<&[u8]> = vec![b"aa", b"xx"];
         assert_ne!(keys[0], dissim_key(&other, &params));
+    }
+
+    #[test]
+    fn message_prefix_keys_chain_over_value_sequences() {
+        let values: Vec<&[u8]> = vec![b"aa", b"b", b"cc", b"dd"];
+        let sequences = vec![vec![0, 1], vec![], vec![2, 1, 3], vec![3], vec![0]];
+        let params = DissimParams::default();
+        let keys = message_keys_at(&sequences, &values, &params, 0.8, &[1, 3, 5]);
+        // Snapshot keys equal the from-scratch key of each prefix.
+        assert_eq!(keys[0], message_key(&sequences[..1], &values, &params, 0.8));
+        assert_eq!(keys[1], message_key(&sequences[..3], &values, &params, 0.8));
+        assert_eq!(keys[2], message_key(&sequences, &values, &params, 0.8));
+        // Keys follow the values, not the ids: the same value sequences
+        // under other segment ids share keys.
+        let renumbered: Vec<&[u8]> = vec![b"dd", b"cc", b"b", b"aa"];
+        let sequences_b = vec![vec![3, 2], vec![], vec![1, 2, 0], vec![0], vec![3]];
+        assert_eq!(
+            message_key(&sequences_b, &renumbered, &params, 0.8),
+            keys[2]
+        );
+        // Moving a segment boundary, the gap penalty or the parameters
+        // moves the key.
+        let merged = vec![vec![0, 1], vec![], vec![2, 1, 3], vec![3, 0], vec![]];
+        assert_ne!(message_key(&merged, &values, &params, 0.8), keys[2]);
+        assert_ne!(message_key(&sequences, &values, &params, 0.5), keys[2]);
+        let other = DissimParams {
+            length_penalty: params.length_penalty + 0.25,
+        };
+        assert_ne!(message_key(&sequences, &values, &other, 0.8), keys[2]);
+        // And message families never mix with segment-matrix families.
+        assert_ne!(
+            message_family_key(&sequences, &values, &params, 0.8),
+            dissim_family_key(&values, &params)
+        );
     }
 
     #[test]

@@ -139,16 +139,25 @@ const LANES: usize = 4;
 /// `[0, ~1]`; an empty sequence costs 0 against another empty one and
 /// 1 against any other.
 ///
+/// `prefix` holds the costs among the first `prefix.len()` messages,
+/// from an earlier build over messages with the same segment-value
+/// sequences: those entries are spliced in verbatim and only pairs
+/// `(a, b)` with `b ≥ prefix.len()` are aligned. A cold build is the
+/// extension of the empty prefix. A pair's cost is a pure function of
+/// its two segment-value sequences, `seg_matrix`'s parameters and
+/// `gap`, so the result is bit-identical to a cold build over the same
+/// messages whenever the prefix was built from matching inputs.
+///
 /// Per outer message `a` the substitution rows of its segments are
 /// gathered once into a contiguous `len(a) × u` buffer, and the inner
-/// messages `b > a`, in ascending length order, are aligned against it
-/// [`LANES`] pairs per DP sweep over two rolling rows. Every cell
-/// performs the same f64 operations in the same order as the textbook
-/// pairwise DP — `sub`, `del`, `ins`, then the minimum of the three
-/// ([`dp_min`], exact for DP cells) — and a lane's cells never read past
-/// its own length, so the result is bit-identical to the pairwise DP for
-/// any lane grouping and thread count, given substitution costs that
-/// are non-negative numbers and a positive gap.
+/// messages `b > a` still to align, in ascending length order, are
+/// aligned against it [`LANES`] pairs per DP sweep over two rolling
+/// rows. Every cell performs the same f64 operations in the same order
+/// as the textbook pairwise DP — `sub`, `del`, `ins`, then the minimum
+/// of the three ([`dp_min`], exact for DP cells) — and a lane's cells
+/// never read past its own length, so the result is bit-identical to
+/// the pairwise DP for any lane grouping and thread count, given
+/// substitution costs that are non-negative numbers and a positive gap.
 ///
 /// `stop` is polled before every outer row; once it returns `true` the
 /// build abandons its partial matrix and returns
@@ -156,15 +165,22 @@ const LANES: usize = 4;
 ///
 /// # Panics
 ///
-/// Panics if a sequence holds a segment id outside `seg_matrix`.
+/// Panics if a sequence holds a segment id outside `seg_matrix`, or if
+/// `prefix` covers more messages than `sequences`.
 pub(crate) fn alignment_matrix(
     sequences: &[Vec<usize>],
+    prefix: &CondensedMatrix,
     seg_matrix: &CondensedMatrix,
     gap: f64,
     threads: usize,
     stop: &(dyn Fn() -> bool + Sync),
 ) -> Result<CondensedMatrix, MessageTypeError> {
     let n = sequences.len();
+    let n_old = prefix.len();
+    assert!(
+        n_old <= n,
+        "a prefix cannot cover more messages than the trace"
+    );
     let (mut by_length, empty): (Vec<usize>, Vec<usize>) =
         (0..n).partition(|&b| !sequences[b].is_empty());
     by_length.sort_by_key(|&b| (sequences[b].len(), b));
@@ -193,7 +209,14 @@ pub(crate) fn alignment_matrix(
                 }
                 let start = block.len();
                 block.resize(start + n - a - 1, 0.0);
-                aligner.row(a, scratch, &mut block[start..]);
+                let out = &mut block[start..];
+                // Row `a` of the prefix is the contiguous run of its
+                // pairs `(a, a + 1..n_old)`: the head of the new row.
+                if a < n_old {
+                    let (_, spliced) = prefix.row_parts(a);
+                    out[..spliced.len()].copy_from_slice(spliced);
+                }
+                aligner.row(a, n_old.max(a + 1), scratch, out);
             }
         },
     );
@@ -234,11 +257,12 @@ struct Aligner<'a> {
 
 impl Aligner<'_> {
     /// Fills `out[b − a − 1]` with the alignment cost of messages `a`
-    /// and `b` for every `b > a`.
-    fn row(&self, a: usize, scratch: &mut Scratch, out: &mut [f64]) {
+    /// and `b` for every `b ≥ lo` (`lo > a`); the slots before are left
+    /// as they are.
+    fn row(&self, a: usize, lo: usize, scratch: &mut Scratch, out: &mut [f64]) {
         let seq_a = &self.sequences[a];
         if seq_a.is_empty() {
-            for (slot, b) in out.iter_mut().zip(a + 1..) {
+            for (slot, b) in out[lo - a - 1..].iter_mut().zip(lo..) {
                 *slot = if self.sequences[b].is_empty() {
                     0.0
                 } else {
@@ -247,8 +271,17 @@ impl Aligner<'_> {
             }
             return;
         }
-        for &b in &self.empty[self.empty.partition_point(|&b| b <= a)..] {
+        for &b in &self.empty[self.empty.partition_point(|&b| b < lo)..] {
             out[b - a - 1] = 1.0;
+        }
+        let inner: Vec<usize> = self
+            .by_length
+            .iter()
+            .copied()
+            .filter(|&b| b >= lo)
+            .collect();
+        if inner.is_empty() {
+            return;
         }
         let Scratch { gathered, lanes } = scratch;
         gathered.clear();
@@ -258,15 +291,21 @@ impl Aligner<'_> {
             gathered.push(0.0);
             gathered.extend_from_slice(tail);
         }
-        self.align_inner(a, gathered, lanes, out);
+        self.align_inner(a, &inner, gathered, lanes, out);
     }
 
-    /// Aligns message `a` against every non-empty `b > a`, [`LANES`]
-    /// at a time in ascending length order; row `i` of `gathered` holds
-    /// the substitution costs of `a`'s `i`-th segment.
-    fn align_inner(&self, a: usize, gathered: &[f64], lanes: &mut Lanes, out: &mut [f64]) {
+    /// Aligns message `a` against every message of `inner` (non-empty,
+    /// ascending length), [`LANES`] at a time; row `i` of `gathered`
+    /// holds the substitution costs of `a`'s `i`-th segment.
+    fn align_inner(
+        &self,
+        a: usize,
+        inner: &[usize],
+        gathered: &[f64],
+        lanes: &mut Lanes,
+        out: &mut [f64],
+    ) {
         let la = self.sequences[a].len();
-        let inner: Vec<usize> = self.by_length.iter().copied().filter(|&b| b > a).collect();
         for chunk in inner.chunks(LANES) {
             // Lanes past a partial chunk repeat its last pair, and a lane
             // shorter than the chunk's longest repeats its last id: cells
@@ -445,15 +484,24 @@ mod tests {
         let sequences: Vec<Vec<usize>> = (0..9).map(|m| vec![m % 3, (m + 1) % 3]).collect();
         let polls = AtomicUsize::new(0);
         let after_three_rows = || polls.fetch_add(1, Ordering::Relaxed) >= 3;
-        let stopped = alignment_matrix(&sequences, &seg_matrix, 0.8, 1, &after_three_rows);
+        let empty = CondensedMatrix::build(0, |_, _| 0.0);
+        let stopped = alignment_matrix(&sequences, &empty, &seg_matrix, 0.8, 1, &after_three_rows);
         assert_eq!(stopped, Err(MessageTypeError::Cancelled));
         assert_eq!(
             polls.load(Ordering::Relaxed),
             4,
             "polled once per started row"
         );
-        let full = alignment_matrix(&sequences, &seg_matrix, 0.8, 1, &|| false).unwrap();
+        let full = alignment_matrix(&sequences, &empty, &seg_matrix, 0.8, 1, &|| false).unwrap();
         assert_eq!(full.len(), 9);
+        // An extension polls the same way: rows of the spliced prefix
+        // count too.
+        let prefix =
+            alignment_matrix(&sequences[..6], &empty, &seg_matrix, 0.8, 1, &|| false).unwrap();
+        polls.store(0, Ordering::Relaxed);
+        let stopped = alignment_matrix(&sequences, &prefix, &seg_matrix, 0.8, 1, &after_three_rows);
+        assert_eq!(stopped, Err(MessageTypeError::Cancelled));
+        assert_eq!(polls.load(Ordering::Relaxed), 4);
     }
 
     #[test]
@@ -513,8 +561,9 @@ mod tests {
                     }
                 }
                 let n = sequences.len();
+                let empty = CondensedMatrix::build(0, |_, _| 0.0);
                 for threads in [1, 4] {
-                    let m = alignment_matrix(&sequences, &seg_matrix, gap, threads, &|| false)
+                    let m = alignment_matrix(&sequences, &empty, &seg_matrix, gap, threads, &|| false)
                         .expect("never stopped");
                     prop_assert_eq!(m.len(), n);
                     for a in 0..n {
@@ -529,6 +578,52 @@ mod tests {
                                 threads
                             );
                         }
+                    }
+                }
+            }
+
+            /// Extending the matrix of every prefix `n_old ∈ [0, n]` of
+            /// the messages gives the cold build over all of them, bit
+            /// for bit, at 1, 2 and 4 threads — with empty messages,
+            /// prefixes that end on one, and prefixes built at another
+            /// thread count.
+            #[test]
+            fn extending_every_prefix_matches_the_cold_build(
+                u in 1usize..10,
+                costs in prop::collection::vec(0.0f64..1.0, 45),
+                raw in prop::collection::vec(prop::collection::vec(0usize..10, 0..6), 0..14),
+                gap in 0.05f64..1.5,
+            ) {
+                let seg_matrix =
+                    CondensedMatrix::from_condensed(u, costs[..u * (u - 1) / 2].to_vec())
+                        .expect("triangle length");
+                let sequences: Vec<Vec<usize>> = raw
+                    .into_iter()
+                    .map(|seq| seq.into_iter().map(|id| id % u).collect())
+                    .collect();
+                let n = sequences.len();
+                let bits = |m: &CondensedMatrix| {
+                    m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                };
+                let empty = CondensedMatrix::build(0, |_, _| 0.0);
+                let never = || false;
+                let cold = alignment_matrix(&sequences, &empty, &seg_matrix, gap, 1, &never)
+                    .expect("never stopped");
+                for n_old in 0..=n {
+                    let prefix = alignment_matrix(
+                        &sequences[..n_old], &empty, &seg_matrix, gap, 1 + n_old % 2, &never,
+                    )
+                    .expect("never stopped");
+                    for threads in [1, 2, 4] {
+                        let grown = alignment_matrix(
+                            &sequences, &prefix, &seg_matrix, gap, threads, &never,
+                        )
+                        .expect("never stopped");
+                        prop_assert_eq!(grown.len(), n);
+                        prop_assert!(
+                            bits(&grown) == bits(&cold),
+                            "prefix {} at {} threads", n_old, threads
+                        );
                     }
                 }
             }

@@ -537,6 +537,13 @@ impl<'t> AnalysisSession<'t> {
     /// [`message_matrix`](Self::message_matrix) with the alignment
     /// build polling `stop` between outer rows instead of the session's
     /// token; a stopped build caches nothing.
+    ///
+    /// With a store attached the matrix is keyed by the messages'
+    /// segment-value sequences (`cache::message_key`). A hit skips even
+    /// the full-store segment matrix. On a miss, the largest cached
+    /// matrix over a prefix of the messages (found through the
+    /// per-family manifest) is extended: only pairs with a message
+    /// past the prefix are aligned.
     fn message_matrix_until(
         &mut self,
         gap_penalty: f64,
@@ -548,42 +555,54 @@ impl<'t> AnalysisSession<'t> {
             .is_none_or(|(g, _)| *g != gap_penalty)
         {
             let n = self.trace.len();
-            // Probe the cache first: a hit skips even the full-store
-            // segment dissimilarity build. Gated on the same
-            // preconditions the compute path errors on, so a hit can
-            // never mask a MissingSegmentation/TooFewMessages error.
-            let msg_key =
-                (self.cache.is_some() && self.segmentation.is_some() && n >= 4).then(|| {
-                    let input = self.session_input_key();
-                    cache::message_dissim_key(&input, &self.config.dissim, gap_penalty)
-                });
-            let mut artifact = None;
-            if let (Some(cache), Some(key)) = (self.cache.as_ref(), &msg_key) {
-                if let Some(a) = cache.get::<DissimArtifact>(key) {
-                    if a.len() == n {
-                        artifact = Some(a);
-                    }
+            self.ensure_full_store()?;
+            let sequences =
+                msgtype::segment_sequences(n, self.full_store.as_ref().expect("ensured"));
+            let cache = self.cache.clone();
+            // The cached matrix, or the key and family to store the
+            // computed one under plus the largest cached prefix.
+            let mut probe = None;
+            if let Some(cache) = &cache {
+                let full = self.full_store.as_ref().expect("ensured");
+                let values: Vec<&[u8]> = full.segments.iter().map(|s| &s.value[..]).collect();
+                let params = &self.config.dissim;
+                let key = cache::message_key(&sequences, &values, params, gap_penalty);
+                if let Some(a) = cache.get::<DissimArtifact>(&key).filter(|a| a.len() == n) {
+                    self.msg_dissim = Some((gap_penalty, a));
+                    return Ok(self.msg_dissim.as_ref().expect("just fetched").1.matrix());
                 }
+                let family = cache::message_family_key(&sequences, &values, params, gap_penalty);
+                let prefix = cache::cached_prefix(
+                    cache,
+                    &family,
+                    1,
+                    n,
+                    |at| cache::message_keys_at(&sequences, &values, params, gap_penalty, at),
+                    |u, a: &DissimArtifact| a.len() == u,
+                );
+                probe = Some((key, family, prefix));
             }
-            let artifact = match artifact {
-                Some(a) => a,
-                None => {
-                    self.ensure_full_dissim()?;
-                    let sequences =
-                        msgtype::segment_sequences(n, self.full_store.as_ref().expect("ensured"));
-                    let computed = DissimArtifact::from_matrix(msgtype::alignment_matrix(
-                        &sequences,
-                        self.full_matrix(),
-                        gap_penalty,
-                        self.config.threads,
-                        stop,
-                    )?);
-                    if let (Some(cache), Some(key)) = (self.cache.as_ref(), &msg_key) {
-                        cache.put(key, &computed);
-                    }
-                    computed
+            self.ensure_full_dissim()?;
+            let empty = CondensedMatrix::build(0, |_, _| 0.0);
+            let prefix = probe
+                .as_ref()
+                .and_then(|(_, _, p)| p.as_ref())
+                .map_or(&empty, DissimArtifact::matrix);
+            let artifact = DissimArtifact::from_matrix(msgtype::alignment_matrix(
+                &sequences,
+                prefix,
+                self.full_matrix(),
+                gap_penalty,
+                self.config.threads,
+                stop,
+            )?);
+            if let (Some(cache), Some((key, family, prefix))) = (&cache, &probe) {
+                if prefix.is_some() {
+                    cache.record_extension();
                 }
-            };
+                cache.put(key, &artifact);
+                cache.manifest_add(family, n, key);
+            }
             self.msg_dissim = Some((gap_penalty, artifact));
         }
         Ok(self.msg_dissim.as_ref().expect("just built").1.matrix())
@@ -729,48 +748,27 @@ impl<'t> AnalysisSession<'t> {
             return artifact;
         }
         let family = cache::dissim_family_key(values, params);
-        let artifact = self
-            .extend_from_prefix(cache, &family, values, n)
-            .unwrap_or_else(|| DissimArtifact::compute_segments(values, params, threads));
+        let prefix = cache::cached_prefix(
+            cache,
+            &family,
+            2,
+            n,
+            |at| cache::dissim_keys_at(values, params, at),
+            |u, a: &DissimArtifact| a.len() == u,
+        );
+        let artifact = match prefix {
+            // The incremental warm-start: splice the cached matrix over
+            // `values[..u]` and compute only the new rows.
+            Some(prev) => {
+                let extended = prev.matrix().extend_segments(values, params, threads);
+                cache.record_extension();
+                DissimArtifact::from_matrix(extended)
+            }
+            None => DissimArtifact::compute_segments(values, params, threads),
+        };
         cache.put(&key, &artifact);
         cache.manifest_add(&family, n, &key);
         artifact
-    }
-
-    /// The incremental warm-start: the largest manifest entry whose
-    /// recorded key matches the recomputed key of our own value prefix
-    /// is a cached matrix over exactly `values[..u]`; splice it and
-    /// compute only the new rows.
-    fn extend_from_prefix(
-        &self,
-        cache: &ArtifactStore,
-        family: &Key,
-        values: &[&[u8]],
-        n: usize,
-    ) -> Option<DissimArtifact> {
-        let params = &self.config.dissim;
-        let entries = cache.manifest_entries(family);
-        let mut candidates: Vec<usize> = entries
-            .iter()
-            .map(|&(u, _)| u)
-            .filter(|&u| u >= 2 && u < n)
-            .collect();
-        candidates.dedup(); // entries are sorted by u
-        let expected = cache::dissim_keys_at(values, params, &candidates);
-        for (i, &u) in candidates.iter().enumerate().rev() {
-            if !entries.iter().any(|&(eu, ek)| eu == u && ek == expected[i]) {
-                continue;
-            }
-            let Some(prev) = cache.get_quiet::<DissimArtifact>(&expected[i]) else {
-                continue;
-            };
-            let extended = prev
-                .matrix()
-                .extend_segments(values, params, self.config.threads);
-            cache.record_extension();
-            return Some(DissimArtifact::from_matrix(extended));
-        }
-        None
     }
 
     /// The tiled build: fixed-height row tiles computed, checksummed,
@@ -835,50 +833,24 @@ impl<'t> AnalysisSession<'t> {
             }
         }
         let family = cache::strata_family_key(values, params);
-        let index = self
-            .extend_strata_from_prefix(cache, &family, values, chunk, n)
-            .unwrap_or_else(|| StrataIndex::build(values, params, chunk));
+        let prefix = cache::cached_prefix(
+            cache,
+            &family,
+            1,
+            n,
+            |at| cache::strata_keys_at(values, params, chunk, at),
+            |u, prev: &StrataIndex| prev.chunk() == chunk && prev.matches(&values[..u]),
+        );
+        let index = match prefix {
+            Some(prev) => {
+                cache.record_extension();
+                StrataIndex::extend_from(&prev, values, params)
+            }
+            None => StrataIndex::build(values, params, chunk),
+        };
         cache.put(&key, &index);
         cache.manifest_add(&family, n, &key);
         index
-    }
-
-    /// The stratified analogue of [`extend_from_prefix`]
-    /// (Self::extend_from_prefix): the largest manifest entry whose
-    /// recorded key matches the recomputed key of our own value prefix
-    /// is a cached index over exactly `values[..u]`; extend it with the
-    /// appended values.
-    fn extend_strata_from_prefix(
-        &self,
-        cache: &ArtifactStore,
-        family: &Key,
-        values: &[&[u8]],
-        chunk: usize,
-        n: usize,
-    ) -> Option<StrataIndex> {
-        let params = &self.config.dissim;
-        let entries = cache.manifest_entries(family);
-        let mut candidates: Vec<usize> = entries
-            .iter()
-            .map(|&(u, _)| u)
-            .filter(|&u| u >= 1 && u < n)
-            .collect();
-        candidates.dedup(); // entries are sorted by u
-        let expected = cache::strata_keys_at(values, params, chunk, &candidates);
-        for (i, &u) in candidates.iter().enumerate().rev() {
-            if !entries.iter().any(|&(eu, ek)| eu == u && ek == expected[i]) {
-                continue;
-            }
-            let Some(prev) = cache.get_quiet::<StrataIndex>(&expected[i]) else {
-                continue;
-            };
-            if prev.chunk() != chunk || !prev.matches(&values[..u]) {
-                continue;
-            }
-            cache.record_extension();
-            return Some(StrataIndex::extend_from(&prev, values, params));
-        }
-        None
     }
 
     /// The stratified arm of the neighbors stage: builds (or faults
@@ -1563,6 +1535,89 @@ mod tests {
         let resumed = s.message_matrix(0.8).unwrap().clone();
         let (_, mut fresh) = session_for(Protocol::Dns, 40, 16);
         assert_eq!(&resumed, fresh.message_matrix(0.8).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A NEMESYS-segmented DNS trace of `n` messages and the session of
+    /// its first `k` messages under the same segmentation.
+    fn grown_pair(n: usize, k: usize, seed: u64) -> (Trace, TraceSegmentation, Trace) {
+        use segment::nemesys::Nemesys;
+        let trace = corpus::build_trace(Protocol::Dns, n, seed);
+        let seg = Nemesys::default().segment_trace(&trace).unwrap();
+        let prefix = Trace::new(trace.name(), trace.messages()[..k].to_vec());
+        (trace, seg, prefix)
+    }
+
+    #[test]
+    fn grown_trace_extends_its_message_matrix_bit_for_bit() {
+        let dir =
+            std::env::temp_dir().join(format!("fieldclust-msg-extend-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (trace, seg, prefix) = grown_pair(60, 42, 17);
+        let store = ArtifactStore::open(&dir).expect("open store");
+        let mut old = AnalysisSession::new(&prefix, FieldTypeClusterer::default());
+        old.set_segmentation(TraceSegmentation {
+            messages: seg.messages[..42].to_vec(),
+        });
+        old.set_store(store.clone());
+        old.message_matrix(0.8).unwrap();
+
+        let mut grown = AnalysisSession::new(&trace, FieldTypeClusterer::default());
+        grown.set_segmentation(seg.clone());
+        grown.set_store(store.clone());
+        grown.segment_matrix().unwrap();
+        let before = store.stats().extended;
+        let extended = grown.message_matrix(0.8).unwrap().clone();
+        assert_eq!(
+            store.stats().extended,
+            before + 1,
+            "the message matrix grows from the 42-message prefix"
+        );
+        let mut cold = AnalysisSession::new(&trace, FieldTypeClusterer::default());
+        cold.set_segmentation(seg);
+        let bits = |m: &CondensedMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert!(bits(&extended) == bits(cold.message_matrix(0.8).unwrap()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stopped_extension_caches_nothing_and_resumes_identically() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let dir = std::env::temp_dir().join(format!(
+            "fieldclust-msg-extend-cancel-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (trace, seg, prefix) = grown_pair(50, 30, 18);
+        let store = ArtifactStore::open(&dir).expect("open store");
+        let mut old = AnalysisSession::new(&prefix, FieldTypeClusterer::default());
+        old.set_segmentation(TraceSegmentation {
+            messages: seg.messages[..30].to_vec(),
+        });
+        old.set_store(store.clone());
+        old.message_matrix(0.8).unwrap();
+
+        let mut grown = AnalysisSession::new(&trace, FieldTypeClusterer::default());
+        grown.set_segmentation(seg.clone());
+        grown.set_store(store.clone());
+        grown.segment_matrix().unwrap();
+        let at_stop = store.stats();
+        let polls = AtomicUsize::new(0);
+        let mid_extension = || polls.fetch_add(1, Ordering::Relaxed) >= 35;
+        assert!(matches!(
+            grown.message_matrix_until(0.8, &mid_extension),
+            Err(MessageTypeError::Cancelled)
+        ));
+        assert!(grown.msg_dissim.is_none(), "no partial matrix in memory");
+        let stats = store.stats();
+        assert_eq!(stats.writes, at_stop.writes, "nothing on disk");
+        assert_eq!(stats.extended, at_stop.extended, "no extension recorded");
+        // Re-driving extends from the same prefix to the cold matrix.
+        let resumed = grown.message_matrix(0.8).unwrap().clone();
+        assert_eq!(store.stats().extended, at_stop.extended + 1);
+        let mut cold = AnalysisSession::new(&trace, FieldTypeClusterer::default());
+        cold.set_segmentation(seg);
+        assert_eq!(&resumed, cold.message_matrix(0.8).unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -26,7 +26,12 @@
 //! — no analysis ever reuses state from before an append. With
 //! `--cache-dir` the sessions share one [`ArtifactStore`], adding
 //! cross-restart warm starts and incremental matrix growth after
-//! appends.
+//! appends. The two do not conflict: in-memory session state is never
+//! reused after an append, but the store's content-keyed prefixes are.
+//! A grown trace's session finds the segment matrix, the strata index
+//! and the message matrix stored for its first messages (their keys
+//! digest exactly the segment values of that prefix) and computes only
+//! the entries that involve appended messages.
 //!
 //! # Cancellation and deadlines
 //!
@@ -1168,13 +1173,11 @@ fn stats(shared: &Arc<Shared>) -> ServerStats {
         let core = shared.core.lock().expect("core lock");
         (core.traces.len() as u64, core.sessions.len() as u64)
     };
-    let (cache_hits, cache_misses, cache_writes, cache_mmap_reads) = match &shared.store {
-        Some(store) => {
-            let s = store.stats();
-            (s.hits, s.misses, s.writes, s.mmap_reads)
-        }
-        None => (0, 0, 0, 0),
-    };
+    let cache = shared
+        .store
+        .as_ref()
+        .map(|store| store.stats())
+        .unwrap_or_default();
     ServerStats {
         jobs_accepted: shared.counters.accepted.load(Ordering::Relaxed),
         jobs_rejected: shared.counters.rejected.load(Ordering::Relaxed),
@@ -1184,10 +1187,11 @@ fn stats(shared: &Arc<Shared>) -> ServerStats {
         queue_depth: shared.outstanding.load(Ordering::Acquire) as u64,
         traces,
         warm_sessions,
-        cache_hits,
-        cache_misses,
-        cache_writes,
-        cache_mmap_reads,
+        cache_hits: cache.hits,
+        cache_misses: cache.misses,
+        cache_writes: cache.writes,
+        cache_extended: cache.extended,
+        cache_mmap_reads: cache.mmap_reads,
         peak_rss_bytes: peak_rss_bytes(),
         session_capacity: shared.config.sessions.max(1) as u64,
         session_evictions: shared.counters.session_evictions.load(Ordering::Relaxed),

@@ -238,6 +238,9 @@ pub struct ServerStats {
     pub cache_misses: u64,
     /// Artifact-store writes.
     pub cache_writes: u64,
+    /// Matrices the artifact store grew from a cached prefix instead of
+    /// building cold (segment and message matrices, strata indexes).
+    pub cache_extended: u64,
     /// Artifact-store reads served zero-copy through a memory mapping
     /// (0 without `--cache-dir`, with `--no-mmap`, or on platforms
     /// without the mmap read path).
@@ -276,7 +279,7 @@ impl std::fmt::Display for ServerStats {
         )?;
         writeln!(
             f,
-            "sessions: traces={} warm={} capacity={} evictions={} cache: hits={} misses={} writes={} mmap_reads={}",
+            "sessions: traces={} warm={} capacity={} evictions={} cache: hits={} misses={} writes={} extended={} mmap_reads={}",
             self.traces,
             self.warm_sessions,
             self.session_capacity,
@@ -284,6 +287,7 @@ impl std::fmt::Display for ServerStats {
             self.cache_hits,
             self.cache_misses,
             self.cache_writes,
+            self.cache_extended,
             self.cache_mmap_reads,
         )?;
         writeln!(f, "stream_batches={}", self.stream_batches)?;
@@ -573,6 +577,7 @@ impl Response {
                 w.u64(stats.cache_hits);
                 w.u64(stats.cache_misses);
                 w.u64(stats.cache_writes);
+                w.u64(stats.cache_extended);
                 w.u64(stats.cache_mmap_reads);
                 w.u64(stats.peak_rss_bytes);
                 w.u64(stats.session_capacity);
@@ -666,6 +671,7 @@ impl Response {
                 let cache_hits = next().ok_or(malformed.clone())?;
                 let cache_misses = next().ok_or(malformed.clone())?;
                 let cache_writes = next().ok_or(malformed.clone())?;
+                let cache_extended = next().ok_or(malformed.clone())?;
                 let cache_mmap_reads = next().ok_or(malformed.clone())?;
                 let peak_rss_bytes = next().ok_or(malformed.clone())?;
                 let session_capacity = next().ok_or(malformed.clone())?;
@@ -693,6 +699,7 @@ impl Response {
                     cache_hits,
                     cache_misses,
                     cache_writes,
+                    cache_extended,
                     cache_mmap_reads,
                     peak_rss_bytes,
                     session_capacity,

@@ -24,8 +24,9 @@ use store::fnv64;
 pub const MAGIC: [u8; 4] = *b"FTCW";
 
 /// Wire protocol version. A daemon and client must agree exactly;
-/// mismatch is [`WireError::BadVersion`], never a guess.
-pub const WIRE_VERSION: u32 = 1;
+/// mismatch is [`WireError::BadVersion`], never a guess. Version 2
+/// added `cache_extended` to the `Stats` report.
+pub const WIRE_VERSION: u32 = 2;
 
 /// Upper bound on a frame's payload. Bounds the allocation a malicious
 /// or corrupt length prefix can demand before the checksum is checked.

@@ -359,6 +359,78 @@ fn append_during_running_analyze_never_serves_stale_sessions() {
 }
 
 #[test]
+fn append_rounds_extend_stored_matrices_and_match_a_fresh_store() {
+    // A store-attached daemon grows its matrices after an append from
+    // the prefixes its first analysis stored — the message matrix among
+    // them — and the grown report must equal a report of the grown trace
+    // computed in process on a fresh, empty store.
+    let cache = temp_dir("append-extend");
+    let handle = start(ServerConfig {
+        workers: 1,
+        cache_dir: Some(cache.to_string_lossy().into_owned()),
+        ..ServerConfig::default()
+    })
+    .expect("start daemon");
+    let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
+    let whole = corpus::build_trace(Protocol::Dns, 80, 71);
+    let part = |lo: usize, hi: usize| {
+        let t = trace::Trace::new("capture", whole.messages()[lo..hi].to_vec());
+        pcap::write_to_vec(&t).expect("write capture")
+    };
+    let (first, second) = (part(0, 60), part(60, 80));
+    let (trace_id, _) = client
+        .submit_trace("dns", first.clone(), None, None, false)
+        .expect("submit");
+    let analyze = |client: &mut Client| {
+        let job = client.analyze(trace_id, "nemesys", 0).expect("analyze");
+        match client
+            .wait_for(job, Duration::from_millis(20))
+            .expect("wait")
+        {
+            JobState::Done { report } => String::from_utf8(report).expect("utf8"),
+            other => panic!("expected Done, got {other:?}"),
+        }
+    };
+    analyze(&mut client);
+    let before = client.stats().expect("stats").cache_extended;
+    client
+        .append_messages(trace_id, second.clone())
+        .expect("append");
+    let grown = analyze(&mut client);
+    let after = client.stats().expect("stats").cache_extended;
+    assert!(
+        after > before,
+        "the grown analysis extends cached prefixes ({before} -> {after})"
+    );
+
+    let fresh = temp_dir("append-extend-fresh");
+    let ta = trace::pcapng::read_any(&first, "capture").expect("parse first");
+    let tb = trace::pcapng::read_any(&second, "capture").expect("parse second");
+    let mut messages = ta.messages().to_vec();
+    messages.extend(tb.messages().iter().cloned());
+    let merged = trace::Trace::new(ta.name(), messages);
+    let prepared = serve::preprocess(&merged, &PrepareOpts::default()).expect("preprocess");
+    let mut session = AnalysisSession::from_owned(prepared, FieldTypeClusterer::default())
+        .with_store(&fresh)
+        .expect("open fresh store");
+    let seg = build_segmenter("nemesys").expect("segmenter");
+    session.segment_with(seg.as_ref()).expect("segmentation");
+    let trace = session.trace().clone();
+    let expected = standard_report(&trace, &mut session).expect("fresh-store report");
+    assert_eq!(
+        session.cache_stats().expect("store attached").extended,
+        0,
+        "a fresh store has no prefix to extend"
+    );
+    assert_eq!(grown, expected);
+
+    client.shutdown().expect("shutdown");
+    handle.wait();
+    let _ = std::fs::remove_dir_all(&cache);
+    let _ = std::fs::remove_dir_all(&fresh);
+}
+
+#[test]
 fn append_errors_leave_the_trace_unchanged() {
     let handle = start(ServerConfig::default()).expect("start daemon");
     let addr = handle.addr().to_string();

@@ -116,13 +116,20 @@ pub trait Persist: Sized {
     /// Appends the encoded payload.
     fn encode(&self, w: &mut Writer);
 
+    /// The encoded payload's length in bytes, or a lower bound: the
+    /// store sizes a file's one buffer by it, so a large artifact is
+    /// framed without regrowing (and transiently doubling) the buffer.
+    fn payload_hint(&self) -> usize {
+        0
+    }
+
     /// Decodes a payload previously produced by [`encode`](Self::encode).
     fn decode(r: &mut Reader) -> Option<Self>;
 }
 
 /// Encodes `value` as a bare payload (no file frame).
 pub fn encode_payload<T: Persist>(value: &T) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut w = Writer::with_capacity(value.payload_hint());
     value.encode(&mut w);
     w.into_inner()
 }
@@ -184,9 +191,11 @@ impl Persist for CondensedMatrix {
 
     fn encode(&self, w: &mut Writer) {
         w.usize(self.len());
-        for &v in self.values() {
-            w.f64(v);
-        }
+        w.f64s(self.values());
+    }
+
+    fn payload_hint(&self) -> usize {
+        8 + 8 * self.values().len()
     }
 
     fn decode(r: &mut Reader) -> Option<Self> {
@@ -195,7 +204,7 @@ impl Persist for CondensedMatrix {
         if m.checked_mul(8)? > r.remaining() {
             return None;
         }
-        CondensedMatrix::try_from_fn(n, || r.f64())
+        CondensedMatrix::try_filled(n, |cells| r.f64s_into(cells))
     }
 }
 
@@ -209,6 +218,10 @@ impl Persist for DissimArtifact {
     fn encode(&self, w: &mut Writer) {
         self.matrix().encode(w);
         w.u8(0);
+    }
+
+    fn payload_hint(&self) -> usize {
+        self.matrix().payload_hint() + 1
     }
 
     fn decode(r: &mut Reader) -> Option<Self> {
@@ -226,9 +239,11 @@ impl Persist for MatrixTile {
         w.usize(rows.end);
         w.u64(self.checksum());
         // The entry count is implied by the row span.
-        for &v in self.data() {
-            w.f64(v);
-        }
+        w.f64s(self.data());
+    }
+
+    fn payload_hint(&self) -> usize {
+        24 + 8 * self.data().len()
     }
 
     fn decode(r: &mut Reader) -> Option<Self> {
@@ -247,10 +262,8 @@ impl Persist for MatrixTile {
         if m.checked_mul(8)? > r.remaining() {
             return None;
         }
-        let mut data = Vec::with_capacity(m);
-        for _ in 0..m {
-            data.push(r.f64()?);
-        }
+        let mut data = vec![0.0; m];
+        r.f64s_into(&mut data)?;
         // `from_parts` re-verifies the length and the tile checksum, so
         // an entry-level bit flip that slipped past the file frame still
         // decodes as a miss.
@@ -328,9 +341,7 @@ impl Persist for StrataIndex {
                 tree.encode(w);
             }
             // The pivot-row count is implied by the member count.
-            for &d in s.pivot_rows() {
-                w.f64(d);
-            }
+            w.f64s(s.pivot_rows());
         }
     }
 
@@ -361,10 +372,8 @@ impl Persist for StrataIndex {
             if n_rows.checked_mul(8)? > r.remaining() {
                 return None;
             }
-            let mut pivot_rows = Vec::with_capacity(n_rows);
-            for _ in 0..n_rows {
-                pivot_rows.push(r.f64()?);
-            }
+            let mut pivot_rows = vec![0.0; n_rows];
+            r.f64s_into(&mut pivot_rows)?;
             // `from_parts` re-validates the stratum shape (forest item
             // count, ascending members, pivot-row shape, NaN-freedom).
             strata.push(Stratum::from_parts(len, items, forest, pivot_rows)?);
@@ -491,6 +500,52 @@ mod tests {
         assert_eq!(back.len(), m.len());
         let bits = |m: &CondensedMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&back), bits(&m));
+    }
+
+    #[test]
+    fn matrix_codec_roundtrips_special_values_bit_for_bit() {
+        // Signed zeros, NaNs with payloads, subnormals and infinities, at
+        // sizes from empty to past the point where matrix cells leave the
+        // heap (`dissim::cells::MAP_MIN_BYTES`).
+        let special = [
+            -0.0,
+            0.0,
+            f64::from_bits(0x7ff8_0000_0000_0001),
+            f64::from_bits(0xfff4_dead_beef_0042),
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE / 1024.0,
+            f64::INFINITY,
+            0.3125,
+        ];
+        for n in [0usize, 1, 2, 1_500] {
+            let m = n * n.saturating_sub(1) / 2;
+            let values: Vec<f64> = (0..m)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        special[(i / 3) % special.len()]
+                    } else {
+                        f64::from_bits((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                    }
+                })
+                .collect();
+            let matrix = CondensedMatrix::from_condensed(n, values).expect("triangle length");
+            let payload = encode_payload(&matrix);
+            assert_eq!(payload.len(), matrix.payload_hint());
+            let back = decode_payload::<CondensedMatrix>(&payload).expect("roundtrip decode");
+            assert_eq!(back.len(), n);
+            let bits =
+                |m: &CondensedMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert!(bits(&back) == bits(&matrix), "n = {n}: bits differ");
+            let mut w = Writer::new();
+            w.usize(n);
+            for &v in matrix.values() {
+                w.f64(v);
+            }
+            assert!(
+                w.as_slice() == &payload[..],
+                "n = {n}: bulk encoding differs"
+            );
+        }
     }
 
     #[test]

@@ -19,6 +19,13 @@ impl Writer {
         Self::default()
     }
 
+    /// An empty writer whose buffer holds `bytes` without growing.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -43,6 +50,27 @@ impl Writer {
     /// value (including signed zeros and NaN payloads) bit-for-bit.
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
+    }
+
+    /// Appends every `f64` of `values` by bit pattern, as repeated
+    /// [`f64`](Self::f64) calls would, in one pass over one resize of
+    /// the buffer.
+    pub fn f64s(&mut self, values: &[f64]) {
+        let start = self.buf.len();
+        self.buf.resize(start + 8 * values.len(), 0);
+        for (out, v) in self.buf[start..].chunks_exact_mut(8).zip(values) {
+            out.copy_from_slice(&v.to_bits().to_le_bytes());
+        }
+    }
+
+    /// Overwrites the 8 bytes at `at` with `v`, little endian: fills in
+    /// a length field written as a placeholder before what it counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at + 8` exceeds the bytes written so far.
+    pub fn patch_u64(&mut self, at: usize, v: u64) {
+        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Appends raw bytes without a length prefix.
@@ -128,6 +156,17 @@ impl<'a> Reader<'a> {
         self.u64().map(f64::from_bits)
     }
 
+    /// Fills `out` with the next `out.len()` `f64`s, as repeated
+    /// [`f64`](Self::f64) calls would, in one pass; `None` (consuming
+    /// nothing) if fewer remain.
+    pub fn f64s_into(&mut self, out: &mut [f64]) -> Option<()> {
+        let bytes = self.take(out.len().checked_mul(8)?)?;
+        for (v, b) in out.iter_mut().zip(bytes.chunks_exact(8)) {
+            *v = f64::from_bits(u64::from_le_bytes(b.try_into().expect("8 bytes")));
+        }
+        Some(())
+    }
+
     /// Reads a `u64`-length-prefixed byte string.
     pub fn bytes(&mut self) -> Option<&'a [u8]> {
         let n = self.usize()?;
@@ -181,6 +220,47 @@ mod tests {
         assert!(r.f64().unwrap().is_nan());
         assert_eq!(r.bytes(), Some(&b"hello"[..]));
         assert!(r.is_at_end());
+    }
+
+    #[test]
+    fn bulk_f64s_match_one_at_a_time() {
+        let values = [
+            -0.0,
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            f64::MIN_POSITIVE / 3.0,
+            1.5,
+        ];
+        let mut bulk = Writer::new();
+        bulk.u8(9);
+        bulk.f64s(&values);
+        let mut single = Writer::new();
+        single.u8(9);
+        for &v in &values {
+            single.f64(v);
+        }
+        assert_eq!(bulk.as_slice(), single.as_slice());
+        let buf = bulk.into_inner();
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.u8(), Some(9));
+        let mut back = [0.0; 4];
+        assert_eq!(r.f64s_into(&mut back), Some(()));
+        assert!(r.is_at_end());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&values));
+        // Too few bytes left: a miss that consumes nothing.
+        let mut r = Reader::new(&buf[..buf.len() - 1]);
+        r.u8();
+        assert_eq!(r.f64s_into(&mut back), None);
+        assert_eq!(r.remaining(), 31);
+    }
+
+    #[test]
+    fn patch_rewrites_a_placeholder() {
+        let mut w = Writer::with_capacity(16);
+        w.u64(0);
+        w.u8(1);
+        w.patch_u64(0, 7);
+        assert_eq!(w.as_slice(), &[7, 0, 0, 0, 0, 0, 0, 0, 1]);
     }
 
     #[test]

@@ -35,8 +35,8 @@ pub mod mmap;
 
 pub use artifacts::{decode_payload, encode_payload, Kind, Persist};
 pub use codec::{Reader, Writer};
-pub use digest::{fnv64, Key, KeyDigest};
-pub use format::{decode_file, encode_file, FORMAT_VERSION, MAGIC};
+pub use digest::{checksum, fnv64, Key, KeyDigest};
+pub use format::{decode_file, encode_file, encode_with, FORMAT_VERSION, MAGIC};
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -302,7 +302,7 @@ impl ArtifactStore {
     /// write failed; a read-only or full cache degrades the run to
     /// cold compute, it never fails it.
     pub fn put<T: Persist>(&self, key: &Key, value: &T) -> bool {
-        let file = format::encode_file(T::KIND, &encode_payload(value));
+        let file = format::encode_with(T::KIND, value.payload_hint(), |w| value.encode(w));
         let path = self.file_path(T::KIND, key);
         match self.write_atomic(&path, &file) {
             Ok(()) => {

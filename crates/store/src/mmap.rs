@@ -6,7 +6,7 @@
 //! matrices, neighbor indices, matrix tiles, vantage-point trees) that
 //! copy dominates the warm path. This module maps the file read-only
 //! instead: [`MappedArtifact::open`] validates the `FTCA` frame —
-//! magic, version, kind, length, and the whole-file FNV trailer —
+//! magic, version, kind, length, and the whole-file checksum trailer —
 //! exactly once against the mapped pages, and the payload decoder then
 //! reads straight from the mapping. No artifact-sized heap buffer is
 //! ever allocated; the kernel pages the file in on demand and drops
@@ -174,7 +174,7 @@ impl Drop for Region {
     }
 }
 
-/// A mapped artifact file whose `FTCA` frame — header fields and FNV
+/// A mapped artifact file whose `FTCA` frame — header fields and
 /// trailer — has been validated once against the mapping. The payload
 /// is served as a borrow of the mapped pages.
 #[cfg(all(feature = "mmap", unix))]

@@ -68,7 +68,7 @@ where
     let mut other_version = golden.clone();
     other_version[4] = other_version[4].wrapping_add(1);
     let body_end = other_version.len() - 8;
-    let sum = store::fnv64(&other_version[..body_end]);
+    let sum = store::checksum(&other_version[..body_end]);
     other_version[body_end..].copy_from_slice(&sum.to_le_bytes());
     std::fs::write(&path, &other_version).unwrap();
     assert!(

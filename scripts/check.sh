@@ -38,6 +38,24 @@ grep -Eq 'cache: hits=[1-9][0-9]* misses=0 writes=0' "$tmp/warm-heap.err"
 cmp "$tmp/warm.out" "$tmp/warm-heap.out"
 echo "mmap smoke test: heap-read warm run reproduced the mmap warm report byte for byte"
 
+# Append smoke test: analyzing a capture and then its grown version
+# against one cache directory must extend the cached matrices (the
+# segment and message matrices grow from the shorter capture's prefix)
+# and still print the report a cache-less run of the grown capture
+# prints. The generator is sequentially seeded, so the 80-message
+# capture must be an exact prefix of the 120-message one.
+cargo run --release -q -p cli -- generate dns 80 "$tmp/append80.pcap" --seed 51
+cargo run --release -q -p cli -- generate dns 120 "$tmp/append120.pcap" --seed 51
+cmp -n "$(stat -c %s "$tmp/append80.pcap")" "$tmp/append80.pcap" "$tmp/append120.pcap"
+cargo run --release -q -p cli -- analyze "$tmp/append80.pcap" --cache-dir "$tmp/append-cache" \
+    --report "$tmp/append80.md" 2>/dev/null
+cargo run --release -q -p cli -- analyze "$tmp/append120.pcap" --cache-dir "$tmp/append-cache" \
+    --report "$tmp/append-warm.md" 2>"$tmp/append-warm.err"
+cargo run --release -q -p cli -- analyze "$tmp/append120.pcap" --report "$tmp/append-cold.md"
+cmp "$tmp/append-warm.md" "$tmp/append-cold.md"
+grep -Eq 'extended=[1-9]' "$tmp/append-warm.err"
+echo "append smoke test: the grown capture extended cached matrices and matched a cache-less report"
+
 # Neighbor-backend equivalence smoke test: the same capture analyzed
 # through every neighbor backend (matrix row scans + k-NN table, tiled
 # build + merged k-NN table, length-stratified forests) must produce
@@ -118,17 +136,22 @@ echo "msgtype smoke test: fixed-width reports at 1 and 4 threads are byte-identi
 # condensed matrix (16 MB at u=2000) on top of the process baseline
 # would need. `tiledmem` exits nonzero when its own VmHWM exceeds the
 # budget; where GNU time is available, cross-check its measurement too.
+# Both RSS smokes run with `$tmp` as the working directory: the records
+# they upsert land in a scratch `BENCH_trajectory.json` there (their
+# commit lookup reads "unknown" outside a git checkout), so a passing
+# gate leaves the tracked trajectory file untouched.
 rss_budget=16777216
+bin="$PWD/target/release"
 cargo build --release -q -p bench --bin tiledmem
 if [ -x /usr/bin/time ]; then
-    /usr/bin/time -v ./target/release/tiledmem 2000 256 "$rss_budget" 2>"$tmp/time.err"
+    (cd "$tmp" && /usr/bin/time -v "$bin/tiledmem" 2000 256 "$rss_budget" 2>"$tmp/time.err")
     rss_kb=$(awk '/Maximum resident set size/ {print $NF}' "$tmp/time.err")
     if [ "$((rss_kb * 1024))" -gt "$rss_budget" ]; then
         echo "tiled build peak RSS ${rss_kb} kB exceeds budget ${rss_budget} B" >&2
         exit 1
     fi
 else
-    ./target/release/tiledmem 2000 256 "$rss_budget"
+    (cd "$tmp" && "$bin/tiledmem" 2000 256 "$rss_budget")
 fi
 echo "rss smoke test: tiled build at u=2000 stayed under $rss_budget bytes"
 
@@ -139,7 +162,7 @@ echo "rss smoke test: tiled build at u=2000 stayed under $rss_budget bytes"
 # query pass, which every rung runs and pins bit-identical to the scalar
 # queries — must fit where the full matrix would not.
 cargo build --release -q -p bench --bin neighbor_ladder
-./target/release/neighbor_ladder 2000 128 "$rss_budget" >"$tmp/ladder.out"
+(cd "$tmp" && "$bin/neighbor_ladder" 2000 128 "$rss_budget" >"$tmp/ladder.out")
 grep -q '^neighbor_ladder: u=2000 backend=stratified+batch' "$tmp/ladder.out"
 grep -q 'corpus=mixed u=2000 backend=stratified+batch' "$tmp/ladder.out"
 grep -q 'corpus=mixed u=2000 stratified_speedup_vs_linear' "$tmp/ladder.out"
