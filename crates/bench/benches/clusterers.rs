@@ -5,7 +5,7 @@ use cluster::dbscan::dbscan;
 use cluster::hdbscan::{hdbscan, HdbscanParams};
 use cluster::optics::optics;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dissim::{CondensedMatrix, MatrixProvider};
+use dissim::{CondensedMatrix, MatrixProvider, NeighborProvider};
 use mathkit::mds::classical_mds;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,7 +24,10 @@ fn bench_backends(c: &mut Criterion) {
     for n in [100usize, 300] {
         let m = blobs(n);
         group.bench_with_input(BenchmarkId::new("dbscan", n), &m, |b, m| {
-            b.iter(|| dbscan(&MatrixProvider::new(m), 0.5, 5, &vec![1; m.len()], 1))
+            b.iter(|| {
+                let regions = MatrixProvider::new(m).region_table(0.5, 1);
+                dbscan(&regions, 0.5, 5, &vec![1; m.len()])
+            })
         });
         group.bench_with_input(BenchmarkId::new("optics_cut", n), &m, |b, m| {
             b.iter(|| optics(&MatrixProvider::new(m), f64::INFINITY, 5, 1).extract_dbscan(0.5))

@@ -6,7 +6,7 @@ use cluster::autoconf::required_k_max;
 use cluster::dbscan::dbscan;
 use cluster::refine::{merge_clusters, split_clusters, RefineParams};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dissim::{CondensedMatrix, MatrixProvider};
+use dissim::{CondensedMatrix, MatrixProvider, NeighborProvider};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -20,13 +20,8 @@ fn blobs(n: usize) -> CondensedMatrix {
 
 /// Unit-weight DBSCAN over the matrix's row scans on one thread.
 fn dbscan_rows(m: &CondensedMatrix, eps: f64, min_samples: usize) -> cluster::Clustering {
-    dbscan(
-        &MatrixProvider::new(m),
-        eps,
-        min_samples,
-        &vec![1; m.len()],
-        1,
-    )
+    let regions = MatrixProvider::new(m).region_table(eps, 1);
+    dbscan(&regions, eps, min_samples, &vec![1; m.len()])
 }
 
 fn bench_dbscan(c: &mut Criterion) {

@@ -25,7 +25,9 @@ use cluster::autoconf::{auto_configure, required_k_max, AutoConfig};
 use cluster::dbscan::dbscan;
 use cluster::refine::{merge_clusters, split_clusters, RefineParams};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dissim::{CondensedMatrix, DissimParams, KnnTable, MatrixProvider, TiledMatrix};
+use dissim::{
+    CondensedMatrix, DissimParams, KnnTable, MatrixProvider, NeighborProvider, TiledMatrix,
+};
 use rand::{Rng, SeedableRng, StdRng};
 
 /// Same corpus shape as the `canberra_kernel` bench (see there).
@@ -109,13 +111,8 @@ fn cluster_stages_knn(s: &Stage, threads: usize) -> u32 {
 fn cluster_stages(s: &Stage, knn: &KnnTable, threads: usize) -> u32 {
     let selected = auto_configure(knn, &AutoConfig::default()).expect("knee");
     let provider = MatrixProvider::new(&s.matrix);
-    let clustering = dbscan(
-        &provider,
-        selected.epsilon,
-        s.min_samples,
-        &s.weights,
-        threads,
-    );
+    let regions = provider.region_table(selected.epsilon, threads);
+    let clustering = dbscan(&regions, selected.epsilon, s.min_samples, &s.weights);
     let refined = split_clusters(
         &merge_clusters(&clustering, &provider, &RefineParams::default(), threads),
         &s.weights,

@@ -14,7 +14,7 @@ use cluster::dbscan::{dbscan, Clustering, Label};
 use cluster::hdbscan::{hdbscan, HdbscanParams};
 use cluster::optics::optics;
 use cluster::refine::{merge_clusters, split_clusters, RefineParams};
-use dissim::{CondensedMatrix, DissimParams, MatrixProvider};
+use dissim::{CondensedMatrix, DissimParams, MatrixProvider, NeighborProvider};
 use evalkit::{pair_counts, ClusterMetrics};
 use fieldclust::truth::{label_store, truth_segmentation};
 use fieldclust::{AnalysisSession, FieldTypeClusterer};
@@ -121,7 +121,8 @@ fn main() {
             .unwrap_or_else(|_| p.matrix.mean().unwrap_or(0.5) / 2.0);
 
         // Full pipeline configuration (weighted + refinement).
-        let weighted = dbscan(&provider, eps, p.min_samples, &p.weights, 1);
+        let regions = provider.region_table(eps, 1);
+        let weighted = dbscan(&regions, eps, p.min_samples, &p.weights);
         let refined = split_clusters(
             &merge_clusters(&weighted, &provider, &RefineParams::default(), 1),
             &p.weights,
@@ -134,7 +135,7 @@ fn main() {
         print_row(rows.last().unwrap());
 
         let unit = vec![1; p.matrix.len()];
-        let unweighted = dbscan(&provider, eps, p.min_samples.min(p.matrix.len()), &unit, 1);
+        let unweighted = dbscan(&regions, eps, p.min_samples.min(p.matrix.len()), &unit);
         rows.push(score(&p, &unweighted, "unweighted DBSCAN"));
         print_row(rows.last().unwrap());
 
@@ -189,7 +190,8 @@ fn main() {
         match auto_configure(&table, &config) {
             Ok(s) => {
                 let provider = MatrixProvider::new(&p.matrix);
-                let c = dbscan(&provider, s.epsilon, p.min_samples, &p.weights, 1);
+                let regions = provider.region_table(s.epsilon, 1);
+                let c = dbscan(&regions, s.epsilon, p.min_samples, &p.weights);
                 let mut row = score(&p, &c, &format!("knots = {knots} (eps = {:.3})", s.epsilon));
                 row.variant = format!("knots = {knots} (eps = {:.3})", s.epsilon);
                 print_row(&row);

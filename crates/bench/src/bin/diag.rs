@@ -5,7 +5,7 @@
 
 use cluster::autoconf::{auto_configure, required_k_max, AutoConfig};
 use cluster::dbscan::dbscan;
-use dissim::MatrixProvider;
+use dissim::{MatrixProvider, NeighborProvider};
 use evalkit::{pair_counts, ClusterMetrics};
 use fieldclust::truth::{label_store, truth_segmentation};
 use fieldclust::{AnalysisSession, FieldTypeClusterer};
@@ -59,7 +59,7 @@ fn main() {
     let max_d = matrix.max().unwrap_or(1.0);
     for step in 1..=20 {
         let eps = max_d * step as f64 / 20.0;
-        let c = dbscan(&provider, eps, min_samples, &unit, 1);
+        let c = dbscan(&provider.region_table(eps, 1), eps, min_samples, &unit);
         let clusters = c.clusters();
         let largest = clusters.iter().map(Vec::len).max().unwrap_or(0);
         let label_clusters: Vec<Vec<_>> = clusters

@@ -54,10 +54,13 @@
 //!
 //! A refinement rung ([`REFINE_LADDER`]) clusters the mixed-length
 //! corpus the way a session does — a k-NN table, Algorithm 1's ε, then
-//! DBSCAN — and times merge refinement (paper §III-F) on the stratified
-//! provider. It prints the refine wall, the merge rounds, the pair
-//! evaluations (counted by a wrapping provider in a second, untimed
-//! run), the number `K` of clusters entering refinement and the
+//! DBSCAN — and times DBSCAN (its region table included) and merge
+//! refinement (paper §III-F) on the stratified provider. It prints the
+//! DBSCAN wall and kernel evaluations (counted through a provider
+//! wrapped with query counters, in a second, untimed run), the refine
+//! wall, the merge rounds, the pair evaluations (counted by a wrapping
+//! provider in a second, untimed run), the number `K` of clusters
+//! entering refinement and the
 //! `K² × 16`-byte size of a per-pair link table, and appends
 //! `neighbor_ladder_mixed_u{u}_dbscan` / `…_refine` records.
 //!
@@ -399,8 +402,26 @@ fn run_refine_rung(
     };
     let min_samples = ((u as f64).ln().round() as usize).max(2);
     let start = Instant::now();
-    let clustering = dbscan(&provider, eps, min_samples, &vec![1; u], threads);
+    let regions = provider.region_table(eps, threads);
+    let clustering = dbscan(&regions, eps, min_samples, &vec![1; u]);
     let dbscan_wall = start.elapsed();
+    drop(regions);
+    // DBSCAN's kernel evaluations: the same table built again, untimed,
+    // through a provider wrapped with query counters.
+    let counters = Arc::new(QueryCounters::new());
+    let counted =
+        StratifiedProvider::new(values, params, index).with_counters(Arc::clone(&counters));
+    assert_eq!(
+        dbscan(
+            &counted.region_table(eps, threads),
+            eps,
+            min_samples,
+            &vec![1; u]
+        ),
+        clustering,
+        "counted DBSCAN diverged at mixed u={u}"
+    );
+    let dbscan_evals = counters.kernel_evals();
     let entering: Vec<usize> = clustering
         .clusters()
         .iter()
@@ -436,7 +457,8 @@ fn run_refine_rung(
         })
         .unwrap_or(refine.max_merge_rounds);
     println!(
-        "neighbor_ladder: corpus=mixed u={u} refine dbscan_wall_ms={:.1} refine_wall_ms={:.1} \
+        "neighbor_ladder: corpus=mixed u={u} refine dbscan_wall_ms={:.1} \
+         dbscan_kernel_evals={dbscan_evals} refine_wall_ms={:.1} \
          eps={eps:.6} clusters_in={k} members={members} clusters_out={} \
          merge_rounds={merge_rounds} pair_evals={} link_table_bytes={} peak_rss_bytes={}",
         dbscan_wall.as_secs_f64() * 1e3,

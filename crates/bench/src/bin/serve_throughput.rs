@@ -11,6 +11,14 @@
 //! `serve_throughput{c=..,m=..,a=..}` name, giving the trajectory a
 //! real surface instead of a single point.
 //!
+//! Those rungs run the daemon's default configuration, which attaches
+//! no artifact store, so every post-append analysis rebuilds cold.
+//! Each rung with appends therefore runs a second time on a daemon with
+//! a fresh store directory, recorded as
+//! `serve_throughput_store{c=..,m=..,a=..}`: there each append round
+//! extends the cached prefix artifacts, and the printed `extended=`
+//! count shows it.
+//!
 //! Run with:
 //! `cargo run --release -p bench --bin serve_throughput -- [clients_csv] [messages_csv] [appends_csv]`
 //! (defaults: `1,2,4` × `40,80` × `0,2`)
@@ -18,6 +26,7 @@
 use bench::append_trajectory;
 use protocols::{corpus, Protocol};
 use serve::{Client, JobState, ServerConfig};
+use std::path::Path;
 use std::time::{Duration, Instant};
 use trace::pcap;
 
@@ -31,11 +40,12 @@ fn csv_arg(args: &[String], i: usize, default: &[usize]) -> Vec<usize> {
     }
 }
 
-fn run_rung(clients: usize, messages: usize, appends: usize) -> Duration {
+fn run_rung(clients: usize, messages: usize, appends: usize, cache_dir: Option<&Path>) -> Duration {
     let workers = std::thread::available_parallelism().map_or(2, |n| n.get().min(4));
     let handle = serve::start(ServerConfig {
         workers,
         queue_capacity: clients.max(4) * 2,
+        cache_dir: cache_dir.map(|d| d.display().to_string()),
         ..ServerConfig::default()
     })
     .expect("start daemon");
@@ -65,8 +75,9 @@ fn run_rung(clients: usize, messages: usize, appends: usize) -> Duration {
                 for round in 0..=appends {
                     if round > 0 {
                         // Each append grows the trace with a fresh
-                        // slice, invalidating the warm session so the
-                        // next analysis takes the incremental path.
+                        // slice, invalidating the warm session; with a
+                        // store attached the next analysis extends the
+                        // cached prefix artifacts.
                         let extra =
                             corpus::build_trace(protocol, messages / 2, seed + 100 * round as u64);
                         let extra_bytes = pcap::write_to_vec(&extra).expect("encode append");
@@ -91,12 +102,15 @@ fn run_rung(clients: usize, messages: usize, appends: usize) -> Duration {
     let expected = clients * (1 + appends);
     assert_eq!(jobs as usize, expected, "every job must complete");
     println!(
-        "  c={clients} m={messages} a={appends}: {jobs} jobs in {:.3}s = {:.2} jobs/s \
-         (rejected {}, evictions {})",
+        "  c={clients} m={messages} a={appends} store={}: {jobs} jobs in {:.3}s = {:.2} jobs/s \
+         (rejected {}, evictions {}, cache hits={} extended={})",
+        cache_dir.is_some(),
         wall.as_secs_f64(),
         jobs as f64 / wall.as_secs_f64(),
         stats.jobs_rejected,
         stats.session_evictions,
+        stats.cache_hits,
+        stats.cache_extended,
     );
     client.shutdown().expect("shutdown");
     handle.wait();
@@ -114,8 +128,20 @@ fn main() {
     for &m in &messages {
         for &a in &appends {
             for &c in &clients {
-                let wall = run_rung(c, m, a);
+                let wall = run_rung(c, m, a, None);
                 append_trajectory(&format!("serve_throughput{{c={c},m={m},a={a}}}"), wall);
+                if a > 0 {
+                    let dir = std::env::temp_dir().join(format!(
+                        "serve_throughput-{}-c{c}-m{m}-a{a}",
+                        std::process::id()
+                    ));
+                    let wall = run_rung(c, m, a, Some(&dir));
+                    let _ = std::fs::remove_dir_all(&dir);
+                    append_trajectory(
+                        &format!("serve_throughput_store{{c={c},m={m},a={a}}}"),
+                        wall,
+                    );
+                }
             }
         }
     }

@@ -1,12 +1,25 @@
-//! DBSCAN (Ester et al., KDD 1996) over any neighbor provider.
+//! DBSCAN (Ester et al., KDD 1996) over a precomputed ε-region table.
 //!
 //! DBSCAN suits the field-type clustering problem because it needs no
 //! target cluster count, makes no shape assumptions, and treats sparse
 //! segments as noise (paper §III-E). This implementation follows the
 //! classic region-growing formulation with scikit-learn's convention that
 //! `min_samples` counts the point itself.
+//!
+//! Its regions come from one
+//! [`NeighborProvider::region_table`](dissim::NeighborProvider::region_table)
+//! per clustering run, built by any backend on parallel workers. A table
+//! built at ε also answers every smaller radius by filtering its rows,
+//! which is how §III-E's trimmed rerun at ε′ < ε runs without a single
+//! kernel call: an item that is not core at ε is not core at ε′ either,
+//! and every ε′-region is its ε-region cut at ε′.
 
-use dissim::NeighborProvider;
+use dissim::RegionTable;
+
+/// Growing label of an item no cluster has reached yet.
+const UNVISITED: u32 = u32::MAX;
+/// Growing label of an item that is not core and not yet claimed.
+const NOISE: u32 = u32::MAX - 1;
 
 /// Cluster assignment of one item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,8 +111,8 @@ impl Clustering {
 }
 
 /// Runs weighted DBSCAN with radius `eps` and density threshold
-/// `min_samples` (which counts the point itself), ε-regions answered by
-/// any [`NeighborProvider`] backend on `threads` workers.
+/// `min_samples` (which counts the point itself) over a precomputed
+/// [`RegionTable`] built at any radius `>= eps`.
 ///
 /// Item `i` stands for `weights[i]` identical samples at the same
 /// position. This makes clustering deduplicated segments equivalent to
@@ -111,54 +124,97 @@ impl Clustering {
 /// constants) are cores by themselves. Unit weights give classic
 /// DBSCAN.
 ///
-/// Each item's ε-region is queried exactly once, in one
-/// [`NeighborProvider::neighbors_within_batch`] over all items; the
-/// per-item core predicate is the weight sum over that region. Core
-/// items keep their regions as the growing's lookup table — the only
-/// regions the growing ever reads — and non-core regions are
-/// dropped at once. Every weight is at least one, so a non-core region
-/// holds fewer than `min_samples` entries: memory is the core regions
-/// the growing needs anyway, plus small change. The region growing then
-/// runs serially, query-free, visiting items in index order, so cluster
-/// ids are stable and the clustering is identical for any thread count.
+/// The ε-region of item `i` is row `i` of the table filtered to
+/// `d <= eps`, so one table answers the first run and §III-E's trimmed
+/// rerun at a smaller ε′ alike, with no further neighbor query. The
+/// core test is the weight sum over that filtered row; the region
+/// growing then runs serially, reading core items' rows straight into
+/// one reused queue and visiting seeds in index order, so cluster ids
+/// are stable and the clustering does not depend on how (or on how many
+/// threads) the table was built, nor on the order rows list their
+/// entries in.
 ///
 /// # Panics
 ///
-/// Panics if `weights` is shorter than the provider's item count.
-pub fn dbscan<P: NeighborProvider + Sync>(
-    provider: &P,
+/// Panics if `weights` is shorter than the table's item count, or if
+/// `eps` exceeds the table's radius.
+pub fn dbscan(
+    regions: &RegionTable,
     eps: f64,
     min_samples: usize,
     weights: &[usize],
-    threads: usize,
 ) -> Clustering {
-    let n = provider.len();
+    let n = regions.len();
     assert!(weights.len() >= n, "need a weight per item");
-    let items: Vec<usize> = (0..n).collect();
-    let mut regions = provider.neighbors_within_batch(&items, eps, threads);
-    let mut core = vec![false; n];
-    for (i, region) in regions.iter_mut().enumerate() {
-        let w = weights[i]
-            + region
-                .iter()
-                .map(|&(_, j)| weights[j as usize])
-                .sum::<usize>();
-        core[i] = w >= min_samples;
-        if !core[i] {
-            *region = Vec::new();
+    assert!(
+        eps <= regions.radius(),
+        "eps {eps} exceeds the region table's radius {}",
+        regions.radius()
+    );
+    let core: Vec<bool> = (0..n)
+        .map(|i| {
+            let w = weights[i]
+                + regions
+                    .within(i, eps)
+                    .map(|(_, j)| weights[j as usize])
+                    .sum::<usize>();
+            w >= min_samples
+        })
+        .collect();
+    let mut labels = vec![UNVISITED; n];
+    let mut cluster_id = 0u32;
+    let mut queue: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
+    for i in 0..n {
+        if labels[i] != UNVISITED {
+            continue;
         }
+        if !core[i] {
+            labels[i] = NOISE;
+            continue;
+        }
+        // Start a new cluster and grow it breadth-first. Skipping the
+        // rows of non-core items changes no decision: their neighbors
+        // are never enqueued either way.
+        labels[i] = cluster_id;
+        queue.clear();
+        queue.extend(regions.within(i, eps).map(|(_, j)| j));
+        while let Some(q) = queue.pop_front() {
+            let q = q as usize;
+            if labels[q] == NOISE {
+                labels[q] = cluster_id; // border point adopted by the cluster
+            }
+            if labels[q] != UNVISITED {
+                continue;
+            }
+            labels[q] = cluster_id;
+            if core[q] {
+                queue.extend(regions.within(q, eps).map(|(_, j)| j));
+            }
+        }
+        cluster_id += 1;
     }
-    dbscan_core_impl(n, &core, |i, out| {
-        // The growing only queries core items, whose regions were kept.
-        out.extend(regions[i].iter().map(|&(_, j)| j as usize));
-    })
+    Clustering::from_labels(into_labels(labels))
+}
+
+/// Growing labels as [`Label`]s.
+fn into_labels(labels: Vec<u32>) -> Vec<Label> {
+    labels
+        .into_iter()
+        .map(|l| {
+            if l == NOISE {
+                Label::Noise
+            } else {
+                Label::Cluster(l)
+            }
+        })
+        .collect()
 }
 
 /// The serial reference DBSCAN the tests pin [`dbscan`] against: ε-
 /// regions queried lazily on the calling thread, one per visited item,
 /// and the density test evaluated during the growing.
 #[cfg(test)]
-fn dbscan_serial<P: NeighborProvider + ?Sized>(
+fn dbscan_serial<P: dissim::NeighborProvider + ?Sized>(
     provider: &P,
     eps: f64,
     min_samples: usize,
@@ -187,8 +243,6 @@ fn dbscan_impl(
     weights: &[usize],
     mut region: impl FnMut(usize, &mut Vec<usize>),
 ) -> Clustering {
-    const UNVISITED: u32 = u32::MAX;
-    const NOISE: u32 = u32::MAX - 1;
     let mut labels = vec![UNVISITED; n];
     let mut cluster_id = 0u32;
     let mut nb: Vec<usize> = Vec::new();
@@ -227,87 +281,18 @@ fn dbscan_impl(
         cluster_id += 1;
     }
 
-    let labels = labels
-        .into_iter()
-        .map(|l| {
-            if l == NOISE {
-                Label::Noise
-            } else {
-                Label::Cluster(l)
-            }
-        })
-        .collect();
-    Clustering::from_labels(labels)
-}
-
-/// Region growing from a *precomputed* core predicate: the same visit
-/// order and labeling decisions as the serial reference, with the density
-/// test `neighborhood_weight(i) >= min_samples` replaced by `core[i]`
-/// (evaluated up front, possibly in parallel). Skipping the region query
-/// for non-core items changes no decision: their neighbors are never
-/// enqueued either way.
-fn dbscan_core_impl(
-    n: usize,
-    core: &[bool],
-    mut region: impl FnMut(usize, &mut Vec<usize>),
-) -> Clustering {
-    const UNVISITED: u32 = u32::MAX;
-    const NOISE: u32 = u32::MAX - 1;
-    let mut labels = vec![UNVISITED; n];
-    let mut cluster_id = 0u32;
-    let mut nb: Vec<usize> = Vec::new();
-
-    for i in 0..n {
-        if labels[i] != UNVISITED {
-            continue;
-        }
-        if !core[i] {
-            labels[i] = NOISE;
-            continue;
-        }
-        labels[i] = cluster_id;
-        nb.clear();
-        region(i, &mut nb);
-        let mut queue: std::collections::VecDeque<usize> = nb.iter().copied().collect();
-        while let Some(q) = queue.pop_front() {
-            if labels[q] == NOISE {
-                labels[q] = cluster_id; // border point adopted by the cluster
-            }
-            if labels[q] != UNVISITED {
-                continue;
-            }
-            labels[q] = cluster_id;
-            if core[q] {
-                nb.clear();
-                region(q, &mut nb);
-                queue.extend(nb.iter().copied());
-            }
-        }
-        cluster_id += 1;
-    }
-
-    let labels = labels
-        .into_iter()
-        .map(|l| {
-            if l == NOISE {
-                Label::Noise
-            } else {
-                Label::Cluster(l)
-            }
-        })
-        .collect();
-    Clustering::from_labels(labels)
+    Clustering::from_labels(into_labels(labels))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testkit::{dbscan_unit as dbscan, line_matrix};
-    use dissim::{CondensedMatrix, MatrixProvider};
+    use dissim::{CondensedMatrix, MatrixProvider, NeighborProvider};
 
-    /// Weighted DBSCAN over a matrix on one thread.
+    /// Weighted DBSCAN over a matrix's region table, built on one thread.
     fn dbscan_weighted(m: &CondensedMatrix, eps: f64, ms: usize, w: &[usize]) -> Clustering {
-        super::dbscan(&MatrixProvider::new(m), eps, ms, w, 1)
+        super::dbscan(&MatrixProvider::new(m).region_table(eps, 1), eps, ms, w)
     }
 
     /// The serial reference over a matrix.
@@ -434,7 +419,7 @@ mod tests {
             for threads in [1, 4] {
                 assert_eq!(
                     serial(&m, eps, ms, &w),
-                    super::dbscan(&farthest_first, eps, ms, &w, threads),
+                    super::dbscan(&farthest_first.region_table(eps, threads), eps, ms, &w),
                     "threads={threads} eps={eps} ms={ms}"
                 );
             }
@@ -450,14 +435,15 @@ mod tests {
         let w = [7, 1, 1, 1, 3, 1, 1, 2, 1];
         for threads in [1, 2, 4] {
             for (eps, ms) in [(0.5, 2), (0.5, 3), (0.35, 5), (2.0, 2), (100.0, 3)] {
+                let table = provider.region_table(eps, threads);
                 assert_eq!(
                     serial(&m, eps, ms, &unit),
-                    super::dbscan(&provider, eps, ms, &unit, threads),
+                    super::dbscan(&table, eps, ms, &unit),
                     "threads={threads} eps={eps} ms={ms}"
                 );
                 assert_eq!(
                     serial(&m, eps, ms, &w),
-                    super::dbscan(&provider, eps, ms, &w, threads),
+                    super::dbscan(&table, eps, ms, &w),
                     "weighted threads={threads} eps={eps} ms={ms}"
                 );
             }
@@ -472,15 +458,52 @@ mod tests {
         for threads in [1, 4] {
             for (eps, ms) in [(0.5, 2), (0.5, 3), (0.35, 5), (2.0, 2), (100.0, 3)] {
                 let counting = crate::testkit::CountingRegions::new(MatrixProvider::new(&m));
-                let c = super::dbscan(&counting, eps, ms, &w, threads);
+                let table = counting.region_table(eps, threads);
+                let c = super::dbscan(&table, eps, ms, &w);
                 assert_eq!(c, serial(&m, eps, ms, &w));
+                // A rerun at a smaller radius filters the same table.
+                let rerun = super::dbscan(&table, eps / 3.0, ms, &w);
+                assert_eq!(rerun, serial(&m, eps / 3.0, ms, &w));
+                assert_eq!(
+                    counting.table_builds(),
+                    1,
+                    "threads={threads} eps={eps} ms={ms}"
+                );
                 assert_eq!(
                     counting.region_queries(),
                     pts.len(),
-                    "threads={threads} eps={eps} ms={ms}"
+                    "one region per item, threads={threads} eps={eps} ms={ms}"
                 );
             }
         }
+    }
+
+    #[test]
+    fn smaller_radius_filters_a_wider_table() {
+        let pts = [0.0, 0.1, 0.2, 0.45, 1.5, 10.0, 10.1, 10.2, 10.6, 55.0, 55.3];
+        let m = line_matrix(&pts);
+        let provider = MatrixProvider::new(&m);
+        let w = [7, 1, 1, 1, 1, 3, 1, 1, 1, 2, 1];
+        for threads in [1, 2, 4] {
+            let table = provider.region_table(2.0, threads);
+            for eps in [0.0, 0.1, 0.25, 0.35, 0.5, 1.05, 2.0] {
+                for ms in [1, 2, 3, 5, 9] {
+                    assert_eq!(
+                        super::dbscan(&table, eps, ms, &w),
+                        serial(&m, eps, ms, &w),
+                        "threads={threads} eps={eps} ms={ms}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the region table's radius")]
+    fn rejects_eps_beyond_the_table_radius() {
+        let m = line_matrix(&[0.0, 1.0, 2.0]);
+        let table = MatrixProvider::new(&m).region_table(0.5, 1);
+        super::dbscan(&table, 0.6, 2, &[1; 3]);
     }
 
     #[test]

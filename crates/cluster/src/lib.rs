@@ -3,8 +3,9 @@
 //! Density-based clustering with automatic parameter selection and
 //! refinement, as used for field data type clustering (paper §III-D/E/F).
 //!
-//! * [`dbscan`](mod@crate::dbscan) — DBSCAN over any neighbor provider
-//!   (a condensed matrix's row scans, or the stratified index),
+//! * [`dbscan`](mod@crate::dbscan) — DBSCAN over an ε-region table built
+//!   by any neighbor provider (a condensed matrix's row scans, or the
+//!   stratified index),
 //! * [`autoconf`] — the ε auto-configuration of Algorithm 1: pick the
 //!   k-NN ECDF with the sharpest knee, smooth it with a spline, detect
 //!   the rightmost knee with Kneedle, set `min_samples = round(ln n)`,
@@ -13,19 +14,22 @@
 //!
 //! Every algorithm has one entry point, generic over the
 //! [`NeighborProvider`](dissim::NeighborProvider) that answers its
-//! neighbor queries and parameterised by a thread count; results never
-//! depend on the thread count.
+//! neighbor queries and parameterised by a thread count — DBSCAN reads
+//! the provider's [`RegionTable`](dissim::RegionTable), so one table
+//! serves a run and its trimmed rerun; results never depend on the
+//! thread count.
 //!
 //! # Examples
 //!
 //! ```
-//! use dissim::{CondensedMatrix, MatrixProvider};
+//! use dissim::{CondensedMatrix, MatrixProvider, NeighborProvider};
 //! use cluster::dbscan::{dbscan, Label};
 //!
 //! // Two tight groups and one outlier, unit weights, one thread.
 //! let points = [0.0_f64, 0.1, 0.2, 5.0, 5.1, 5.2, 50.0];
 //! let m = CondensedMatrix::build(points.len(), |i, j| (points[i] - points[j]).abs());
-//! let c = dbscan(&MatrixProvider::new(&m), 0.5, 2, &[1; 7], 1);
+//! let regions = MatrixProvider::new(&m).region_table(0.5, 1);
+//! let c = dbscan(&regions, 0.5, 2, &[1; 7]);
 //! assert_eq!(c.n_clusters(), 2);
 //! assert_eq!(c.labels()[6], Label::Noise);
 //! ```
@@ -47,7 +51,7 @@ pub use refine::{merge_clusters, split_clusters, RefineParams};
 pub(crate) mod testkit {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    use dissim::{CondensedMatrix, KnnTable, MatrixProvider, NeighborProvider};
+    use dissim::{CondensedMatrix, KnnTable, MatrixProvider, NeighborProvider, RegionTable};
 
     use crate::dbscan::Clustering;
 
@@ -56,15 +60,11 @@ pub(crate) mod testkit {
         CondensedMatrix::build(points.len(), |i, j| (points[i] - points[j]).abs())
     }
 
-    /// Unit-weight DBSCAN over a matrix on one thread.
+    /// Unit-weight DBSCAN over a matrix's region table, built on one
+    /// thread.
     pub fn dbscan_unit(m: &CondensedMatrix, eps: f64, min_samples: usize) -> Clustering {
-        crate::dbscan::dbscan(
-            &MatrixProvider::new(m),
-            eps,
-            min_samples,
-            &vec![1; m.len()],
-            1,
-        )
+        let regions = MatrixProvider::new(m).region_table(eps, 1);
+        crate::dbscan::dbscan(&regions, eps, min_samples, &vec![1; m.len()])
     }
 
     /// A matrix provider that emits every ε-region farthest first —
@@ -95,12 +95,14 @@ pub(crate) mod testkit {
         }
     }
 
-    /// A matrix provider that tallies ε-region queries: one per
-    /// [`neighbors_within`](NeighborProvider::neighbors_within) call
-    /// and one per entry of every batch.
+    /// A matrix provider that tallies region-table builds and the
+    /// ε-region queries behind them: one per
+    /// [`neighbors_within`](NeighborProvider::neighbors_within) call,
+    /// which is what the default table build issues per item.
     pub struct CountingRegions<'a> {
         inner: MatrixProvider<'a>,
         queries: AtomicUsize,
+        tables: AtomicUsize,
     }
 
     impl<'a> CountingRegions<'a> {
@@ -108,12 +110,18 @@ pub(crate) mod testkit {
             Self {
                 inner,
                 queries: AtomicUsize::new(0),
+                tables: AtomicUsize::new(0),
             }
         }
 
         /// Region queries answered so far.
         pub fn region_queries(&self) -> usize {
             self.queries.load(Ordering::Relaxed)
+        }
+
+        /// Region tables built so far.
+        pub fn table_builds(&self) -> usize {
+            self.tables.load(Ordering::Relaxed)
         }
     }
 
@@ -127,14 +135,9 @@ pub(crate) mod testkit {
             self.inner.neighbors_within(i, eps, out);
         }
 
-        fn neighbors_within_batch(
-            &self,
-            queries: &[usize],
-            eps: f64,
-            threads: usize,
-        ) -> Vec<Vec<(f64, u32)>> {
-            self.queries.fetch_add(queries.len(), Ordering::Relaxed);
-            self.inner.neighbors_within_batch(queries, eps, threads)
+        fn region_table(&self, eps: f64, threads: usize) -> RegionTable {
+            self.tables.fetch_add(1, Ordering::Relaxed);
+            RegionTable::from_scans(self, eps, threads)
         }
 
         fn knn(&self, i: usize, k: usize) -> f64 {

@@ -6,6 +6,9 @@
 //! implements OPTICS so that claim can be checked experimentally (see
 //! the `ablation` bench binary): the reachability ordering is computed
 //! once, and an ε-cut extracts DBSCAN-equivalent clusters at any radius.
+//! Its regions come from one
+//! [`NeighborProvider::region_table`] at the generating distance, the
+//! same table DBSCAN reads.
 
 use crate::dbscan::{Clustering, Label};
 use dissim::NeighborProvider;
@@ -26,11 +29,11 @@ pub struct OpticsOrdering {
 /// `min_samples` (counting the point itself), ε-regions answered by any
 /// [`NeighborProvider`] backend on `threads` workers.
 ///
-/// OPTICS queries each item's region exactly once — when the item is
+/// OPTICS reads each item's region exactly once — when the item is
 /// processed — and always at the fixed generating distance `max_eps`,
-/// so all n region queries fan out over `threads` workers
-/// ([`NeighborProvider::neighbors_within_batch`]) before the serial,
-/// deterministic expansion consumes them from a lookup table. Seeds are
+/// so every region comes from one [`NeighborProvider::region_table`]
+/// built on `threads` workers before the serial, deterministic
+/// expansion reads its rows. Seeds are
 /// taken in index order and ties in the priority queue resolve to the
 /// smaller index. Reachability updates take per-neighbor minima and the
 /// core distance is an order statistic, so neither depends on the
@@ -41,11 +44,9 @@ pub fn optics<P: NeighborProvider + Sync>(
     min_samples: usize,
     threads: usize,
 ) -> OpticsOrdering {
-    let n = provider.len();
-    let queries: Vec<usize> = (0..n).collect();
-    let regions = provider.neighbors_within_batch(&queries, max_eps, threads);
-    optics_impl(n, min_samples, |i, out| {
-        out.extend(regions[i].iter().map(|&(d, j)| (j as usize, d)));
+    let regions = provider.region_table(max_eps, threads);
+    optics_impl(regions.len(), min_samples, |i, out| {
+        out.extend(regions.row(i).map(|(d, j)| (j as usize, d)));
     })
 }
 

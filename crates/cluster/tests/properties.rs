@@ -2,18 +2,14 @@
 
 use cluster::dbscan::{Clustering, Label};
 use cluster::refine::{split_clusters, RefineParams};
-use dissim::{CondensedMatrix, MatrixProvider};
+use dissim::{CondensedMatrix, MatrixProvider, NeighborProvider};
 use proptest::prelude::*;
 
-/// Unit-weight DBSCAN over a matrix, two threads.
+/// Unit-weight DBSCAN over a matrix's region table, built on two
+/// threads.
 fn dbscan(m: &CondensedMatrix, eps: f64, min_samples: usize) -> Clustering {
-    cluster::dbscan(
-        &MatrixProvider::new(m),
-        eps,
-        min_samples,
-        &vec![1; m.len()],
-        2,
-    )
+    let regions = MatrixProvider::new(m).region_table(eps, 2);
+    cluster::dbscan(&regions, eps, min_samples, &vec![1; m.len()])
 }
 
 /// Merge refinement over a matrix, two threads.

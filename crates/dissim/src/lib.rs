@@ -36,6 +36,7 @@ pub mod kernel;
 pub mod knn;
 pub mod matrix;
 pub mod provider;
+pub mod region;
 pub mod strata;
 pub mod tiled;
 pub mod vptree;
@@ -46,6 +47,7 @@ pub use kernel::{CanberraLut, QueryDist};
 pub use knn::{KnnAccumulator, KnnTable};
 pub use matrix::CondensedMatrix;
 pub use provider::{MatrixProvider, NeighborProvider};
+pub use region::RegionTable;
 pub use strata::{length_lower_bound, QueryCounters, StrataIndex, StratifiedProvider, Stratum};
 pub use tiled::{MatrixTile, TiledMatrix};
 pub use vptree::{VpForest, VpTree};

@@ -34,6 +34,16 @@
 //! kernel (a matrix row sweep) in parallel; the stratified index
 //! overrides it to reuse per-worker query scratch.
 //!
+//! **Region tables.** DBSCAN, its §III-E trimmed rerun and OPTICS read
+//! every item's region, so they read one
+//! [`region_table`](NeighborProvider::region_table) per clustering run
+//! instead of querying item by item: the table is built at one radius
+//! and answers any smaller radius by filtering. The default fills each
+//! row from a [`neighbors_within`](NeighborProvider::neighbors_within)
+//! scan (the matrix backend's path); the stratified index overrides it
+//! to evaluate each cross-stratum pair from one end only. The batch
+//! query above stays for sampled query sets.
+//!
 //! **k-NN tables.** Algorithm 1 reads every item's k-th nearest
 //! dissimilarity for each `k` up to `round(ln n)`, and §III-E's trimmed
 //! rerun reads them again. [`NeighborProvider::knn_table`] answers all
@@ -44,6 +54,7 @@
 
 use crate::knn::KnnTable;
 use crate::matrix::CondensedMatrix;
+use crate::region::RegionTable;
 
 /// Minimum queries per stolen work chunk in the batch fan-out: small
 /// enough that modest batches still spread across workers, large enough
@@ -121,6 +132,21 @@ pub trait NeighborProvider {
                 out
             },
         )
+    }
+
+    /// Every item's ε-region at radius `eps`, built on `threads`
+    /// workers: row `i` holds exactly the pairs
+    /// [`neighbors_within`](Self::neighbors_within)`(i, eps, ..)` emits,
+    /// with bit-identical values, in an order that carries no meaning.
+    /// The rows do not depend on `threads`.
+    ///
+    /// The default fills each row from one `neighbors_within` scan
+    /// ([`RegionTable::from_scans`]).
+    fn region_table(&self, eps: f64, threads: usize) -> RegionTable
+    where
+        Self: Sync,
+    {
+        RegionTable::from_scans(self, eps, threads)
     }
 
     /// Each item's `k_max` nearest-neighbor dissimilarities, ascending,

@@ -64,6 +64,7 @@ use crate::canberra::DissimParams;
 use crate::kernel::{dissimilarity_kernel, CanberraLut, QueryDist};
 use crate::knn::{table_by_rows, KnnTable};
 use crate::provider::{NeighborProvider, BATCH_MIN_CHUNK};
+use crate::region::RegionTable;
 use crate::vptree::{Cand, Fnv64, VpForest, NO_NODE, PRUNE_SLACK};
 
 /// Pivots per stratum for the LAESA screen: enough to give several
@@ -560,7 +561,7 @@ impl<'a> StratifiedProvider<'a> {
         s: &Stratum,
         i: usize,
         eps: f64,
-        out: &mut Vec<(f64, u32)>,
+        emit: &mut impl FnMut(f64, u32),
         scratch: &mut Scratch<'a>,
         local: &mut LocalCounters,
     ) {
@@ -581,7 +582,7 @@ impl<'a> StratifiedProvider<'a> {
                 let d = scratch.qd.dist(self.values[gv as usize]);
                 local.evals += 1;
                 if d <= eps && node.item != q_local {
-                    out.push((d, gv));
+                    emit(d, gv);
                 }
                 if node.inside == NO_NODE && node.outside == NO_NODE {
                     continue;
@@ -605,7 +606,7 @@ impl<'a> StratifiedProvider<'a> {
         s: &Stratum,
         lb: f64,
         eps: f64,
-        out: &mut Vec<(f64, u32)>,
+        emit: &mut impl FnMut(f64, u32),
         scratch: &mut Scratch<'a>,
         local: &mut LocalCounters,
     ) {
@@ -619,7 +620,7 @@ impl<'a> StratifiedProvider<'a> {
                 let d = scratch.qd.dist(self.values[gp as usize]);
                 local.evals += 1;
                 if d <= eps {
-                    out.push((d, gp));
+                    emit(d, gp);
                 }
                 scratch.dqp.push(d);
             }
@@ -638,7 +639,7 @@ impl<'a> StratifiedProvider<'a> {
                 let d = scratch.qd.dist(self.values[gx as usize]);
                 local.evals += 1;
                 if d <= eps {
-                    out.push((d, gx));
+                    emit(d, gx);
                 }
             }
         } else {
@@ -646,11 +647,46 @@ impl<'a> StratifiedProvider<'a> {
                 let d = scratch.qd.dist(self.values[gx as usize]);
                 local.evals += 1;
                 if d <= eps {
-                    out.push((d, gx));
+                    emit(d, gx);
                 }
             }
         }
         local.pruned += s.size() as u64 - (local.evals - before);
+    }
+
+    /// The ε-range query of item `i` over its own stratum and, with
+    /// `longer` set, every other stratum; without it, only the strata
+    /// shorter than the item. Each found pair goes to `emit`, and the
+    /// query's tally is flushed once at its end.
+    fn range_into(
+        &self,
+        i: usize,
+        eps: f64,
+        longer: bool,
+        emit: &mut impl FnMut(f64, u32),
+        scratch: &mut Scratch<'a>,
+    ) {
+        let q = self.values[i];
+        scratch.qd.set_query(q);
+        let mut local = LocalCounters::default();
+        for s in &self.index.strata {
+            if s.len > q.len() && !longer {
+                // Strata are ascending: the rest are all longer.
+                break;
+            }
+            let lb = length_lower_bound(q.len(), s.len, &self.params);
+            if lb - eps > PRUNE_SLACK {
+                local.skipped += 1;
+                local.pruned += s.size() as u64;
+                continue;
+            }
+            if s.len == q.len() {
+                self.range_own(s, i, eps, emit, scratch, &mut local);
+            } else {
+                self.range_cross(s, lb, eps, emit, scratch, &mut local);
+            }
+        }
+        self.flush(&local);
     }
 
     /// One full ε-range query, writing the `(dissimilarity, index)`-
@@ -663,22 +699,7 @@ impl<'a> StratifiedProvider<'a> {
         scratch: &mut Scratch<'a>,
     ) {
         out.clear();
-        let q = self.values[i];
-        scratch.qd.set_query(q);
-        let mut local = LocalCounters::default();
-        for s in &self.index.strata {
-            let lb = length_lower_bound(q.len(), s.len, &self.params);
-            if lb - eps > PRUNE_SLACK {
-                local.skipped += 1;
-                local.pruned += s.size() as u64;
-                continue;
-            }
-            if s.len == q.len() {
-                self.range_own(s, i, eps, out, scratch, &mut local);
-            } else {
-                self.range_cross(s, lb, eps, out, scratch, &mut local);
-            }
-        }
+        self.range_into(i, eps, true, &mut |d, j| out.push((d, j)), scratch);
         // Emit in (dissimilarity, index) order, independent of the
         // stratum and tree layout.
         out.sort_unstable_by(|a, b| {
@@ -686,7 +707,6 @@ impl<'a> StratifiedProvider<'a> {
                 .expect("dissimilarities are not NaN")
                 .then_with(|| a.1.cmp(&b.1))
         });
-        self.flush(&local);
     }
 
     /// Folds the query's own stratum into the bounded k-NN max-heap
@@ -927,6 +947,32 @@ impl NeighborProvider for StratifiedProvider<'_> {
         )
     }
 
+    /// Cross-stratum pairs evaluated once, from the longer end: each
+    /// item queries its own stratum through the local forest and every
+    /// *shorter* stratum through the length and LAESA bounds, and the
+    /// cross pairs it finds are mirrored into the shorter items' rows by
+    /// a counting-sort transpose. The kernel is bitwise symmetric, so a
+    /// mirrored entry equals what the shorter item's own query would
+    /// have computed. Strata left to the longer end count as neither
+    /// pruned nor skipped; each query still flushes its own tally, so
+    /// the counters do not depend on `threads`.
+    fn region_table(&self, eps: f64, threads: usize) -> RegionTable
+    where
+        Self: Sync,
+    {
+        let mut table = RegionTable::from_rows(
+            self.len(),
+            eps,
+            threads,
+            || self.scratch(),
+            |i, scratch, sink| {
+                self.range_into(i, eps, false, &mut |d, j| sink.push(d, j), scratch);
+            },
+        );
+        table.mirror_from_one_side(|i, j| self.values[j].len() < self.values[i].len());
+        table
+    }
+
     /// One `k_max`-deep k-NN query per item, its bounded max-heap
     /// drained into the item's ascending row. Each query flushes its
     /// own counter tally, so the counters do not depend on `threads`.
@@ -995,6 +1041,7 @@ mod tests {
         let mut got = Vec::new();
         let mut want = Vec::new();
         for eps in [0.0, 0.05, 0.2, 0.45, 0.8, 2.0] {
+            let table = provider.region_table(eps, 2);
             for i in 0..n {
                 provider.neighbors_within(i, eps, &mut got);
                 oracle.neighbors_within(i, eps, &mut want);
@@ -1002,6 +1049,8 @@ mod tests {
                     got.iter().map(|&(d, j)| (d.to_bits(), j)).collect();
                 // Strata emit (dissimilarity, index) order.
                 assert_eq!(got_bits, sorted_bits(&want), "range i={i} eps={eps}");
+                let row: Vec<(f64, u32)> = table.row(i).collect();
+                assert_eq!(sorted_bits(&row), got_bits, "table row i={i} eps={eps}");
             }
         }
         for k in [1usize, 2, 5, n.saturating_sub(1).max(1), n + 3] {
@@ -1111,13 +1160,28 @@ mod tests {
                 StratifiedProvider::new(&values, &P, &index).with_counters(Arc::clone(&counters));
             provider.neighbors_within_batch(&queries, 0.1, threads);
             provider.knn_table(3, threads);
-            snapshots.push(counters.snapshot());
+            let before_table = counters.snapshot();
+            provider.region_table(0.3, threads);
+            snapshots.push((counters.snapshot(), before_table));
         }
         assert_eq!(
             snapshots[0], snapshots[1],
             "counters must not depend on threads"
         );
-        let (evals, pruned, skipped) = snapshots[0];
+        let (after, before) = snapshots[0];
+        let table_evals = after.0 - before.0;
+        // One-sided cross strata: the table evaluates fewer pairs than
+        // the n full queries at the same radius.
+        let counters = Arc::new(QueryCounters::new());
+        StratifiedProvider::new(&values, &P, &index)
+            .with_counters(Arc::clone(&counters))
+            .neighbors_within_batch(&queries, 0.3, 1);
+        assert!(
+            table_evals < counters.kernel_evals(),
+            "table {table_evals} vs full queries {}",
+            counters.kernel_evals()
+        );
+        let (evals, pruned, skipped) = snapshots[0].1;
         assert!(evals > 0, "queries must evaluate the kernel");
         assert!(pruned > 0, "a tight radius must prune candidates");
         assert!(skipped > 0, "a tight radius must skip whole strata");

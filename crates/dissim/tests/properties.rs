@@ -3,7 +3,7 @@
 use dissim::kernel::{canberra_distance_lut, dissimilarity_kernel, dissimilarity_lut};
 use dissim::{
     canberra_distance, dissimilarity, CanberraLut, CondensedMatrix, DissimParams, MatrixProvider,
-    NeighborProvider, QueryCounters, StrataIndex, StratifiedProvider,
+    NeighborProvider, QueryCounters, QueryDist, StrataIndex, StratifiedProvider,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -41,6 +41,41 @@ fn assert_batch_matches_scalar<P: NeighborProvider + Sync>(
     Ok(())
 }
 
+/// A pair list as `(dissimilarity bits, neighbor)`, sorted: the
+/// order-free form regions are compared in.
+fn sorted_bits(region: impl Iterator<Item = (f64, u32)>) -> Vec<(u64, u32)> {
+    let mut v: Vec<(u64, u32)> = region.map(|(d, j)| (d.to_bits(), j)).collect();
+    v.sort_unstable();
+    v
+}
+
+/// Asserts every row of one backend's region table equals its scalar
+/// ε-range query as a set of bit-identical pairs.
+fn assert_region_table_matches_scalar<P: NeighborProvider + Sync>(
+    provider: &P,
+    eps: f64,
+    threads: usize,
+) -> Result<(), TestCaseError> {
+    let table = provider.region_table(eps, threads);
+    prop_assert_eq!(table.len(), provider.len());
+    let mut want = Vec::new();
+    let mut total = 0;
+    for i in 0..provider.len() {
+        provider.neighbors_within(i, eps, &mut want);
+        total += want.len();
+        prop_assert_eq!(
+            sorted_bits(table.row(i)),
+            sorted_bits(want.iter().copied()),
+            "row {} (eps {}, threads {})",
+            i,
+            eps,
+            threads
+        );
+    }
+    prop_assert_eq!(table.entries(), total);
+    Ok(())
+}
+
 fn seg() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(any::<u8>(), 0..40)
 }
@@ -56,6 +91,24 @@ proptest! {
     fn dissimilarity_is_symmetric(a in seg(), b in seg()) {
         let p = DissimParams::default();
         prop_assert_eq!(dissimilarity(&a, &b, &p), dissimilarity(&b, &a, &p));
+    }
+
+    #[test]
+    fn kernels_are_bitwise_symmetric(a in seg(), b in seg(), penalty in 0.0f64..1.0) {
+        // The stratified region table evaluates a cross-stratum pair
+        // from its longer end only and mirrors the value into the
+        // shorter end's row, which is sound only if both directions
+        // agree bit for bit.
+        let p = DissimParams { length_penalty: penalty };
+        let lut = CanberraLut::global();
+        prop_assert_eq!(
+            QueryDist::new(&a, &p).dist(&b).to_bits(),
+            QueryDist::new(&b, &p).dist(&a).to_bits()
+        );
+        prop_assert_eq!(
+            dissimilarity_kernel(&a, &b, &p, lut).to_bits(),
+            dissimilarity_kernel(&b, &a, &p, lut).to_bits()
+        );
     }
 
     #[test]
@@ -246,6 +299,25 @@ proptest! {
             k,
             threads,
         )?;
+    }
+
+    #[test]
+    fn region_tables_match_scalar_queries_across_backends(
+        segs in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..12), 2..40),
+        eps in 0.0f64..1.05,
+    ) {
+        let p = DissimParams::default();
+        let refs: Vec<&[u8]> = segs.iter().map(|s| &s[..]).collect();
+        let m = CondensedMatrix::build_segments(&refs, &p, 1);
+        let index = StrataIndex::build(&refs, &p, 7);
+        for threads in [1, 2, 4] {
+            assert_region_table_matches_scalar(&MatrixProvider::new(&m), eps, threads)?;
+            assert_region_table_matches_scalar(
+                &StratifiedProvider::new(&refs, &p, &index),
+                eps,
+                threads,
+            )?;
+        }
     }
 
     #[test]

@@ -85,7 +85,7 @@ use cluster::refine::{merge_clusters, split_clusters};
 use dissim::kernel::pairwise_mean;
 use dissim::{
     CondensedMatrix, DissimArtifact, KnnTable, MatrixProvider, MatrixTile, NeighborProvider,
-    QueryCounters, StrataIndex, StratifiedProvider, TiledMatrix,
+    QueryCounters, RegionTable, StrataIndex, StratifiedProvider, TiledMatrix,
 };
 use segment::{SegmentError, Segmenter, TraceSegmentation};
 use store::{ArtifactStore, Key, Kind, StoreStats};
@@ -401,10 +401,16 @@ impl<'t> AnalysisSession<'t> {
     /// depend only on the capture, segmentation and parameters, never
     /// on [`FieldTypeClusterer::threads`]: every stage issues the same
     /// queries at every thread count (the k-NN table is one query per
-    /// segment, DBSCAN one region query per segment, batches only fan
-    /// them out, and refinement decides its candidate pairs of a round
-    /// before it merges), and each query's tally is a pure function of
-    /// the query.
+    /// segment, the clustering stage's region table one region query per
+    /// segment, threads only fan them out, and refinement decides its
+    /// candidate pairs of a round before it merges), and each query's
+    /// tally is a pure function of the query.
+    ///
+    /// A region-table query visits its own stratum and the shorter ones
+    /// only; the pairs it shares with longer strata are found by the
+    /// longer items' queries and mirrored. Strata left to the other end
+    /// that way count as neither pruned nor skipped: `pruned` and
+    /// `strata_skipped` count only candidates a bound excluded.
     ///
     /// `kernel_evals` also counts refinement's pair rows (the
     /// statistics and the round-1 link scan, one tally per
@@ -630,7 +636,8 @@ impl<'t> AnalysisSession<'t> {
             Ok(p) => p.epsilon,
             Err(_) => matrix.mean().unwrap_or(0.5) / 2.0,
         };
-        let clustering = dbscan(&provider, epsilon, min_samples, &vec![1; n], threads);
+        let regions = provider.region_table(epsilon, threads);
+        let clustering = dbscan(&regions, epsilon, min_samples, &vec![1; n]);
         Ok(MessageTypes {
             clustering,
             epsilon,
@@ -1222,6 +1229,13 @@ impl NeighborProvider for SessionProvider<'_> {
         }
     }
 
+    fn region_table(&self, eps: f64, threads: usize) -> RegionTable {
+        match self {
+            Self::Matrix(p) => p.region_table(eps, threads),
+            Self::Stratified(p) => p.region_table(eps, threads),
+        }
+    }
+
     fn knn_table(&self, k_max: usize, threads: usize) -> KnnTable {
         match self {
             Self::Matrix(p) => p.knn_table(k_max, threads),
@@ -1233,9 +1247,11 @@ impl NeighborProvider for SessionProvider<'_> {
 /// Occurrence-weighted DBSCAN at the selected parameters, plus the
 /// §III-E dominating-cluster re-configuration on the trimmed ECDF —
 /// over any neighbor backend. Returns the labels and, when the trimmed
-/// rerun fired, the re-selected parameters. The trimmed selection reads
-/// the session's `knn` table, so it issues no k-NN query. All backends
-/// are pinned bit-identical.
+/// rerun fired, the re-selected parameters. One region table at the
+/// selected ε serves both runs: the trimmed ε′ is smaller, so its
+/// regions are the table's rows filtered to ε′, and the trimmed
+/// selection reads the session's `knn` table, so the rerun issues no
+/// neighbor query at all. All backends are pinned bit-identical.
 fn cluster_and_reselect<P: NeighborProvider + Sync>(
     config: &FieldTypeClusterer,
     provider: &P,
@@ -1245,7 +1261,8 @@ fn cluster_and_reselect<P: NeighborProvider + Sync>(
 ) -> (Clustering, Option<(SelectedParams, EpsilonSource)>) {
     let min_samples = selected.min_samples;
     let threads = config.threads;
-    let mut clustering = dbscan(provider, selected.epsilon, min_samples, weights, threads);
+    let regions = provider.region_table(selected.epsilon, threads);
+    let mut clustering = dbscan(&regions, selected.epsilon, min_samples, weights);
     let mut reselected = None;
     // §III-E: a single dominating cluster signals a too-large ε from a
     // multi-knee ECDF; re-configure on the trimmed distribution.
@@ -1256,7 +1273,7 @@ fn cluster_and_reselect<P: NeighborProvider + Sync>(
         };
         if let Ok(p) = auto_configure(knn, &trimmed_config) {
             if p.epsilon < selected.epsilon {
-                clustering = dbscan(provider, p.epsilon, min_samples, weights, threads);
+                clustering = dbscan(&regions, p.epsilon, min_samples, weights);
                 reselected = Some((
                     SelectedParams { min_samples, ..p },
                     EpsilonSource::TrimmedKnee,

@@ -980,7 +980,7 @@ fn mean_fallback_counts_its_pairwise_pass() {
 
 #[test]
 fn trimmed_rerun_reselects_without_neighbor_queries() {
-    use dissim::{QueryCounters, StratifiedProvider};
+    use dissim::{NeighborProvider, QueryCounters, StratifiedProvider};
     use fieldclust::{EpsilonSource, NeighborBackend};
     use std::sync::Arc;
     let trace = corpus::build_trace(Protocol::Smb, 100, 1);
@@ -1004,9 +1004,10 @@ fn trimmed_rerun_reselects_without_neighbor_queries() {
         let rerun = s.autoconf().expect("re-selected").clone();
         let after_cluster = s.neighbor_counters();
 
-        // Replay the stage's two DBSCAN runs on fresh counters. The
-        // stage moved the session's counters by exactly that much, so
-        // the re-selection between them issued no neighbor query.
+        // Replay the stage's one region-table build at the first ε on
+        // fresh counters. The stage moved the session's counters by
+        // exactly that much, so neither the re-selection nor the rerun
+        // at ε′ issued a neighbor query.
         let store = s.store().expect("store").clone();
         let values: Vec<&[u8]> = store.segments.iter().map(|x| &x.value[..]).collect();
         let weights = store.occurrence_counts();
@@ -1014,10 +1015,9 @@ fn trimmed_rerun_reselects_without_neighbor_queries() {
         let index = s.strata_index().expect("stratified index");
         let provider = StratifiedProvider::new(&values, &config.dissim, index)
             .with_counters(Arc::clone(&counters));
-        for eps in [first.epsilon, rerun.epsilon] {
-            dbscan(&provider, eps, first.min_samples, &weights, threads);
-        }
+        let regions = provider.region_table(first.epsilon, threads);
         let (evals, pruned, skipped) = counters.snapshot();
+        assert!(evals > 0, "the table build must evaluate the kernel");
         assert_eq!(
             (
                 after_cluster.0 - after_autoconf.0,
@@ -1025,7 +1025,17 @@ fn trimmed_rerun_reselects_without_neighbor_queries() {
                 after_cluster.2 - after_autoconf.2,
             ),
             (evals, pruned, skipped),
-            "threads {threads}: cluster stage beyond its two DBSCAN runs"
+            "threads {threads}: cluster stage beyond one region table at the first ε"
+        );
+        // The rerun from that table reproduces the stage's labels and
+        // adds zero to the counters.
+        assert!(rerun.epsilon < first.epsilon);
+        let rerun_labels = dbscan(&regions, rerun.epsilon, first.min_samples, &weights);
+        assert_eq!(counters.snapshot(), (evals, pruned, skipped));
+        assert_eq!(
+            &rerun_labels,
+            s.cluster().expect("cluster"),
+            "threads {threads}: rerun labels"
         );
     }
 }

@@ -85,7 +85,8 @@ grep -Eq 'neighbors: kernel_evals=[1-9][0-9]* pruned=[1-9][0-9]*' "$tmp/backend-
 echo "backend smoke test: matrix, tiled and stratified reports are byte-identical, mixed and fixed-width"
 
 # Stratified thread-invariance smoke test: the stratified backend builds
-# its k-NN table and answers DBSCAN's one region query per segment on
+# its k-NN table and the clustering stage's one region table (each
+# cross-stratum pair evaluated from its longer end and mirrored) on
 # parallel workers. Neither the report nor the neighbor counters may
 # depend on the thread count.
 for t in 1 4; do
@@ -117,6 +118,12 @@ for t in 1 4; do
     cmp "$tmp/refine-matrix-t1.md" "$tmp/refine-stratified-t$t.md"
 done
 cmp "$tmp/refine-stratified-t1.counters" "$tmp/refine-stratified-t4.counters"
+# The capture's first ε yields a dominating cluster, so §III-E's trimmed
+# rerun fires: its DBSCAN at ε′ filters the first run's region table,
+# and the reports compared above pin it against the matrix backend.
+cargo run --release -q -p cli -- analyze "$tmp/refine.pcap" --neighbor-backend stratified \
+    >"$tmp/refine-stratified.out" 2>/dev/null
+grep -q '(TrimmedKnee)' "$tmp/refine-stratified.out"
 echo "refine smoke test: SMB matrix and stratified reports at 1 and 4 threads are byte-identical"
 
 # Message-typing thread-invariance smoke test: the alignment build hands
