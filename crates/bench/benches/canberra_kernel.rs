@@ -11,8 +11,10 @@
 //!
 //! Every rung is bit-identical to the one below it (pinned by the
 //! property tests in `dissim`); this bench isolates what each
-//! transformation buys. Medians are recorded in
-//! `BENCH_canberra_kernel.json`.
+//! transformation buys. The three closure rungs run on one thread;
+//! `build_segments` runs on every available core. Medians are recorded
+//! in `BENCH_canberra_kernel.json` (taken when the closure rungs ran on
+//! every core as well).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dissim::kernel::{dissimilarity_kernel, dissimilarity_lut};
@@ -63,7 +65,7 @@ fn bench_kernel_ladder(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("naive", u), &values, |b, values| {
             b.iter(|| {
-                CondensedMatrix::build_parallel(values.len(), threads, |i, j| {
+                CondensedMatrix::build(values.len(), |i, j| {
                     dissimilarity(values[i], values[j], &params)
                 })
             })
@@ -71,7 +73,7 @@ fn bench_kernel_ladder(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("lut", u), &values, |b, values| {
             let lut = CanberraLut::global();
             b.iter(|| {
-                CondensedMatrix::build_parallel(values.len(), threads, |i, j| {
+                CondensedMatrix::build(values.len(), |i, j| {
                     dissimilarity_lut(values[i], values[j], &params, lut)
                 })
             })
@@ -82,7 +84,7 @@ fn bench_kernel_ladder(c: &mut Criterion) {
             |b, values| {
                 let lut = CanberraLut::global();
                 b.iter(|| {
-                    CondensedMatrix::build_parallel(values.len(), threads, |i, j| {
+                    CondensedMatrix::build(values.len(), |i, j| {
                         dissimilarity_kernel(values[i], values[j], &params, lut)
                     })
                 })

@@ -33,22 +33,11 @@ fn bench_matrix(c: &mut Criterion) {
             },
         );
         group.bench_with_input(
-            BenchmarkId::new("parallel", values.len()),
-            &values,
-            |b, values| {
-                b.iter(|| {
-                    DissimArtifact::compute(values.len(), 4, |i, j| {
-                        dissimilarity(&values[i], &values[j], &params)
-                    })
-                })
-            },
-        );
-        group.bench_with_input(
             BenchmarkId::new("kernel", values.len()),
             &values,
             |b, values| {
                 // The structure-aware kernel build the session uses
-                // (bit-identical to the closure builds above).
+                // (bit-identical to the closure build above).
                 let refs: Vec<&[u8]> = values.iter().map(|v| &v[..]).collect();
                 b.iter(|| DissimArtifact::compute_segments(&refs, &params, 4))
             },

@@ -17,7 +17,8 @@
 //! a fresh store directory, recorded as
 //! `serve_throughput_store{c=..,m=..,a=..}`: there each append round
 //! extends the cached prefix artifacts, and the printed `extended=`
-//! count shows it.
+//! count shows it. Each rung also prints its summed per-stage walls
+//! from the daemon's `Stats` frame.
 //!
 //! Run with:
 //! `cargo run --release -p bench --bin serve_throughput -- [clients_csv] [messages_csv] [appends_csv]`
@@ -112,6 +113,14 @@ fn run_rung(clients: usize, messages: usize, appends: usize, cache_dir: Option<&
         stats.cache_hits,
         stats.cache_extended,
     );
+    // Where the rung's time went: the jobs' session stage records,
+    // summed over every job.
+    let walls: Vec<String> = stats
+        .stage_wall_ns
+        .iter()
+        .map(|(stage, ns)| format!("{stage}={:.3}s", *ns as f64 / 1e9))
+        .collect();
+    println!("    stages: {}", walls.join(" "));
     client.shutdown().expect("shutdown");
     handle.wait();
     wall

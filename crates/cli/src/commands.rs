@@ -84,14 +84,26 @@ fn emit_cache_stats(store: Option<&ArtifactStore>) {
     }
 }
 
-/// Prints the greppable neighbor-query counter line to stderr. Only
-/// the stratified backend moves these counters; other backends stay
-/// silent so their diagnostics are unchanged.
-fn emit_neighbor_counters(session: &AnalysisSession<'_>) {
+/// Prints `analyze`'s greppable diagnostics to stderr: the
+/// neighbor-query counters (only the stratified backend moves them;
+/// other backends stay silent), the cache statistics, then one line per
+/// slot of the session's stage record.
+fn emit_analyze_diagnostics(session: &mut AnalysisSession<'_>, store: Option<&ArtifactStore>) {
     let (kernel_evals, pruned, strata_skipped) = session.neighbor_counters();
     if kernel_evals > 0 || pruned > 0 || strata_skipped > 0 {
         eprintln!(
             "neighbors: kernel_evals={kernel_evals} pruned={pruned} strata_skipped={strata_skipped}"
+        );
+    }
+    emit_cache_stats(store);
+    for (stage, t) in session.take_stage_record().iter() {
+        eprintln!(
+            "stage {}: wall={:.6}s kernel_evals={} pruned={} strata_skipped={}",
+            stage.name(),
+            t.wall_ns as f64 / 1e9,
+            t.kernel_evals,
+            t.pruned,
+            t.strata_skipped
         );
     }
 }
@@ -121,8 +133,7 @@ pub fn analyze(args: &[String]) -> Result<(), CliError> {
             .map_err(|e| CliError::runtime(format!("clustering failed: {e}")))?;
         std::fs::write(path, md).map_err(|e| CliError::runtime(format!("writing {path}: {e}")))?;
         println!("report written to {path}");
-        emit_neighbor_counters(&session);
-        emit_cache_stats(store.as_ref());
+        emit_analyze_diagnostics(&mut session, store.as_ref());
         return Ok(());
     }
 
@@ -187,8 +198,7 @@ pub fn analyze(args: &[String]) -> Result<(), CliError> {
             "{}",
             serde_json::to_string_pretty(&report).map_err(|e| CliError::runtime(e.to_string()))?
         );
-        emit_neighbor_counters(&session);
-        emit_cache_stats(store.as_ref());
+        emit_analyze_diagnostics(&mut session, store.as_ref());
         return Ok(());
     }
 
@@ -233,8 +243,7 @@ pub fn analyze(args: &[String]) -> Result<(), CliError> {
             println!("           e.g. [{}]", samples.join(", "));
         }
     }
-    emit_neighbor_counters(&session);
-    emit_cache_stats(store.as_ref());
+    emit_analyze_diagnostics(&mut session, store.as_ref());
     Ok(())
 }
 

@@ -19,17 +19,10 @@ pub struct DissimArtifact {
 }
 
 impl DissimArtifact {
-    /// Computes the pairwise matrix with `threads` worker threads.
-    /// `f(i, j)` must be symmetric; it is called once per unordered
-    /// pair `i < j`.
-    pub fn compute(n: usize, threads: usize, f: impl Fn(usize, usize) -> f64 + Sync) -> Self {
-        Self::from_matrix(CondensedMatrix::build_parallel(n, threads, f))
-    }
-
     /// Computes the pairwise Canberra dissimilarity matrix directly
     /// from the segment slices via the kernel layer
     /// ([`CondensedMatrix::build_segments`]): bit-identical to
-    /// [`compute`](Self::compute) over [`crate::dissimilarity`], several
+    /// [`CondensedMatrix::build`] over [`crate::dissimilarity`], several
     /// times faster.
     pub fn compute_segments(
         segments: &[&[u8]],
@@ -71,9 +64,12 @@ mod tests {
 
     #[test]
     fn compute_matches_serial_matrix() {
-        let pts = [3.0f64, 1.0, 4.0, 1.5, 9.0];
-        let a = DissimArtifact::compute(pts.len(), 3, |i, j| (pts[i] - pts[j]).abs());
-        let m = CondensedMatrix::build(pts.len(), |i, j| (pts[i] - pts[j]).abs());
+        let segs: [&[u8]; 5] = [b"\x03", b"\x01\x02", b"\x04", b"\x01\x05\x09", b"\x09"];
+        let p = crate::DissimParams::default();
+        let a = DissimArtifact::compute_segments(&segs, &p, 3);
+        let m = CondensedMatrix::build(segs.len(), |i, j| {
+            crate::dissimilarity(segs[i], segs[j], &p)
+        });
         assert_eq!(*a.matrix(), m);
         assert_eq!(a.len(), 5);
         assert_eq!(a.into_matrix(), m);

@@ -694,61 +694,16 @@ impl<'a> PairContext<'a> {
     }
 }
 
-/// Builds the condensed pairwise Canberra dissimilarity matrix directly
-/// from the segment slices: length-bucketed kernels, contiguous row
-/// ranges stolen dynamically over the `parkit` scheduler. Bit-identical
-/// to the closure-based build over [`crate::dissimilarity`].
-pub(crate) fn build_bucketed(
-    segments: &[&[u8]],
-    params: &DissimParams,
-    threads: usize,
-) -> CondensedMatrix {
-    let n = segments.len();
-    let penalty = params.effective_penalty();
-    if n < 2 {
-        return CondensedMatrix::from_raw(n, Cells::zeroed(0));
-    }
-    let lut = CanberraLut::global();
-    let buckets = make_buckets(segments, 0..n);
-    let key_table = KeyTable::new(segments);
-    let mut data = Cells::zeroed(n * (n - 1) / 2);
-    let threads = threads.max(1).min(n - 1);
-    if threads == 1 {
-        for i in 0..(n - 1) {
-            let row_start = condensed_index(n, i, i + 1);
-            let row = &mut data[row_start..row_start + (n - i - 1)];
-            fill_row(i, segments, row, &buckets, penalty, lut, &key_table);
-        }
-        return CondensedMatrix::from_raw(n, data);
-    }
-
-    let data_ptr = SendPtr(data.as_mut_ptr());
-    parkit::for_each_chunk(threads, n - 1, 1, |rows| {
-        let data_ptr = &data_ptr;
-        for i in rows {
-            let row_start = condensed_index(n, i, i + 1);
-            // SAFETY: row i owns the condensed range [row_start,
-            // row_start + n - i - 1) exclusively, and the scheduler
-            // hands out each row exactly once, so the slices never
-            // alias.
-            let row =
-                unsafe { std::slice::from_raw_parts_mut(data_ptr.0.add(row_start), n - i - 1) };
-            fill_row(i, segments, row, &buckets, penalty, lut, &key_table);
-        }
-    });
-    CondensedMatrix::from_raw(n, data)
-}
-
 /// Extends an already-built condensed matrix over the first `old_n`
 /// segments to cover all of `segments`: old entries are copied verbatim
 /// and only the pairs touching at least one new segment (index ≥
-/// `old_n`) are computed, through the same length-bucketed kernels as
-/// [`build_bucketed`].
+/// `old_n`) are computed, through the length-bucketed kernels. With
+/// `old_n = 0` every pair is new: that is the cold build.
 ///
-/// Bit-identical to a cold [`build_bucketed`] over the full segment set:
-/// every kernel entry equals the scalar [`crate::dissimilarity`] of its
-/// pair regardless of bucketing or scheduling (see the module docs), so
-/// the spliced matrix and the cold matrix agree entry by entry.
+/// Bit-identical to the closure-based build over
+/// [`crate::dissimilarity`]: every kernel entry equals the scalar value
+/// of its pair regardless of bucketing or scheduling (see the module
+/// docs), so a spliced matrix and a cold one agree entry by entry.
 pub(crate) fn extend_bucketed(
     old_data: &[f64],
     old_n: usize,
@@ -762,19 +717,11 @@ pub(crate) fn extend_bucketed(
     if old_n == n {
         return CondensedMatrix::from_raw(n, Cells::copy_of(old_data));
     }
-    if old_n < 2 {
-        // Nothing reusable: every pair touches a new segment.
-        return build_bucketed(segments, params, threads);
-    }
-    let penalty = params.effective_penalty();
-    let lut = CanberraLut::global();
-
     // Buckets over the NEW indices only: every pair (i, j) with
     // j >= old_n is new, and for rows i >= old_n every column j > i is
     // >= old_n too, so new-index buckets cover exactly the missing
     // entries of every row.
     let buckets = make_buckets(segments, old_n..n);
-    let key_table = KeyTable::new(segments);
     let mut data = Cells::zeroed(n * (n - 1) / 2);
     // Splice the old rows: row i of the old matrix is the contiguous
     // condensed range for pairs (i, i+1..old_n), which lands at the
@@ -785,37 +732,43 @@ pub(crate) fn extend_bucketed(
         data[new_start..new_start + (old_n - i - 1)]
             .copy_from_slice(&old_data[old_start..old_start + (old_n - i - 1)]);
     }
+    fill_rows(&mut data, segments, &buckets, params, threads);
+    CondensedMatrix::from_raw(n, data)
+}
 
-    let threads = threads.max(1).min(n - 1);
-    if threads == 1 {
-        for i in 0..(n - 1) {
-            let row_start = condensed_index(n, i, i + 1);
-            let row = &mut data[row_start..row_start + (n - i - 1)];
-            fill_row(i, segments, row, &buckets, penalty, lut, &key_table);
-        }
-        return CondensedMatrix::from_raw(n, data);
-    }
-
+/// Fills every row's entries against the columns in `buckets`, rows
+/// handed out in contiguous blocks over the `parkit` scheduler (inline
+/// at one thread).
+fn fill_rows(
+    data: &mut [f64],
+    segments: &[&[u8]],
+    buckets: &[Bucket],
+    params: &DissimParams,
+    threads: usize,
+) {
+    let n = segments.len();
+    let penalty = params.effective_penalty();
+    let lut = CanberraLut::global();
+    let key_table = KeyTable::new(segments);
     let data_ptr = SendPtr(data.as_mut_ptr());
-    parkit::for_each_chunk(threads, n - 1, 1, |rows| {
+    // The last row has no pairs (j > i required), so n - 1 rows.
+    parkit::for_each_chunk(threads, n.saturating_sub(1), 1, |rows| {
         let data_ptr = &data_ptr;
         for i in rows {
             let row_start = condensed_index(n, i, i + 1);
             // SAFETY: row i owns the condensed range [row_start,
-            // row_start + n - i - 1) exclusively, and the scheduler
-            // hands out each row exactly once, so the slices never
-            // alias. fill_row only writes new-bucket columns, leaving
-            // the spliced old prefix of the row untouched.
+            // row_start + n - i - 1) of `data` exclusively, and the
+            // scheduler hands out each row exactly once, so the slices
+            // never alias.
             let row =
                 unsafe { std::slice::from_raw_parts_mut(data_ptr.0.add(row_start), n - i - 1) };
-            fill_row(i, segments, row, &buckets, penalty, lut, &key_table);
+            fill_row(i, segments, row, buckets, penalty, lut, &key_table);
         }
     });
-    CondensedMatrix::from_raw(n, data)
 }
 
 /// A raw pointer wrapper asserting cross-thread transferability for the
-/// disjoint-row-write pattern in [`build_bucketed`].
+/// disjoint-row-write pattern in [`fill_rows`].
 struct SendPtr(*mut f64);
 unsafe impl Sync for SendPtr {}
 
@@ -906,15 +859,15 @@ mod tests {
         ];
         let naive = CondensedMatrix::build(segs.len(), |i, j| dissimilarity(segs[i], segs[j], &P));
         for threads in [1, 2, 5] {
-            let fast = build_bucketed(&segs, &P, threads);
+            let fast = CondensedMatrix::build_segments(&segs, &P, threads);
             assert_eq!(fast, naive, "threads = {threads}");
         }
     }
 
     #[test]
     fn bucketed_build_handles_tiny_inputs() {
-        assert!(build_bucketed(&[], &P, 4).is_empty());
-        let one = build_bucketed(&[b"ab".as_slice()], &P, 4);
+        assert!(CondensedMatrix::build_segments(&[], &P, 4).is_empty());
+        let one = CondensedMatrix::build_segments(&[b"ab".as_slice()], &P, 4);
         assert_eq!(one.len(), 1);
         assert!(one.values().is_empty());
     }
@@ -936,9 +889,9 @@ mod tests {
     fn extension_is_bit_identical_to_cold_build() {
         let segs = corpus(37);
         let values: Vec<&[u8]> = segs.iter().map(|s| &s[..]).collect();
-        let cold = build_bucketed(&values, &P, 3);
+        let cold = CondensedMatrix::build_segments(&values, &P, 3);
         for old_n in [0usize, 1, 2, 5, 18, 36, 37] {
-            let old = build_bucketed(&values[..old_n], &P, 2);
+            let old = CondensedMatrix::build_segments(&values[..old_n], &P, 2);
             for threads in [1, 3, 8] {
                 let ext = extend_bucketed(old.values(), old_n, &values, &P, threads);
                 assert_eq!(ext.len(), cold.len());
@@ -957,7 +910,7 @@ mod tests {
     fn lower_row_context_matches_bucketed_build() {
         let segs = corpus(41);
         let values: Vec<&[u8]> = segs.iter().map(|s| &s[..]).collect();
-        let full = build_bucketed(&values, &P, 2);
+        let full = CondensedMatrix::build_segments(&values, &P, 2);
         let ctx = PairContext::new(&values, &P);
         let mut out = vec![0.0f64; values.len()];
         for j in 0..values.len() {
@@ -990,7 +943,7 @@ mod tests {
     fn pairwise_mean_matches_matrix_mean() {
         let segs = corpus(23);
         let values: Vec<&[u8]> = segs.iter().map(|s| &s[..]).collect();
-        let matrix = build_bucketed(&values, &P, 2);
+        let matrix = CondensedMatrix::build_segments(&values, &P, 2);
         assert_eq!(
             pairwise_mean(&values, &P).unwrap().to_bits(),
             matrix.mean().unwrap().to_bits()
@@ -1004,7 +957,7 @@ mod tests {
     fn extension_rejects_shrinking() {
         let segs = corpus(6);
         let values: Vec<&[u8]> = segs.iter().map(|s| &s[..]).collect();
-        let full = build_bucketed(&values, &P, 1);
+        let full = CondensedMatrix::build_segments(&values, &P, 1);
         extend_bucketed(full.values(), full.len(), &values[..3], &P, 1);
     }
 }

@@ -51,16 +51,20 @@ impl CondensedMatrix {
     /// pair scheduling over contiguous row blocks.
     ///
     /// Bit-identical to
-    /// `CondensedMatrix::build_parallel(segments.len(), threads,
+    /// `CondensedMatrix::build(segments.len(),
     /// |i, j| dissimilarity(segments[i], segments[j], params))`
     /// but several times faster — the structure-aware entry point sees
     /// the segment lengths instead of an opaque closure.
+    ///
+    /// The same kernel layer computes what
+    /// [`extend_segments`](Self::extend_segments) adds: a cold build is
+    /// the extension of an empty prefix.
     pub fn build_segments(
         segments: &[&[u8]],
         params: &crate::canberra::DissimParams,
         threads: usize,
     ) -> Self {
-        crate::kernel::build_bucketed(segments, params, threads)
+        crate::kernel::extend_bucketed(&[], 0, segments, params, threads)
     }
 
     /// Wraps an already-filled condensed buffer (`data.len()` must be
@@ -117,44 +121,6 @@ impl CondensedMatrix {
         threads: usize,
     ) -> Self {
         crate::kernel::extend_bucketed(&self.data, self.n, segments, params, threads)
-    }
-
-    /// Builds the matrix in parallel over all rows on the `parkit`
-    /// work-stealing scheduler.
-    ///
-    /// `f` must be pure; row ranges are stolen dynamically so irregular
-    /// row costs (long segments) balance across cores, and every entry
-    /// is written to its own condensed slot — the result is bit-identical
-    /// to [`build`](Self::build) regardless of scheduling.
-    pub fn build_parallel(
-        n: usize,
-        threads: usize,
-        f: impl Fn(usize, usize) -> f64 + Sync,
-    ) -> Self {
-        let threads = threads.max(1);
-        if n < 2 || threads == 1 {
-            return Self::build(n, f);
-        }
-        let total = n * (n - 1) / 2;
-        let mut data = Cells::zeroed(total);
-        let data_ptr = SendPtr(data.as_mut_ptr());
-        // The last row has no pairs (j > i required), so n - 1 rows.
-        parkit::for_each_chunk(threads, n - 1, 1, |rows| {
-            let data_ptr = &data_ptr;
-            for i in rows {
-                let row_start = condensed_index(n, i, i + 1);
-                for j in (i + 1)..n {
-                    let v = f(i, j);
-                    // SAFETY: each (i, j) pair maps to a unique condensed
-                    // index and the scheduler hands out each row exactly
-                    // once, so writes never alias.
-                    unsafe {
-                        *data_ptr.0.add(row_start + (j - i - 1)) = v;
-                    }
-                }
-            }
-        });
-        Self { n, data }
     }
 
     /// Number of items (rows/columns).
@@ -323,11 +289,6 @@ pub(crate) fn condensed_index(n: usize, i: usize, j: usize) -> usize {
     i * (2 * n - i - 1) / 2 + (j - i - 1)
 }
 
-/// A raw pointer wrapper that asserts cross-thread transferability for
-/// the disjoint-write pattern in [`CondensedMatrix::build_parallel`].
-struct SendPtr(*mut f64);
-unsafe impl Sync for SendPtr {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,22 +339,34 @@ mod tests {
         assert!(CondensedMatrix::try_filled(5, |_| None).is_none());
     }
 
+    const P: crate::DissimParams = crate::DissimParams {
+        length_penalty: 0.59,
+    };
+
     #[test]
     fn parallel_matches_serial() {
-        let f = |i: usize, j: usize| ((i * 31 + j * 17) % 100) as f64 / 100.0;
-        let serial = CondensedMatrix::build(40, f);
-        for threads in [2, 3, 8] {
-            let par = CondensedMatrix::build_parallel(40, threads, f);
+        let segs: Vec<Vec<u8>> = (0..40usize)
+            .map(|i| {
+                (0..1 + i % 7)
+                    .map(|k| ((i * 31 + k * 17) % 256) as u8)
+                    .collect()
+            })
+            .collect();
+        let values: Vec<&[u8]> = segs.iter().map(|s| &s[..]).collect();
+        let serial =
+            CondensedMatrix::build(40, |i, j| crate::dissimilarity(values[i], values[j], &P));
+        for threads in [1, 2, 3, 8] {
+            let par = CondensedMatrix::build_segments(&values, &P, threads);
             assert_eq!(serial, par, "threads = {threads}");
         }
     }
 
     #[test]
     fn parallel_handles_tiny_inputs() {
-        let m = CondensedMatrix::build_parallel(1, 4, |_, _| 1.0);
+        let m = CondensedMatrix::build_segments(&[b"ab".as_slice()], &P, 4);
         assert_eq!(m.len(), 1);
         assert!(m.values().is_empty());
-        let empty = CondensedMatrix::build_parallel(0, 4, |_, _| 1.0);
+        let empty = CondensedMatrix::build_segments(&[], &P, 4);
         assert!(empty.is_empty());
     }
 

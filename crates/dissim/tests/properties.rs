@@ -163,9 +163,8 @@ proptest! {
         segs in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..12), 2..20),
     ) {
         let p = DissimParams::default();
-        let m = CondensedMatrix::build_parallel(segs.len(), 4, |i, j| {
-            dissimilarity(&segs[i], &segs[j], &p)
-        });
+        let values: Vec<&[u8]> = segs.iter().map(|s| &s[..]).collect();
+        let m = CondensedMatrix::build_segments(&values, &p, 4);
         for i in 0..segs.len() {
             for j in 0..segs.len() {
                 let expect = if i == j { 0.0 } else { dissimilarity(&segs[i], &segs[j], &p) };

@@ -62,6 +62,7 @@ pub mod report;
 pub mod segments;
 pub mod semantics;
 pub mod session;
+pub mod stages;
 pub mod truth;
 
 pub use cancel::CancelToken;
@@ -75,4 +76,5 @@ pub use pipeline::{
 pub use segments::{SegmentInstance, SegmentStore, UniqueSegment};
 pub use semantics::{interpret, ClusterSemantics, SemanticHypothesis, SemanticsConfig};
 pub use session::AnalysisSession;
+pub use stages::{Stage, StageRecord, StageTotals};
 pub use store::{ArtifactStore, StoreStats};

@@ -7,6 +7,7 @@ use crate::msgtype::{MessageTypeConfig, MessageTypeError, MessageTypes};
 use crate::pipeline::{PipelineError, PseudoTypeClustering};
 use crate::semantics::{interpret, ClusterSemantics, SemanticsConfig};
 use crate::session::AnalysisSession;
+use crate::stages::Stage;
 use trace::Trace;
 
 /// Inputs of a report; optional sections are skipped when absent.
@@ -26,7 +27,8 @@ pub struct ReportOptions {
 /// (`fieldclust analyze --report`) and the `ftcd` daemon, so a
 /// daemon-produced report is byte-identical to the offline run on the
 /// same trace — pinned by the serve crate's loopback e2e test and the
-/// check.sh daemon smoke test.
+/// check.sh daemon smoke test. Interpretation and rendering are the
+/// session's `report` stage.
 ///
 /// # Errors
 ///
@@ -39,23 +41,25 @@ pub fn standard_report(
     trace: &Trace,
     session: &mut AnalysisSession<'_>,
 ) -> Result<String, PipelineError> {
-    let result = session.finish()?;
-    let semantics = interpret(&result, trace, &SemanticsConfig::default());
-    let message_types = match session.message_types(&MessageTypeConfig::default()) {
-        Ok(t) => Some(t),
-        Err(MessageTypeError::Cancelled) => return Err(PipelineError::Cancelled),
-        Err(_) => None,
-    };
-    Ok(render_markdown(
-        trace,
-        &result,
-        &semantics,
-        message_types.as_ref(),
-        &ReportOptions {
-            examples_per_cluster: 3,
-            include_value_models: true,
-        },
-    ))
+    session.staged(Stage::Report, |session| {
+        let result = session.finish()?;
+        let semantics = interpret(&result, trace, &SemanticsConfig::default());
+        let message_types = match session.message_types(&MessageTypeConfig::default()) {
+            Ok(t) => Some(t),
+            Err(MessageTypeError::Cancelled) => return Err(PipelineError::Cancelled),
+            Err(_) => None,
+        };
+        Ok(render_markdown(
+            trace,
+            &result,
+            &semantics,
+            message_types.as_ref(),
+            &ReportOptions {
+                examples_per_cluster: 3,
+                include_value_models: true,
+            },
+        ))
+    })
 }
 
 /// Renders a complete analysis report as Markdown.

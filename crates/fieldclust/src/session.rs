@@ -41,7 +41,8 @@
 //! Stages are driven on demand: asking for a late artifact (say
 //! [`refine`](AnalysisSession::refine)) runs every missing earlier
 //! stage. Replacing the segmentation invalidates all downstream
-//! artifacts.
+//! artifacts. Every stage run is measured into one record
+//! ([`AnalysisSession::take_stage_record`]).
 //!
 //! # Examples
 //!
@@ -68,6 +69,7 @@
 use std::borrow::Cow;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Instant;
 
 use crate::cache::{self, ClusterStageArtifact, RefinedArtifact, SelectionArtifact};
 use crate::cancel::CancelToken;
@@ -77,6 +79,7 @@ use crate::pipeline::{
     EpsilonSource, FieldTypeClusterer, NeighborBackend, PipelineError, PseudoTypeClustering,
 };
 use crate::segments::SegmentStore;
+use crate::stages::{Stage, StageRecord, StageTotals};
 use cluster::autoconf::{
     auto_configure, required_k_max, AutoConfError, AutoConfig, SelectedParams,
 };
@@ -132,6 +135,10 @@ pub struct AnalysisSession<'t> {
     // Cooperative cancellation, polled between stages; `None` never
     // cancels. See [`Self::set_cancel_token`].
     cancel: Option<CancelToken>,
+    // What the stages did, and what the stages nested in the open one
+    // did (see `staged`).
+    stages: StageRecord,
+    nested: StageTotals,
 }
 
 impl<'t> AnalysisSession<'t> {
@@ -174,6 +181,8 @@ impl<'t> AnalysisSession<'t> {
             cache: None,
             input_key: None,
             cancel: None,
+            stages: StageRecord::default(),
+            nested: StageTotals::default(),
         }
     }
 
@@ -263,25 +272,27 @@ impl<'t> AnalysisSession<'t> {
         &mut self,
         segmenter: &dyn Segmenter,
     ) -> Result<&TraceSegmentation, SegmentError> {
-        if let Some(store) = self.cache.clone() {
-            let key = cache::segmentation_key(&self.trace, &segmenter.cache_fingerprint());
-            match store.get::<TraceSegmentation>(&key) {
-                // Defensive shape check on top of the content key: a
-                // cached segmentation must cover exactly this trace.
-                Some(seg) if seg.messages.len() == self.trace.len() => {
-                    self.set_segmentation(seg);
-                    return Ok(self.segmentation.as_ref().expect("just set"));
+        self.staged(Stage::Segment, |s| {
+            let seg = match s.cache.clone() {
+                Some(store) => {
+                    let key = cache::segmentation_key(&s.trace, &segmenter.cache_fingerprint());
+                    match store.get::<TraceSegmentation>(&key) {
+                        // Defensive shape check on top of the content
+                        // key: a cached segmentation must cover exactly
+                        // this trace.
+                        Some(seg) if seg.messages.len() == s.trace.len() => seg,
+                        _ => {
+                            let seg = segmenter.segment_trace(&s.trace)?;
+                            store.put(&key, &seg);
+                            seg
+                        }
+                    }
                 }
-                _ => {
-                    let seg = segmenter.segment_trace(&self.trace)?;
-                    store.put(&key, &seg);
-                    self.set_segmentation(seg);
-                    return Ok(self.segmentation.as_ref().expect("just set"));
-                }
-            }
-        }
-        let seg = segmenter.segment_trace(&self.trace)?;
-        self.set_segmentation(seg);
+                None => segmenter.segment_trace(&s.trace)?,
+            };
+            s.set_segmentation(seg);
+            Ok(())
+        })?;
         Ok(self.segmentation.as_ref().expect("just set"))
     }
 
@@ -342,8 +353,7 @@ impl<'t> AnalysisSession<'t> {
     /// bit-identical.
     ///
     /// Runs implicitly before autoconf; calling it explicitly lets a
-    /// driver time (or cancel between) the matrix and neighbor builds
-    /// separately.
+    /// driver cancel between the neighbor build and clustering.
     ///
     /// # Errors
     ///
@@ -352,10 +362,23 @@ impl<'t> AnalysisSession<'t> {
         self.check_cancelled()?;
         self.ensure_store()?;
         if self.session_backend() == NeighborBackend::Stratified {
-            return self.ensure_strata();
+            // The per-length forests and pivot tables: no matrix or
+            // other O(u²) structure is touched.
+            if self.strata.is_none() {
+                self.staged::<_, PipelineError>(Stage::Neighbors, |s| {
+                    s.strata = Some(s.build_strata_cached());
+                    Ok(())
+                })?;
+            }
+            return Ok(());
         }
         self.ensure_dissim()?;
-        self.ensure_knn();
+        if self.knn.is_none() {
+            self.staged::<_, PipelineError>(Stage::Neighbors, |s| {
+                s.ensure_knn();
+                Ok(())
+            })?;
+        }
         Ok(())
     }
 
@@ -420,6 +443,17 @@ impl<'t> AnalysisSession<'t> {
     /// reachability) stay uncounted.
     pub fn neighbor_counters(&self) -> (u64, u64, u64) {
         self.neighbor_counters.snapshot()
+    }
+
+    /// Returns the [stage record](crate::stages) of what the session ran
+    /// since it started or since the last call, and clears it. A stage
+    /// adds when it produces its artifact (computed, extended, or read
+    /// from the store), not when the session already holds it or it
+    /// fails. The per-stage `kernel_evals` sum to those of
+    /// [`neighbor_counters`](Self::neighbor_counters) and, like them,
+    /// do not depend on the thread count.
+    pub fn take_stage_record(&mut self) -> StageRecord {
+        std::mem::take(&mut self.stages)
     }
 
     /// Each segment's `required_k_max` nearest dissimilarities, once a
@@ -628,20 +662,22 @@ impl<'t> AnalysisSession<'t> {
         let n = self.trace.len();
         let autoconf = config.autoconf;
         let threads = self.config.threads;
-        let matrix = self.message_matrix(config.gap_penalty)?;
-        let min_samples = ((n as f64).ln().round() as usize).max(2);
-        let provider = MatrixProvider::new(matrix);
-        let table = provider.knn_table(required_k_max(matrix.len()), threads);
-        let epsilon = match auto_configure(&table, &autoconf) {
-            Ok(p) => p.epsilon,
-            Err(_) => matrix.mean().unwrap_or(0.5) / 2.0,
-        };
-        let regions = provider.region_table(epsilon, threads);
-        let clustering = dbscan(&regions, epsilon, min_samples, &vec![1; n]);
-        Ok(MessageTypes {
-            clustering,
-            epsilon,
-            min_samples,
+        self.staged(Stage::Msgtype, |s| {
+            let matrix = s.message_matrix(config.gap_penalty)?;
+            let min_samples = ((n as f64).ln().round() as usize).max(2);
+            let provider = MatrixProvider::new(matrix);
+            let table = provider.knn_table(required_k_max(matrix.len()), threads);
+            let epsilon = match auto_configure(&table, &autoconf) {
+                Ok(p) => p.epsilon,
+                Err(_) => matrix.mean().unwrap_or(0.5) / 2.0,
+            };
+            let regions = provider.region_table(epsilon, threads);
+            let clustering = dbscan(&regions, epsilon, min_samples, &vec![1; n]);
+            Ok(MessageTypes {
+                clustering,
+                epsilon,
+                min_samples,
+            })
         })
     }
 
@@ -664,34 +700,64 @@ impl<'t> AnalysisSession<'t> {
         config: &StateMachineConfig,
     ) -> Result<statemachine::StateMachine, MessageTypeError> {
         self.check_cancelled_msg()?;
-        let n = self.trace.len();
-        // Gated on the same preconditions the compute path errors on,
-        // so a hit can never mask a MissingSegmentation/TooFewMessages
-        // error (mirrors message_matrix).
-        let fsm_key = (self.cache.is_some() && self.segmentation.is_some() && n >= 4).then(|| {
-            let input = self.session_input_key();
-            cache::fsm_key(&input, &self.trace, &self.config.dissim, config)
-        });
-        if let (Some(cache), Some(key)) = (self.cache.as_ref(), &fsm_key) {
-            if let Some(machine) = cache.get::<statemachine::StateMachine>(key) {
-                // Shape check on top of the content key: the machine
-                // must cover exactly this trace's flows.
-                if machine.flows == self.trace.flows().len() as u64 {
-                    return Ok(machine);
+        self.staged(Stage::Fsm, |s| {
+            let n = s.trace.len();
+            // Gated on the same preconditions the compute path errors
+            // on, so a hit can never mask a
+            // MissingSegmentation/TooFewMessages error (mirrors
+            // message_matrix).
+            let fsm_key = (s.cache.is_some() && s.segmentation.is_some() && n >= 4).then(|| {
+                let input = s.session_input_key();
+                cache::fsm_key(&input, &s.trace, &s.config.dissim, config)
+            });
+            if let (Some(cache), Some(key)) = (s.cache.as_ref(), &fsm_key) {
+                if let Some(machine) = cache.get::<statemachine::StateMachine>(key) {
+                    // Shape check on top of the content key: the
+                    // machine must cover exactly this trace's flows.
+                    if machine.flows == s.trace.flows().len() as u64 {
+                        return Ok(machine);
+                    }
                 }
             }
-        }
-        let types = self.message_types(&config.msgtype)?;
-        let (labels, symbols) = fsm::symbol_labels(&types.clustering);
-        let sequences = statemachine::flow_sequences(&self.trace, &labels);
-        let machine = statemachine::infer(&sequences, symbols, &config.fsm);
-        if let (Some(cache), Some(key)) = (self.cache.as_ref(), &fsm_key) {
-            cache.put(key, &machine);
-        }
-        Ok(machine)
+            let types = s.message_types(&config.msgtype)?;
+            let (labels, symbols) = fsm::symbol_labels(&types.clustering);
+            let sequences = statemachine::flow_sequences(&s.trace, &labels);
+            let machine = statemachine::infer(&sequences, symbols, &config.fsm);
+            if let (Some(cache), Some(key)) = (s.cache.as_ref(), &fsm_key) {
+                cache.put(key, &machine);
+            }
+            Ok(machine)
+        })
     }
 
     // ----- stage internals -----
+
+    /// Runs `f` as one run of `stage`: on success its self time is
+    /// added to the record; either way the whole run counts as nested
+    /// time of the enclosing stage.
+    pub(crate) fn staged<T, E>(
+        &mut self,
+        stage: Stage,
+        f: impl FnOnce(&mut Self) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let start = Instant::now();
+        let before = self.neighbor_counters.snapshot();
+        let outer = std::mem::take(&mut self.nested);
+        let out = f(self);
+        let after = self.neighbor_counters.snapshot();
+        let inclusive = StageTotals {
+            wall_ns: start.elapsed().as_nanos() as u64,
+            kernel_evals: after.0 - before.0,
+            pruned: after.1 - before.1,
+            strata_skipped: after.2 - before.2,
+        };
+        if out.is_ok() {
+            let own = inclusive.zip(self.nested, u64::saturating_sub);
+            self.stages.add(stage, own);
+        }
+        self.nested = outer.zip(inclusive, u64::saturating_add);
+        out
+    }
 
     /// The memoized content key over trace + segmentation that every
     /// configuration-dependent stage key builds on. Only called with a
@@ -818,7 +884,8 @@ impl<'t> AnalysisSession<'t> {
     }
 
     /// Builds (or fetches, or incrementally extends from a cached
-    /// prefix) the length-stratified neighbor index over `values`.
+    /// prefix) the length-stratified neighbor index over the segment
+    /// store's values.
     /// The index is persisted whole under a chained-prefix key
     /// (`cache::strata_key`) — strata partition the entire prefix, so
     /// no stratum is a pure function of a shorter one; growth instead
@@ -826,7 +893,10 @@ impl<'t> AnalysisSession<'t> {
     /// and extends it ([`StrataIndex::extend_from`] reuses complete
     /// chunk trees and pivot rows, bit-identical to a cold build). A
     /// damaged artifact degrades to recompute.
-    fn build_strata_cached(&self, values: &[&[u8]]) -> StrataIndex {
+    fn build_strata_cached(&self) -> StrataIndex {
+        let store = self.store.as_ref().expect("ensured");
+        let values: Vec<&[u8]> = store.segments.iter().map(|s| &s.value[..]).collect();
+        let values = &values[..];
         let params = &self.config.dissim;
         let chunk = dissim::vptree::DEFAULT_CHUNK;
         let Some(cache) = self.cache.as_ref() else {
@@ -858,24 +928,6 @@ impl<'t> AnalysisSession<'t> {
         cache.put(&key, &index);
         cache.manifest_add(&family, n, &key);
         index
-    }
-
-    /// The stratified arm of the neighbors stage: builds (or faults
-    /// in, or extends) the per-length forests and pivot tables. No
-    /// matrix or other O(u²) structure is touched.
-    fn ensure_strata(&mut self) -> Result<(), PipelineError> {
-        self.check_cancelled()?;
-        if self.strata.is_some() {
-            return Ok(());
-        }
-        self.ensure_store()?;
-        let index = {
-            let store = self.store.as_ref().expect("ensured");
-            let values: Vec<&[u8]> = store.segments.iter().map(|s| &s.value[..]).collect();
-            self.build_strata_cached(&values)
-        };
-        self.strata = Some(index);
-        Ok(())
     }
 
     /// The session's one k-NN table, built at most once per session
@@ -929,13 +981,15 @@ impl<'t> AnalysisSession<'t> {
         if self.segmentation.is_none() {
             return Err(PipelineError::MissingSegmentation);
         }
-        let store = self.collect_store_cached(self.config.min_segment_len);
-        let n = store.segments.len();
-        if n < 4 {
-            return Err(PipelineError::TooFewSegments { n });
-        }
-        self.store = Some(store);
-        Ok(())
+        self.staged(Stage::Dedup, |s| {
+            let store = s.collect_store_cached(s.config.min_segment_len);
+            let n = store.segments.len();
+            if n < 4 {
+                return Err(PipelineError::TooFewSegments { n });
+            }
+            s.store = Some(store);
+            Ok(())
+        })
     }
 
     fn ensure_dissim(&mut self) -> Result<(), PipelineError> {
@@ -944,27 +998,27 @@ impl<'t> AnalysisSession<'t> {
             return Ok(());
         }
         self.ensure_store()?;
-        // Structure-aware kernel build (LUT + early-abandon windows +
-        // length buckets); bit-identical to the naive closure build,
-        // pinned by tests/session_equivalence.rs — as are the cache's
-        // warm and incremental paths, and the tiled build.
-        let (artifact, knn) = {
-            let store = self.store.as_ref().expect("ensured");
-            let values: Vec<&[u8]> = store.segments.iter().map(|s| &s.value[..]).collect();
-            match self.config.tiled_rows(values.len()) {
+        self.staged(Stage::Matrix, |s| {
+            // Structure-aware kernel build (LUT + early-abandon windows +
+            // length buckets); bit-identical to the naive closure build,
+            // pinned by tests/session_equivalence.rs — as are the cache's
+            // warm and incremental paths, and the tiled build.
+            let store = s.store.as_ref().expect("ensured");
+            let values: Vec<&[u8]> = store.segments.iter().map(|seg| &seg.value[..]).collect();
+            let (artifact, knn) = match s.config.tiled_rows(values.len()) {
                 Some(tile_rows) => {
-                    let (artifact, knn) = self.build_dissim_tiled(&values, tile_rows);
+                    let (artifact, knn) = s.build_dissim_tiled(&values, tile_rows);
                     (artifact, Some(knn))
                 }
-                None => (self.build_dissim_monolithic(&values), None),
+                None => (s.build_dissim_monolithic(&values), None),
+            };
+            s.dissim = Some(artifact);
+            // A table any backend already built is the same table.
+            if s.knn.is_none() {
+                s.knn = knn;
             }
-        };
-        self.dissim = Some(artifact);
-        // A table any backend already built is the same table.
-        if self.knn.is_none() {
-            self.knn = knn;
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     fn ensure_selection(&mut self) -> Result<(), PipelineError> {
@@ -973,64 +1027,67 @@ impl<'t> AnalysisSession<'t> {
             return Ok(());
         }
         self.ensure_store()?;
-        let sel_key = self.stage_key(Kind::SELECTION);
-        if let (Some(cache), Some(key)) = (self.cache.as_ref(), &sel_key) {
-            if let Some(sel) = cache.get::<SelectionArtifact>(key) {
-                self.selection = Some((sel.params, sel.source));
-                return Ok(());
-            }
-        }
-        self.ensure_neighbors()?;
-        self.ensure_knn();
-        // The matrix covers *unique* values; clustering must behave as
-        // if every duplicate segment were present, so occurrence counts
-        // act as DBSCAN sample weights and min_samples is sized by the
-        // trace's segment count (paper: "setting it to ln n", with n
-        // the number of segments).
-        let store = self.store.as_ref().expect("ensured");
-        let weights = store.occurrence_counts();
-        let total_instances: usize = weights.iter().sum();
-        let min_samples = ((total_instances as f64).ln().round() as usize).max(2);
-        let n = weights.len();
-        // Every backend selects ε from the session's one k-NN table. The
-        // fallback mean comes from the matrix where one exists, else
-        // from a pairwise kernel pass — pinned bit-identical.
-        let table = self.knn.as_ref().expect("ensured");
-        let selection = auto_configure(table, &self.config.autoconf);
-        let fallback_mean = selection
-            .is_err()
-            .then(|| match &self.dissim {
-                Some(artifact) => artifact.matrix().mean(),
-                None => {
-                    let values: Vec<&[u8]> = store.segments.iter().map(|s| &s.value[..]).collect();
-                    let pairs = n * n.saturating_sub(1) / 2;
-                    self.neighbor_counters.add_kernel_evals(pairs as u64);
-                    pairwise_mean(&values, &self.config.dissim)
+        self.staged(Stage::Autoconf, |s| {
+            let sel_key = s.stage_key(Kind::SELECTION);
+            if let (Some(cache), Some(key)) = (s.cache.as_ref(), &sel_key) {
+                if let Some(sel) = cache.get::<SelectionArtifact>(key) {
+                    s.selection = Some((sel.params, sel.source));
+                    return Ok(());
                 }
-            })
-            .flatten();
-        let (mut selected, source) = match selection {
-            Ok(p) => (p, EpsilonSource::Knee),
-            Err(AutoConfError::TooFewSegments { n }) => {
-                return Err(PipelineError::TooFewSegments { n })
             }
-            Err(_) => (
-                self.config.mean_fallback(fallback_mean, n),
-                EpsilonSource::MeanFallback,
-            ),
-        };
-        selected.min_samples = min_samples;
-        if let (Some(cache), Some(key)) = (self.cache.as_ref(), &sel_key) {
-            cache.put(
-                key,
-                &SelectionArtifact {
-                    params: selected.clone(),
-                    source,
-                },
-            );
-        }
-        self.selection = Some((selected, source));
-        Ok(())
+            s.ensure_neighbors()?;
+            s.ensure_knn();
+            // The matrix covers *unique* values; clustering must behave
+            // as if every duplicate segment were present, so occurrence
+            // counts act as DBSCAN sample weights and min_samples is
+            // sized by the trace's segment count (paper: "setting it to
+            // ln n", with n the number of segments).
+            let store = s.store.as_ref().expect("ensured");
+            let weights = store.occurrence_counts();
+            let total_instances: usize = weights.iter().sum();
+            let min_samples = ((total_instances as f64).ln().round() as usize).max(2);
+            let n = weights.len();
+            // Every backend selects ε from the session's one k-NN table.
+            // The fallback mean comes from the matrix where one exists,
+            // else from a pairwise kernel pass — pinned bit-identical.
+            let table = s.knn.as_ref().expect("ensured");
+            let selection = auto_configure(table, &s.config.autoconf);
+            let fallback_mean = selection
+                .is_err()
+                .then(|| match &s.dissim {
+                    Some(artifact) => artifact.matrix().mean(),
+                    None => {
+                        let values: Vec<&[u8]> =
+                            store.segments.iter().map(|seg| &seg.value[..]).collect();
+                        let pairs = n * n.saturating_sub(1) / 2;
+                        s.neighbor_counters.add_kernel_evals(pairs as u64);
+                        pairwise_mean(&values, &s.config.dissim)
+                    }
+                })
+                .flatten();
+            let (mut selected, source) = match selection {
+                Ok(p) => (p, EpsilonSource::Knee),
+                Err(AutoConfError::TooFewSegments { n }) => {
+                    return Err(PipelineError::TooFewSegments { n })
+                }
+                Err(_) => (
+                    s.config.mean_fallback(fallback_mean, n),
+                    EpsilonSource::MeanFallback,
+                ),
+            };
+            selected.min_samples = min_samples;
+            if let (Some(cache), Some(key)) = (s.cache.as_ref(), &sel_key) {
+                cache.put(
+                    key,
+                    &SelectionArtifact {
+                        params: selected.clone(),
+                        source,
+                    },
+                );
+            }
+            s.selection = Some((selected, source));
+            Ok(())
+        })
     }
 
     fn ensure_clustering(&mut self) -> Result<(), PipelineError> {
@@ -1039,45 +1096,47 @@ impl<'t> AnalysisSession<'t> {
             return Ok(());
         }
         self.ensure_store()?;
-        let stage_key = self.stage_key(Kind::CLUSTER_STAGE);
-        if let (Some(cache), Some(key)) = (self.cache.as_ref(), &stage_key) {
-            let n = self.store.as_ref().expect("ensured").segments.len();
-            if let Some(stage) = cache.get::<ClusterStageArtifact>(key) {
-                // Shape check on top of the content key: the labels
-                // must cover exactly this segment set.
-                if stage.clustering.len() == n {
-                    self.selection = Some((stage.params, stage.source));
-                    self.clustering = Some(stage.clustering);
-                    return Ok(());
+        self.staged(Stage::Cluster, |s| {
+            let stage_key = s.stage_key(Kind::CLUSTER_STAGE);
+            if let (Some(cache), Some(key)) = (s.cache.as_ref(), &stage_key) {
+                let n = s.store.as_ref().expect("ensured").segments.len();
+                if let Some(stage) = cache.get::<ClusterStageArtifact>(key) {
+                    // Shape check on top of the content key: the labels
+                    // must cover exactly this segment set.
+                    if stage.clustering.len() == n {
+                        s.selection = Some((stage.params, stage.source));
+                        s.clustering = Some(stage.clustering);
+                        return Ok(());
+                    }
                 }
             }
-        }
-        self.ensure_selection()?;
-        self.ensure_neighbors()?;
-        // Selection normally built the table; a cached selection did
-        // not, and the trimmed rerun may read it.
-        self.ensure_knn();
-        let weights = self.store.as_ref().expect("ensured").occurrence_counts();
-        let (selected, _) = self.selection.clone().expect("ensured");
-        let knn = self.knn.as_ref().expect("ensured");
-        let (clustering, reselected) =
-            self.with_provider(|p| cluster_and_reselect(&self.config, p, knn, &selected, &weights));
-        if let Some(sel) = reselected {
-            self.selection = Some(sel);
-        }
-        if let (Some(cache), Some(key)) = (self.cache.as_ref(), &stage_key) {
-            let (params, source) = self.selection.as_ref().expect("ensured");
-            cache.put(
-                key,
-                &ClusterStageArtifact {
-                    params: params.clone(),
-                    source: *source,
-                    clustering: clustering.clone(),
-                },
-            );
-        }
-        self.clustering = Some(clustering);
-        Ok(())
+            s.ensure_selection()?;
+            s.ensure_neighbors()?;
+            // Selection normally built the table; a cached selection did
+            // not, and the trimmed rerun may read it.
+            s.ensure_knn();
+            let weights = s.store.as_ref().expect("ensured").occurrence_counts();
+            let (selected, _) = s.selection.clone().expect("ensured");
+            let knn = s.knn.as_ref().expect("ensured");
+            let (clustering, reselected) =
+                s.with_provider(|p| cluster_and_reselect(&s.config, p, knn, &selected, &weights));
+            if let Some(sel) = reselected {
+                s.selection = Some(sel);
+            }
+            if let (Some(cache), Some(key)) = (s.cache.as_ref(), &stage_key) {
+                let (params, source) = s.selection.as_ref().expect("ensured");
+                cache.put(
+                    key,
+                    &ClusterStageArtifact {
+                        params: params.clone(),
+                        source: *source,
+                        clustering: clustering.clone(),
+                    },
+                );
+            }
+            s.clustering = Some(clustering);
+            Ok(())
+        })
     }
 
     fn ensure_refined(&mut self) -> Result<(), PipelineError> {
@@ -1086,30 +1145,32 @@ impl<'t> AnalysisSession<'t> {
             return Ok(());
         }
         self.ensure_clustering()?;
-        let refined_key = self.stage_key(Kind::REFINED);
-        if let (Some(cache), Some(key)) = (self.cache.as_ref(), &refined_key) {
-            let n = self.clustering.as_ref().expect("ensured").len();
-            if let Some(RefinedArtifact(refined)) = cache.get::<RefinedArtifact>(key) {
-                if refined.len() == n {
-                    self.refined = Some(refined);
-                    return Ok(());
+        self.staged(Stage::Refine, |s| {
+            let refined_key = s.stage_key(Kind::REFINED);
+            if let (Some(cache), Some(key)) = (s.cache.as_ref(), &refined_key) {
+                let n = s.clustering.as_ref().expect("ensured").len();
+                if let Some(RefinedArtifact(refined)) = cache.get::<RefinedArtifact>(key) {
+                    if refined.len() == n {
+                        s.refined = Some(refined);
+                        return Ok(());
+                    }
                 }
             }
-        }
-        // The clustering stage may have been a cache hit that loaded no
-        // neighbor structure; refinement itself needs one.
-        self.ensure_neighbors()?;
-        let weights = self.store.as_ref().expect("ensured").occurrence_counts();
-        let clustering = self.clustering.as_ref().expect("ensured");
-        let merged = self.with_provider(|p| {
-            merge_clusters(clustering, p, &self.config.refine, self.config.threads)
-        });
-        let refined = split_clusters(&merged, &weights, &self.config.refine);
-        if let (Some(cache), Some(key)) = (self.cache.as_ref(), &refined_key) {
-            cache.put(key, &RefinedArtifact(refined.clone()));
-        }
-        self.refined = Some(refined);
-        Ok(())
+            // The clustering stage may have been a cache hit that loaded
+            // no neighbor structure; refinement itself needs one.
+            s.ensure_neighbors()?;
+            let weights = s.store.as_ref().expect("ensured").occurrence_counts();
+            let clustering = s.clustering.as_ref().expect("ensured");
+            let merged = s.with_provider(|p| {
+                merge_clusters(clustering, p, &s.config.refine, s.config.threads)
+            });
+            let refined = split_clusters(&merged, &weights, &s.config.refine);
+            if let (Some(cache), Some(key)) = (s.cache.as_ref(), &refined_key) {
+                cache.put(key, &RefinedArtifact(refined.clone()));
+            }
+            s.refined = Some(refined);
+            Ok(())
+        })
     }
 
     fn ensure_full_store(&mut self) -> Result<(), MessageTypeError> {

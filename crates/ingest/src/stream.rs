@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use fieldclust::report::standard_report;
 use fieldclust::session::AnalysisSession;
-use fieldclust::{ArtifactStore, FieldTypeClusterer, NeighborBackend};
+use fieldclust::{ArtifactStore, FieldTypeClusterer, StageRecord};
 use trace::{Message, Trace};
 
 use crate::drift::{ClusterSnapshot, DriftRecord, DriftTracker};
@@ -63,6 +63,8 @@ pub struct StreamSession {
     records: Vec<DriftRecord>,
     /// The last batch's warm session, kept for the final report.
     last: Option<AnalysisSession<'static>>,
+    /// The last batch's session stage record.
+    last_stages: StageRecord,
 }
 
 impl StreamSession {
@@ -81,6 +83,7 @@ impl StreamSession {
             fsm_tracker: statemachine::FsmTracker::new(),
             records: Vec::new(),
             last: None,
+            last_stages: StageRecord::default(),
         }
     }
 
@@ -111,6 +114,11 @@ impl StreamSession {
     /// Number of batches analyzed so far.
     pub fn batches(&self) -> u64 {
         self.records.len() as u64
+    }
+
+    /// The last flushed batch's stage record (walls and counters).
+    pub fn last_stages(&self) -> &StageRecord {
+        &self.last_stages
     }
 
     /// Cumulative artifact-store statistics, when a store is attached.
@@ -152,50 +160,22 @@ impl StreamSession {
             return Ok(None);
         }
         let batch_start = Instant::now();
-        let mut walls: Vec<(String, u64)> = Vec::new();
-        let mut timed = |name: &str, start: Instant| {
-            walls.push((name.to_string(), start.elapsed().as_micros() as u64));
-        };
-
         let n_admitted = admitted.len() as u64;
-        let t = Instant::now();
+        // Preprocessing runs before the session exists, so it is the one
+        // stage timed here; the session records every other one.
         let raw = Trace::new("capture", admitted);
         let prepared = preprocess(&raw, &self.config.prepare)?;
-        timed("preprocess", t);
+        let preprocess_us = batch_start.elapsed().as_micros() as u64;
 
         let mut session = AnalysisSession::from_owned(prepared, self.config.clusterer.clone());
         if let Some(store) = &self.store {
             session.set_store(store.clone());
         }
-
-        let err = |e: fieldclust::PipelineError| e.to_string();
-        let t = Instant::now();
         let segmenter = build_segmenter(&self.config.segmenter)?;
         session
             .segment_with(segmenter.as_ref())
             .map_err(|e| format!("segmentation failed: {e}"))?;
-        timed("segment", t);
-        let t = Instant::now();
-        session.store().map_err(err)?;
-        timed("dedup", t);
-        // Same bucket split as the daemon: under the stratified backend
-        // no pairwise matrix exists, so that wall stays empty and the
-        // build cost lands under "neighbors".
-        let backend = session.resolved_neighbor_backend().map_err(err)?;
-        if backend != NeighborBackend::Stratified {
-            let t = Instant::now();
-            session.matrix().map_err(err)?;
-            timed("matrix", t);
-        }
-        let t = Instant::now();
-        session.ensure_neighbors().map_err(err)?;
-        timed("neighbors", t);
-        let t = Instant::now();
-        session.autoconf().map_err(err)?;
-        timed("autoconf", t);
-        let t = Instant::now();
-        let result = session.finish().map_err(err)?;
-        timed("cluster", t);
+        let result = session.finish().map_err(|e| e.to_string())?;
 
         // Optional state-machine drift: the machine rides on the
         // msgtype labels of the batch just clustered, so it is inferred
@@ -203,15 +183,20 @@ impl StreamSession {
         // compared by access-string signature against the previous
         // batch's machine.
         let fsm = if self.config.fsm {
-            let t = Instant::now();
             let machine = session
                 .state_machine(&fieldclust::StateMachineConfig::default())
                 .map_err(|e| format!("state machine inference failed: {e}"))?;
-            timed("fsm", t);
             Some(self.fsm_tracker.observe(&machine))
         } else {
             None
         };
+        let stages = session.take_stage_record();
+        let mut walls = vec![("preprocess".to_string(), preprocess_us)];
+        walls.extend(
+            stages
+                .iter()
+                .map(|(stage, t)| (stage.name().to_string(), t.wall_ns / 1_000)),
+        );
 
         let delta = self.tracker.observe(ClusterSnapshot::from_result(&result));
         let stats = session.cache_stats();
@@ -230,6 +215,7 @@ impl StreamSession {
             fsm,
         };
         self.last = Some(session);
+        self.last_stages = stages;
         self.records.push(record.clone());
         self.pending = 0;
         Ok(Some(record))

@@ -53,7 +53,7 @@ use crate::wire::{read_frame, write_frame, WireError};
 use fieldclust::report::standard_report;
 use fieldclust::session::AnalysisSession;
 use fieldclust::{
-    ArtifactStore, CancelToken, FieldTypeClusterer, NeighborBackend, PipelineError,
+    ArtifactStore, CancelToken, FieldTypeClusterer, NeighborBackend, PipelineError, StageRecord,
     StateMachineConfig,
 };
 use std::collections::HashMap;
@@ -198,9 +198,6 @@ struct Counters {
     job_count: AtomicU64,
     session_evictions: AtomicU64,
     stream_batches: AtomicU64,
-    kernel_evals: AtomicU64,
-    pruned_candidates: AtomicU64,
-    strata_skipped: AtomicU64,
 }
 
 struct Shared {
@@ -209,7 +206,8 @@ struct Shared {
     addr: SocketAddr,
     core: Mutex<Core>,
     counters: Counters,
-    stage_wall: Mutex<Vec<(String, u64)>>,
+    /// Every job's session stage record, summed; `Stats` reads it.
+    stages: Mutex<StageRecord>,
     /// Jobs queued or running — the admission-controlled resource.
     outstanding: AtomicUsize,
     accepting: AtomicBool,
@@ -253,7 +251,7 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
             use_counter: 0,
         }),
         counters: Counters::default(),
-        stage_wall: Mutex::new(Vec::new()),
+        stages: Mutex::new(StageRecord::default()),
         outstanding: AtomicUsize::new(0),
         accepting: AtomicBool::new(true),
         shutdown_requested: AtomicBool::new(false),
@@ -632,38 +630,17 @@ fn infer_statemachine(
     segmenter: &str,
     deadline_ms: u64,
 ) -> Response {
-    let seg = match build_segmenter(segmenter) {
-        Ok(s) => s,
-        Err(message) => return Response::Error { message },
-    };
-    // Same checkout pattern as `run_job`: take the warm session (when
-    // its generation matches) or warm-start a fresh one on the store.
+    if let Err(message) = build_segmenter(segmenter) {
+        return Response::Error { message };
+    }
     let session_key = (trace_id, segmenter.to_string());
-    let (mut session, generation) = {
-        let mut core = shared.core.lock().expect("core lock");
-        let checked_out = core.sessions.remove(&session_key);
-        let Some(entry) = core.traces.get(&trace_id) else {
-            return Response::Error {
-                message: format!("unknown trace {trace_id}"),
-            };
+    let mut core = shared.core.lock().expect("core lock");
+    let checked_out = check_out_session(shared, &mut core, &session_key);
+    drop(core);
+    let Some((mut session, generation)) = checked_out else {
+        return Response::Error {
+            message: format!("unknown trace {trace_id}"),
         };
-        let generation = entry.generation;
-        let session = match checked_out {
-            Some(warm) if warm.generation == generation => warm.session,
-            _ => {
-                let mut config = FieldTypeClusterer::default();
-                if shared.config.threads > 0 {
-                    config.threads = shared.config.threads;
-                }
-                config.neighbor_backend = shared.config.neighbor_backend;
-                let mut s = AnalysisSession::from_owned(entry.prepared.clone(), config);
-                if let Some(store) = &shared.store {
-                    s.set_store(store.clone());
-                }
-                s
-            }
-        };
-        (session, generation)
     };
     let token = if deadline_ms > 0 {
         CancelToken::with_deadline(Instant::now() + Duration::from_millis(deadline_ms))
@@ -671,19 +648,13 @@ fn infer_statemachine(
         CancelToken::new()
     };
     session.set_cancel_token(token);
-    let result = if session.segmentation().is_none() {
-        session
-            .segment_with(seg.as_ref())
-            .map(|_| ())
-            .map_err(|e| format!("segmentation failed: {e}"))
-    } else {
-        Ok(())
-    }
-    .and_then(|()| {
+    let result = ensure_segmented(&mut session, segmenter).and_then(|()| {
         session
             .state_machine(&StateMachineConfig::default())
             .map_err(|e| e.to_string())
     });
+    let stages = session.take_stage_record();
+    shared.stages.lock().expect("stages lock").merge(&stages);
     // Check the session back in (unless the trace grew while we ran,
     // same staleness rule as `run_job`); even a failed inference keeps
     // its completed stage artifacts warm for the retry.
@@ -853,8 +824,8 @@ fn prune_job_history(core: &mut Core, history: usize) {
 }
 
 /// The analysis worker body: check out (or create) the warm session,
-/// drive the stages under per-stage timing, render the canonical
-/// report, check the session back in.
+/// render the canonical report, record the session's stages, check the
+/// session back in.
 fn run_job(
     shared: &Arc<Shared>,
     job_id: u64,
@@ -882,57 +853,29 @@ fn run_job(
             }
             _ => return,
         }
-        let checked_out = core.sessions.remove(&session_key);
-        let Some(entry) = core.traces.get(&trace_id) else {
-            drop(core);
-            finish_job(
-                shared,
-                job_id,
-                JobPhase::Failed(format!("unknown trace {trace_id}")),
-            );
-            return;
-        };
-        let generation = entry.generation;
-        // A parked session predating the trace's generation is stale
-        // (append_messages drops those, so this is belt-and-braces);
-        // otherwise warm-start a fresh one on the shared store.
-        let session = match checked_out {
-            Some(warm) if warm.generation == generation => warm.session,
-            _ => {
-                let mut config = FieldTypeClusterer::default();
-                if shared.config.threads > 0 {
-                    config.threads = shared.config.threads;
-                }
-                config.neighbor_backend = shared.config.neighbor_backend;
-                let mut s = AnalysisSession::from_owned(entry.prepared.clone(), config);
-                if let Some(store) = &shared.store {
-                    s.set_store(store.clone());
-                }
-                s
+        match check_out_session(shared, &mut core, &session_key) {
+            Some(checked_out) => checked_out,
+            None => {
+                drop(core);
+                finish_job(
+                    shared,
+                    job_id,
+                    JobPhase::Failed(format!("unknown trace {trace_id}")),
+                );
+                return;
             }
-        };
-        (session, generation)
+        }
     };
     if shared.config.worker_delay_ms > 0 {
         std::thread::sleep(Duration::from_millis(shared.config.worker_delay_ms));
     }
     session.set_cancel_token(token.clone());
-    let mut local_wall: Vec<(String, u64)> = Vec::new();
-    // Session counters are cumulative (warm sessions serve many jobs);
-    // the daemon totals accumulate per-job deltas.
-    let (evals0, pruned0, skipped0) = session.neighbor_counters();
-    let phase = drive_stages(shared, &mut session, segmenter, &mut local_wall);
-    let (evals1, pruned1, skipped1) = session.neighbor_counters();
-    let c = &shared.counters;
-    c.kernel_evals
-        .fetch_add(evals1.saturating_sub(evals0), Ordering::Relaxed);
-    c.pruned_candidates
-        .fetch_add(pruned1.saturating_sub(pruned0), Ordering::Relaxed);
-    c.strata_skipped
-        .fetch_add(skipped1.saturating_sub(skipped0), Ordering::Relaxed);
+    let phase = analyze(&mut session, segmenter);
+    let stages = session.take_stage_record();
+    shared.stages.lock().expect("stages lock").merge(&stages);
     // A streamed batch that produced a report also feeds the trace's
     // drift history: snapshot the clustering (cached — `finish` after
-    // `drive_stages` re-reads staged artifacts) and compare it to the
+    // the report re-reads staged artifacts) and compare it to the
     // previous batch's.
     if drift && matches!(phase, JobPhase::Done(_)) {
         if let Ok(result) = session.finish() {
@@ -949,9 +892,9 @@ fn run_job(
                     clusters: u64::from(result.clustering.n_clusters()),
                     noise: result.clustering.noise().len() as u64,
                     delta,
-                    stage_walls_us: local_wall
+                    stage_walls_us: stages
                         .iter()
-                        .map(|(name, ns)| (name.clone(), ns / 1_000))
+                        .map(|(stage, t)| (stage.name().to_string(), t.wall_ns / 1_000))
                         .collect(),
                     wall_us: started.elapsed().as_micros() as u64,
                     store_hits: store_stats.as_ref().map_or(0, |s| s.hits),
@@ -1019,90 +962,63 @@ fn check_in_session(
     }
 }
 
-/// Runs each pipeline stage under its own wall-time bucket, then the
-/// shared canonical report (which re-uses every staged artifact).
-/// Returns the job's terminal phase.
-fn drive_stages(
-    shared: &Arc<Shared>,
-    session: &mut AnalysisSession<'static>,
-    segmenter: &str,
-    local_wall: &mut Vec<(String, u64)>,
-) -> JobPhase {
-    // Each stage lands in two buckets: the daemon-wide cumulative wall
-    // (served by `Stats`) and the caller's per-job vector (drift
-    // records need this batch's walls, not the lifetime totals).
-    let mut timed = |name: &str, elapsed: Duration| {
-        let ns = elapsed.as_nanos() as u64;
-        local_wall.push((name.to_string(), ns));
-        let mut wall = shared.stage_wall.lock().expect("stage wall lock");
-        match wall.iter_mut().find(|(s, _)| s == name) {
-            Some((_, total)) => *total += ns,
-            None => wall.push((name.to_string(), ns)),
+/// Checks out the session of `session_key` (trace, segmenter): the
+/// parked warm one when it was built against the trace's current
+/// generation, else a fresh one warm-started on the shared store.
+/// Returns it with that generation, or `None` for an unknown trace.
+fn check_out_session(
+    shared: &Shared,
+    core: &mut Core,
+    session_key: &(u64, String),
+) -> Option<(AnalysisSession<'static>, u64)> {
+    let checked_out = core.sessions.remove(session_key);
+    let entry = core.traces.get(&session_key.0)?;
+    let generation = entry.generation;
+    // A parked session predating the trace's generation is stale
+    // (append_messages drops those, so this is belt-and-braces).
+    let session = match checked_out {
+        Some(warm) if warm.generation == generation => warm.session,
+        _ => {
+            let mut config = FieldTypeClusterer::default();
+            if shared.config.threads > 0 {
+                config.threads = shared.config.threads;
+            }
+            config.neighbor_backend = shared.config.neighbor_backend;
+            let mut s = AnalysisSession::from_owned(entry.prepared.clone(), config);
+            if let Some(store) = &shared.store {
+                s.set_store(store.clone());
+            }
+            s
         }
     };
-    let phase_of = |e: PipelineError| match e {
-        PipelineError::Cancelled => JobPhase::Cancelled,
-        other => JobPhase::Failed(other.to_string()),
-    };
+    Some((session, generation))
+}
+
+/// Segments the session's trace with `segmenter` unless it already is.
+fn ensure_segmented(session: &mut AnalysisSession<'static>, segmenter: &str) -> Result<(), String> {
     if session.segmentation().is_none() {
-        let seg = match build_segmenter(segmenter) {
-            Ok(s) => s,
-            Err(message) => return JobPhase::Failed(message),
-        };
-        let t = Instant::now();
-        if let Err(e) = session.segment_with(seg.as_ref()) {
-            return JobPhase::Failed(format!("segmentation failed: {e}"));
-        }
-        timed("segment", t.elapsed());
+        let seg = build_segmenter(segmenter)?;
+        session
+            .segment_with(seg.as_ref())
+            .map_err(|e| format!("segmentation failed: {e}"))?;
     }
-    // Cancellation is polled at each of these stage boundaries.
-    let t = Instant::now();
-    if let Err(e) = session.store().map(|_| ()) {
-        return phase_of(e);
+    Ok(())
+}
+
+/// Segments the trace if needed, then renders the shared canonical
+/// report, which runs every missing stage and reuses every cached one.
+/// Returns the job's terminal phase.
+fn analyze(session: &mut AnalysisSession<'static>, segmenter: &str) -> JobPhase {
+    if let Err(message) = ensure_segmented(session, segmenter) {
+        return JobPhase::Failed(message);
     }
-    timed("dedup", t.elapsed());
-    // The matrix and neighbor builds get separate wall buckets: the
-    // matrix stage is the O(u²) pairwise build, the neighbors stage the
-    // backend's query structure (k-NN table sweep or stratified
-    // per-length forests). Under the stratified backend no matrix
-    // exists, so that bucket stays untouched and the whole build cost
-    // lands under "neighbors".
-    let backend = match session.resolved_neighbor_backend() {
-        Ok(b) => b,
-        Err(e) => return phase_of(e),
-    };
-    if backend != NeighborBackend::Stratified {
-        let t = Instant::now();
-        if let Err(e) = session.matrix().map(|_| ()) {
-            return phase_of(e);
-        }
-        timed("matrix", t.elapsed());
-    }
-    let t = Instant::now();
-    if let Err(e) = session.ensure_neighbors() {
-        return phase_of(e);
-    }
-    timed("neighbors", t.elapsed());
-    let t = Instant::now();
-    if let Err(e) = session.autoconf().map(|_| ()) {
-        return phase_of(e);
-    }
-    timed("autoconf", t.elapsed());
-    let t = Instant::now();
-    if let Err(e) = session.refine().map(|_| ()) {
-        return phase_of(e);
-    }
-    timed("cluster", t.elapsed());
-    let t = Instant::now();
     // The trace is cloned out so the report borrows don't fight the
     // session's `&mut` receiver methods.
     let trace = session.trace().clone();
     match standard_report(&trace, session) {
-        Ok(report) => {
-            timed("report", t.elapsed());
-            JobPhase::Done(report)
-        }
-        Err(e) => phase_of(e),
+        Ok(report) => JobPhase::Done(report),
+        Err(PipelineError::Cancelled) => JobPhase::Cancelled,
+        Err(e) => JobPhase::Failed(e.to_string()),
     }
 }
 
@@ -1178,6 +1094,8 @@ fn stats(shared: &Arc<Shared>) -> ServerStats {
         .as_ref()
         .map(|store| store.stats())
         .unwrap_or_default();
+    let stages = *shared.stages.lock().expect("stages lock");
+    let totals = stages.total();
     ServerStats {
         jobs_accepted: shared.counters.accepted.load(Ordering::Relaxed),
         jobs_rejected: shared.counters.rejected.load(Ordering::Relaxed),
@@ -1196,10 +1114,13 @@ fn stats(shared: &Arc<Shared>) -> ServerStats {
         session_capacity: shared.config.sessions.max(1) as u64,
         session_evictions: shared.counters.session_evictions.load(Ordering::Relaxed),
         stream_batches: shared.counters.stream_batches.load(Ordering::Relaxed),
-        kernel_evals: shared.counters.kernel_evals.load(Ordering::Relaxed),
-        pruned_candidates: shared.counters.pruned_candidates.load(Ordering::Relaxed),
-        strata_skipped: shared.counters.strata_skipped.load(Ordering::Relaxed),
-        stage_wall_ns: shared.stage_wall.lock().expect("stage wall lock").clone(),
+        kernel_evals: totals.kernel_evals,
+        pruned_candidates: totals.pruned,
+        strata_skipped: totals.strata_skipped,
+        stage_wall_ns: stages
+            .iter()
+            .map(|(stage, t)| (stage.name().to_string(), t.wall_ns))
+            .collect(),
     }
 }
 
@@ -1215,4 +1136,94 @@ fn shutdown(shared: &Arc<Shared>) -> Response {
 fn trigger_shutdown(shared: &Arc<Shared>) {
     shared.shutdown_requested.store(true, Ordering::Release);
     let _ = TcpStream::connect(shared.addr);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use protocols::{corpus, Protocol};
+
+    /// A store-less daemon's shared state holding one trace (id 1).
+    fn shared_with(config: ServerConfig, trace: Trace) -> Shared {
+        let mut traces = HashMap::new();
+        traces.insert(
+            1,
+            TraceEntry {
+                raw: trace.clone(),
+                opts: PrepareOpts::default(),
+                prepared: trace,
+                generation: 0,
+                drift: ingest::DriftTracker::new(),
+                drift_history: Vec::new(),
+            },
+        );
+        Shared {
+            pool: parkit::Pool::new(1),
+            config,
+            addr: "127.0.0.1:0".parse().unwrap(),
+            core: Mutex::new(Core {
+                traces,
+                sessions: HashMap::new(),
+                jobs: HashMap::new(),
+                streams: HashMap::new(),
+                next_trace_id: 2,
+                next_job_id: 1,
+                next_stream_id: 1,
+                use_counter: 0,
+            }),
+            counters: Counters::default(),
+            stages: Mutex::new(StageRecord::default()),
+            outstanding: AtomicUsize::new(0),
+            accepting: AtomicBool::new(true),
+            shutdown_requested: AtomicBool::new(false),
+            store: None,
+        }
+    }
+
+    /// A job's checked-out session records exactly what an in-process
+    /// session running the canonical report records: the same stages in
+    /// the same order with the same counters (walls aside), on the
+    /// stratified (NEMESYS) and the matrix (fixed-width) backend, at
+    /// every thread count.
+    #[test]
+    fn job_stages_match_an_in_process_report() {
+        let trace = corpus::build_trace(Protocol::Ntp, 60, 17);
+        for segmenter in ["nemesys", "fixed"] {
+            let mut reference = None;
+            for threads in [1, 2, 4] {
+                let config = ServerConfig {
+                    threads,
+                    ..ServerConfig::default()
+                };
+                let shared = shared_with(config, trace.clone());
+                let key = (1, segmenter.to_string());
+                let checked_out =
+                    check_out_session(&shared, &mut shared.core.lock().unwrap(), &key);
+                let (mut job, _) = checked_out.expect("trace 1 exists");
+                assert!(matches!(analyze(&mut job, segmenter), JobPhase::Done(_)));
+                let job_stages = counters(&job.take_stage_record());
+
+                let mut local = AnalysisSession::new(
+                    &trace,
+                    FieldTypeClusterer {
+                        threads,
+                        ..FieldTypeClusterer::default()
+                    },
+                );
+                let seg = build_segmenter(segmenter).unwrap();
+                local.segment_with(seg.as_ref()).unwrap();
+                standard_report(&trace, &mut local).unwrap();
+                assert_eq!(job_stages, counters(&local.take_stage_record()));
+                let reference = reference.get_or_insert_with(|| job_stages.clone());
+                assert_eq!(&job_stages, reference, "{segmenter}: threads {threads}");
+            }
+        }
+    }
+
+    fn counters(record: &StageRecord) -> Vec<(&'static str, u64, u64, u64)> {
+        record
+            .iter()
+            .map(|(s, t)| (s.name(), t.kernel_evals, t.pruned, t.strata_skipped))
+            .collect()
+    }
 }

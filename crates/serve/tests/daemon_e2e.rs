@@ -819,3 +819,72 @@ fn deadline_cancels_a_job_cooperatively() {
     client.shutdown().expect("shutdown");
     handle.wait();
 }
+
+/// A warm re-query stays warm: on a store-attached daemon, Analyze,
+/// then InferStateMachine, then Analyze again on the same trace. The
+/// parked session serves both later requests, so no field-clustering
+/// stage runs again: their `Stats` walls and the kernel-evaluation
+/// total do not move, and the second report is byte-identical.
+#[test]
+fn warm_requery_reruns_no_clustering_stage() {
+    let cache = temp_dir("requery");
+    let handle = start(ServerConfig {
+        cache_dir: Some(cache.to_string_lossy().into_owned()),
+        ..ServerConfig::default()
+    })
+    .expect("start daemon");
+    let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
+    let bytes = capture_bytes(Protocol::Ntp, 40, 71);
+    let (trace_id, _) = client
+        .submit_trace("ntp", bytes, None, None, false)
+        .expect("submit");
+    let analyze = |client: &mut Client| {
+        let job = client.analyze(trace_id, "nemesys", 0).expect("analyze");
+        match client
+            .wait_for(job, Duration::from_millis(10))
+            .expect("wait")
+        {
+            JobState::Done { report } => report,
+            other => panic!("expected Done, got {other:?}"),
+        }
+    };
+    let clustering_walls = |stats: &serve::ServerStats| -> Vec<(String, u64)> {
+        let stages = ["matrix", "neighbors", "autoconf", "cluster", "refine"];
+        stats
+            .stage_wall_ns
+            .iter()
+            .filter(|(s, _)| stages.contains(&s.as_str()))
+            .cloned()
+            .collect()
+    };
+
+    let first = analyze(&mut client);
+    let before = client.stats().expect("stats after the first analysis");
+    let walls = clustering_walls(&before);
+    for stage in ["neighbors", "autoconf", "cluster", "refine"] {
+        assert!(
+            walls.iter().any(|(s, _)| s == stage),
+            "{stage} ran in the first analysis"
+        );
+    }
+    let machine = client
+        .infer_statemachine(trace_id, "nemesys", 0)
+        .expect("state machine");
+    assert!(machine.states >= 1);
+    let second = analyze(&mut client);
+    let after = client.stats().expect("stats after the second analysis");
+
+    assert_eq!(second, first, "the warm report is byte-identical");
+    assert_eq!(clustering_walls(&after), walls, "no clustering stage reran");
+    assert_eq!(after.kernel_evals, before.kernel_evals);
+    for stage in ["msgtype", "fsm", "report"] {
+        assert!(
+            after.stage_wall_ns.iter().any(|(s, _)| s == stage),
+            "{stage} is timed"
+        );
+    }
+
+    client.shutdown().expect("shutdown");
+    handle.wait();
+    let _ = std::fs::remove_dir_all(&cache);
+}

@@ -561,7 +561,9 @@ mod tests {
     #[test]
     fn dissim_artifact_roundtrip_with_and_without_neighbors() {
         let pts = [3.0f64, 1.0, 4.0, 1.5];
-        let a = DissimArtifact::compute(pts.len(), 1, |i, j| (pts[i] - pts[j]).abs());
+        let a = DissimArtifact::from_matrix(CondensedMatrix::build(pts.len(), |i, j| {
+            (pts[i] - pts[j]).abs()
+        }));
         let payload = encode_payload(&a);
         assert_eq!(decode_payload::<DissimArtifact>(&payload), Some(a.clone()));
         // The retired layout with an attached neighbor index (tag 1 and

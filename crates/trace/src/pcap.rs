@@ -117,11 +117,16 @@ pub fn read<R: Read>(mut r: R, name: &str) -> Result<Trace, TraceError> {
                 context: "pcap record length",
             });
         }
-        let mut frame = vec![0u8; incl_len];
-        r.read_exact(&mut frame)
-            .map_err(|_| TraceError::Truncated {
+        // Read through `take` so the buffer grows with the bytes actually
+        // present, not with what a (possibly lying) header claims: only
+        // a snaplen's worth is reserved up front.
+        let mut frame = Vec::with_capacity(incl_len.min(0x1_0000));
+        (&mut r).take(incl_len as u64).read_to_end(&mut frame)?;
+        if frame.len() < incl_len {
+            return Err(TraceError::Truncated {
                 context: "pcap record body",
-            })?;
+            });
+        }
 
         match decode_frame(&frame) {
             Ok(d) => {
@@ -192,6 +197,23 @@ mod tests {
                 mk(b"link payload", 3_999_999, Transport::Link),
             ],
         )
+    }
+
+    #[test]
+    fn lying_record_length_is_truncated_without_allocating_it() {
+        // A valid global header and one record header claiming a 64 MiB
+        // body over only 10 bytes.
+        let mut img = write_to_vec(&Trace::new("empty", Vec::new())).unwrap();
+        img.extend_from_slice(&[0u8; 8]);
+        img.extend_from_slice(&0x400_0000u32.to_le_bytes());
+        img.extend_from_slice(&0x400_0000u32.to_le_bytes());
+        img.extend_from_slice(&[0xAB; 10]);
+        assert!(matches!(
+            read_from_slice(&img, "lying"),
+            Err(TraceError::Truncated {
+                context: "pcap record body"
+            })
+        ));
     }
 
     #[test]

@@ -97,6 +97,19 @@ for t in 1 4; do
 done
 cmp "$tmp/stratified-t1.md" "$tmp/stratified-t4.md"
 cmp "$tmp/stratified-t1.counters" "$tmp/stratified-t4.counters"
+# The session's stage record: the same stages in the same order with the
+# same per-stage counters at 1, 2 and 4 threads (walls excluded).
+cargo run --release -q -p cli -- analyze "$tmp/smoke.pcap" --neighbor-backend stratified \
+    --threads 2 --report "$tmp/stratified-t2.md" 2>"$tmp/stratified-t2.err"
+cmp "$tmp/stratified-t1.md" "$tmp/stratified-t2.md"
+for t in 1 2 4; do
+    sed -nE 's/^stage ([a-z]+): wall=[0-9.]+s (kernel_evals=[0-9]+ pruned=[0-9]+ strata_skipped=[0-9]+)$/\1 \2/p' \
+        "$tmp/stratified-t$t.err" >"$tmp/stratified-t$t.stages"
+    grep -Eq '^cluster kernel_evals=[1-9]' "$tmp/stratified-t$t.stages"
+    grep -q '^report ' "$tmp/stratified-t$t.stages"
+done
+cmp "$tmp/stratified-t1.stages" "$tmp/stratified-t2.stages"
+cmp "$tmp/stratified-t1.stages" "$tmp/stratified-t4.stages"
 echo "stratified smoke test: reports and neighbor counters at 1 and 4 threads are identical"
 
 # Refinement smoke test: NEMESYS segments of a 170-message SMB capture
@@ -222,6 +235,7 @@ if [ "$drift_records" -lt 3 ]; then
     exit 1
 fi
 grep -q '"batch":0' "$tmp/drift.jsonl"
+grep -q '"refine":' "$tmp/drift.jsonl"
 cargo run --release -q -p cli -- generate ntp 120 "$tmp/full.pcap" --seed 31
 cargo run --release -q -p cli -- analyze "$tmp/full.pcap" --report "$tmp/oneshot.md"
 cmp "$tmp/follow.md" "$tmp/oneshot.md"
