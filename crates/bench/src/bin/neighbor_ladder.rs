@@ -59,9 +59,10 @@
 //! DBSCAN wall and kernel evaluations (counted through a provider
 //! wrapped with query counters, in a second, untimed run), the refine
 //! wall, the merge rounds, the pair evaluations (counted by a wrapping
-//! provider in a second, untimed run), the number `K` of clusters
-//! entering refinement and the
-//! `K² × 16`-byte size of a per-pair link table, and appends
+//! provider in a second, untimed run; merge refinement reads each of
+//! the `N(N−1)/2` member pairs once), the number `K` of clusters and
+//! `N` of members entering refinement and the size of its link table
+//! (`K² × 16` bytes of links, `K(K−1)/2 × 32` of cross sums), and appends
 //! `neighbor_ladder_mixed_u{u}_dbscan` / `…_refine` records.
 //!
 //! Run with:
@@ -465,7 +466,7 @@ fn run_refine_rung(
         refine_wall.as_secs_f64() * 1e3,
         merged.n_clusters(),
         counting.pairs.load(Ordering::Relaxed),
-        k * k * 16,
+        k * k * 16 + k * k.saturating_sub(1) / 2 * 32,
         bench::peak_rss_bytes()
     );
 }

@@ -36,6 +36,7 @@
 
 pub mod autoconf;
 pub mod dbscan;
+mod exact;
 pub mod hdbscan;
 pub mod optics;
 pub mod refine;

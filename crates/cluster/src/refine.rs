@@ -12,6 +12,7 @@
 //! counts are extremely polarized.
 
 use crate::dbscan::{Clustering, Label};
+use crate::exact::ExactSum;
 use dissim::NeighborProvider;
 use mathkit::stats;
 
@@ -49,35 +50,46 @@ impl Default for RefineParams {
 /// holds the same cluster-mates for every backend, and the density is
 /// their median dissimilarity, which is order-insensitive.
 ///
-/// **Incremental rounds.** Each cross-cluster member pair is evaluated
-/// at most once per call. Round 1 scans every pair of clusters (rows
-/// through [`NeighborProvider::pairs_from`]) and keeps both
-/// orientations of its link: the lexicographically first `(d, a, b)`
-/// minimum with `a` in the first cluster, and the one with `a` in the
-/// second. A round decides the lower-id cluster's orientation, and ids
-/// follow the smallest member, which a merge can move past another
-/// cluster's. Later rounds scan nothing:
+/// **Incremental rounds.** Each member pair is evaluated exactly once
+/// per call: `N(N−1)/2` pairs for `N` members of clusters of two or
+/// more, whatever the number of rounds. Round 1 first folds every
+/// cluster's own pairs into its statistics, then scans every pair of
+/// clusters (rows through [`NeighborProvider::pairs_from`]) and keeps
+/// both orientations of its link: the lexicographically first
+/// `(d, a, b)` minimum with `a` in the first cluster, and the one with
+/// `a` in the second. A round decides the lower-id cluster's
+/// orientation, and ids follow the smallest member, which a merge can
+/// move past another cluster's. Later rounds evaluate no pair:
 ///
 /// - a merged cluster's link to another cluster is the minimum of its
 ///   parts' links in the same orientation (a minimum over a union is
 ///   the minimum of the minima), so it equals the nested scan's;
-/// - a cluster whose members did not change keeps its statistics; a
-///   merged one recomputes them in the nested member order, so its
-///   mean is the same float sum;
+/// - a merged cluster's statistics fold from its parts': the exact sum
+///   and maximum of its pairs are its parts' own plus the scan's cross
+///   sums and maxima between them, and a member's nearest mate is its
+///   own part's, lowered by any other part whose nearest member the
+///   scan found closer. The mean is the correctly rounded exact sum
+///   over the pair count, so it does not depend on the order pairs were
+///   summed in; the extent and `minmed` are a maximum and a median of
+///   minima, order-free already;
 /// - only pairs with a merged side are decided. A pair of unchanged
 ///   clusters was decided "no merge" last round on the same inputs.
 ///
 /// Clusters of one member have no intra-cluster mean and never merge,
 /// so they take no part. The result equals re-deciding every pair each
-/// round on freshly compacted labels (pinned against that per-round
-/// oracle in the tests below).
+/// round on freshly compacted labels and freshly computed statistics
+/// (pinned against that per-round oracle in the tests below).
 ///
-/// Statistics, round-1 links and merge decisions are computed on
-/// `threads` workers, each into its own slot ([`parkit::map_indexed`])
-/// and folded in a fixed order, so the result — and the queries issued,
-/// hence a counting provider's totals — is the same for any thread
-/// count. The link table takes `K² × 16` bytes for `K` clusters of two
-/// or more members.
+/// Round 1's statistics and link scan and every round's merge
+/// decisions run on `threads` workers, each into its own slot
+/// ([`parkit::map_indexed`]) and folded in a fixed order, so the result
+/// — and the queries issued, hence a counting provider's totals — is
+/// the same for any thread count. For `K` clusters of two or more
+/// members the link table takes `K² × 16` bytes of links and
+/// `K(K−1)/2` cross sums of 32 bytes; the per-member nearest-mate
+/// record takes 12 bytes per item plus 16 bytes per entry of a member
+/// whose nearest member in another cluster is closer than its own
+/// nearest mate.
 pub fn merge_clusters<P: NeighborProvider + Sync>(
     clustering: &Clustering,
     provider: &P,
@@ -106,23 +118,14 @@ pub fn merge_clusters<P: NeighborProvider + Sync>(
         .into_iter()
         .enumerate()
         .map(|(slot, members)| Live {
+            stats: links.stats(slot, &members, &owner),
             slot,
             members,
-            stats: ClusterStats::default(),
             fresh: true,
         })
         .collect();
 
     for _ in 0..params.max_merge_rounds {
-        let fresh: Vec<&[usize]> = live
-            .iter()
-            .filter(|c| c.fresh)
-            .map(|c| &c.members[..])
-            .collect();
-        let stats = compute_stats(&fresh, provider, threads);
-        for (c, s) in live.iter_mut().filter(|c| c.fresh).zip(stats) {
-            c.stats = s;
-        }
         let mut pairs: Vec<(u32, u32)> = Vec::new();
         for i in 0..live.len() {
             for j in (i + 1)..live.len() {
@@ -321,7 +324,8 @@ const NO_SLOT: u32 = u32::MAX;
 /// One cluster taking part in merging: its members (ascending), its
 /// link-table slot and statistics, and whether it is new this round
 /// (`fresh`: every cluster in round 1, then the ones a merge made),
-/// which means its statistics are still to be computed.
+/// which means its pairs with every other cluster are still to be
+/// decided.
 struct Live {
     slot: usize,
     members: Vec<usize>,
@@ -332,8 +336,8 @@ struct Live {
 /// Applies a round's unions: each component becomes one cluster, in
 /// ascending order of its root (the lowest index, hence the smallest
 /// member). A component of one keeps its statistics and is no longer
-/// fresh; a larger one takes its root's slot, the union of the members
-/// and its parts' links.
+/// fresh; a larger one takes its root's slot, the union of the members,
+/// its parts' links and the statistics folded from its parts'.
 fn regroup(
     live: Vec<Live>,
     merged_into: &mut [usize],
@@ -361,9 +365,9 @@ fn regroup(
             owner[m] = slot as u32;
         }
         next.push(Live {
+            stats: links.stats(slot, &members, owner),
             slot,
             members,
-            stats: ClusterStats::default(),
             fresh: true,
         });
     }
@@ -400,83 +404,260 @@ impl Link {
     }
 }
 
-/// Every ordered pair of clusters' link: `get(p, q)` is the first
-/// `(d, a ∈ p, b ∈ q)` minimum, the link a nested scan of `p`'s members
-/// over `q`'s finds. Row-major `K × K`; the diagonal is unused.
+/// The exact sum and the maximum of a set of member pairs'
+/// dissimilarities: a cluster's own pairs, or the pairs between two
+/// clusters. Both fold over a union of disjoint sets. The maximum is
+/// kept as magnitude bits, which order like the non-negative doubles
+/// they encode and compare without a floating-point dependency chain.
+#[derive(Debug, Clone, Default)]
+struct Dissims {
+    sum: ExactSum,
+    max_bits: u64,
+}
+
+// The link table's cross sums take 32 bytes each, as documented on
+// `merge_clusters`.
+const _: () = assert!(std::mem::size_of::<Dissims>() == 32);
+
+impl Dissims {
+    fn add(&mut self, d: f64) {
+        self.sum.add(d);
+        self.max_bits = self.max_bits.max(d.to_bits() & (u64::MAX >> 1));
+    }
+
+    fn absorb(&mut self, other: &Dissims) {
+        self.sum.merge(&other.sum);
+        self.max_bits = self.max_bits.max(other.max_bits);
+    }
+
+    fn max(&self) -> f64 {
+        f64::from_bits(self.max_bits)
+    }
+
+    /// Folds every pair of `members`, one [`NeighborProvider::pairs_from`]
+    /// row per member over the later members, read into `row`, and
+    /// lowers each member's entry of `nearest` (indexed like `members`)
+    /// to its nearest mate.
+    fn within<P: NeighborProvider + ?Sized>(
+        members: &[usize],
+        provider: &P,
+        row: &mut Vec<f64>,
+        nearest: &mut [f64],
+    ) -> Self {
+        let mut pairs = Self::default();
+        for ai in 0..members.len() {
+            provider.pairs_from(members[ai], &members[ai + 1..], row);
+            let (mine, later) = nearest[ai..].split_first_mut().expect("member ai");
+            for (near, &d) in later.iter_mut().zip(row.iter()) {
+                pairs.add(d);
+                if d < *mine {
+                    *mine = d;
+                }
+                if d < *near {
+                    *near = d;
+                }
+            }
+        }
+        pairs
+    }
+}
+
+/// What a pair-of-clusters scan found for one member `m`: member `b`
+/// of another cluster at distance `d`, the nearest of that cluster to
+/// `m`, kept only when it is closer than `m`'s own nearest mate.
+#[derive(Debug, Clone, Copy)]
+struct Closer {
+    m: u32,
+    b: u32,
+    d: f64,
+}
+
+/// The round-1 record a merged cluster's links and statistics fold
+/// from. `get(p, q)` is the first `(d, a ∈ p, b ∈ q)` minimum, the link
+/// a nested scan of `p`'s members over `q`'s finds; row-major `K × K`,
+/// the diagonal unused. Beside the links it keeps each slot's own pairs
+/// (`within`), the pairs between each two slots (`across`, a condensed
+/// triangle), every item's nearest mate in its current cluster
+/// (`nearest`) and, per item, the [`Closer`] entries (`closer`, rows
+/// `closer_start[i]..closer_start[i + 1]`).
 struct LinkTable {
     k: usize,
     cells: Vec<Link>,
+    within: Vec<Dissims>,
+    across: Vec<Dissims>,
+    nearest: Vec<f64>,
+    closer_start: Vec<u32>,
+    closer: Vec<(f64, u32)>,
+}
+
+/// Index of the unordered slot pair `{p, q}`, `p != q`, in a condensed
+/// triangle.
+fn tri(p: usize, q: usize) -> usize {
+    let (lo, hi) = if p < q { (p, q) } else { (q, p) };
+    hi * (hi - 1) / 2 + lo
 }
 
 impl LinkTable {
-    /// Scans every cross-cluster member pair once, on `threads`
-    /// workers, one [`NeighborProvider::pairs_from`] row per member of
-    /// the lower-id cluster, and records the link in both orientations.
+    /// Evaluates every member pair of `clusters` once, on `threads`
+    /// workers. First each cluster's own pairs (its statistics and its
+    /// members' nearest mates), then every cross-cluster pair, one
+    /// [`NeighborProvider::pairs_from`] row per member of the
+    /// lower-id cluster: the link in both orientations, the pairs' sum
+    /// and maximum, and the [`Closer`] entries of both clusters'
+    /// members.
     fn scan<P: NeighborProvider + Sync>(
         clusters: &[Vec<usize>],
         provider: &P,
         threads: usize,
     ) -> Self {
         let k = clusters.len();
+        let own = parkit::map_indexed(threads, k, 1, Vec::new, |row, c| {
+            let mut mates = vec![f64::INFINITY; clusters[c].len()];
+            let pairs = Dissims::within(&clusters[c], provider, row, &mut mates);
+            (pairs, mates)
+        });
+        let mut nearest = vec![f64::INFINITY; provider.len()];
+        let mut within = Vec::with_capacity(k);
+        for (c, (pairs, mates)) in clusters.iter().zip(own) {
+            for (&m, d) in c.iter().zip(mates) {
+                nearest[m] = d;
+            }
+            within.push(pairs);
+        }
+
+        // Pairs in condensed-triangle order.
         let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for p in 0..k {
-            for q in (p + 1)..k {
+        for q in 1..k {
+            for p in 0..q {
                 pairs.push((p as u32, q as u32));
             }
         }
-        let found = parkit::map_indexed(threads, pairs.len(), 1, Vec::new, |row, i| {
-            let (cp, cq) = (
-                &clusters[pairs[i].0 as usize],
-                &clusters[pairs[i].1 as usize],
-            );
-            let mut pq = Link::unset(cp[0], cq[0]);
-            let mut qp = Link::unset(cq[0], cp[0]);
-            for &a in cp {
-                provider.pairs_from(a, cq, row);
-                for (&b, &d) in cq.iter().zip(row.iter()) {
-                    // Members ascend, so a strict `<` keeps the first
-                    // minimum in (a, b) order; the reverse orientation
-                    // needs the full (d, b, a) comparison.
-                    if d < pq.d {
-                        pq = Link::new(d, a, b);
+        let found = parkit::map_indexed(
+            threads,
+            pairs.len(),
+            1,
+            || (Vec::new(), Vec::new()),
+            |(row, column), i| {
+                let (cp, cq) = (
+                    &clusters[pairs[i].0 as usize],
+                    &clusters[pairs[i].1 as usize],
+                );
+                let mut pq = Link::unset(cp[0], cq[0]);
+                let mut qp = Link::unset(cq[0], cp[0]);
+                let mut across = Dissims::default();
+                let mut closer = Vec::new();
+                // Each member's nearest member of the other cluster, if
+                // closer than its nearest mate: it starts at the mate's
+                // distance, so it moves only for a pair that makes an
+                // entry.
+                column.clear();
+                column.extend(cq.iter().map(|&b| Link::new(nearest[b], b, b)));
+                for &a in cp {
+                    provider.pairs_from(a, cq, row);
+                    let mut near = Link::new(nearest[a], a, a);
+                    for ((&b, &d), col) in cq.iter().zip(row.iter()).zip(column.iter_mut()) {
+                        // Members ascend, so a strict `<` keeps the first
+                        // minimum in (a, b) order; the reverse orientation
+                        // needs the full (d, b, a) comparison.
+                        if d < pq.d {
+                            pq = Link::new(d, a, b);
+                        }
+                        let rev = Link::new(d, b, a);
+                        if rev.precedes(&qp) {
+                            qp = rev;
+                        }
+                        across.add(d);
+                        if d < near.d {
+                            near = Link::new(d, a, b);
+                        }
+                        if d < col.d {
+                            *col = rev;
+                        }
                     }
-                    let rev = Link::new(d, b, a);
-                    if rev.precedes(&qp) {
-                        qp = rev;
-                    }
+                    closer.extend(near_if_closer(&near, &nearest));
                 }
-            }
-            (pq, qp)
-        });
+                closer.extend(
+                    column
+                        .iter()
+                        .filter_map(|col| near_if_closer(col, &nearest)),
+                );
+                (pq, qp, across, closer)
+            },
+        );
         let mut cells = vec![Link::unset(0, 0); k * k];
-        for (&(p, q), &(pq, qp)) in pairs.iter().zip(&found) {
+        let mut across = Vec::with_capacity(pairs.len());
+        let mut closer = Vec::new();
+        for (&(p, q), (pq, qp, pair_sums, pair_closer)) in pairs.iter().zip(found) {
             let (p, q) = (p as usize, q as usize);
             cells[p * k + q] = pq;
             cells[q * k + p] = qp;
+            debug_assert_eq!(across.len(), tri(p, q));
+            across.push(pair_sums);
+            closer.extend(pair_closer);
         }
-        Self { k, cells }
+        // Bucket the entries by member.
+        let mut closer_start = vec![0u32; provider.len() + 1];
+        for c in &closer {
+            closer_start[c.m as usize + 1] += 1;
+        }
+        for i in 0..provider.len() {
+            closer_start[i + 1] += closer_start[i];
+        }
+        let mut fill = closer_start.clone();
+        let mut entries = vec![(0.0, 0u32); closer.len()];
+        for c in closer {
+            entries[fill[c.m as usize] as usize] = (c.d, c.b);
+            fill[c.m as usize] += 1;
+        }
+        Self {
+            k,
+            cells,
+            within,
+            across,
+            nearest,
+            closer_start,
+            closer: entries,
+        }
     }
 
     fn get(&self, p: usize, q: usize) -> Link {
         self.cells[p * self.k + q]
     }
 
-    /// Makes slot `into` the union of `parts` (which include it): for
-    /// every other slot `y`, `(into, y)` becomes the first of the
-    /// parts' `(part, y)` links and `(y, into)` the first of their
-    /// `(y, part)` links. Exact, since a minimum over a union is the
-    /// minimum of the parts' minima. Folding one merged cluster after
-    /// another also covers links between two of them: the second fold
-    /// reads the first's already-folded row and column.
+    /// Makes slot `into` the union of `parts` (which include it).
+    ///
+    /// - For every other slot `y`, `(into, y)` becomes the first of the
+    ///   parts' `(part, y)` links and `(y, into)` the first of their
+    ///   `(y, part)` links. Exact, since a minimum over a union is the
+    ///   minimum of the parts' minima.
+    /// - The pairs between `into` and `y` become the parts' pairs with
+    ///   `y`, summed exactly.
+    /// - `into`'s own pairs become its parts' own pairs plus the pairs
+    ///   between each two parts.
+    ///
+    /// Folding one merged cluster after another also covers two of
+    /// them: the second fold reads the first's already-folded row and
+    /// column.
     fn fold(&mut self, into: usize, parts: &[usize]) {
         let mut is_part = vec![false; self.k];
         for &p in parts {
             is_part[p] = true;
         }
+        let mut own = self.within[into].clone();
+        for (i, &p) in parts.iter().enumerate() {
+            if p != into {
+                own.absorb(&self.within[p]);
+            }
+            for &q in &parts[i + 1..] {
+                own.absorb(&self.across[tri(p, q)]);
+            }
+        }
+        self.within[into] = own;
         for y in (0..self.k).filter(|&y| !is_part[y]) {
             let mut out = self.get(into, y);
             let mut back = self.get(y, into);
-            for &p in parts {
+            let mut between = self.across[tri(into, y)].clone();
+            for &p in parts.iter().filter(|&&p| p != into) {
                 let (o, b) = (self.get(p, y), self.get(y, p));
                 if o.precedes(&out) {
                     out = o;
@@ -484,30 +665,67 @@ impl LinkTable {
                 if b.precedes(&back) {
                     back = b;
                 }
+                between.absorb(&self.across[tri(p, y)]);
             }
             self.cells[into * self.k + y] = out;
             self.cells[y * self.k + into] = back;
+            self.across[tri(into, y)] = between;
         }
+    }
+
+    /// The statistics of the cluster in `slot`, whose `members` `owner`
+    /// marks with it: its own pairs' folded sum and maximum, and the
+    /// median of its members' nearest mates. A member's nearest mate
+    /// is first lowered to any [`Closer`] entry now inside the cluster.
+    fn stats(&mut self, slot: usize, members: &[usize], owner: &[u32]) -> ClusterStats {
+        let nearest: Vec<f64> = members
+            .iter()
+            .map(|&m| {
+                let entries = self.closer_start[m] as usize..self.closer_start[m + 1] as usize;
+                let lowered = self.closer[entries]
+                    .iter()
+                    .filter(|&&(_, b)| owner[b as usize] == slot as u32)
+                    .fold(self.nearest[m], |near, &(d, _)| near.min(d));
+                self.nearest[m] = lowered;
+                lowered
+            })
+            .collect();
+        ClusterStats::new(&self.within[slot], &nearest)
     }
 }
 
-/// Computes every cluster's statistics on `threads` workers. Each
-/// cluster is folded serially in member order into its own slot, so the
-/// result is bit-identical to the serial map.
+/// The [`Closer`] entry for the nearest pair `near` from member
+/// `near.a` to member `near.b` of another cluster, if it is closer than
+/// `near.a`'s nearest mate.
+fn near_if_closer(near: &Link, nearest: &[f64]) -> Option<Closer> {
+    (near.d < nearest[near.a as usize]).then_some(Closer {
+        m: near.a,
+        b: near.b,
+        d: near.d,
+    })
+}
+
+/// Computes every cluster's statistics from scratch on `threads`
+/// workers, each cluster into its own slot.
+#[cfg(test)]
 fn compute_stats<P: NeighborProvider + Sync, C: AsRef<[usize]> + Sync>(
     clusters: &[C],
     provider: &P,
     threads: usize,
 ) -> Vec<ClusterStats> {
     parkit::map_indexed(threads, clusters.len(), 1, Vec::new, |row, c| {
-        ClusterStats::compute(clusters[c].as_ref(), provider, row)
+        let members = clusters[c].as_ref();
+        let mut nearest = vec![f64::INFINITY; members.len()];
+        let pairs = Dissims::within(members, provider, row, &mut nearest);
+        ClusterStats::new(&pairs, &nearest)
     })
 }
 
 /// Per-cluster statistics shared by both merge conditions.
 #[derive(Debug, Default)]
 struct ClusterStats {
-    /// Arithmetic mean of all intra-cluster pairwise dissimilarities.
+    /// Arithmetic mean of all intra-cluster pairwise dissimilarities:
+    /// their exact sum, correctly rounded, over their count.
     mean_dissim: Option<f64>,
     /// Maximum intra-cluster pairwise dissimilarity (cluster extent).
     max_dissim: f64,
@@ -517,35 +735,17 @@ struct ClusterStats {
 }
 
 impl ClusterStats {
-    /// Folds every member pair in nested order — row `a`, then each
-    /// later member `b` — read one [`NeighborProvider::pairs_from`] row
-    /// at a time into `row`.
-    fn compute<P: NeighborProvider + ?Sized>(
-        members: &[usize],
-        provider: &P,
-        row: &mut Vec<f64>,
-    ) -> Self {
-        if members.len() < 2 {
+    /// The statistics of a cluster whose own pairs are `pairs` and
+    /// whose members' nearest mates are `nearest`.
+    fn new(pairs: &Dissims, nearest: &[f64]) -> Self {
+        let n = nearest.len() as u64;
+        if n < 2 {
             return Self::default();
         }
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        let mut max = 0.0f64;
-        let mut nearest = vec![f64::INFINITY; members.len()];
-        for ai in 0..members.len() {
-            provider.pairs_from(members[ai], &members[ai + 1..], row);
-            for (bi, &d) in (ai + 1..).zip(row.iter()) {
-                sum += d;
-                count += 1;
-                max = max.max(d);
-                nearest[ai] = nearest[ai].min(d);
-                nearest[bi] = nearest[bi].min(d);
-            }
-        }
         Self {
-            mean_dissim: Some(sum / count as f64),
-            max_dissim: max,
-            minmed: stats::median(&nearest),
+            mean_dissim: Some(pairs.sum.value() / (n * (n - 1) / 2) as f64),
+            max_dissim: pairs.max(),
+            minmed: stats::median(nearest),
         }
     }
 }
@@ -952,6 +1152,77 @@ mod tests {
             "{multi_round} cases merge over 2+ rounds"
         );
         assert!(flips >= 20, "{flips} cases flip an orientation in round 1");
+    }
+
+    /// Counts [`NeighborProvider::pair`] calls; `pairs_from` is the
+    /// trait default, a loop over `pair`, so row reads count too.
+    struct CountingPairs<'a> {
+        inner: MatrixProvider<'a>,
+        pairs: std::sync::atomic::AtomicUsize,
+    }
+
+    impl NeighborProvider for CountingPairs<'_> {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn neighbors_within(&self, i: usize, eps: f64, out: &mut Vec<(f64, u32)>) {
+            self.inner.neighbors_within(i, eps, out);
+        }
+
+        fn knn(&self, i: usize, k: usize) -> f64 {
+            self.inner.knn(i, k)
+        }
+
+        fn pair(&self, i: usize, j: usize) -> f64 {
+            self.pairs
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.pair(i, j)
+        }
+
+        fn knn_table(&self, k_max: usize, threads: usize) -> dissim::KnnTable {
+            self.inner.knn_table(k_max, threads)
+        }
+    }
+
+    #[test]
+    fn merge_reads_each_member_pair_once() {
+        let mut rng = proptest::test_runner::TestRng::new(11);
+        let mut pinned = 0;
+        for _ in 0..1024 {
+            let case = tie_case().sample(&mut rng);
+            let m = line_matrix(&case.points);
+            if rounds_to_fix_point(&case, &m) < 3 {
+                continue;
+            }
+            pinned += 1;
+            let c = Clustering::from_labels(case.labels.clone());
+            let n: usize = c
+                .clusters()
+                .iter()
+                .map(Vec::len)
+                .filter(|&len| len >= 2)
+                .sum();
+            for rounds in [1, 2, 16] {
+                let params = RefineParams {
+                    max_merge_rounds: rounds,
+                    ..case.params
+                };
+                for threads in [1, 2, 4] {
+                    let counting = CountingPairs {
+                        inner: MatrixProvider::new(&m),
+                        pairs: Default::default(),
+                    };
+                    merge_clusters(&c, &counting, &params, threads);
+                    assert_eq!(
+                        counting.pairs.into_inner(),
+                        n * (n - 1) / 2,
+                        "{n} members, rounds {rounds}, threads {threads}"
+                    );
+                }
+            }
+        }
+        assert!(pinned >= 8, "{pinned} cases merge over 3+ rounds");
     }
 
     #[test]

@@ -450,16 +450,27 @@ fn append_messages(shared: &Arc<Shared>, trace_id: u64, pcap: &[u8]) -> Response
             }
         }
     };
+    // Reassemble outside the core lock, which every other request
+    // needs; a trace's options never change, so the flag read here
+    // still holds below.
+    let reassemble = match shared.core.lock().expect("core lock").traces.get(&trace_id) {
+        Some(entry) => entry.opts.reassemble,
+        None => {
+            return Response::Error {
+                message: format!("unknown trace {trace_id}"),
+            }
+        }
+    };
+    let addition = if reassemble {
+        trace::reassembly::reassemble(&addition, &trace::reassembly::NbssFramer).0
+    } else {
+        addition
+    };
     let mut core = shared.core.lock().expect("core lock");
     let Some(entry) = core.traces.get_mut(&trace_id) else {
         return Response::Error {
             message: format!("unknown trace {trace_id}"),
         };
-    };
-    let addition = if entry.opts.reassemble {
-        trace::reassembly::reassemble(&addition, &trace::reassembly::NbssFramer).0
-    } else {
-        addition
     };
     let mut messages: Vec<trace::Message> = entry.raw.messages().to_vec();
     messages.extend(addition.messages().iter().cloned());

@@ -88,15 +88,19 @@ pub struct ReassemblyStats {
 /// processed in capture order; each completed frame becomes a message
 /// stamped with the time of the segment that completed it. After an
 /// invalid frame the stream resynchronizes by skipping one byte at a
-/// time (counted in [`ReassemblyStats::resync_bytes`]). Non-TCP
-/// messages are passed through unchanged; the output is sorted by
-/// timestamp.
+/// time (counted in [`ReassemblyStats::resync_bytes`]); a framer's
+/// `Complete(0)` counts as invalid, so no probe can stall the stream.
+/// Non-TCP messages are passed through unchanged; the output is sorted
+/// by timestamp.
+///
+/// Each segment costs time linear in its bytes plus the flow's
+/// unconsumed tail: frames and skipped bytes advance a read cursor, and
+/// the flow buffer is compacted once per segment.
 pub fn reassemble(trace: &Trace, framer: &dyn Framer) -> (Trace, ReassemblyStats) {
     let mut stats = ReassemblyStats::default();
     let mut out: Vec<Message> = Vec::with_capacity(trace.len());
-    // Directed flow -> (buffer, template message for metadata).
-    let mut streams: HashMap<(crate::Endpoint, crate::Endpoint), (Vec<u8>, Message)> =
-        HashMap::new();
+    // Directed flow -> unconsumed stream bytes.
+    let mut streams: HashMap<(crate::Endpoint, crate::Endpoint), Vec<u8>> = HashMap::new();
 
     for msg in trace {
         if msg.transport() != Transport::Tcp {
@@ -104,19 +108,18 @@ pub fn reassemble(trace: &Trace, framer: &dyn Framer) -> (Trace, ReassemblyStats
             continue;
         }
         stats.segments_in += 1;
-        let key = (msg.source(), msg.destination());
-        let entry = streams
-            .entry(key)
-            .or_insert_with(|| (Vec::new(), msg.clone()));
-        entry.0.extend_from_slice(msg.payload());
-        // Drain all complete frames.
-        loop {
-            match framer.frame_len(&entry.0) {
+        let buf = streams
+            .entry((msg.source(), msg.destination()))
+            .or_default();
+        buf.extend_from_slice(msg.payload());
+        // Cut every complete frame, then drop what was consumed.
+        let mut at = 0;
+        while at < buf.len() {
+            match framer.frame_len(&buf[at..]) {
                 FrameStatus::NeedMore => break,
-                FrameStatus::Complete(len) => {
-                    let frame: Vec<u8> = entry.0.drain(..len).collect();
+                FrameStatus::Complete(len) if len > 0 => {
                     out.push(
-                        Message::builder(Bytes::from(frame))
+                        Message::builder(Bytes::copy_from_slice(&buf[at..at + len]))
                             .timestamp_micros(msg.timestamp_micros())
                             .source(msg.source())
                             .destination(msg.destination())
@@ -125,15 +128,17 @@ pub fn reassemble(trace: &Trace, framer: &dyn Framer) -> (Trace, ReassemblyStats
                             .build(),
                     );
                     stats.messages_out += 1;
+                    at += len;
                 }
-                FrameStatus::Invalid => {
-                    entry.0.remove(0);
+                FrameStatus::Complete(_) | FrameStatus::Invalid => {
+                    at += 1;
                     stats.resync_bytes += 1;
                 }
             }
         }
+        buf.drain(..at);
     }
-    for (_, (buf, _)) in streams {
+    for buf in streams.into_values() {
         stats.trailing_bytes += buf.len() as u64;
     }
     out.sort_by_key(Message::timestamp_micros);
@@ -144,6 +149,7 @@ pub fn reassemble(trace: &Trace, framer: &dyn Framer) -> (Trace, ReassemblyStats
 mod tests {
     use super::*;
     use crate::Endpoint;
+    use proptest::prelude::*;
 
     fn tcp_msg(payload: Vec<u8>, ts: u64, sport: u16) -> Message {
         Message::builder(Bytes::from(payload))
@@ -276,6 +282,166 @@ mod tests {
                 nbss_frame(b"\xffSMBu third"),
             ]
         }
+    }
+
+    /// The reassembly loop as it stood before the read cursor: one
+    /// `remove(0)` per skipped byte and one front `drain` per frame.
+    /// Kept as the oracle for the cursor version's output.
+    fn reassemble_by_front_removal(trace: &Trace, framer: &dyn Framer) -> (Trace, ReassemblyStats) {
+        let mut stats = ReassemblyStats::default();
+        let mut out: Vec<Message> = Vec::new();
+        let mut streams: HashMap<(Endpoint, Endpoint), Vec<u8>> = HashMap::new();
+        for msg in trace {
+            if msg.transport() != Transport::Tcp {
+                out.push(msg.clone());
+                continue;
+            }
+            stats.segments_in += 1;
+            let buf = streams
+                .entry((msg.source(), msg.destination()))
+                .or_default();
+            buf.extend_from_slice(msg.payload());
+            loop {
+                match framer.frame_len(buf) {
+                    FrameStatus::NeedMore => break,
+                    FrameStatus::Complete(len) => {
+                        let frame: Vec<u8> = buf.drain(..len).collect();
+                        out.push(
+                            Message::builder(Bytes::from(frame))
+                                .timestamp_micros(msg.timestamp_micros())
+                                .source(msg.source())
+                                .destination(msg.destination())
+                                .transport(Transport::Tcp)
+                                .direction(msg.direction())
+                                .build(),
+                        );
+                        stats.messages_out += 1;
+                    }
+                    FrameStatus::Invalid => {
+                        buf.remove(0);
+                        stats.resync_bytes += 1;
+                    }
+                }
+            }
+        }
+        for buf in streams.into_values() {
+            stats.trailing_bytes += buf.len() as u64;
+        }
+        out.sort_by_key(Message::timestamp_micros);
+        (Trace::new(trace.name(), out), stats)
+    }
+
+    /// One flow's stream: valid NBSS frames (session messages and
+    /// keep-alives) interleaved with runs of arbitrary bytes.
+    fn hostile_stream() -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec(
+            (any::<bool>(), prop::collection::vec(any::<u8>(), 0..24)),
+            0..12,
+        )
+        .prop_map(|pieces| {
+            let mut stream = Vec::new();
+            for (frame, bytes) in pieces {
+                if frame {
+                    stream.extend(nbss_frame(&bytes));
+                } else {
+                    stream.extend(bytes);
+                }
+            }
+            stream
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn hostile_streams_reassemble_like_the_oracle(
+            flows in prop::collection::vec(hostile_stream(), 1..4),
+            cuts in prop::collection::vec((0usize..4, 1usize..40), 0..48),
+            udp_every in 0usize..5,
+        ) {
+            // Cut the flows into segments round by round: each step
+            // takes up to `len` bytes from flow `f`, and the rest of
+            // every flow follows at the end.
+            let mut rest: Vec<&[u8]> = flows.iter().map(Vec::as_slice).collect();
+            let mut segments = Vec::new();
+            let mut ts = 0u64;
+            let mut push = |flow: usize, bytes: &[u8], segments: &mut Vec<Message>| {
+                ts += 1;
+                segments.push(tcp_msg(bytes.to_vec(), ts, 1000 + flow as u16));
+                if udp_every > 0 && (ts as usize).is_multiple_of(udp_every) {
+                    ts += 1;
+                    let udp = Message::builder(Bytes::copy_from_slice(bytes))
+                        .timestamp_micros(ts)
+                        .build();
+                    segments.push(udp);
+                }
+            };
+            for (f, len) in cuts {
+                let f = f % rest.len();
+                let (head, tail) = rest[f].split_at(len.min(rest[f].len()));
+                push(f, head, &mut segments);
+                rest[f] = tail;
+            }
+            for (f, tail) in rest.iter().enumerate() {
+                push(f, tail, &mut segments);
+            }
+            let t = Trace::new("hostile", segments);
+            let tcp_in: usize = t
+                .iter()
+                .filter(|m| m.transport() == Transport::Tcp)
+                .map(|m| m.payload().len())
+                .sum();
+            for framer in [&NbssFramer as &dyn Framer, &IdentityFramer] {
+                let (got, stats) = reassemble(&t, framer);
+                let (want, want_stats) = reassemble_by_front_removal(&t, framer);
+                prop_assert_eq!(got.messages(), want.messages());
+                prop_assert_eq!(stats, want_stats);
+                let tcp_out: usize = got
+                    .iter()
+                    .filter(|m| m.transport() == Transport::Tcp)
+                    .map(|m| m.payload().len())
+                    .sum();
+                prop_assert!(tcp_out <= tcp_in, "{} bytes out of {}", tcp_out, tcp_in);
+                prop_assert_eq!(
+                    tcp_out as u64 + stats.resync_bytes + stats.trailing_bytes,
+                    tcp_in as u64
+                );
+            }
+        }
+    }
+
+    /// Claims an empty frame at every `0x00`, else needs more bytes.
+    struct EmptyFrames;
+
+    impl Framer for EmptyFrames {
+        fn frame_len(&self, buf: &[u8]) -> FrameStatus {
+            match buf.first() {
+                Some(0) => FrameStatus::Complete(0),
+                Some(_) => FrameStatus::Invalid,
+                None => FrameStatus::NeedMore,
+            }
+        }
+    }
+
+    #[test]
+    fn empty_frames_resynchronize_instead_of_stalling() {
+        let t = Trace::new("t", vec![tcp_msg(vec![0, 7, 0, 0], 1, 1000)]);
+        let (out, stats) = reassemble(&t, &EmptyFrames);
+        assert!(out.is_empty());
+        assert_eq!(stats.resync_bytes, 4);
+        assert_eq!(stats.trailing_bytes, 0);
+    }
+
+    #[test]
+    fn a_large_garbage_segment_resynchronizes_in_one_pass() {
+        // 1 MiB without a valid NBSS type byte, then one frame: every
+        // garbage byte is skipped once, with no per-byte buffer shift.
+        let mut blob = vec![0xFF; 1 << 20];
+        blob.extend_from_slice(&nbss_frame(b"after the garbage"));
+        let t = Trace::new("t", vec![tcp_msg(blob, 1, 1000)]);
+        let (out, stats) = reassemble(&t, &NbssFramer);
+        assert_eq!(out.len(), 1);
+        assert_eq!(stats.resync_bytes, 1 << 20);
     }
 
     #[test]

@@ -186,6 +186,15 @@ cargo build --release -q -p bench --bin neighbor_ladder
 grep -q '^neighbor_ladder: u=2000 backend=stratified+batch' "$tmp/ladder.out"
 grep -q 'corpus=mixed u=2000 backend=stratified+batch' "$tmp/ladder.out"
 grep -q 'corpus=mixed u=2000 stratified_speedup_vs_linear' "$tmp/ladder.out"
+# Merge refinement reads each member pair exactly once, whatever the
+# number of merge rounds: N(N-1)/2 pairs for N members entering it.
+refine_line=$(grep 'corpus=mixed u=2000 refine' "$tmp/ladder.out")
+members=$(sed -nE 's/.* members=([0-9]+) .*/\1/p' <<<"$refine_line")
+pair_evals=$(sed -nE 's/.* pair_evals=([0-9]+) .*/\1/p' <<<"$refine_line")
+if [ -z "$members" ] || [ "$pair_evals" != "$((members * (members - 1) / 2))" ]; then
+    echo "refine read $pair_evals pairs for $members members, expected N(N-1)/2" >&2
+    exit 1
+fi
 echo "rss smoke test: stratified search at u=2000, uniform and mixed, stayed under $rss_budget bytes"
 
 # Daemon smoke test: ftcd on an ephemeral port must serve a report
