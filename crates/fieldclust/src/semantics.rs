@@ -14,6 +14,8 @@
 
 use crate::pipeline::PseudoTypeClustering;
 use mathkit::stats;
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use trace::{Addr, Trace};
 
 /// A semantic hypothesis for one cluster.
@@ -157,6 +159,19 @@ fn collect<'a>(
     }
 }
 
+/// The most frequent of `widths` and its count. Equal counts go to the
+/// narrowest width, so the pick depends on the widths alone, never on
+/// their order or a hash seed.
+fn modal_width(widths: impl IntoIterator<Item = usize>) -> Option<(usize, usize)> {
+    let mut counts: BTreeMap<usize, usize> = BTreeMap::new();
+    for width in widths {
+        *counts.entry(width).or_insert(0) += 1;
+    }
+    counts
+        .into_iter()
+        .max_by_key(|&(width, count)| (count, Reverse(width)))
+}
+
 fn be_value(bytes: &[u8]) -> u128 {
     bytes
         .iter()
@@ -290,11 +305,7 @@ fn interpret_cluster(
     // maximum) per capture instant; stray segments of other widths (an
     // occasionally absorbed digest or fragment) are ignored by filtering
     // to the dominant width.
-    let mut width_counts: std::collections::HashMap<usize, usize> = Default::default();
-    for r in &samples.rows {
-        *width_counts.entry(r.3.len()).or_insert(0) += 1;
-    }
-    if let Some((&modal_width, &modal_count)) = width_counts.iter().max_by_key(|&(_, c)| *c) {
+    if let Some((modal_width, modal_count)) = modal_width(samples.rows.iter().map(|r| r.3.len())) {
         if modal_count * 2 >= samples.total_instances {
             for endian in ["big-endian", "little-endian"] {
                 let read = |bytes: &[u8]| {
@@ -392,11 +403,14 @@ mod tests {
             .clusters()
             .iter()
             .map(|members| {
-                let mut counts: std::collections::HashMap<FieldKind, usize> = Default::default();
+                let mut counts: BTreeMap<FieldKind, usize> = BTreeMap::new();
                 for &m in members {
                     *counts.entry(labels[m]).or_insert(0) += 1;
                 }
-                counts.into_iter().max_by_key(|&(_, c)| c).map(|(k, _)| k)
+                counts
+                    .into_iter()
+                    .max_by_key(|&(k, c)| (c, Reverse(k)))
+                    .map(|(k, _)| k)
             })
             .collect();
         (sems, kinds)
@@ -476,6 +490,19 @@ mod tests {
                 assert!(!s.evidence.is_empty());
             }
         }
+    }
+
+    #[test]
+    fn tied_widths_pick_the_narrowest_in_any_order() {
+        // Two widths with equal counts (as in an AWDL cluster of 23
+        // six-byte and 23 seven-byte segments): the pick must not follow
+        // the order the widths are counted in.
+        let widths = [6, 7, 6, 7, 7, 6];
+        assert_eq!(modal_width(widths), Some((6, 3)));
+        assert_eq!(modal_width(widths.into_iter().rev()), Some((6, 3)));
+        assert_eq!(modal_width([7, 7, 7, 6, 6, 6]), Some((6, 3)));
+        assert_eq!(modal_width([9, 7, 7, 6]), Some((7, 2)));
+        assert_eq!(modal_width([]), None);
     }
 
     #[test]

@@ -42,7 +42,10 @@
 //! [`refine`](AnalysisSession::refine)) runs every missing earlier
 //! stage. Replacing the segmentation invalidates all downstream
 //! artifacts. Every stage run is measured into one record
-//! ([`AnalysisSession::take_stage_record`]).
+//! ([`AnalysisSession::take_stage_record`]). A session kept to serve
+//! later requests [`park`](AnalysisSession::park)s: it keeps the
+//! refined clustering and the message types and drops the matrices,
+//! tables and indexes that built them.
 //!
 //! # Examples
 //!
@@ -128,6 +131,10 @@ pub struct AnalysisSession<'t> {
     full_store: Option<SegmentStore>,
     full_dissim: Option<FullDissim>,
     msg_dissim: Option<(f64, DissimArtifact)>,
+    // The message types and the configuration they were computed
+    // under, memoized on success only; while held, `park` drops the
+    // three artifacts above.
+    msg_types: Option<(MessageTypeConfig, MessageTypes)>,
     // Optional on-disk artifact cache; `None` keeps every stage purely
     // in-memory. The memoized input key covers trace + segmentation.
     cache: Option<ArtifactStore>,
@@ -178,6 +185,7 @@ impl<'t> AnalysisSession<'t> {
             full_store: None,
             full_dissim: None,
             msg_dissim: None,
+            msg_types: None,
             cache: None,
             input_key: None,
             cancel: None,
@@ -311,6 +319,7 @@ impl<'t> AnalysisSession<'t> {
         self.full_store = None;
         self.full_dissim = None;
         self.msg_dissim = None;
+        self.msg_types = None;
     }
 
     /// The current segmentation, if stage 2 has run.
@@ -652,6 +661,11 @@ impl<'t> AnalysisSession<'t> {
     /// auto-configured DBSCAN, reusing the session's segment
     /// dissimilarities.
     ///
+    /// The types are memoized with their configuration: a repeat call
+    /// returns them without reading a matrix (and adds nothing to the
+    /// stage record). A failed or cancelled run memoizes nothing, so
+    /// its matrices stay for the retry.
+    ///
     /// # Errors
     ///
     /// See [`segment_matrix`](Self::segment_matrix).
@@ -659,10 +673,13 @@ impl<'t> AnalysisSession<'t> {
         &mut self,
         config: &MessageTypeConfig,
     ) -> Result<MessageTypes, MessageTypeError> {
+        if let Some((_, types)) = self.msg_types.as_ref().filter(|(c, _)| c == config) {
+            return Ok(types.clone());
+        }
         let n = self.trace.len();
         let autoconf = config.autoconf;
         let threads = self.config.threads;
-        self.staged(Stage::Msgtype, |s| {
+        let types = self.staged(Stage::Msgtype, |s| {
             let matrix = s.message_matrix(config.gap_penalty)?;
             let min_samples = ((n as f64).ln().round() as usize).max(2);
             let provider = MatrixProvider::new(matrix);
@@ -678,7 +695,41 @@ impl<'t> AnalysisSession<'t> {
                 epsilon,
                 min_samples,
             })
-        })
+        })?;
+        self.msg_types = Some((config.clone(), types.clone()));
+        Ok(types)
+    }
+
+    /// Drops every artifact whose consumers are all memoized, keeping
+    /// the outputs: what a session that is put aside to serve later
+    /// requests holds on to.
+    ///
+    /// - Once the refined clustering is held, the field matrix, the
+    ///   k-NN table and the stratified index go: [`finish`](Self::finish)
+    ///   reads only the segment store, the selection and the refined
+    ///   clustering. The field matrix stays while it doubles as message
+    ///   typing's segment matrix and message typing has not finished.
+    /// - Once message types are held, the full segment store and the
+    ///   two matrices message typing built go:
+    ///   [`message_types`](Self::message_types) answers from its memo.
+    ///
+    /// A run that failed or was cancelled memoized nothing, so its
+    /// inputs stay for the retry. Parking never changes a result: a
+    /// dropped artifact a later call does need is rebuilt (or read from
+    /// the store) exactly as before.
+    pub fn park(&mut self) {
+        if self.msg_types.is_some() {
+            self.full_store = None;
+            self.full_dissim = None;
+            self.msg_dissim = None;
+        }
+        if self.refined.is_some() {
+            self.knn = None;
+            self.strata = None;
+            if !matches!(self.full_dissim, Some(FullDissim::Field)) {
+                self.dissim = None;
+            }
+        }
     }
 
     /// Infers the protocol state machine over msgtype-labelled flows:
@@ -1614,6 +1665,140 @@ mod tests {
         let (_, mut fresh) = session_for(Protocol::Dns, 40, 16);
         assert_eq!(&resumed, fresh.message_matrix(0.8).unwrap());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Whether the session holds any artifact `park` must drop once
+    /// the report's outputs are memoized.
+    fn holds_a_parked_artifact(s: &AnalysisSession<'_>) -> bool {
+        s.dissim.is_some()
+            || s.knn.is_some()
+            || s.strata.is_some()
+            || s.full_store.is_some()
+            || s.full_dissim.is_some()
+            || s.msg_dissim.is_some()
+    }
+
+    #[test]
+    fn parked_session_keeps_its_outputs_and_drops_their_inputs() {
+        use crate::report::standard_report;
+        use segment::fixed::FixedChunks;
+        use segment::nemesys::Nemesys;
+        let dns = corpus::build_trace(Protocol::Dns, 60, 19);
+        let ntp = corpus::build_trace(Protocol::Ntp, 60, 20);
+        let captures = [
+            (&dns, Nemesys::default().segment_trace(&dns).unwrap()),
+            // Uniform 4-byte chunks: the field matrix doubles as the
+            // segment matrix of message typing.
+            (&ntp, FixedChunks { width: 4 }.segment_trace(&ntp).unwrap()),
+        ];
+        let config = StateMachineConfig::default();
+        for (ci, (trace, seg)) in captures.iter().enumerate() {
+            for backend in [NeighborBackend::Matrix, NeighborBackend::Stratified] {
+                for with_store in [false, true] {
+                    let label = format!("capture {ci}, {backend:?}, store {with_store}");
+                    let dir = std::env::temp_dir().join(format!(
+                        "fieldclust-park-{}-{ci}-{backend:?}-{with_store}",
+                        std::process::id()
+                    ));
+                    let _ = std::fs::remove_dir_all(&dir);
+                    let clusterer = FieldTypeClusterer {
+                        neighbor_backend: backend,
+                        ..FieldTypeClusterer::default()
+                    };
+                    let mut s = AnalysisSession::new(trace, clusterer);
+                    s.set_segmentation(seg.clone());
+                    if with_store {
+                        s.set_store(ArtifactStore::open(&dir).expect("open store"));
+                    }
+                    let report = standard_report(trace, &mut s).unwrap();
+                    let machine = s.state_machine(&config).unwrap();
+                    let result = format!("{:?}", s.finish().unwrap());
+                    assert!(holds_a_parked_artifact(&s), "{label}");
+
+                    s.park();
+                    assert!(!holds_a_parked_artifact(&s), "{label}: still held");
+                    let counters = s.neighbor_counters();
+                    let stats = s.cache_stats();
+                    assert_eq!(standard_report(trace, &mut s).unwrap(), report, "{label}");
+                    let again = s.state_machine(&config).unwrap();
+                    assert_eq!(again, machine, "{label}");
+                    assert_eq!(again.to_dot(), machine.to_dot(), "{label}");
+                    assert_eq!(again.to_json(), machine.to_json(), "{label}");
+                    assert_eq!(format!("{:?}", s.finish().unwrap()), result, "{label}");
+                    assert_eq!(s.neighbor_counters(), counters, "{label}: no query ran");
+                    assert!(!holds_a_parked_artifact(&s), "{label}: nothing rebuilt");
+                    if let (Some(before), Some(after)) = (stats, s.cache_stats()) {
+                        assert_eq!(after.misses, before.misses, "{label}: no store miss");
+                    }
+                    let _ = std::fs::remove_dir_all(&dir);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parking_a_cancelled_message_typing_keeps_its_inputs() {
+        use segment::fixed::FixedChunks;
+        use segment::nemesys::Nemesys;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let dns = corpus::build_trace(Protocol::Dns, 50, 21);
+        let ntp = corpus::build_trace(Protocol::Ntp, 50, 21);
+        let captures = [
+            (&dns, Nemesys::default().segment_trace(&dns).unwrap()),
+            // The field matrix is also the segment matrix here, so it
+            // must outlive the park.
+            (&ntp, FixedChunks { width: 4 }.segment_trace(&ntp).unwrap()),
+        ];
+        for (trace, seg) in captures {
+            let mut s = AnalysisSession::new(trace, FieldTypeClusterer::default());
+            s.set_segmentation(seg.clone());
+            s.finish().unwrap();
+            s.segment_matrix().unwrap();
+            let polls = AtomicUsize::new(0);
+            let mid_alignment = || polls.fetch_add(1, Ordering::Relaxed) >= 5;
+            assert!(matches!(
+                s.message_matrix_until(0.8, &mid_alignment),
+                Err(MessageTypeError::Cancelled)
+            ));
+            s.park();
+            assert!(s.full_store.is_some(), "the full store is kept");
+            assert!(s.full_dissim.is_some(), "the segment matrix is kept");
+            assert!(s.knn.is_none() && s.strata.is_none(), "the field side goes");
+            // The retry types the messages like a session never cancelled.
+            let config = MessageTypeConfig::default();
+            let retried = s.message_types(&config).unwrap();
+            let mut fresh = AnalysisSession::new(trace, FieldTypeClusterer::default());
+            fresh.set_segmentation(seg);
+            let expected = fresh.message_types(&config).unwrap();
+            assert_eq!(retried.clustering, expected.clustering);
+            assert_eq!(retried.epsilon.to_bits(), expected.epsilon.to_bits());
+        }
+    }
+
+    #[test]
+    fn message_types_are_memoized_with_their_config() {
+        let (_, mut s) = session_for(Protocol::Dns, 40, 22);
+        let config = MessageTypeConfig::default();
+        let first = s.message_types(&config).unwrap();
+        s.take_stage_record();
+        // A memo hit reads no matrix: drop them all and ask again.
+        s.full_store = None;
+        s.full_dissim = None;
+        s.msg_dissim = None;
+        let again = s.message_types(&config).unwrap();
+        assert_eq!(again.clustering, first.clustering);
+        assert!(s.msg_dissim.is_none(), "served from the memo");
+        assert!(
+            s.take_stage_record().iter().next().is_none(),
+            "a memo hit adds nothing"
+        );
+        // Another configuration computes its own types.
+        let other = MessageTypeConfig {
+            gap_penalty: 0.5,
+            ..config
+        };
+        s.message_types(&other).unwrap();
+        assert!(s.msg_dissim.is_some());
     }
 
     /// A NEMESYS-segmented DNS trace of `n` messages and the session of

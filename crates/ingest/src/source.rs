@@ -275,6 +275,70 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A small capture as a pcap and as a pcapng image, with the
+    /// messages a reader recovers from the whole image.
+    fn capture_images() -> Vec<(&'static str, Vec<u8>, Vec<Message>)> {
+        let trace = corpus::build_trace(Protocol::Dns, 8, 23);
+        [
+            ("pcap", pcap::write_to_vec(&trace).unwrap()),
+            ("pcapng", pcapng::write_to_vec(&trace).unwrap()),
+        ]
+        .into_iter()
+        .map(|(format, image)| {
+            let messages = pcapng::read_any(&image, "capture").unwrap().into_messages();
+            assert_eq!(messages.len(), trace.len(), "{format}");
+            (format, image, messages)
+        })
+        .collect()
+    }
+
+    /// Checks one delivery against the whole capture's messages: only
+    /// whole records, in order, none delivered twice.
+    fn check_delivery(got: &[Message], delivered: &mut Vec<Message>, all: &[Message], at: &str) {
+        for m in got {
+            let i = delivered.len();
+            assert!(i < all.len(), "{at}: delivered past the capture");
+            assert_eq!(m, &all[i], "{at}: message {i} is not the whole record");
+            delivered.push(m.clone());
+        }
+    }
+
+    #[test]
+    fn a_write_torn_at_any_offset_delivers_whole_records_once() {
+        for (format, image, all) in capture_images() {
+            let path = temp_path(&format!("torn-once.{format}"));
+            for cut in 0..=image.len() {
+                let at = format!("{format} torn at {cut}");
+                let mut src = FollowFile::new(&path);
+                let mut delivered = Vec::new();
+                std::fs::write(&path, &image[..cut]).unwrap();
+                check_delivery(&src.poll().unwrap(), &mut delivered, &all, &at);
+                std::fs::write(&path, &image).unwrap();
+                check_delivery(&src.poll().unwrap(), &mut delivered, &all, &at);
+                assert!(src.poll().unwrap().is_empty(), "{at}: nothing new");
+                assert_eq!(delivered, all, "{at}");
+                assert_eq!(src.delivered(), all.len(), "{at}");
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn a_file_growing_byte_by_byte_delivers_whole_records_once() {
+        for (format, image, all) in capture_images() {
+            let path = temp_path(&format!("torn-growing.{format}"));
+            let mut src = FollowFile::new(&path);
+            let mut delivered = Vec::new();
+            for end in 0..=image.len() {
+                std::fs::write(&path, &image[..end]).unwrap();
+                let at = format!("{format} grown to {end}");
+                check_delivery(&src.poll().unwrap(), &mut delivered, &all, &at);
+            }
+            assert_eq!(delivered, all, "{format}");
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
     #[test]
     fn socket_feed_frames_messages() {
         let mut feed = SocketFeed::bind("127.0.0.1:0").unwrap();

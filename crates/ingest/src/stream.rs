@@ -61,7 +61,8 @@ pub struct StreamSession {
     tracker: DriftTracker,
     fsm_tracker: statemachine::FsmTracker,
     records: Vec<DriftRecord>,
-    /// The last batch's warm session, kept for the final report.
+    /// The last batch's warm session, kept (parked) for the final
+    /// report.
     last: Option<AnalysisSession<'static>>,
     /// The last batch's session stage record.
     last_stages: StageRecord,
@@ -214,6 +215,9 @@ impl StreamSession {
             store_misses: stats.as_ref().map_or(0, |s| s.misses),
             fsm,
         };
+        // Keep the clustering (and any message types), not the matrices
+        // and indexes that built them.
+        session.park();
         self.last = Some(session);
         self.last_stages = stages;
         self.records.push(record.clone());

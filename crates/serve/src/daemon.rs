@@ -19,12 +19,16 @@
 //! pair owns at most one warm [`AnalysisSession`], parked in the
 //! manager between jobs: a worker checks the session out, drives the
 //! remaining stages, and checks it back in, so repeated analyses of the
-//! same trace reuse every cached artifact. Every trace carries a
-//! generation counter bumped by [`Request::AppendMessages`]; sessions
-//! record the generation they were built against, and a session whose
-//! trace grew while it ran is dropped at check-in instead of re-parked
-//! — no analysis ever reuses state from before an append. With
-//! `--cache-dir` the sessions share one [`ArtifactStore`], adding
+//! same trace rerun no clustering or message-typing stage. Check-in
+//! parks the session ([`AnalysisSession::park`]): it keeps the refined
+//! clustering and the message types and drops the matrices, k-NN table
+//! and index that built them, so a parked session holds O(u) state, not
+//! O(u²). Every trace carries a generation counter bumped by
+//! [`Request::AppendMessages`]; sessions record the generation they
+//! were built against, and a session whose trace grew while it ran is
+//! dropped at check-in instead of re-parked — no analysis ever reuses
+//! state from before an append. With `--cache-dir` the sessions share
+//! one [`ArtifactStore`], adding
 //! cross-restart warm starts and incremental matrix growth after
 //! appends. The two do not conflict: in-memory session state is never
 //! reused after an append, but the store's content-keyed prefixes are.
@@ -96,9 +100,10 @@ pub struct ServerConfig {
     /// wall time.
     pub neighbor_backend: NeighborBackend,
     /// Warm sessions parked at once, across all traces (floor 1).
-    /// Beyond this the least recently used session is dropped — its
-    /// artifacts survive in the shared store, so eviction costs a warm
-    /// start, not a recompute.
+    /// Beyond this the least recently used session is dropped. With a
+    /// `cache_dir` its artifacts survive in the shared store, so the
+    /// next request for that trace is a warm start; without one (the
+    /// default) that request recomputes every stage.
     pub sessions: usize,
 }
 
@@ -935,13 +940,15 @@ fn run_job(
 /// Parks a session for reuse, unless the trace's generation moved while
 /// it was checked out (a stale session must never serve a post-append
 /// request), then evicts the least recently used session beyond the
-/// configured capacity.
+/// configured capacity. The session drops its memoized outputs' inputs
+/// first, outside the core lock.
 fn check_in_session(
     shared: &Arc<Shared>,
     session_key: (u64, String),
-    session: AnalysisSession<'static>,
+    mut session: AnalysisSession<'static>,
     generation: u64,
 ) {
+    session.park();
     let mut core = shared.core.lock().expect("core lock");
     let current = core.traces.get(&session_key.0).map(|e| e.generation);
     if current != Some(generation) {

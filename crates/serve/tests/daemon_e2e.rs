@@ -888,3 +888,79 @@ fn warm_requery_reruns_no_clustering_stage() {
     handle.wait();
     let _ = std::fs::remove_dir_all(&cache);
 }
+
+/// The store-less twin of `warm_requery_reruns_no_clustering_stage`: on
+/// a daemon without a `cache_dir` no store can stand in for an artifact
+/// the parked session dropped, so a later request that needed one would
+/// rebuild it and move the walls or the kernel-evaluation total. The
+/// parked session's memoized message types also serve the state
+/// machine, so not even message typing reruns.
+#[test]
+fn warm_requery_without_a_store_reruns_no_clustering_stage() {
+    let handle = start(ServerConfig::default()).expect("start daemon");
+    let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
+    let bytes = capture_bytes(Protocol::Ntp, 40, 71);
+    let expected = offline_report(&bytes, "nemesys");
+    let (trace_id, _) = client
+        .submit_trace("ntp", bytes, None, None, false)
+        .expect("submit");
+    let analyze = |client: &mut Client| {
+        let job = client.analyze(trace_id, "nemesys", 0).expect("analyze");
+        match client
+            .wait_for(job, Duration::from_millis(10))
+            .expect("wait")
+        {
+            JobState::Done { report } => report,
+            other => panic!("expected Done, got {other:?}"),
+        }
+    };
+    let walls = |stats: &serve::ServerStats| -> Vec<(String, u64)> {
+        let stages = [
+            "segment",
+            "dedup",
+            "matrix",
+            "neighbors",
+            "autoconf",
+            "cluster",
+            "refine",
+            "msgtype",
+        ];
+        stats
+            .stage_wall_ns
+            .iter()
+            .filter(|(s, _)| stages.contains(&s.as_str()))
+            .cloned()
+            .collect()
+    };
+
+    let first = analyze(&mut client);
+    assert_eq!(String::from_utf8(first.clone()).expect("utf8"), expected);
+    let before = client.stats().expect("stats after the first analysis");
+    let ran = walls(&before);
+    for stage in ["neighbors", "autoconf", "cluster", "refine", "msgtype"] {
+        assert!(
+            ran.iter().any(|(s, _)| s == stage),
+            "{stage} ran in the first analysis"
+        );
+    }
+    let machine = client
+        .infer_statemachine(trace_id, "nemesys", 0)
+        .expect("state machine");
+    assert!(machine.states >= 1);
+    let second = analyze(&mut client);
+    let after = client.stats().expect("stats after the second analysis");
+
+    assert_eq!(second, first, "the warm report is byte-identical");
+    assert_eq!(walls(&after), ran, "no clustering or msgtype stage reran");
+    assert_eq!(after.kernel_evals, before.kernel_evals);
+    assert_eq!(after.session_evictions, 0);
+    for stage in ["fsm", "report"] {
+        assert!(
+            after.stage_wall_ns.iter().any(|(s, _)| s == stage),
+            "{stage} is timed"
+        );
+    }
+
+    client.shutdown().expect("shutdown");
+    handle.wait();
+}
