@@ -13,7 +13,7 @@ fn matrix_for(n_messages: usize) -> CondensedMatrix {
     let gt = corpus::ground_truth(Protocol::Ntp, &trace);
     let mut session = AnalysisSession::from_owned(trace, FieldTypeClusterer::default());
     session.set_segmentation(truth_segmentation(session.trace(), &gt));
-    session.matrix().expect("enough segments").clone()
+    session.matrix().expect("enough segments").to_matrix()
 }
 
 fn bench_autoconf(c: &mut Criterion) {

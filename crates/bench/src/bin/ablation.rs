@@ -56,7 +56,7 @@ fn prepare(protocol: Protocol, n: usize, penalty: f64) -> Prepared {
         .store()
         .expect("enough segments")
         .occurrence_counts();
-    let matrix = session.matrix().expect("enough segments").clone();
+    let matrix = session.matrix().expect("enough segments").to_matrix();
     let total: usize = weights.iter().sum();
     let min_samples = ((total as f64).ln().round() as usize).max(2);
     Prepared {

@@ -18,18 +18,75 @@
 //! `serve_throughput_store{c=..,m=..,a=..}`: there each append round
 //! extends the cached prefix artifacts, and the printed `extended=`
 //! count shows it. Each rung also prints its summed per-stage walls
-//! from the daemon's `Stats` frame.
+//! from the daemon's `Stats` frame, and its memory: the process's
+//! resident set at the rung's sampled peak, split into `RssAnon` (heap)
+//! and `RssFile` (mapped files, e.g. store reads), its `VmHWM`, and the
+//! store directory's size after the rung.
+//!
+//! `VmHWM` is the peak of the whole process, so a store rung measured
+//! after a store-less one in the same process reads the larger of the
+//! two. The fourth argument picks which rungs run: `0` store-less, `1`
+//! store-attached; run `0` and `1` as separate processes to read each
+//! rung's own peak.
 //!
 //! Run with:
-//! `cargo run --release -p bench --bin serve_throughput -- [clients_csv] [messages_csv] [appends_csv]`
-//! (defaults: `1,2,4` × `40,80` × `0,2`)
+//! `cargo run --release -p bench --bin serve_throughput -- [clients_csv] [messages_csv] [appends_csv] [stores_csv]`
+//! (defaults: `1,2,4` × `40,80` × `0,2` × `0,1`)
 
 use bench::append_trajectory;
 use protocols::{corpus, Protocol};
 use serve::{Client, JobState, ServerConfig};
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use trace::pcap;
+
+/// `(VmRSS, RssAnon, RssFile)` in bytes from `/proc/self/status`, or
+/// `None` where procfs is unavailable.
+fn rss_now() -> Option<[u64; 3]> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let field = |name: &str| {
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix(name))
+            .and_then(|l| l.trim().trim_end_matches("kB").trim().parse::<u64>().ok())
+            .map(|kb| kb * 1024)
+    };
+    Some([field("VmRSS:")?, field("RssAnon:")?, field("RssFile:")?])
+}
+
+/// Runs `f` while a thread samples the resident set every 2 ms; returns
+/// `f`'s result and the sample with the largest `VmRSS`.
+fn with_rss_peak<T>(f: impl FnOnce() -> T) -> (T, Option<[u64; 3]>) {
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let sampler = scope.spawn(|| {
+            let mut peak = rss_now();
+            while !done.load(Ordering::Relaxed) {
+                std::thread::sleep(Duration::from_millis(2));
+                if let Some(now) = rss_now() {
+                    if peak.is_none_or(|p| now[0] > p[0]) {
+                        peak = Some(now);
+                    }
+                }
+            }
+            peak
+        });
+        let out = f();
+        done.store(true, Ordering::Relaxed);
+        (out, sampler.join().expect("sampler thread"))
+    })
+}
+
+/// Total size in bytes and number of the files directly in `dir`.
+fn dir_size(dir: &Path) -> (u64, usize) {
+    std::fs::read_dir(dir).map_or((0, 0), |entries| {
+        entries
+            .filter_map(|e| e.ok()?.metadata().ok())
+            .filter(|m| m.is_file())
+            .fold((0, 0), |(bytes, files), m| (bytes + m.len(), files + 1))
+    })
+}
 
 fn csv_arg(args: &[String], i: usize, default: &[usize]) -> Vec<usize> {
     match args.get(i) {
@@ -41,7 +98,34 @@ fn csv_arg(args: &[String], i: usize, default: &[usize]) -> Vec<usize> {
     }
 }
 
+/// Runs one rung and prints its line, stage walls and memory.
 fn run_rung(clients: usize, messages: usize, appends: usize, cache_dir: Option<&Path>) -> Duration {
+    let (wall, peak) = with_rss_peak(|| drive_rung(clients, messages, appends, cache_dir));
+    let mb = |bytes: u64| bytes as f64 / 1e6;
+    let mut memory = match peak {
+        Some([rss, anon, file]) => format!(
+            "peak VmRSS={:.1}MB (RssAnon={:.1}MB RssFile={:.1}MB)",
+            mb(rss),
+            mb(anon),
+            mb(file)
+        ),
+        None => "peak VmRSS=n/a".to_string(),
+    };
+    memory.push_str(&format!(" VmHWM={:.1}MB", mb(bench::peak_rss_bytes())));
+    if let Some(dir) = cache_dir {
+        let (bytes, files) = dir_size(dir);
+        memory.push_str(&format!(" store_dir={:.1}MB in {files} files", mb(bytes)));
+    }
+    println!("    memory: {memory}");
+    wall
+}
+
+fn drive_rung(
+    clients: usize,
+    messages: usize,
+    appends: usize,
+    cache_dir: Option<&Path>,
+) -> Duration {
     let workers = std::thread::available_parallelism().map_or(2, |n| n.get().min(4));
     let handle = serve::start(ServerConfig {
         workers,
@@ -131,15 +215,19 @@ fn main() {
     let clients = csv_arg(&args, 0, &[1, 2, 4]);
     let messages = csv_arg(&args, 1, &[40, 80]);
     let appends = csv_arg(&args, 2, &[0, 2]);
+    let stores = csv_arg(&args, 3, &[0, 1]);
     println!(
-        "serve_throughput ladder: clients {clients:?} × messages {messages:?} × appends {appends:?}"
+        "serve_throughput ladder: clients {clients:?} × messages {messages:?} × appends {appends:?} \
+         × stores {stores:?}"
     );
     for &m in &messages {
         for &a in &appends {
             for &c in &clients {
-                let wall = run_rung(c, m, a, None);
-                append_trajectory(&format!("serve_throughput{{c={c},m={m},a={a}}}"), wall);
-                if a > 0 {
+                if stores.contains(&0) {
+                    let wall = run_rung(c, m, a, None);
+                    append_trajectory(&format!("serve_throughput{{c={c},m={m},a={a}}}"), wall);
+                }
+                if a > 0 && stores.contains(&1) {
                     let dir = std::env::temp_dir().join(format!(
                         "serve_throughput-{}-c{c}-m{m}-a{a}",
                         std::process::id()

@@ -45,7 +45,7 @@ pub use artifact::DissimArtifact;
 pub use canberra::{canberra_distance, dissimilarity, DissimParams, InvalidLengthPenalty};
 pub use kernel::{CanberraLut, QueryDist};
 pub use knn::{KnnAccumulator, KnnTable};
-pub use matrix::CondensedMatrix;
+pub use matrix::{CondensedMatrix, MatrixView};
 pub use provider::{MatrixProvider, NeighborProvider};
 pub use region::RegionTable;
 pub use strata::{length_lower_bound, QueryCounters, StrataIndex, StratifiedProvider, Stratum};

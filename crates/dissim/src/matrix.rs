@@ -133,26 +133,44 @@ impl CondensedMatrix {
         self.n == 0
     }
 
+    /// The whole matrix as a [`MatrixView`].
+    pub fn view(&self) -> MatrixView<'_> {
+        self.prefix(self.n)
+    }
+
+    /// The matrix over the first `n` items, read in place: the leading
+    /// `n × n` block. A matrix [extended](Self::extend_segments) from
+    /// the matrix of its first `n` items holds that matrix as exactly
+    /// this block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds [`len`](Self::len).
+    pub fn prefix(&self, n: usize) -> MatrixView<'_> {
+        assert!(
+            n <= self.n,
+            "a prefix cannot cover more items than the matrix"
+        );
+        MatrixView {
+            data: &self.data,
+            stride: self.n,
+            n,
+        }
+    }
+
     /// The dissimilarity between items `i` and `j` (0 on the diagonal).
     ///
     /// # Panics
     ///
     /// Panics if `i` or `j` is out of bounds.
     pub fn get(&self, i: usize, j: usize) -> f64 {
-        assert!(i < self.n && j < self.n, "index out of bounds");
-        if i == j {
-            return 0.0;
-        }
-        let (a, b) = if i < j { (i, j) } else { (j, i) };
-        self.data[condensed_index(self.n, a, b)]
+        self.view().get(i, j)
     }
 
     /// All dissimilarities from item `i` to every other item, in index
     /// order (excluding `i` itself).
     pub fn row(&self, i: usize) -> Vec<f64> {
-        let mut buf = Vec::new();
-        self.row_into(i, &mut buf);
-        buf
+        self.view().row(i)
     }
 
     /// Writes row `i` (all dissimilarities to other items, in index
@@ -165,14 +183,7 @@ impl CondensedMatrix {
     ///
     /// Panics if `i` is out of bounds (and the matrix is non-empty).
     pub fn row_into(&self, i: usize, buf: &mut Vec<f64>) {
-        buf.clear();
-        if self.n == 0 {
-            return;
-        }
-        let (column, tail) = self.row_parts(i);
-        buf.reserve(self.n - 1);
-        buf.extend(column);
-        buf.extend_from_slice(tail);
+        self.view().row_into(i, buf);
     }
 
     /// Row `i` split at the diagonal, both halves in index order: the
@@ -188,24 +199,7 @@ impl CondensedMatrix {
     ///
     /// Panics if `i` is out of bounds.
     pub fn row_parts(&self, i: usize) -> (impl Iterator<Item = f64> + '_, &[f64]) {
-        assert!(i < self.n, "index out of bounds");
-        let n = self.n;
-        // Pairs (j, i) with j < i sit at condensed_index(n, j, i), whose
-        // stride from j to j + 1 is n − j − 2.
-        let mut idx = if i > 0 { condensed_index(n, 0, i) } else { 0 };
-        let column = (0..i).map(move |j| {
-            let d = self.data[idx];
-            idx += n - j - 2;
-            d
-        });
-        // Pairs (i, j) with j > i are contiguous.
-        let tail: &[f64] = if i + 1 < n {
-            let start = condensed_index(n, i, i + 1);
-            &self.data[start..start + (n - i - 1)]
-        } else {
-            &[]
-        };
-        (column, tail)
+        self.view().row_parts(i)
     }
 
     /// The dissimilarity of each item to its `k`-th nearest neighbor
@@ -218,18 +212,7 @@ impl CondensedMatrix {
     ///
     /// Panics if `k` is 0 or `k >= n`.
     pub fn knn_dissimilarities(&self, k: usize) -> Vec<f64> {
-        assert!(k >= 1, "k must be at least 1");
-        assert!(k < self.n, "k must be smaller than the item count");
-        let mut row = Vec::new();
-        (0..self.n)
-            .map(|i| {
-                self.row_into(i, &mut row);
-                let (_, kth, _) = row.select_nth_unstable_by(k - 1, |a, b| {
-                    a.partial_cmp(b).expect("dissimilarities are not NaN")
-                });
-                *kth
-            })
-            .collect()
+        self.view().knn_dissimilarities(k)
     }
 
     /// Each item's `k_max` nearest-neighbor dissimilarities, from one
@@ -246,17 +229,7 @@ impl CondensedMatrix {
     ///
     /// Panics if `k_max` is 0.
     pub fn knn_table(&self, k_max: usize) -> KnnTable {
-        let mut acc = KnnAccumulator::new(self.n, k_max);
-        let mut rest = &self.data[..];
-        for i in 0..self.n {
-            let (row, tail) = rest.split_at(self.n - i - 1);
-            for (off, &d) in row.iter().enumerate() {
-                acc.push(i, d);
-                acc.push(i + 1 + off, d);
-            }
-            rest = tail;
-        }
-        acc.finish()
+        self.view().knn_table(k_max)
     }
 
     /// All condensed (upper-triangle) values.
@@ -267,19 +240,174 @@ impl CondensedMatrix {
     /// Mean of all pairwise dissimilarities; `None` for fewer than two
     /// items.
     pub fn mean(&self) -> Option<f64> {
-        if self.data.is_empty() {
-            None
-        } else {
-            Some(self.data.iter().sum::<f64>() / self.data.len() as f64)
-        }
+        self.view().mean()
     }
 
     /// Maximum pairwise dissimilarity; `None` for fewer than two items.
     pub fn max(&self) -> Option<f64> {
-        self.data.iter().copied().fold(None, |acc, v| match acc {
+        self.view().max()
+    }
+}
+
+/// The matrix over the first `len()` items of a [`CondensedMatrix`],
+/// read in place ([`CondensedMatrix::prefix`]). Row `i` of the block is
+/// the head of the underlying row `i`, so every reader here answers bit
+/// for bit what the same reader of the block's own matrix answers, and
+/// visits pairs in the same order.
+#[derive(Debug, Clone, Copy)]
+pub struct MatrixView<'a> {
+    data: &'a [f64],
+    /// Items of the underlying matrix: its rows' stride.
+    stride: usize,
+    n: usize,
+}
+
+impl<'a> From<&'a CondensedMatrix> for MatrixView<'a> {
+    fn from(matrix: &'a CondensedMatrix) -> Self {
+        matrix.view()
+    }
+}
+
+impl<'a> MatrixView<'a> {
+    /// Number of items (rows/columns) of the block.
+    pub fn len(self) -> usize {
+        self.n
+    }
+
+    /// Whether the block covers zero items.
+    pub fn is_empty(self) -> bool {
+        self.n == 0
+    }
+
+    /// See [`CondensedMatrix::get`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` or `j` is outside the block.
+    pub fn get(self, i: usize, j: usize) -> f64 {
+        assert!(i < self.n && j < self.n, "index out of bounds");
+        if i == j {
+            return 0.0;
+        }
+        let (a, b) = if i < j { (i, j) } else { (j, i) };
+        self.data[condensed_index(self.stride, a, b)]
+    }
+
+    /// See [`CondensedMatrix::row`].
+    pub fn row(self, i: usize) -> Vec<f64> {
+        let mut buf = Vec::new();
+        self.row_into(i, &mut buf);
+        buf
+    }
+
+    /// See [`CondensedMatrix::row_into`].
+    pub fn row_into(self, i: usize, buf: &mut Vec<f64>) {
+        buf.clear();
+        if self.n == 0 {
+            return;
+        }
+        let (column, tail) = self.row_parts(i);
+        buf.reserve(self.n - 1);
+        buf.extend(column);
+        buf.extend_from_slice(tail);
+    }
+
+    /// See [`CondensedMatrix::row_parts`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is outside the block.
+    pub fn row_parts(self, i: usize) -> (impl Iterator<Item = f64> + 'a, &'a [f64]) {
+        assert!(i < self.n, "index out of bounds");
+        let (data, stride) = (self.data, self.stride);
+        // Pairs (j, i) with j < i sit at condensed_index(stride, j, i),
+        // whose step from j to j + 1 is stride − j − 2.
+        let mut idx = if i > 0 {
+            condensed_index(stride, 0, i)
+        } else {
+            0
+        };
+        let column = (0..i).map(move |j| {
+            let d = data[idx];
+            idx += stride - j - 2;
+            d
+        });
+        (column, self.tail(i))
+    }
+
+    /// The pairs `(i, j)` for `i < j < len()`, contiguous: the head of
+    /// the underlying row `i`.
+    fn tail(self, i: usize) -> &'a [f64] {
+        if i + 1 < self.n {
+            let start = condensed_index(self.stride, i, i + 1);
+            &self.data[start..start + (self.n - i - 1)]
+        } else {
+            &[]
+        }
+    }
+
+    /// Every condensed value of the block in condensed order: row by
+    /// row, each row's pairs with the later items.
+    pub fn cells(self) -> impl Iterator<Item = f64> + 'a {
+        (0..self.n).flat_map(move |i| self.tail(i).iter().copied())
+    }
+
+    /// See [`CondensedMatrix::knn_dissimilarities`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is 0 or `k >= len()`.
+    pub fn knn_dissimilarities(self, k: usize) -> Vec<f64> {
+        assert!(k >= 1, "k must be at least 1");
+        assert!(k < self.n, "k must be smaller than the item count");
+        let mut row = Vec::new();
+        (0..self.n)
+            .map(|i| {
+                self.row_into(i, &mut row);
+                let (_, kth, _) = row.select_nth_unstable_by(k - 1, |a, b| {
+                    a.partial_cmp(b).expect("dissimilarities are not NaN")
+                });
+                *kth
+            })
+            .collect()
+    }
+
+    /// See [`CondensedMatrix::knn_table`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k_max` is 0.
+    pub fn knn_table(self, k_max: usize) -> KnnTable {
+        let mut acc = KnnAccumulator::new(self.n, k_max);
+        for i in 0..self.n {
+            for (off, &d) in self.tail(i).iter().enumerate() {
+                acc.push(i, d);
+                acc.push(i + 1 + off, d);
+            }
+        }
+        acc.finish()
+    }
+
+    /// See [`CondensedMatrix::mean`].
+    pub fn mean(self) -> Option<f64> {
+        let pairs = self.n * self.n.saturating_sub(1) / 2;
+        (pairs > 0).then(|| self.cells().sum::<f64>() / pairs as f64)
+    }
+
+    /// See [`CondensedMatrix::max`].
+    pub fn max(self) -> Option<f64> {
+        self.cells().fold(None, |acc, v| match acc {
             None => Some(v),
             Some(a) => Some(a.max(v)),
         })
+    }
+
+    /// The block as a matrix of its own.
+    pub fn to_matrix(self) -> CondensedMatrix {
+        CondensedMatrix {
+            n: self.n,
+            data: self.cells().collect::<Vec<_>>().into(),
+        }
     }
 }
 
@@ -424,6 +552,41 @@ mod tests {
     fn row_into_rejects_out_of_bounds_index() {
         let mut buf = Vec::new();
         toy(3).row_into(3, &mut buf);
+    }
+
+    #[test]
+    fn prefix_view_reads_the_leading_block_bit_for_bit() {
+        let segs: Vec<Vec<u8>> = (0..30usize)
+            .map(|i| {
+                (0..1 + i % 5)
+                    .map(|k| ((i * 37 + k * 11) % 256) as u8)
+                    .collect()
+            })
+            .collect();
+        let values: Vec<&[u8]> = segs.iter().map(|s| &s[..]).collect();
+        let full = CondensedMatrix::build_segments(&values, &P, 2);
+        for n in [0, 1, 2, 7, 29, 30] {
+            let own = CondensedMatrix::build_segments(&values[..n], &P, 1);
+            let view = full.prefix(n);
+            assert_eq!(view.len(), n);
+            assert_eq!(view.to_matrix(), own, "n = {n}");
+            let bits = |v: Option<f64>| v.map(f64::to_bits);
+            assert_eq!(bits(view.mean()), bits(own.mean()), "n = {n}");
+            assert_eq!(bits(view.max()), bits(own.max()), "n = {n}");
+            for i in 0..n {
+                assert_eq!(view.row(i), own.row(i), "n = {n}, row {i}");
+            }
+            if n > 1 {
+                assert_eq!(view.knn_table(3), own.knn_table(3), "n = {n}");
+                assert_eq!(view.knn_dissimilarities(1), own.knn_dissimilarities(1));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a prefix cannot cover more items")]
+    fn prefix_view_cannot_outgrow_its_matrix() {
+        toy(3).prefix(4);
     }
 
     #[test]

@@ -53,7 +53,7 @@
 //! `j <= k_max`; only values are kept, so ties cannot matter.
 
 use crate::knn::KnnTable;
-use crate::matrix::CondensedMatrix;
+use crate::matrix::MatrixView;
 use crate::region::RegionTable;
 
 /// Minimum queries per stolen work chunk in the batch fan-out: small
@@ -164,23 +164,30 @@ pub trait NeighborProvider {
         Self: Sync;
 }
 
-/// The row-scan provider over a bare [`CondensedMatrix`]: the oracle
-/// every other backend is pinned against, and the matrix backend's
-/// query path.
+/// The row-scan provider over a bare
+/// [`CondensedMatrix`](crate::CondensedMatrix), or over the
+/// [prefix](crate::CondensedMatrix::prefix) of one: the oracle every
+/// other backend is pinned against, and the matrix backend's query
+/// path.
 ///
 /// Region queries walk one condensed row and emit in *index* order;
 /// k-NN queries select the order statistic off a row scan, exactly as
-/// [`CondensedMatrix::knn_dissimilarities`] does. Hot k-NN sweeps should
-/// read a [`knn_table`](NeighborProvider::knn_table) instead.
+/// [`CondensedMatrix::knn_dissimilarities`](crate::CondensedMatrix::knn_dissimilarities)
+/// does. Hot k-NN sweeps should read a
+/// [`knn_table`](NeighborProvider::knn_table) instead.
 #[derive(Debug, Clone, Copy)]
 pub struct MatrixProvider<'a> {
-    matrix: &'a CondensedMatrix,
+    matrix: MatrixView<'a>,
 }
 
 impl<'a> MatrixProvider<'a> {
-    /// Wraps a condensed matrix.
-    pub fn new(matrix: &'a CondensedMatrix) -> Self {
-        Self { matrix }
+    /// Wraps a condensed matrix, or a prefix view of one: a provider
+    /// over a prefix answers exactly what one over the prefix's own
+    /// matrix answers.
+    pub fn new(matrix: impl Into<MatrixView<'a>>) -> Self {
+        Self {
+            matrix: matrix.into(),
+        }
     }
 }
 
@@ -222,7 +229,7 @@ impl NeighborProvider for MatrixProvider<'_> {
     }
 
     /// One serial sweep of the condensed triangle
-    /// ([`CondensedMatrix::knn_table`]); `threads` is unused.
+    /// ([`MatrixView::knn_table`]); `threads` is unused.
     fn knn_table(&self, k_max: usize, _threads: usize) -> KnnTable {
         self.matrix.knn_table(k_max)
     }
@@ -245,6 +252,7 @@ pub(crate) fn sorted_bits(region: &[(f64, u32)]) -> Vec<(u64, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::CondensedMatrix;
 
     fn toy(n: usize) -> CondensedMatrix {
         CondensedMatrix::build(n, |i, j| ((i * 13 + j * 7) % 23) as f64 / 10.0)
@@ -296,6 +304,34 @@ mod tests {
         }
         // Empty batches stay empty.
         assert!(mp.neighbors_within_batch(&[], 1.0, 4).is_empty());
+    }
+
+    #[test]
+    fn prefix_provider_answers_like_the_prefix_matrix() {
+        let full = toy(20);
+        let own = CondensedMatrix::build(12, |i, j| full.get(i, j));
+        let (view, oracle) = (
+            MatrixProvider::new(full.prefix(12)),
+            MatrixProvider::new(&own),
+        );
+        assert_eq!(view.len(), 12);
+        for eps in [0.0, 0.35, 1.1] {
+            let (a, b) = (view.region_table(eps, 2), oracle.region_table(eps, 2));
+            assert_eq!(a.len(), b.len());
+            for i in 0..12 {
+                let rows: Vec<_> = a.row(i).collect();
+                assert_eq!(rows, b.row(i).collect::<Vec<_>>(), "row {i}, eps {eps}");
+            }
+        }
+        assert_eq!(view.knn_table(4, 1), oracle.knn_table(4, 1));
+        let js: Vec<usize> = (0..12).rev().collect();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for i in 0..12 {
+            view.pairs_from(i, &js, &mut a);
+            oracle.pairs_from(i, &js, &mut b);
+            assert_eq!(a, b, "row {i}");
+            assert_eq!(view.knn(i, 3).to_bits(), oracle.knn(i, 3).to_bits());
+        }
     }
 
     #[test]

@@ -15,9 +15,9 @@
 use crate::segments::SegmentStore;
 use crate::session::AnalysisSession;
 use crate::FieldTypeClusterer;
-use cluster::autoconf::AutoConfig;
-use cluster::dbscan::Clustering;
-use dissim::CondensedMatrix;
+use cluster::autoconf::{auto_configure, required_k_max, AutoConfig};
+use cluster::dbscan::{dbscan, Clustering};
+use dissim::{CondensedMatrix, MatrixProvider, NeighborProvider};
 use segment::TraceSegmentation;
 use std::sync::atomic::{AtomicBool, Ordering};
 use trace::Trace;
@@ -107,12 +107,13 @@ pub fn identify_message_types(
     session.message_types(config)
 }
 
-/// Each message as a sequence of unique-segment ids. Instances are
-/// recorded per segment, so sort them back into per-message offset
-/// order.
+/// Each message as a sequence of unique-segment ids, numbered over the
+/// store's `segments ++ excluded` ([`SegmentStore::all_values`]): every
+/// segment counts, however short. Instances are recorded per segment,
+/// so sort them back into per-message offset order.
 pub(crate) fn segment_sequences(n: usize, store: &SegmentStore) -> Vec<Vec<usize>> {
     let mut with_offsets: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-    for (id, seg) in store.segments.iter().enumerate() {
+    for (id, seg) in store.segments.iter().chain(&store.excluded).enumerate() {
         for inst in &seg.instances {
             with_offsets[inst.message].push((inst.range.start, id));
         }
@@ -124,6 +125,32 @@ pub(crate) fn segment_sequences(n: usize, store: &SegmentStore) -> Vec<Vec<usize
             v.into_iter().map(|(_, id)| id).collect()
         })
         .collect()
+}
+
+/// Clusters messages by their dissimilarity `matrix` with the
+/// auto-configured, unweighted DBSCAN of the field analysis:
+/// `min_samples = round(ln n)`, ε from Algorithm 1 over the matrix's
+/// k-NN table, or half the mean dissimilarity when no knee exists.
+pub(crate) fn cluster_messages(
+    matrix: &CondensedMatrix,
+    autoconf: &AutoConfig,
+    threads: usize,
+) -> MessageTypes {
+    let n = matrix.len();
+    let min_samples = ((n as f64).ln().round() as usize).max(2);
+    let provider = MatrixProvider::new(matrix);
+    let table = provider.knn_table(required_k_max(n), threads);
+    let epsilon = match auto_configure(&table, autoconf) {
+        Ok(p) => p.epsilon,
+        Err(_) => matrix.mean().unwrap_or(0.5) / 2.0,
+    };
+    let regions = provider.region_table(epsilon, threads);
+    let clustering = dbscan(&regions, epsilon, min_samples, &vec![1; n]);
+    MessageTypes {
+        clustering,
+        epsilon,
+        min_samples,
+    }
 }
 
 /// Message pairs advanced in lockstep per DP sweep of

@@ -41,6 +41,9 @@ pub fn standard_report(
     trace: &Trace,
     session: &mut AnalysisSession<'_>,
 ) -> Result<String, PipelineError> {
+    // Message typing follows the field stages: they read its segment
+    // matrix rather than build a neighbor index besides it.
+    session.expect_message_types();
     session.staged(Stage::Report, |session| {
         let result = session.finish()?;
         let semantics = interpret(&result, trace, &SemanticsConfig::default());

@@ -87,6 +87,24 @@ impl SegmentStore {
         Self { segments, excluded }
     }
 
+    /// The clusterable segments' values, parallel to `segments`.
+    pub fn values(&self) -> Vec<&[u8]> {
+        self.segments.iter().map(|s| &s.value[..]).collect()
+    }
+
+    /// The values of every unique segment, clusterable ones first:
+    /// `segments ++ excluded`. Message typing numbers segments in this
+    /// order, so clustering item `i` is segment `i` there too, and a
+    /// matrix over these values holds the matrix over
+    /// [`values`](Self::values) as its leading block.
+    pub fn all_values(&self) -> Vec<&[u8]> {
+        self.segments
+            .iter()
+            .chain(&self.excluded)
+            .map(|s| &s.value[..])
+            .collect()
+    }
+
     /// Occurrence counts of the clusterable segments, parallel to
     /// `segments`.
     pub fn occurrence_counts(&self) -> Vec<usize> {

@@ -34,9 +34,19 @@
 //! [`FieldTypeClusterer::max_memory`]) the matrix stage instead
 //! computes, persists, and faults in fixed-height row tiles and merges
 //! per-tile k-NN partials into the same table — bit-identical to the
-//! monolithic build either way. Message type identification
-//! ([`AnalysisSession::message_types`]) rides on the same session and
-//! reuses its segment dissimilarities rather than building its own.
+//! monolithic build either way.
+//!
+//! Message type identification ([`AnalysisSession::message_types`])
+//! rides on the same session: one segment store and one segment matrix
+//! serve both analyses. Message typing aligns over every unique segment,
+//! numbered `segments ++ excluded` of the store, so the field matrix
+//! (the clusterable `segments` only) is the leading block of its
+//! segment matrix. When message typing is known to follow — a report
+//! plans it — the matrix stage builds the segment matrix right away,
+//! the `auto` backend resolves to the matrix, and the field stages read
+//! its leading block through a [prefix view](CondensedMatrix::prefix);
+//! otherwise message typing extends the field matrix by the excluded
+//! rows, or builds the segment matrix when the field side built none.
 //!
 //! Stages are driven on demand: asking for a late artifact (say
 //! [`refine`](AnalysisSession::refine)) runs every missing earlier
@@ -70,6 +80,7 @@
 //! ```
 
 use std::borrow::Cow;
+use std::convert::Infallible;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -90,8 +101,8 @@ use cluster::dbscan::{dbscan, Clustering};
 use cluster::refine::{merge_clusters, split_clusters};
 use dissim::kernel::pairwise_mean;
 use dissim::{
-    CondensedMatrix, DissimArtifact, KnnTable, MatrixProvider, MatrixTile, NeighborProvider,
-    QueryCounters, RegionTable, StrataIndex, StratifiedProvider, TiledMatrix,
+    CondensedMatrix, DissimArtifact, KnnTable, MatrixProvider, MatrixTile, MatrixView,
+    NeighborProvider, QueryCounters, RegionTable, StrataIndex, StratifiedProvider, TiledMatrix,
 };
 use segment::{SegmentError, Segmenter, TraceSegmentation};
 use store::{ArtifactStore, Key, Kind, StoreStats};
@@ -107,6 +118,9 @@ pub struct AnalysisSession<'t> {
     // Stage artifacts, in dependency order. `None` = not yet computed.
     segmentation: Option<TraceSegmentation>,
     store: Option<SegmentStore>,
+    // The segment matrix: over the store's `segments`, or over
+    // `segments ++ excluded` once message typing reads it. The field
+    // stages read its leading `segments.len()` block.
     dissim: Option<DissimArtifact>,
     // Each segment's `required_k_max` nearest dissimilarities, serving
     // the autoconf ECDFs and the §III-E trimmed rerun on every backend:
@@ -126,14 +140,15 @@ pub struct AnalysisSession<'t> {
     selection: Option<(SelectedParams, EpsilonSource)>,
     clustering: Option<Clustering>,
     refined: Option<Clustering>,
-    // Message-type artifacts (share the trace and segmentation; the
-    // store differs because message typing keeps 1-byte segments).
-    full_store: Option<SegmentStore>,
-    full_dissim: Option<FullDissim>,
+    // Whether message typing follows (a report planned it) or has
+    // started on the current segmentation: `auto` then resolves to the
+    // matrix backend, and `park` keeps the segment matrix until the
+    // message types are memoized.
+    msgtype_follows: bool,
     msg_dissim: Option<(f64, DissimArtifact)>,
     // The message types and the configuration they were computed
     // under, memoized on success only; while held, `park` drops the
-    // three artifacts above.
+    // message matrix.
     msg_types: Option<(MessageTypeConfig, MessageTypes)>,
     // Optional on-disk artifact cache; `None` keeps every stage purely
     // in-memory. The memoized input key covers trace + segmentation.
@@ -182,8 +197,7 @@ impl<'t> AnalysisSession<'t> {
             selection: None,
             clustering: None,
             refined: None,
-            full_store: None,
-            full_dissim: None,
+            msgtype_follows: false,
             msg_dissim: None,
             msg_types: None,
             cache: None,
@@ -316,8 +330,7 @@ impl<'t> AnalysisSession<'t> {
         self.selection = None;
         self.clustering = None;
         self.refined = None;
-        self.full_store = None;
-        self.full_dissim = None;
+        self.msgtype_follows = false;
         self.msg_dissim = None;
         self.msg_types = None;
     }
@@ -342,14 +355,16 @@ impl<'t> AnalysisSession<'t> {
     }
 
     /// Stage 4 (matrix): the pairwise Canberra dissimilarity matrix over
-    /// the unique segments of [`store`](Self::store).
+    /// the unique segments of [`store`](Self::store) — the leading block
+    /// of the session's [segment matrix](Self::segment_matrix), read in
+    /// place.
     ///
     /// # Errors
     ///
     /// See [`store`](Self::store).
-    pub fn matrix(&mut self) -> Result<&CondensedMatrix, PipelineError> {
+    pub fn matrix(&mut self) -> Result<MatrixView<'_>, PipelineError> {
         self.ensure_dissim()?;
-        Ok(self.dissim.as_ref().expect("ensured").matrix())
+        Ok(self.field_matrix())
     }
 
     /// Stage 4b (neighbors): builds what the resolved backend answers
@@ -394,15 +409,18 @@ impl<'t> AnalysisSession<'t> {
     /// The neighbor backend this session resolves for its current
     /// segment store: [`FieldTypeClusterer::resolved_backend_mixed`]
     /// over the store's actual size and length profile (mixed-length
-    /// corpora steer `auto` to the stratified backend). Only called
-    /// with the store ensured.
+    /// corpora steer `auto` to the stratified backend) — unless message
+    /// typing follows: its segment matrix holds the field matrix, so
+    /// `auto` reads that rather than build an index besides it. Only
+    /// called with the store ensured.
     fn session_backend(&self) -> NeighborBackend {
         let store = self.store.as_ref().expect("ensured");
         let mut lens = store.segments.iter().map(|s| s.value.len());
-        let mixed = match lens.next() {
-            None => false,
-            Some(first) => lens.any(|len| len != first),
-        };
+        let mixed = !self.msgtype_follows
+            && match lens.next() {
+                None => false,
+                Some(first) => lens.any(|len| len != first),
+            };
         self.config
             .resolved_backend_mixed(store.segments.len(), mixed)
     }
@@ -410,7 +428,8 @@ impl<'t> AnalysisSession<'t> {
     /// The neighbor backend the session resolves for its deduplicated
     /// segment store, ensuring the store first. Unlike
     /// [`FieldTypeClusterer::resolved_backend`] this sees the corpus's
-    /// actual length profile, so `auto` resolution is exact.
+    /// actual length profile and whether message typing follows, so
+    /// `auto` resolution is exact.
     ///
     /// # Errors
     ///
@@ -538,28 +557,35 @@ impl<'t> AnalysisSession<'t> {
 
     // ----- message types (NEMETYL-style companion analysis) -----
 
-    /// The dissimilarity matrix over *all* unique segments (including
-    /// 1-byte ones), as used for message alignment. Cached separately
-    /// from [`matrix`](Self::matrix), which excludes short segments —
-    /// unless no segment is short: when both stores hold the same values
-    /// and the field matrix is already built, this is that matrix.
+    /// The segment matrix message alignment substitutes from: the
+    /// dissimilarity matrix over *all* unique segments, those shorter
+    /// than `min_segment_len` included, numbered `segments ++ excluded` of
+    /// [`store`](Self::store). Its leading block is the field
+    /// [`matrix`](Self::matrix): the session keeps this one matrix for
+    /// both analyses.
+    ///
+    /// The monolithic matrix stage always builds this matrix, so the
+    /// field stages read its leading block. A tiled build covers the
+    /// field segments only and is extended by the excluded rows in
+    /// memory; when the field stages built no matrix (the stratified
+    /// backend), this builds it whole. With a store attached only the
+    /// field block is persisted.
     ///
     /// # Errors
     ///
     /// [`MessageTypeError::TooFewMessages`] /
     /// [`MessageTypeError::MissingSegmentation`].
     pub fn segment_matrix(&mut self) -> Result<&CondensedMatrix, MessageTypeError> {
-        self.ensure_full_dissim()?;
-        Ok(self.full_matrix())
+        self.ensure_segment_matrix()?;
+        Ok(self.dissim.as_ref().expect("ensured").matrix())
     }
 
-    /// The ensured full-store segment matrix.
-    fn full_matrix(&self) -> &CondensedMatrix {
-        match self.full_dissim.as_ref().expect("ensured") {
-            FullDissim::Field => self.dissim.as_ref().expect("field matrix present"),
-            FullDissim::Own(artifact) => artifact,
-        }
-        .matrix()
+    /// Tells the session that message typing follows its field stages
+    /// on the current segmentation: the `auto` backend then resolves to
+    /// the matrix backend, so the field stages read the leading block of
+    /// the segment matrix rather than build an index besides it.
+    pub(crate) fn expect_message_types(&mut self) {
+        self.msgtype_follows = true;
     }
 
     /// The message dissimilarity matrix: normalized alignment cost of
@@ -589,7 +615,7 @@ impl<'t> AnalysisSession<'t> {
     ///
     /// With a store attached the matrix is keyed by the messages'
     /// segment-value sequences (`cache::message_key`). A hit skips even
-    /// the full-store segment matrix. On a miss, the largest cached
+    /// the segment matrix. On a miss, the largest cached
     /// matrix over a prefix of the messages (found through the
     /// per-family manifest) is extended: only pairs with a message
     /// past the prefix are aligned.
@@ -604,16 +630,15 @@ impl<'t> AnalysisSession<'t> {
             .is_none_or(|(g, _)| *g != gap_penalty)
         {
             let n = self.trace.len();
-            self.ensure_full_store()?;
-            let sequences =
-                msgtype::segment_sequences(n, self.full_store.as_ref().expect("ensured"));
+            self.ensure_message_store()?;
+            let store = self.store.as_ref().expect("collected");
+            let sequences = msgtype::segment_sequences(n, store);
             let cache = self.cache.clone();
             // The cached matrix, or the key and family to store the
             // computed one under plus the largest cached prefix.
             let mut probe = None;
             if let Some(cache) = &cache {
-                let full = self.full_store.as_ref().expect("ensured");
-                let values: Vec<&[u8]> = full.segments.iter().map(|s| &s.value[..]).collect();
+                let values = store.all_values();
                 let params = &self.config.dissim;
                 let key = cache::message_key(&sequences, &values, params, gap_penalty);
                 if let Some(a) = cache.get::<DissimArtifact>(&key).filter(|a| a.len() == n) {
@@ -631,7 +656,7 @@ impl<'t> AnalysisSession<'t> {
                 );
                 probe = Some((key, family, prefix));
             }
-            self.ensure_full_dissim()?;
+            self.ensure_segment_matrix()?;
             let empty = CondensedMatrix::build(0, |_, _| 0.0);
             let prefix = probe
                 .as_ref()
@@ -640,7 +665,7 @@ impl<'t> AnalysisSession<'t> {
             let artifact = DissimArtifact::from_matrix(msgtype::alignment_matrix(
                 &sequences,
                 prefix,
-                self.full_matrix(),
+                self.dissim.as_ref().expect("ensured").matrix(),
                 gap_penalty,
                 self.config.threads,
                 stop,
@@ -676,25 +701,10 @@ impl<'t> AnalysisSession<'t> {
         if let Some((_, types)) = self.msg_types.as_ref().filter(|(c, _)| c == config) {
             return Ok(types.clone());
         }
-        let n = self.trace.len();
-        let autoconf = config.autoconf;
         let threads = self.config.threads;
         let types = self.staged(Stage::Msgtype, |s| {
             let matrix = s.message_matrix(config.gap_penalty)?;
-            let min_samples = ((n as f64).ln().round() as usize).max(2);
-            let provider = MatrixProvider::new(matrix);
-            let table = provider.knn_table(required_k_max(matrix.len()), threads);
-            let epsilon = match auto_configure(&table, &autoconf) {
-                Ok(p) => p.epsilon,
-                Err(_) => matrix.mean().unwrap_or(0.5) / 2.0,
-            };
-            let regions = provider.region_table(epsilon, threads);
-            let clustering = dbscan(&regions, epsilon, min_samples, &vec![1; n]);
-            Ok(MessageTypes {
-                clustering,
-                epsilon,
-                min_samples,
-            })
+            Ok(msgtype::cluster_messages(matrix, &config.autoconf, threads))
         })?;
         self.msg_types = Some((config.clone(), types.clone()));
         Ok(types)
@@ -704,14 +714,13 @@ impl<'t> AnalysisSession<'t> {
     /// the outputs: what a session that is put aside to serve later
     /// requests holds on to.
     ///
-    /// - Once the refined clustering is held, the field matrix, the
-    ///   k-NN table and the stratified index go: [`finish`](Self::finish)
-    ///   reads only the segment store, the selection and the refined
-    ///   clustering. The field matrix stays while it doubles as message
-    ///   typing's segment matrix and message typing has not finished.
-    /// - Once message types are held, the full segment store and the
-    ///   two matrices message typing built go:
+    /// - Once message types are held, the message matrix goes:
     ///   [`message_types`](Self::message_types) answers from its memo.
+    /// - Once the refined clustering is held, the k-NN table and the
+    ///   stratified index go, and so does the segment matrix unless
+    ///   message typing follows and has not finished:
+    ///   [`finish`](Self::finish) reads only the segment store, the
+    ///   selection and the refined clustering.
     ///
     /// A run that failed or was cancelled memoized nothing, so its
     /// inputs stay for the retry. Parking never changes a result: a
@@ -719,14 +728,12 @@ impl<'t> AnalysisSession<'t> {
     /// the store) exactly as before.
     pub fn park(&mut self) {
         if self.msg_types.is_some() {
-            self.full_store = None;
-            self.full_dissim = None;
             self.msg_dissim = None;
         }
         if self.refined.is_some() {
             self.knn = None;
             self.strata = None;
-            if !matches!(self.full_dissim, Some(FullDissim::Field)) {
+            if !self.msgtype_follows || self.msg_types.is_some() {
                 self.dissim = None;
             }
         }
@@ -824,9 +831,9 @@ impl<'t> AnalysisSession<'t> {
     }
 
     /// Collects (or fetches from the cache) the deduplicated segment
-    /// store at the given minimum length. Only called with a
-    /// segmentation present.
-    fn collect_store_cached(&mut self, min_len: usize) -> SegmentStore {
+    /// store. Only called with a segmentation present.
+    fn collect_store_cached(&mut self) -> SegmentStore {
+        let min_len = self.config.min_segment_len;
         let Some(cache) = self.cache.clone() else {
             let seg = self.segmentation.as_ref().expect("segmentation present");
             return SegmentStore::collect(&self.trace, seg, min_len);
@@ -842,57 +849,53 @@ impl<'t> AnalysisSession<'t> {
         store
     }
 
-    /// Builds (or fetches, or incrementally extends from a cached
-    /// prefix) the dissimilarity artifact over `values`, dispatching on
-    /// [`FieldTypeClusterer::effective_tile_rows`]: the tiled build
-    /// when a tile height (or memory budget) is configured, the
-    /// monolithic in-memory build otherwise. All paths are
-    /// bit-identical; the monolithic incremental path finds the largest
-    /// cached prefix of `values` through the per-family manifest and
-    /// computes only the condensed entries that touch appended
-    /// segments, while the tiled path reuses complete tiles verbatim.
-    fn build_dissim_cached(&self, values: &[&[u8]]) -> DissimArtifact {
-        match self.config.effective_tile_rows(values.len()) {
-            Some(tile_rows) => self.build_dissim_tiled(values, tile_rows).0,
-            None => self.build_dissim_monolithic(values),
-        }
-    }
-
-    /// The monolithic build: one condensed matrix computed (or fetched,
-    /// or extended from a cached prefix) in memory.
-    fn build_dissim_monolithic(&self, values: &[&[u8]]) -> DissimArtifact {
+    /// The monolithic build over `values`, whose first `n_field` are the
+    /// field store's segments and the rest, if any, its excluded ones:
+    /// one condensed matrix computed in memory — or, with a store
+    /// attached, the field block fetched, or extended from the largest
+    /// cached prefix of the field values (found through the per-family
+    /// manifest, computing only the entries that touch appended
+    /// segments), and then extended by the excluded rows. All paths are
+    /// bit-identical. Only the field block is persisted, written from
+    /// the matrix in place, under the field key and family, so a grown
+    /// trace extends it; the excluded rows are never persisted, nor
+    /// probed for under a key of their own.
+    fn build_dissim_monolithic(&self, values: &[&[u8]], n_field: usize) -> DissimArtifact {
         let params = &self.config.dissim;
         let threads = self.config.threads;
         let Some(cache) = self.cache.as_ref() else {
             return DissimArtifact::compute_segments(values, params, threads);
         };
-        let n = values.len();
-        let key = cache::dissim_key(values, params);
+        let field = &values[..n_field];
+        let key = cache::dissim_key(field, params);
         if let Some(artifact) = cache.get::<DissimArtifact>(&key) {
-            return artifact;
+            if values.len() == n_field {
+                return artifact;
+            }
+            let extended = artifact.matrix().extend_segments(values, params, threads);
+            return DissimArtifact::from_matrix(extended);
         }
-        let family = cache::dissim_family_key(values, params);
+        let family = cache::dissim_family_key(field, params);
         let prefix = cache::cached_prefix(
             cache,
             &family,
             2,
-            n,
-            |at| cache::dissim_keys_at(values, params, at),
+            n_field,
+            |at| cache::dissim_keys_at(field, params, at),
             |u, a: &DissimArtifact| a.len() == u,
         );
-        let artifact = match prefix {
+        let matrix = match prefix {
             // The incremental warm-start: splice the cached matrix over
             // `values[..u]` and compute only the new rows.
             Some(prev) => {
-                let extended = prev.matrix().extend_segments(values, params, threads);
                 cache.record_extension();
-                DissimArtifact::from_matrix(extended)
+                prev.matrix().extend_segments(values, params, threads)
             }
-            None => DissimArtifact::compute_segments(values, params, threads),
+            None => CondensedMatrix::build_segments(values, params, threads),
         };
-        cache.put(&key, &artifact);
-        cache.manifest_add(&family, n, &key);
-        artifact
+        cache.put(&key, &matrix.prefix(n_field));
+        cache.manifest_add(&family, n_field, &key);
+        DissimArtifact::from_matrix(matrix)
     }
 
     /// The tiled build: fixed-height row tiles computed, checksummed,
@@ -945,8 +948,7 @@ impl<'t> AnalysisSession<'t> {
     /// chunk trees and pivot rows, bit-identical to a cold build). A
     /// damaged artifact degrades to recompute.
     fn build_strata_cached(&self) -> StrataIndex {
-        let store = self.store.as_ref().expect("ensured");
-        let values: Vec<&[u8]> = store.segments.iter().map(|s| &s.value[..]).collect();
+        let values = self.store.as_ref().expect("ensured").values();
         let values = &values[..];
         let params = &self.config.dissim;
         let chunk = dissim::vptree::DEFAULT_CHUNK;
@@ -1004,15 +1006,22 @@ impl<'t> AnalysisSession<'t> {
     /// neighbors stage ensured.
     fn with_provider<R>(&self, f: impl FnOnce(&SessionProvider<'_>) -> R) -> R {
         if self.session_backend() == NeighborBackend::Stratified {
-            let store = self.store.as_ref().expect("ensured");
-            let values: Vec<&[u8]> = store.segments.iter().map(|s| &s.value[..]).collect();
+            let values = self.store.as_ref().expect("ensured").values();
             let index = self.strata.as_ref().expect("ensured");
             let provider = StratifiedProvider::new(&values, &self.config.dissim, index)
                 .with_counters(Arc::clone(&self.neighbor_counters));
             return f(&SessionProvider::Stratified(provider));
         }
-        let matrix = self.dissim.as_ref().expect("ensured").matrix();
-        f(&SessionProvider::Matrix(MatrixProvider::new(matrix)))
+        f(&SessionProvider::Matrix(MatrixProvider::new(
+            self.field_matrix(),
+        )))
+    }
+
+    /// The field matrix: the leading `segments.len()` block of the
+    /// segment matrix. Only called with the matrix built.
+    fn field_matrix(&self) -> MatrixView<'_> {
+        let n = self.store.as_ref().expect("ensured").segments.len();
+        self.dissim.as_ref().expect("ensured").matrix().prefix(n)
     }
 
     /// The stage key for a configuration-dependent artifact, if a cache
@@ -1024,23 +1033,31 @@ impl<'t> AnalysisSession<'t> {
         })
     }
 
+    /// Stage 3 (dedup) plus the field side's size check: clustering
+    /// needs at least four unique segments.
     fn ensure_store(&mut self) -> Result<(), PipelineError> {
         self.check_cancelled()?;
-        if self.store.is_some() {
-            return Ok(());
-        }
         if self.segmentation.is_none() {
             return Err(PipelineError::MissingSegmentation);
         }
-        self.staged(Stage::Dedup, |s| {
-            let store = s.collect_store_cached(s.config.min_segment_len);
-            let n = store.segments.len();
-            if n < 4 {
-                return Err(PipelineError::TooFewSegments { n });
-            }
-            s.store = Some(store);
-            Ok(())
-        })
+        self.collect_store();
+        let n = self.store.as_ref().expect("collected").segments.len();
+        if n < 4 {
+            return Err(PipelineError::TooFewSegments { n });
+        }
+        Ok(())
+    }
+
+    /// Stage 3 (dedup), without a size check: message typing reads
+    /// the excluded segments too. Only called with a segmentation
+    /// present.
+    fn collect_store(&mut self) {
+        if self.store.is_none() {
+            let Ok(()) = self.staged(Stage::Dedup, |s| {
+                s.store = Some(s.collect_store_cached());
+                Ok::<_, Infallible>(())
+            });
+        }
     }
 
     fn ensure_dissim(&mut self) -> Result<(), PipelineError> {
@@ -1049,27 +1066,36 @@ impl<'t> AnalysisSession<'t> {
             return Ok(());
         }
         self.ensure_store()?;
-        self.staged(Stage::Matrix, |s| {
+        self.build_dissim();
+        Ok(())
+    }
+
+    /// Stage 4 (matrix) over the collected store: the monolithic build
+    /// is the segment matrix over `segments ++ excluded`, whose leading
+    /// block is the field matrix; the tiled build is the field matrix
+    /// alone, since its tiles and k-NN partials cover field rows only.
+    fn build_dissim(&mut self) {
+        let Ok(()) = self.staged(Stage::Matrix, |s| {
             // Structure-aware kernel build (LUT + early-abandon windows +
             // length buckets); bit-identical to the naive closure build,
             // pinned by tests/session_equivalence.rs — as are the cache's
             // warm and incremental paths, and the tiled build.
-            let store = s.store.as_ref().expect("ensured");
-            let values: Vec<&[u8]> = store.segments.iter().map(|seg| &seg.value[..]).collect();
-            let (artifact, knn) = match s.config.tiled_rows(values.len()) {
+            let store = s.store.as_ref().expect("collected");
+            let n = store.segments.len();
+            let (artifact, knn) = match s.config.tiled_rows(n) {
                 Some(tile_rows) => {
-                    let (artifact, knn) = s.build_dissim_tiled(&values, tile_rows);
+                    let (artifact, knn) = s.build_dissim_tiled(&store.values(), tile_rows);
                     (artifact, Some(knn))
                 }
-                None => (s.build_dissim_monolithic(&values), None),
+                None => (s.build_dissim_monolithic(&store.all_values(), n), None),
             };
             s.dissim = Some(artifact);
             // A table any backend already built is the same table.
             if s.knn.is_none() {
                 s.knn = knn;
             }
-            Ok(())
-        })
+            Ok::<_, Infallible>(())
+        });
     }
 
     fn ensure_selection(&mut self) -> Result<(), PipelineError> {
@@ -1105,15 +1131,13 @@ impl<'t> AnalysisSession<'t> {
             let selection = auto_configure(table, &s.config.autoconf);
             let fallback_mean = selection
                 .is_err()
-                .then(|| match &s.dissim {
-                    Some(artifact) => artifact.matrix().mean(),
-                    None => {
-                        let values: Vec<&[u8]> =
-                            store.segments.iter().map(|seg| &seg.value[..]).collect();
-                        let pairs = n * n.saturating_sub(1) / 2;
-                        s.neighbor_counters.add_kernel_evals(pairs as u64);
-                        pairwise_mean(&values, &s.config.dissim)
+                .then(|| {
+                    if s.dissim.is_some() {
+                        return s.field_matrix().mean();
                     }
+                    let pairs = n * n.saturating_sub(1) / 2;
+                    s.neighbor_counters.add_kernel_evals(pairs as u64);
+                    pairwise_mean(&store.values(), &s.config.dissim)
                 })
                 .flatten();
             let (mut selected, source) = match selection {
@@ -1224,61 +1248,40 @@ impl<'t> AnalysisSession<'t> {
         })
     }
 
-    fn ensure_full_store(&mut self) -> Result<(), MessageTypeError> {
+    /// The store message typing reads: all of it, however few of its
+    /// segments are long enough to cluster.
+    fn ensure_message_store(&mut self) -> Result<(), MessageTypeError> {
         self.check_cancelled_msg()?;
         let n = self.trace.len();
         if n < 4 {
             return Err(MessageTypeError::TooFewMessages { n });
         }
-        if self.full_store.is_some() {
-            return Ok(());
-        }
         if self.segmentation.is_none() {
             return Err(MessageTypeError::MissingSegmentation);
         }
-        // Message type identification keeps even 1-byte segments —
-        // sequence context disambiguates them.
-        self.full_store = Some(self.collect_store_cached(1));
+        self.collect_store();
         Ok(())
     }
 
-    fn ensure_full_dissim(&mut self) -> Result<(), MessageTypeError> {
-        self.check_cancelled_msg()?;
-        if self.full_dissim.is_some() {
-            return Ok(());
+    /// The segment matrix over `segments ++ excluded`: the matrix
+    /// stage's, extended in memory by the excluded rows when a tiled
+    /// build made it the field matrix alone.
+    fn ensure_segment_matrix(&mut self) -> Result<(), MessageTypeError> {
+        self.ensure_message_store()?;
+        self.msgtype_follows = true;
+        if self.dissim.is_none() {
+            self.build_dissim();
         }
-        self.ensure_full_store()?;
-        let full = self.full_store.as_ref().expect("ensured");
-        let same_values = |field: &SegmentStore| {
-            field.segments.len() == full.segments.len()
-                && field
-                    .segments
-                    .iter()
-                    .zip(&full.segments)
-                    .all(|(f, g)| f.value == g.value)
-        };
-        if self.dissim.is_some() && self.store.as_ref().is_some_and(same_values) {
-            self.full_dissim = Some(FullDissim::Field);
-            return Ok(());
+        let store = self.store.as_ref().expect("collected");
+        let matrix = self.dissim.as_ref().expect("built").matrix();
+        if matrix.len() < store.segments.len() + store.excluded.len() {
+            let values = store.all_values();
+            let extended =
+                matrix.extend_segments(&values, &self.config.dissim, self.config.threads);
+            self.dissim = Some(DissimArtifact::from_matrix(extended));
         }
-        // Kernel build (see ensure_dissim); these entries feed the
-        // message-alignment substitution costs of message_matrix.
-        let values: Vec<&[u8]> = full.segments.iter().map(|s| &s.value[..]).collect();
-        let artifact = self.build_dissim_cached(&values);
-        self.full_dissim = Some(FullDissim::Own(artifact));
         Ok(())
     }
-}
-
-/// The segment matrix message alignment substitutes from.
-#[derive(Debug, Clone)]
-enum FullDissim {
-    /// No segment is shorter than `min_segment_len`, so the full store
-    /// holds the field store's values in the same order: the field
-    /// matrix serves both.
-    Field,
-    /// A matrix over the full store, which keeps short segments.
-    Own(DissimArtifact),
 }
 
 /// The one neighbor provider a session answers every clustering query
@@ -1423,10 +1426,10 @@ mod tests {
         s.set_segmentation(truth_segmentation(&trace, &gt));
         assert!(s.segmentation().is_some());
         let n = s.store().unwrap().segments.len();
-        let first = s.matrix().unwrap() as *const CondensedMatrix;
+        let first = s.segment_matrix().unwrap() as *const CondensedMatrix;
         assert_eq!(s.matrix().unwrap().len(), n);
         // Same allocation: the artifact was cached, not rebuilt.
-        assert_eq!(first, s.matrix().unwrap() as *const CondensedMatrix);
+        assert_eq!(first, s.segment_matrix().unwrap() as *const CondensedMatrix);
         s.ensure_neighbors().unwrap();
         assert_eq!(s.knn_table().unwrap().len(), n);
         let eps = s.autoconf().unwrap().epsilon;
@@ -1597,19 +1600,20 @@ mod tests {
             s.set_segmentation(seg.clone());
             s
         };
-        // No 4-byte chunk is short, so the full store equals the field
-        // store and message alignment reads the field matrix itself.
-        let mut shared = session();
-        let field = shared.matrix().unwrap() as *const CondensedMatrix;
-        assert!(std::ptr::eq(field, shared.segment_matrix().unwrap()));
-        // Building the full-store matrix first (no field matrix to
-        // share yet) yields the same report.
-        let mut separate = session();
-        let own = separate.segment_matrix().unwrap() as *const CondensedMatrix;
-        assert!(!std::ptr::eq(own, separate.matrix().unwrap()));
+        let bits = |m: &CondensedMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // No 4-byte chunk is short, so nothing is excluded and the
+        // field matrix is the whole segment matrix, in either build
+        // order.
+        let mut field_first = session();
+        let field = field_first.matrix().unwrap().to_matrix();
+        assert_eq!(bits(&field), bits(field_first.segment_matrix().unwrap()));
+        let mut segments_first = session();
+        let whole = bits(segments_first.segment_matrix().unwrap());
+        assert_eq!(whole, bits(&segments_first.matrix().unwrap().to_matrix()));
+        assert_eq!(whole, bits(&field));
         assert_eq!(
-            standard_report(&trace, &mut shared).unwrap(),
-            standard_report(&trace, &mut separate).unwrap()
+            standard_report(&trace, &mut field_first).unwrap(),
+            standard_report(&trace, &mut segments_first).unwrap()
         );
     }
 
@@ -1621,6 +1625,187 @@ mod tests {
         s.segment_with(&Nemesys::default()).unwrap();
         let field = s.matrix().unwrap().len();
         assert!(s.segment_matrix().unwrap().len() > field);
+    }
+
+    /// The segment matrix over `segments ++ excluded` and its prefix
+    /// view, against cold builds over the session's own store, and the
+    /// message types against the way they were typed when message
+    /// typing kept a store of its own: every segment admitted, in
+    /// first-occurrence order, under a cold matrix of its own.
+    mod one_matrix {
+        use super::*;
+        use crate::msgtype::{alignment_matrix, cluster_messages, segment_sequences};
+        use crate::report::standard_report;
+        use proptest::prelude::*;
+        use segment::nemesys::Nemesys;
+
+        fn bits(m: &CondensedMatrix) -> Vec<u64> {
+            m.values().iter().map(|v| v.to_bits()).collect()
+        }
+
+        /// The message matrix and types over a separate store of every
+        /// segment with its own cold segment matrix.
+        fn separate_store_types(
+            trace: &Trace,
+            seg: &TraceSegmentation,
+            config: &FieldTypeClusterer,
+        ) -> (CondensedMatrix, MessageTypes) {
+            let store = SegmentStore::collect(trace, seg, 1);
+            assert!(store.excluded.is_empty());
+            let seg_matrix = CondensedMatrix::build_segments(&store.values(), &config.dissim, 1);
+            let sequences = segment_sequences(trace.len(), &store);
+            let msg = MessageTypeConfig::default();
+            let empty = CondensedMatrix::build(0, |_, _| 0.0);
+            let matrix =
+                alignment_matrix(&sequences, &empty, &seg_matrix, msg.gap_penalty, 1, &|| {
+                    false
+                })
+                .expect("never stopped");
+            let types = cluster_messages(&matrix, &msg.autoconf, 1);
+            (matrix, types)
+        }
+
+        /// Checks `s`'s one matrix and message types; `label` names the
+        /// arm.
+        fn check(
+            s: &mut AnalysisSession<'_>,
+            expected: &(CondensedMatrix, MessageTypes),
+            label: &str,
+        ) -> Result<(), TestCaseError> {
+            let config = s.config().clone();
+            let store = s.store.clone().expect("collected");
+            let cold = CondensedMatrix::build_segments(&store.all_values(), &config.dissim, 1);
+            let field = CondensedMatrix::build_segments(&store.values(), &config.dissim, 1);
+            prop_assert!(
+                bits(s.segment_matrix().unwrap()) == bits(&cold),
+                "{}: segment matrix",
+                label
+            );
+            let prefix = s.matrix().unwrap().to_matrix();
+            prop_assert!(bits(&prefix) == bits(&field), "{}: prefix view", label);
+            let types = s.message_types(&MessageTypeConfig::default()).unwrap();
+            if let Some((_, m)) = &s.msg_dissim {
+                prop_assert!(bits(m.matrix()) == bits(&expected.0), "{}: messages", label);
+            }
+            prop_assert_eq!(&types.clustering, &expected.1.clustering, "{}", label);
+            prop_assert_eq!(types.epsilon.to_bits(), expected.1.epsilon.to_bits());
+            prop_assert_eq!(types.min_samples, expected.1.min_samples);
+            Ok(())
+        }
+
+        /// Whether `store` holds exactly the field matrix of `s` under
+        /// its field key: the one part of the segment matrix persisted.
+        fn persists_the_field_block(s: &AnalysisSession<'_>, store: &ArtifactStore) -> bool {
+            let params = &s.config().dissim;
+            let values = s.store.as_ref().expect("collected").values();
+            let field = CondensedMatrix::build_segments(&values, params, 1);
+            store
+                .get_quiet::<DissimArtifact>(&cache::dissim_key(&values, params))
+                .is_some_and(|a| bits(a.matrix()) == bits(&field))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(10))]
+            /// Arms: no store (the monolithic matrix built over
+            /// `segments ++ excluded` up front, and a tiled field matrix
+            /// extended by message typing), a cold store, a warm store,
+            /// and a grown trace extending the previous round's cached
+            /// field block.
+            #[test]
+            fn segment_matrix_is_one_matrix_over_segments_then_excluded(
+                protocol in 0usize..6,
+                n in 16usize..36,
+                seed in 0u64..1000,
+                min_len in 1usize..5,
+                threads in 1usize..3,
+            ) {
+                let protocol = [
+                    Protocol::Dns,
+                    Protocol::Smb,
+                    Protocol::Awdl,
+                    Protocol::Ntp,
+                    Protocol::Dhcp,
+                    Protocol::Nbns,
+                ][protocol];
+                let trace = corpus::build_trace(protocol, n, seed);
+                let seg = Nemesys::default().segment_trace(&trace).unwrap();
+                let config = FieldTypeClusterer {
+                    min_segment_len: min_len,
+                    threads,
+                    ..FieldTypeClusterer::default()
+                };
+                let fields = SegmentStore::collect(&trace, &seg, min_len).segments.len();
+                prop_assume!(fields >= 4);
+                let expected = separate_store_types(&trace, &seg, &config);
+                let session = |trace| {
+                    let mut s = AnalysisSession::new(trace, config.clone());
+                    s.set_segmentation(seg.clone());
+                    s
+                };
+                let tag = format!("{protocol:?} n={n} seed={seed} min_len={min_len} t={threads}");
+
+                let mut report = session(&trace);
+                standard_report(&trace, &mut report).unwrap();
+                check(&mut report, &expected, &format!("{tag}, report"))?;
+                let mut tiled = AnalysisSession::new(&trace, FieldTypeClusterer {
+                    neighbor_backend: NeighborBackend::Tiled,
+                    tile_rows: Some(7),
+                    ..config.clone()
+                });
+                tiled.set_segmentation(seg.clone());
+                tiled.matrix().unwrap();
+                // Its tiles cover the field rows only, until message
+                // typing extends the matrix by the excluded ones.
+                prop_assert_eq!(tiled.dissim.as_ref().map(DissimArtifact::len), Some(fields));
+                check(&mut tiled, &expected, &format!("{tag}, tiled"))?;
+
+                let dir = std::env::temp_dir().join(format!(
+                    "fieldclust-one-matrix-{}-{tag}",
+                    std::process::id()
+                ).replace([' ', '='], "_"));
+                let _ = std::fs::remove_dir_all(&dir);
+                let store = ArtifactStore::open(&dir).expect("open store");
+                let mut cold = session(&trace);
+                cold.set_store(store.clone());
+                standard_report(&trace, &mut cold).unwrap();
+                prop_assert!(persists_the_field_block(&cold, &store), "{}: cold put", tag);
+                check(&mut cold, &expected, &format!("{tag}, cold store"))?;
+                let mut warm = session(&trace);
+                warm.set_store(store.clone());
+                let before = store.stats();
+                standard_report(&trace, &mut warm).unwrap();
+                prop_assert_eq!(store.stats().misses, before.misses, "{}: warm misses", tag);
+                prop_assert_eq!(store.stats().writes, before.writes, "{}: warm writes", tag);
+                check(&mut warm, &expected, &format!("{tag}, warm store"))?;
+                let _ = std::fs::remove_dir_all(&dir);
+
+                // The previous round: the first two thirds of the
+                // messages, under the same segmentation.
+                let k = n * 2 / 3;
+                let head = Trace::new(trace.name(), trace.messages()[..k].to_vec());
+                let store = ArtifactStore::open(&dir).expect("open store");
+                let mut previous = AnalysisSession::new(&head, config.clone());
+                previous.set_segmentation(TraceSegmentation {
+                    messages: seg.messages[..k].to_vec(),
+                });
+                previous.set_store(store.clone());
+                if standard_report(&head, &mut previous).is_ok() {
+                    let head_fields = previous.store().unwrap().segments.len();
+                    let mut grown = session(&trace);
+                    grown.set_store(store.clone());
+                    let before = store.stats().extended;
+                    standard_report(&trace, &mut grown).unwrap();
+                    // The message matrix always grows from the previous
+                    // round's; the segment matrix does when the field
+                    // block gained segments.
+                    let grew = 1 + u64::from(head_fields < fields);
+                    prop_assert_eq!(store.stats().extended - before, grew, "{}: extended", tag);
+                    prop_assert!(persists_the_field_block(&grown, &store), "{}: grown put", tag);
+                    check(&mut grown, &expected, &format!("{tag}, grown"))?;
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
     }
 
     #[test]
@@ -1670,12 +1855,7 @@ mod tests {
     /// Whether the session holds any artifact `park` must drop once
     /// the report's outputs are memoized.
     fn holds_a_parked_artifact(s: &AnalysisSession<'_>) -> bool {
-        s.dissim.is_some()
-            || s.knn.is_some()
-            || s.strata.is_some()
-            || s.full_store.is_some()
-            || s.full_dissim.is_some()
-            || s.msg_dissim.is_some()
+        s.dissim.is_some() || s.knn.is_some() || s.strata.is_some() || s.msg_dissim.is_some()
     }
 
     #[test]
@@ -1687,8 +1867,8 @@ mod tests {
         let ntp = corpus::build_trace(Protocol::Ntp, 60, 20);
         let captures = [
             (&dns, Nemesys::default().segment_trace(&dns).unwrap()),
-            // Uniform 4-byte chunks: the field matrix doubles as the
-            // segment matrix of message typing.
+            // Uniform 4-byte chunks: no segment is excluded, so the
+            // segment matrix is the field matrix.
             (&ntp, FixedChunks { width: 4 }.segment_trace(&ntp).unwrap()),
         ];
         let config = StateMachineConfig::default();
@@ -1745,8 +1925,8 @@ mod tests {
         let ntp = corpus::build_trace(Protocol::Ntp, 50, 21);
         let captures = [
             (&dns, Nemesys::default().segment_trace(&dns).unwrap()),
-            // The field matrix is also the segment matrix here, so it
-            // must outlive the park.
+            // No segment is excluded here: the segment matrix is the
+            // field matrix.
             (&ntp, FixedChunks { width: 4 }.segment_trace(&ntp).unwrap()),
         ];
         for (trace, seg) in captures {
@@ -1761,8 +1941,8 @@ mod tests {
                 Err(MessageTypeError::Cancelled)
             ));
             s.park();
-            assert!(s.full_store.is_some(), "the full store is kept");
-            assert!(s.full_dissim.is_some(), "the segment matrix is kept");
+            assert!(s.store.is_some(), "the segment store is kept");
+            assert!(s.dissim.is_some(), "the segment matrix is kept");
             assert!(s.knn.is_none() && s.strata.is_none(), "the field side goes");
             // The retry types the messages like a session never cancelled.
             let config = MessageTypeConfig::default();
@@ -1776,14 +1956,44 @@ mod tests {
     }
 
     #[test]
+    fn a_new_segmentation_forgets_that_message_typing_followed() {
+        use crate::report::standard_report;
+        use segment::nemesys::Nemesys;
+        let trace = corpus::build_trace(Protocol::Dns, 60, 23);
+        let seg = Nemesys::default().segment_trace(&trace).unwrap();
+        let mut s = AnalysisSession::new(&trace, FieldTypeClusterer::default());
+        s.set_segmentation(seg.clone());
+        standard_report(&trace, &mut s).unwrap();
+        assert_eq!(
+            s.resolved_neighbor_backend().unwrap(),
+            NeighborBackend::Matrix,
+            "a report reads the segment matrix"
+        );
+
+        // Clustering alone on the re-segmented trace: mixed-length
+        // NEMESYS segments steer `auto` to the stratified index again.
+        s.set_segmentation(seg);
+        assert_eq!(
+            s.resolved_neighbor_backend().unwrap(),
+            NeighborBackend::Stratified
+        );
+        s.finish().unwrap();
+        assert!(s.dissim.is_none(), "the stratified stages build no matrix");
+        // A matrix asked for explicitly goes at park: no message typing
+        // is pending on this segmentation.
+        s.matrix().unwrap();
+        s.park();
+        assert!(s.dissim.is_none(), "park drops the segment matrix");
+    }
+
+    #[test]
     fn message_types_are_memoized_with_their_config() {
         let (_, mut s) = session_for(Protocol::Dns, 40, 22);
         let config = MessageTypeConfig::default();
         let first = s.message_types(&config).unwrap();
         s.take_stage_record();
         // A memo hit reads no matrix: drop them all and ask again.
-        s.full_store = None;
-        s.full_dissim = None;
+        s.dissim = None;
         s.msg_dissim = None;
         let again = s.message_types(&config).unwrap();
         assert_eq!(again.clustering, first.clustering);

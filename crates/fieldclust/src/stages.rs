@@ -11,7 +11,9 @@ pub enum Stage {
     Segment,
     /// The deduplicated segment store.
     Dedup,
-    /// The condensed segment matrix (matrix-backed backends only).
+    /// The condensed segment matrix: the field matrix of the
+    /// matrix-backed backends, or message typing's segment matrix,
+    /// which holds the field matrix as its leading block.
     Matrix,
     /// The k-NN table sweep of the matrix, or the stratified index.
     Neighbors,
@@ -21,7 +23,8 @@ pub enum Stage {
     Cluster,
     /// §III-F merge and split refinement.
     Refine,
-    /// Message type identification, its matrices included.
+    /// Message type identification: the message matrix, and the
+    /// extension of a field matrix by the excluded segments' rows.
     Msgtype,
     /// State machine inference over the message types.
     Fsm,

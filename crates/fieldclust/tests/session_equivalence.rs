@@ -284,7 +284,7 @@ fn assert_staged_matches_reference(
     // The kernel-layer matrix build (LUT + early-abandon windows +
     // length buckets) must be bit-identical to the naive serial build —
     // every condensed entry, not just the derived ε.
-    let staged_matrix = session.matrix().expect("cached matrix");
+    let staged_matrix = session.matrix().expect("cached matrix").to_matrix();
     assert_eq!(
         staged_matrix.len(),
         ref_matrix.len(),
@@ -464,8 +464,8 @@ fn assert_sessions_bit_identical(a: &mut AnalysisSession, b: &mut AnalysisSessio
     assert_eq!(result_a.clustering, result_b.clustering, "{label}: labels");
     assert_eq!(result_a.epsilon_source, result_b.epsilon_source);
     assert_eq!(result_a.store, result_b.store, "{label}: segment stores");
-    let ma = a.matrix().expect("matrix a");
-    let mb = b.matrix().expect("matrix b");
+    let ma = a.matrix().expect("matrix a").to_matrix();
+    let mb = b.matrix().expect("matrix b").to_matrix();
     assert_eq!(ma.len(), mb.len(), "{label}: matrix size");
     for (k, (x, y)) in ma.values().iter().zip(mb.values()).enumerate() {
         assert_eq!(
@@ -675,8 +675,8 @@ fn tiled_growth_reuses_complete_tiles() {
 
     // The grown tiled matrix equals a cold monolithic build bit for bit.
     let mut monolithic = truth_session(&full);
-    let ref_matrix = monolithic.matrix().expect("cold matrix");
-    let grown_matrix = grown.matrix().expect("grown matrix");
+    let ref_matrix = monolithic.matrix().expect("cold matrix").to_matrix();
+    let grown_matrix = grown.matrix().expect("grown matrix").to_matrix();
     assert_eq!(grown_matrix.len(), ref_matrix.len());
     for (k, (x, y)) in grown_matrix
         .values()
@@ -862,7 +862,7 @@ fn legacy_indexed_dissim_file_is_rebuilt_and_overwritten() {
         let mut s = truth_session_with(&trace, config.clone())
             .with_store(dir)
             .expect("open store");
-        let m = s.matrix().expect("matrix").clone();
+        let m = s.matrix().expect("matrix").to_matrix();
         (m, s.cache_stats().expect("stats"))
     };
     let (cold, _) = matrix_of(&dir);
@@ -1194,7 +1194,7 @@ fn damaged_tile_degrades_to_recompute() {
     first.set_segmentation(seg.clone());
     let mut first = first.with_store(&dir).expect("open store");
     let reference = first.finish().expect("first pipeline");
-    let ref_matrix = first.matrix().expect("first matrix").clone();
+    let ref_matrix = first.matrix().expect("first matrix").to_matrix();
 
     // Flip a byte in the middle of every persisted tile; stage
     // artifacts stay intact, so only the tile path is exercised.
@@ -1217,7 +1217,7 @@ fn damaged_tile_degrades_to_recompute() {
     second.set_segmentation(seg);
     let mut second = second.with_store(&dir).expect("open store");
     let recomputed = second.finish().expect("damaged tiles must not fail");
-    let matrix = second.matrix().expect("recomputed matrix");
+    let matrix = second.matrix().expect("recomputed matrix").to_matrix();
     assert_eq!(matrix.len(), ref_matrix.len());
     for (k, (x, y)) in matrix.values().iter().zip(ref_matrix.values()).enumerate() {
         assert_eq!(
@@ -1237,4 +1237,59 @@ fn damaged_tile_degrades_to_recompute() {
         stats.writes > 0,
         "recomputed tiles must be re-persisted: {stats}"
     );
+}
+
+// A report plans message typing, whose segment matrix holds the field
+// matrix as its leading block, so under `auto` the field stages read
+// that block even on mixed-length segments. The rendered report must not
+// tell which backend served the field stages, nor whether a store did.
+
+#[test]
+fn auto_reports_read_the_segment_matrix_and_match_every_backend() {
+    use fieldclust::report::standard_report;
+    use fieldclust::{ArtifactStore, NeighborBackend};
+    let backends = [
+        (NeighborBackend::Stratified, None),
+        (NeighborBackend::Matrix, None),
+        (NeighborBackend::Tiled, Some(16)),
+    ];
+    for (protocol, n) in [
+        (Protocol::Dns, 60),
+        (Protocol::Smb, 30),
+        (Protocol::Awdl, 30),
+        (Protocol::Ntp, 60),
+    ] {
+        let trace = corpus::build_trace(protocol, n, corpus::DEFAULT_SEED);
+        let seg = Nemesys::default().segment_trace(&trace).expect("nemesys");
+        for threads in [1, 2] {
+            for with_store in [false, true] {
+                let label = format!("{protocol:?} t={threads} store={with_store}");
+                let report = |backend: NeighborBackend, tile_rows: Option<usize>| {
+                    let config = FieldTypeClusterer {
+                        neighbor_backend: backend,
+                        tile_rows,
+                        threads,
+                        ..FieldTypeClusterer::default()
+                    };
+                    let mut s = AnalysisSession::new(&trace, config);
+                    s.set_segmentation(seg.clone());
+                    let dir = cache_dir(&format!("report-{protocol:?}-t{threads}-{backend}"));
+                    if with_store {
+                        s.set_store(ArtifactStore::open(&dir).expect("open store"));
+                    }
+                    let md = standard_report(&trace, &mut s).expect("report");
+                    let resolved = s.resolved_neighbor_backend().expect("store");
+                    let _ = std::fs::remove_dir_all(&dir);
+                    (md, resolved, s.neighbor_counters())
+                };
+                let (auto, resolved, counters) = report(NeighborBackend::Auto, None);
+                assert_eq!(resolved, NeighborBackend::Matrix, "{label}: auto resolves");
+                assert_eq!(counters, (0, 0, 0), "{label}: no stratified query");
+                for (backend, tile_rows) in backends {
+                    let (md, _, _) = report(backend, tile_rows);
+                    assert_eq!(md, auto, "{label}: {backend} report");
+                }
+            }
+        }
+    }
 }

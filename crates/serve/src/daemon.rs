@@ -1206,11 +1206,18 @@ mod tests {
     #[test]
     fn job_stages_match_an_in_process_report() {
         let trace = corpus::build_trace(Protocol::Ntp, 60, 17);
-        for segmenter in ["nemesys", "fixed"] {
+        let arms = [
+            ("nemesys", NeighborBackend::Auto),
+            ("fixed", NeighborBackend::Auto),
+            // Explicit stratified queries move the counters compared.
+            ("nemesys", NeighborBackend::Stratified),
+        ];
+        for (segmenter, backend) in arms {
             let mut reference = None;
             for threads in [1, 2, 4] {
                 let config = ServerConfig {
                     threads,
+                    neighbor_backend: backend,
                     ..ServerConfig::default()
                 };
                 let shared = shared_with(config, trace.clone());
@@ -1225,6 +1232,7 @@ mod tests {
                     &trace,
                     FieldTypeClusterer {
                         threads,
+                        neighbor_backend: backend,
                         ..FieldTypeClusterer::default()
                     },
                 );
@@ -1232,8 +1240,15 @@ mod tests {
                 local.segment_with(seg.as_ref()).unwrap();
                 standard_report(&trace, &mut local).unwrap();
                 assert_eq!(job_stages, counters(&local.take_stage_record()));
+                if backend == NeighborBackend::Stratified {
+                    let evals: u64 = job_stages.iter().map(|s| s.1).sum();
+                    assert!(evals > 0, "{segmenter}: stratified queries are counted");
+                }
                 let reference = reference.get_or_insert_with(|| job_stages.clone());
-                assert_eq!(&job_stages, reference, "{segmenter}: threads {threads}");
+                assert_eq!(
+                    &job_stages, reference,
+                    "{segmenter} {backend:?}: threads {threads}"
+                );
             }
         }
     }

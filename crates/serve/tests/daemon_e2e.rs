@@ -4,7 +4,7 @@
 //! and a draining shutdown.
 
 use fieldclust::report::standard_report;
-use fieldclust::{AnalysisSession, FieldTypeClusterer, StateMachineConfig};
+use fieldclust::{AnalysisSession, FieldTypeClusterer, NeighborBackend, StateMachineConfig};
 use protocols::{corpus, Protocol};
 use serve::daemon::{start, ServerConfig};
 use serve::{build_segmenter, prepare_trace, Client, ClientError, JobState, PrepareOpts};
@@ -106,16 +106,95 @@ fn concurrent_clients_get_byte_identical_reports() {
         .iter()
         .map(|(s, _)| s.as_str())
         .collect();
-    // NEMESYS-segmented corpora are mixed-length, so `auto` resolves
-    // the stratified backend: no matrix stage exists — the build cost
-    // lands under "neighbors" and the prune counters must move.
-    for stage in ["segment", "neighbors", "autoconf", "cluster", "report"] {
+    // A report job plans message typing, whose segment matrix holds
+    // the field matrix: `auto` resolves the matrix backend even on
+    // mixed-length NEMESYS segments, so the matrix stage builds that one
+    // matrix and no stratified query runs.
+    for stage in [
+        "segment",
+        "matrix",
+        "neighbors",
+        "autoconf",
+        "cluster",
+        "report",
+    ] {
         assert!(stages.contains(&stage), "stage {stage} must be timed");
     }
-    assert!(
-        !stages.contains(&"matrix"),
-        "stratified jobs must not build a matrix"
+    assert_eq!(
+        (stats.kernel_evals, stats.pruned_candidates),
+        (0, 0),
+        "matrix-backed report jobs run no stratified query"
     );
+
+    client.shutdown().expect("shutdown");
+    handle.wait();
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
+/// The neighbor-query counters an in-process stratified report over
+/// the capture adds up to: `(kernel_evals, pruned, strata_skipped)`.
+fn offline_stratified_counters(pcap: &[u8], segmenter: &str) -> (u64, u64, u64) {
+    let (trace, _) = prepare_trace(pcap, &PrepareOpts::default()).expect("prepare offline");
+    let config = FieldTypeClusterer {
+        neighbor_backend: NeighborBackend::Stratified,
+        ..FieldTypeClusterer::default()
+    };
+    let mut session = AnalysisSession::from_owned(trace, config);
+    let seg = build_segmenter(segmenter).expect("segmenter");
+    session
+        .segment_with(seg.as_ref())
+        .expect("offline segmentation");
+    let trace = session.trace().clone();
+    standard_report(&trace, &mut session).expect("offline report");
+    session.neighbor_counters()
+}
+
+#[test]
+fn stratified_daemon_sums_the_neighbor_queries_of_concurrent_jobs() {
+    let handle = start(ServerConfig {
+        workers: 2,
+        neighbor_backend: NeighborBackend::Stratified,
+        ..ServerConfig::default()
+    })
+    .expect("start daemon");
+    let addr = handle.addr().to_string();
+    let cases = [(Protocol::Ntp, 16usize, 11u64), (Protocol::Dns, 16, 22)];
+    let expected_totals = std::thread::scope(|scope| {
+        let jobs: Vec<_> = cases
+            .into_iter()
+            .map(|(protocol, n, seed)| {
+                let addr = addr.clone();
+                scope.spawn(move || {
+                    let bytes = capture_bytes(protocol, n, seed);
+                    let mut client = Client::connect(&addr).expect("connect");
+                    let (trace_id, _) = client
+                        .submit_trace(&format!("{protocol:?}"), bytes.clone(), None, None, false)
+                        .expect("submit");
+                    let job = client.analyze(trace_id, "nemesys", 0).expect("analyze");
+                    let JobState::Done { report } = client
+                        .wait_for(job, Duration::from_millis(20))
+                        .expect("wait")
+                    else {
+                        panic!("{protocol:?}: expected Done");
+                    };
+                    // Backends never change a report.
+                    assert_eq!(
+                        String::from_utf8(report).expect("utf8 report"),
+                        offline_report(&bytes, "nemesys"),
+                        "{protocol:?}"
+                    );
+                    offline_stratified_counters(&bytes, "nemesys")
+                })
+            })
+            .collect();
+        jobs.into_iter()
+            .map(|j| j.join().expect("client thread"))
+            .fold((0, 0, 0), |acc, c| (acc.0 + c.0, acc.1 + c.1, acc.2 + c.2))
+    });
+
+    let mut client = Client::connect(&addr).expect("connect for stats");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.jobs_completed, 2);
     assert!(
         stats.kernel_evals > 0,
         "stratified queries must count kernel evaluations"
@@ -124,10 +203,18 @@ fn concurrent_clients_get_byte_identical_reports() {
         stats.pruned_candidates > 0,
         "stratified queries must prune candidates"
     );
+    assert_eq!(
+        (
+            stats.kernel_evals,
+            stats.pruned_candidates,
+            stats.strata_skipped
+        ),
+        expected_totals,
+        "the daemon's totals are the sum of its jobs' counters"
+    );
 
     client.shutdown().expect("shutdown");
     handle.wait();
-    let _ = std::fs::remove_dir_all(&cache);
 }
 
 #[test]

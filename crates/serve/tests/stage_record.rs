@@ -5,7 +5,7 @@
 //! depends on the thread count.
 
 use fieldclust::report::standard_report;
-use fieldclust::{AnalysisSession, FieldTypeClusterer, StageRecord};
+use fieldclust::{AnalysisSession, FieldTypeClusterer, NeighborBackend, StageRecord};
 use ingest::{SampleConfig, StreamConfig, StreamSession};
 use protocols::{corpus, Protocol};
 use serve::daemon::{start, ServerConfig};
@@ -24,9 +24,10 @@ fn counters(record: &StageRecord) -> Counters {
         .collect()
 }
 
-fn clusterer(threads: usize) -> FieldTypeClusterer {
+fn clusterer(threads: usize, neighbor_backend: NeighborBackend) -> FieldTypeClusterer {
     FieldTypeClusterer {
         threads,
+        neighbor_backend,
         ..FieldTypeClusterer::default()
     }
 }
@@ -37,10 +38,11 @@ fn in_process(
     bytes: &[u8],
     segmenter: &str,
     threads: usize,
+    backend: NeighborBackend,
     drive: impl FnOnce(&mut AnalysisSession<'static>),
 ) -> (Counters, u64) {
     let (trace, _) = prepare_trace(bytes, &PrepareOpts::default()).expect("prepare");
-    let mut session = AnalysisSession::from_owned(trace, clusterer(threads));
+    let mut session = AnalysisSession::from_owned(trace, clusterer(threads, backend));
     let seg = build_segmenter(segmenter).expect("segmenter");
     session.segment_with(seg.as_ref()).expect("segment");
     drive(&mut session);
@@ -55,11 +57,18 @@ fn in_process(
     (counters(&record), evals)
 }
 
-/// A cold job on a store-less daemon: its stage names in order (from
-/// the `Stats` walls) and the `Stats` counter totals.
-fn daemon_job(bytes: &[u8], segmenter: &str, threads: usize) -> (Vec<String>, (u64, u64, u64)) {
+/// A cold job on a store-less daemon running `backend`: its stage
+/// names in order (from the `Stats` walls) and the `Stats` counter
+/// totals.
+fn daemon_job(
+    bytes: &[u8],
+    segmenter: &str,
+    threads: usize,
+    backend: NeighborBackend,
+) -> (Vec<String>, (u64, u64, u64)) {
     let handle = start(ServerConfig {
         threads,
+        neighbor_backend: backend,
         ..ServerConfig::default()
     })
     .expect("start daemon");
@@ -92,7 +101,7 @@ fn stream_batch(bytes: &[u8], segmenter: &str, threads: usize) -> Counters {
         StreamConfig {
             prepare: PrepareOpts::default(),
             segmenter: segmenter.to_string(),
-            clusterer: clusterer(threads),
+            clusterer: clusterer(threads, NeighborBackend::Auto),
             sample: SampleConfig::default(),
             fsm: false,
         },
@@ -124,27 +133,55 @@ fn daemon_stream_and_session_report_one_stage_record() {
         let bytes = pcap::write_to_vec(&corpus::build_trace(protocol, n, seed)).expect("write");
         let mut at_one_thread = None;
         for threads in [1, 2, 4] {
-            let (report, report_evals) = in_process(&bytes, segmenter, threads, |s| {
-                let trace = s.trace().clone();
-                standard_report(&trace, s).expect("report");
-            });
-            let (finish, _) = in_process(&bytes, segmenter, threads, |s| {
-                s.finish().expect("finish");
-            });
-            let has_matrix = report.iter().any(|(name, ..)| *name == "matrix");
-            assert_eq!(has_matrix, segmenter == "fixed", "{segmenter}: backend");
+            let report_with = |backend| {
+                in_process(&bytes, segmenter, threads, backend, |s| {
+                    let trace = s.trace().clone();
+                    standard_report(&trace, s).expect("report");
+                })
+            };
+            let (report, report_evals) = report_with(NeighborBackend::Auto);
+            let (finish, finish_evals) =
+                in_process(&bytes, segmenter, threads, NeighborBackend::Auto, |s| {
+                    s.finish().expect("finish");
+                });
+            let has_matrix = |record: &Counters| record.iter().any(|(name, ..)| *name == "matrix");
+            // A report plans message typing, whose segment matrix holds
+            // the field matrix: both segmentations resolve the matrix
+            // backend. Clustering alone keeps `auto`'s length-profile
+            // choice: stratified on mixed-length NEMESYS segments.
+            assert!(has_matrix(&report), "{segmenter}: report backend");
+            assert_eq!(report_evals, 0, "{segmenter}: no stratified query");
+            assert_eq!(
+                has_matrix(&finish),
+                segmenter == "fixed",
+                "{segmenter}: backend"
+            );
             assert_eq!(report.last().map(|s| s.0), Some("report"));
             if segmenter == "nemesys" {
-                assert!(report_evals > 0, "stratified queries count kernel calls");
+                assert!(finish_evals > 0, "stratified queries count kernel calls");
             }
 
-            let (names, totals) = daemon_job(&bytes, segmenter, threads);
-            let expected: Vec<&str> = report.iter().map(|(name, ..)| *name).collect();
-            assert_eq!(names, expected, "{segmenter} t={threads}: daemon stages");
-            let sum = report
-                .iter()
-                .fold((0, 0, 0), |acc, s| (acc.0 + s.1, acc.1 + s.2, acc.2 + s.3));
-            assert_eq!(totals, sum, "{segmenter} t={threads}: daemon counters");
+            // The daemon's stages and counter totals are the session's,
+            // under `auto` and under an explicit stratified backend,
+            // whose queries move the counters.
+            for backend in [NeighborBackend::Auto, NeighborBackend::Stratified] {
+                let record = match backend {
+                    NeighborBackend::Auto => report.clone(),
+                    _ => report_with(backend).0,
+                };
+                let (names, totals) = daemon_job(&bytes, segmenter, threads, backend);
+                let label = format!("{segmenter} t={threads} {backend:?}");
+                let expected: Vec<&str> = record.iter().map(|(name, ..)| *name).collect();
+                assert_eq!(names, expected, "{label}: daemon stages");
+                let sum = record
+                    .iter()
+                    .fold((0, 0, 0), |acc, s| (acc.0 + s.1, acc.1 + s.2, acc.2 + s.3));
+                assert_eq!(totals, sum, "{label}: daemon counters");
+                if backend == NeighborBackend::Stratified {
+                    assert!(sum.0 > 0, "{label}: stratified queries count kernel calls");
+                    assert!(sum.1 > 0, "{label}: stratified queries prune candidates");
+                }
+            }
 
             let stream = stream_batch(&bytes, segmenter, threads);
             assert_eq!(stream, finish, "{segmenter} t={threads}: stream stages");

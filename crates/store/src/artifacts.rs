@@ -1,4 +1,5 @@
-//! The [`Persist`] trait and codecs for the pipeline's core artifacts.
+//! The [`Persist`] trait and codecs for the pipeline's core artifacts,
+//! and the [`Encode`] trait of what the store writes.
 //!
 //! Each artifact kind owns a one-byte tag (part of the file frame and of
 //! every cache key) and a short file-name prefix. Decoders are strictly
@@ -12,7 +13,9 @@ use crate::codec::{Reader, Writer};
 use cluster::{Clustering, Label, SelectedParams};
 use dissim::strata::DEFAULT_PIVOTS;
 use dissim::vptree::VpNode;
-use dissim::{CondensedMatrix, DissimArtifact, MatrixTile, StrataIndex, Stratum, VpForest, VpTree};
+use dissim::{
+    CondensedMatrix, DissimArtifact, MatrixTile, MatrixView, StrataIndex, Stratum, VpForest, VpTree,
+};
 use segment::{MessageSegments, TraceSegmentation};
 
 /// An artifact kind: a stable one-byte tag plus a file-name prefix.
@@ -127,6 +130,49 @@ pub trait Persist: Sized {
     fn decode(r: &mut Reader) -> Option<Self>;
 }
 
+/// What [`ArtifactStore::put`](crate::ArtifactStore::put) writes: an
+/// encoding that decodes as a [`Persist`] artifact of kind
+/// [`STORED_AS`](Self::STORED_AS). Every `Persist` artifact is one; a
+/// borrowed [`MatrixView`] writes the [`DissimArtifact`] of its block,
+/// so the leading block of a larger matrix is stored without being
+/// copied out first.
+pub trait Encode {
+    /// The kind the payload decodes as.
+    const STORED_AS: Kind;
+
+    /// Appends the encoded payload.
+    fn encode_payload(&self, w: &mut Writer);
+
+    /// See [`Persist::payload_hint`].
+    fn encoded_len_hint(&self) -> usize;
+}
+
+impl<T: Persist> Encode for T {
+    const STORED_AS: Kind = T::KIND;
+
+    fn encode_payload(&self, w: &mut Writer) {
+        self.encode(w);
+    }
+
+    fn encoded_len_hint(&self) -> usize {
+        self.payload_hint()
+    }
+}
+
+/// The [`DissimArtifact`] of the block's own matrix, written from the
+/// block in place.
+impl Encode for MatrixView<'_> {
+    const STORED_AS: Kind = Kind::DISSIM;
+
+    fn encode_payload(&self, w: &mut Writer) {
+        encode_dissim(*self, w);
+    }
+
+    fn encoded_len_hint(&self) -> usize {
+        matrix_payload_len(self.len()) + 1
+    }
+}
+
 /// Encodes `value` as a bare payload (no file frame).
 pub fn encode_payload<T: Persist>(value: &T) -> Vec<u8> {
     let mut w = Writer::with_capacity(value.payload_hint());
@@ -186,16 +232,36 @@ impl Persist for TraceSegmentation {
     }
 }
 
+/// The matrix payload: the item count, then the condensed values row
+/// by row. A block of a larger matrix writes its own rows' heads, so it
+/// encodes exactly as the matrix over its items.
+fn encode_matrix(view: MatrixView<'_>, w: &mut Writer) {
+    w.usize(view.len());
+    for i in 0..view.len() {
+        w.f64s(view.row_parts(i).1);
+    }
+}
+
+/// The length of [`encode_matrix`]'s payload over `n` items.
+fn matrix_payload_len(n: usize) -> usize {
+    8 + 8 * (n * n.saturating_sub(1) / 2)
+}
+
+/// The [`DissimArtifact`] layout: the matrix payload and a zero byte.
+fn encode_dissim(view: MatrixView<'_>, w: &mut Writer) {
+    encode_matrix(view, w);
+    w.u8(0);
+}
+
 impl Persist for CondensedMatrix {
     const KIND: Kind = Kind::DISSIM;
 
     fn encode(&self, w: &mut Writer) {
-        w.usize(self.len());
-        w.f64s(self.values());
+        encode_matrix(self.view(), w);
     }
 
     fn payload_hint(&self) -> usize {
-        8 + 8 * self.values().len()
+        matrix_payload_len(self.len())
     }
 
     fn decode(r: &mut Reader) -> Option<Self> {
@@ -216,12 +282,11 @@ impl Persist for DissimArtifact {
     const KIND: Kind = Kind::DISSIM;
 
     fn encode(&self, w: &mut Writer) {
-        self.matrix().encode(w);
-        w.u8(0);
+        encode_dissim(self.matrix().view(), w);
     }
 
     fn payload_hint(&self) -> usize {
-        self.matrix().payload_hint() + 1
+        matrix_payload_len(self.len()) + 1
     }
 
     fn decode(r: &mut Reader) -> Option<Self> {
@@ -579,6 +644,21 @@ mod tests {
             }
         }
         assert!(decode_payload::<DissimArtifact>(&w.into_inner()).is_none());
+    }
+
+    #[test]
+    fn prefix_view_encodes_as_the_artifact_of_its_block() {
+        let full = CondensedMatrix::build(9, |i, j| (i * 7 + j * 3) as f64 / 11.0);
+        for n in [0, 1, 2, 5, 9] {
+            let view = full.prefix(n);
+            let own = DissimArtifact::from_matrix(view.to_matrix());
+            let mut w = Writer::new();
+            view.encode_payload(&mut w);
+            let payload = w.into_inner();
+            assert_eq!(payload, encode_payload(&own), "n = {n}");
+            assert_eq!(payload.len(), view.encoded_len_hint(), "n = {n}");
+            assert_eq!(decode_payload::<DissimArtifact>(&payload), Some(own));
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod digest;
 pub mod format;
 pub mod mmap;
 
-pub use artifacts::{decode_payload, encode_payload, Kind, Persist};
+pub use artifacts::{decode_payload, encode_payload, Encode, Kind, Persist};
 pub use codec::{Reader, Writer};
 pub use digest::{checksum, fnv64, Key, KeyDigest};
 pub use format::{decode_file, encode_file, encode_with, FORMAT_VERSION, MAGIC};
@@ -301,13 +301,15 @@ impl ArtifactStore {
     /// rename). Returns `false` — after warning on stderr — if the
     /// write failed; a read-only or full cache degrades the run to
     /// cold compute, it never fails it.
-    pub fn put<T: Persist>(&self, key: &Key, value: &T) -> bool {
-        let file = format::encode_with(T::KIND, value.payload_hint(), |w| value.encode(w));
-        let path = self.file_path(T::KIND, key);
+    pub fn put<T: Encode>(&self, key: &Key, value: &T) -> bool {
+        let file = format::encode_with(T::STORED_AS, value.encoded_len_hint(), |w| {
+            value.encode_payload(w)
+        });
+        let path = self.file_path(T::STORED_AS, key);
         match self.write_atomic(&path, &file) {
             Ok(()) => {
                 self.counters.writes.fetch_add(1, Ordering::Relaxed);
-                self.touch_lru(&self.file_name(T::KIND, key));
+                self.touch_lru(&self.file_name(T::STORED_AS, key));
                 self.enforce_budget();
                 true
             }

@@ -65,7 +65,11 @@ echo "append smoke test: the grown capture extended cached matrices and matched 
 # comes from skipping work, and the counters prove the skipping actually
 # happened. The fixed-width pair covers uniform-length input, where the
 # stratified index is a single vp-forest stratum: its report must match
-# the matrix run's and its in-stratum metric pruning must fire.
+# the matrix run's and its in-stratum metric pruning must fire. Under
+# `auto` a report reads the field matrix off message typing's segment
+# matrix, so its report joins the comparison too.
+cargo run --release -q -p cli -- analyze "$tmp/smoke.pcap" --neighbor-backend auto \
+    --report "$tmp/backend-auto.md"
 cargo run --release -q -p cli -- analyze "$tmp/smoke.pcap" --neighbor-backend matrix \
     --report "$tmp/backend-matrix.md"
 cargo run --release -q -p cli -- analyze "$tmp/smoke.pcap" --neighbor-backend tiled --tile-rows 64 \
@@ -77,12 +81,13 @@ cargo run --release -q -p cli -- analyze "$tmp/smoke.pcap" --segmenter fixed \
 cargo run --release -q -p cli -- analyze "$tmp/smoke.pcap" --segmenter fixed \
     --neighbor-backend stratified --report "$tmp/backend-fixed-stratified.md" \
     2>"$tmp/backend-fixed-stratified.err"
+cmp "$tmp/backend-matrix.md" "$tmp/backend-auto.md"
 cmp "$tmp/backend-matrix.md" "$tmp/backend-tiled.md"
 cmp "$tmp/backend-matrix.md" "$tmp/backend-stratified.md"
 grep -Eq 'neighbors: kernel_evals=[1-9][0-9]* pruned=[1-9][0-9]*' "$tmp/backend-stratified.err"
 cmp "$tmp/backend-fixed-matrix.md" "$tmp/backend-fixed-stratified.md"
 grep -Eq 'neighbors: kernel_evals=[1-9][0-9]* pruned=[1-9][0-9]*' "$tmp/backend-fixed-stratified.err"
-echo "backend smoke test: matrix, tiled and stratified reports are byte-identical, mixed and fixed-width"
+echo "backend smoke test: auto, matrix, tiled and stratified reports are byte-identical, mixed and fixed-width"
 
 # Stratified thread-invariance smoke test: the stratified backend builds
 # its k-NN table and the clustering stage's one region table (each
