@@ -110,8 +110,8 @@ fn bench_store_ladder(c: &mut Criterion) {
             b.iter(|| store.get::<DissimArtifact>(key).expect("cache hit"))
         });
 
-        // Incremental: splice a cached prefix (u - 200 segments) and
-        // compute only the pairs touching the 200 appended segments.
+        // Incremental: copy a cached prefix (u - 200 segments) and
+        // compute only the rows of the 200 appended segments.
         let prefix = CondensedMatrix::build_segments(&values[..u - 200], &params, threads);
         group.bench_with_input(BenchmarkId::new("extend", u), &values, |b, values| {
             b.iter(|| prefix.extend_segments(values, &params, threads))

@@ -435,9 +435,12 @@ impl Dissims {
     }
 
     /// Folds every pair of `members`, one [`NeighborProvider::pairs_from`]
-    /// row per member over the later members, read into `row`, and
+    /// row per member over the earlier members, read into `row`, and
     /// lowers each member's entry of `nearest` (indexed like `members`)
-    /// to its nearest mate.
+    /// to its nearest mate. A condensed matrix stores each item's row
+    /// over the earlier items contiguously, so the rows are read where
+    /// they lie; the exact sum, the maximum and the minima do not depend
+    /// on the order the pairs arrive in.
     fn within<P: NeighborProvider + ?Sized>(
         members: &[usize],
         provider: &P,
@@ -445,10 +448,11 @@ impl Dissims {
         nearest: &mut [f64],
     ) -> Self {
         let mut pairs = Self::default();
-        for ai in 0..members.len() {
-            provider.pairs_from(members[ai], &members[ai + 1..], row);
-            let (mine, later) = nearest[ai..].split_first_mut().expect("member ai");
-            for (near, &d) in later.iter_mut().zip(row.iter()) {
+        for bi in 0..members.len() {
+            provider.pairs_from(members[bi], &members[..bi], row);
+            let (earlier, rest) = nearest.split_at_mut(bi);
+            let mine = &mut rest[0];
+            for (near, &d) in earlier.iter_mut().zip(row.iter()) {
                 pairs.add(d);
                 if d < *mine {
                     *mine = d;

@@ -35,23 +35,25 @@
 //!    equal-length pairs take the branch-free direct-Canberra path and
 //!    every mixed-length (S, L) bucket pair shares one windowed kernel
 //!    with its constants hoisted and every segment's LUT row offsets
-//!    precomputed once per build. The hot loops run **four independent accumulation
-//!    lanes** (four windows of one pair, or four columns of one
-//!    equal-length bucket) to hide the f64 add latency of the otherwise
-//!    serial accumulation chain — each lane is still a strict
+//!    precomputed once per build ([`PairContext`]). The hot loops run
+//!    **four independent accumulation lanes** (four windows of one pair,
+//!    or four columns of one equal-length bucket) to hide the f64 add
+//!    latency of the otherwise serial accumulation chain — each lane is
+//!    still a strict
 //!    left-to-right sum over its own window, so every completed sum is
 //!    the exact scalar value, and per point 2 the window order doesn't
-//!    matter. Rows are handed out to scoped threads in contiguous
-//!    blocks; each row owns a contiguous condensed range, so writes
-//!    stay cache-local and never alias.
+//!    matter. Lower-triangle rows are handed out to scoped threads in
+//!    contiguous blocks; each row owns a contiguous condensed range, so
+//!    writes stay cache-local and never alias.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::canberra::DissimParams;
 #[cfg(test)]
 use crate::canberra::{canberra_distance, dissimilarity};
 use crate::cells::Cells;
-use crate::matrix::{condensed_index, CondensedMatrix};
+use crate::matrix::{tri, CondensedMatrix};
 
 /// Lazily initialized 256 × 256 table of per-byte Canberra terms
 /// `|x − y| / (x + y)` with `0/0 := 0`.
@@ -268,8 +270,8 @@ pub fn dissimilarity_kernel(a: &[u8], b: &[u8], params: &DissimParams, lut: &Can
 /// for fewer than two segments.
 ///
 /// Bit-identical to [`CondensedMatrix::mean`] of the built matrix: the
-/// entries are the same kernel values and the accumulation visits them
-/// in exactly the condensed layout order `data.iter().sum()` uses.
+/// entries are the same kernel values and both accumulations visit the
+/// pairs `(i, j)`, `i < j`, ordered by `i` and then `j`.
 pub fn pairwise_mean(segments: &[&[u8]], params: &DissimParams) -> Option<f64> {
     let n = segments.len();
     if n < 2 {
@@ -291,10 +293,10 @@ struct Bucket {
     idxs: Vec<usize>,
 }
 
-/// Sorts `indices` into equal-length buckets (ascending length,
-/// ascending index within a bucket).
-fn make_buckets(segments: &[&[u8]], indices: impl Iterator<Item = usize>) -> Vec<Bucket> {
-    let mut order: Vec<usize> = indices.collect();
+/// Sorts the indices of `segments` into equal-length buckets (ascending
+/// length, ascending index within a bucket).
+fn make_buckets(segments: &[&[u8]]) -> Vec<Bucket> {
+    let mut order: Vec<usize> = (0..segments.len()).collect();
     order.sort_unstable_by_key(|&i| (segments[i].len(), i));
     let mut buckets: Vec<Bucket> = Vec::new();
     for &i in &order {
@@ -513,85 +515,11 @@ impl<'a> QueryDist<'a> {
     }
 }
 
-/// Fills row `i` of the condensed matrix (`row[c] = D(segments[i],
-/// segments[i + 1 + c])`), walking the length buckets so every bucket's
-/// column run shares one kernel configuration.
-fn fill_row(
-    i: usize,
-    segments: &[&[u8]],
-    row: &mut [f64],
-    buckets: &[Bucket],
-    penalty: f64,
-    lut: &CanberraLut,
-    key_table: &KeyTable,
-) {
-    let si = segments[i];
-    let li = si.len();
-    let keys = key_table.get(i);
-    for bucket in buckets {
-        // Only columns j > i belong to this row.
-        let from = bucket.idxs.partition_point(|&j| j <= i);
-        let cols = &bucket.idxs[from..];
-        if cols.is_empty() {
-            continue;
-        }
-        if bucket.len == li {
-            if li == 0 {
-                // Both empty: identical.
-                for &j in cols {
-                    row[j - i - 1] = 0.0;
-                }
-            } else {
-                // Equal lengths: direct Canberra, four columns per pass.
-                let lenf = li as f64;
-                let mut quads = cols.chunks_exact(4);
-                for q in quads.by_ref() {
-                    let sums = equal_len_sums4(
-                        keys,
-                        segments[q[0]],
-                        segments[q[1]],
-                        segments[q[2]],
-                        segments[q[3]],
-                        lut,
-                    );
-                    for (t, &j) in q.iter().enumerate() {
-                        row[j - i - 1] = sums[t] / lenf;
-                    }
-                }
-                for &j in quads.remainder() {
-                    row[j - i - 1] = canberra_distance_lut(si, segments[j], lut);
-                }
-            }
-        } else if bucket.len.min(li) == 0 {
-            // Empty vs non-empty: maximally dissimilar.
-            for &j in cols {
-                row[j - i - 1] = 1.0;
-            }
-        } else if li < bucket.len {
-            // Row is the short side: its keys slide over each column.
-            let (s, l) = (li, bucket.len);
-            let lenf = s as f64;
-            for &j in cols {
-                let best = windowed_min_sum4(keys, segments[j], lut) / lenf;
-                row[j - i - 1] = mixed_length(s, l, best, penalty);
-            }
-        } else {
-            // Row is the long side: each column's keys slide over it.
-            let (s, l) = (bucket.len, li);
-            let lenf = s as f64;
-            for &j in cols {
-                let best = windowed_min_sum4(key_table.get(j), si, lut) / lenf;
-                row[j - i - 1] = mixed_length(s, l, best, penalty);
-            }
-        }
-    }
-}
-
-/// A reusable bucketed-kernel configuration for computing arbitrary
-/// subsets of the pairwise matrix: buckets over all indices, the shared
-/// key table, and the hoisted kernel constants. Built once per tiled
-/// build and shared read-only across tiles and worker threads; also the
-/// row-sampling probe of the large-u benchmark ladders.
+/// The bucketed-kernel configuration every matrix build fills its rows
+/// through: buckets over all indices, the shared key table, and the
+/// hoisted kernel constants. Built once per build and shared read-only
+/// across rows, tiles and worker threads; also the row-sampling probe of
+/// the large-u benchmark ladders.
 pub struct PairContext<'a> {
     segments: &'a [&'a [u8]],
     buckets: Vec<Bucket>,
@@ -606,7 +534,7 @@ impl<'a> PairContext<'a> {
     pub fn new(segments: &'a [&'a [u8]], params: &DissimParams) -> Self {
         Self {
             segments,
-            buckets: make_buckets(segments, 0..segments.len()),
+            buckets: make_buckets(segments),
             key_table: KeyTable::new(segments),
             penalty: params.effective_penalty(),
             lut: CanberraLut::global(),
@@ -616,16 +544,17 @@ impl<'a> PairContext<'a> {
     /// Fills lower-triangle row `j` (`out[i] = D(segments[i],
     /// segments[j])` for every `i < j`; `out.len()` must be `j`).
     ///
-    /// Bit-identical to the entries [`fill_row`] produces for the same
-    /// pairs: the per-byte LUT term is symmetric bit-for-bit
+    /// Every entry equals [`dissimilarity_kernel`] of its pair bit for
+    /// bit: the per-byte LUT term is symmetric bit-for-bit
     /// (`|x − y| = |y − x|` exactly and f64 addition is commutative, so
     /// `term(x, y) == term(y, x)`), position order — and with it every
-    /// partial sum — is unchanged, equal-length pairs take the same
+    /// partial sum — is the scalar one, equal-length pairs take the
     /// direct-Canberra path, and mixed-length pairs pick the short/long
-    /// roles by length exactly as `fill_row` does, so the same
-    /// `windowed_min_sum4` call is issued for the same pair. Quad-lane
-    /// grouping differs, but each lane is an independent exact sum, so
-    /// grouping never affects a pair's value (see the module docs).
+    /// roles by length, so the short side's keys slide over the long
+    /// side in the sum domain ([`windowed_min_sum4`]). Quad-lane
+    /// grouping depends on the bucket layout, but each lane is an
+    /// independent exact sum, so grouping never affects a pair's value
+    /// (see the module docs).
     pub fn fill_lower_row(&self, j: usize, out: &mut [f64]) {
         debug_assert_eq!(out.len(), j);
         let sj = self.segments[j];
@@ -695,15 +624,16 @@ impl<'a> PairContext<'a> {
 }
 
 /// Extends an already-built condensed matrix over the first `old_n`
-/// segments to cover all of `segments`: old entries are copied verbatim
-/// and only the pairs touching at least one new segment (index ≥
-/// `old_n`) are computed, through the length-bucketed kernels. With
-/// `old_n = 0` every pair is new: that is the cold build.
+/// segments to cover all of `segments`: the old cells are copied as one
+/// slice — they are the leading rows of the grown triangle — and only
+/// the appended rows `old_n..n` are computed, through
+/// [`PairContext::fill_lower_row`]. With `old_n = 0` every row is new:
+/// that is the cold build.
 ///
 /// Bit-identical to the closure-based build over
 /// [`crate::dissimilarity`]: every kernel entry equals the scalar value
 /// of its pair regardless of bucketing or scheduling (see the module
-/// docs), so a spliced matrix and a cold one agree entry by entry.
+/// docs), so an extended matrix and a cold one agree entry by entry.
 pub(crate) fn extend_bucketed(
     old_data: &[f64],
     old_n: usize,
@@ -713,62 +643,49 @@ pub(crate) fn extend_bucketed(
 ) -> CondensedMatrix {
     let n = segments.len();
     assert!(old_n <= n, "extension must not shrink the segment set");
-    debug_assert_eq!(old_data.len(), old_n * old_n.saturating_sub(1) / 2);
-    if old_n == n {
-        return CondensedMatrix::from_raw(n, Cells::copy_of(old_data));
+    debug_assert_eq!(old_data.len(), tri(old_n));
+    let mut data = Cells::zeroed(tri(n));
+    let (old, new) = data.split_at_mut(old_data.len());
+    old.copy_from_slice(old_data);
+    if old_n < n {
+        let ctx = PairContext::new(segments, params);
+        fill_lower_rows(&ctx, old_n..n, new, threads);
     }
-    // Buckets over the NEW indices only: every pair (i, j) with
-    // j >= old_n is new, and for rows i >= old_n every column j > i is
-    // >= old_n too, so new-index buckets cover exactly the missing
-    // entries of every row.
-    let buckets = make_buckets(segments, old_n..n);
-    let mut data = Cells::zeroed(n * (n - 1) / 2);
-    // Splice the old rows: row i of the old matrix is the contiguous
-    // condensed range for pairs (i, i+1..old_n), which lands at the
-    // start of new row i.
-    for i in 0..old_n.saturating_sub(1) {
-        let old_start = condensed_index(old_n, i, i + 1);
-        let new_start = condensed_index(n, i, i + 1);
-        data[new_start..new_start + (old_n - i - 1)]
-            .copy_from_slice(&old_data[old_start..old_start + (old_n - i - 1)]);
-    }
-    fill_rows(&mut data, segments, &buckets, params, threads);
     CondensedMatrix::from_raw(n, data)
 }
 
-/// Fills every row's entries against the columns in `buckets`, rows
-/// handed out in contiguous blocks over the `parkit` scheduler (inline
-/// at one thread).
-fn fill_rows(
-    data: &mut [f64],
-    segments: &[&[u8]],
-    buckets: &[Bucket],
-    params: &DissimParams,
+/// Fills lower-triangle rows `rows` into `out`, which holds exactly
+/// those rows back to back (`tri(rows.end) − tri(rows.start)` cells),
+/// handing rows out over the `parkit` scheduler (inline at one thread).
+/// Each row writes its own disjoint slice, so the result does not
+/// depend on the schedule. The one row filler of every matrix build:
+/// monolithic builds and extensions fill their appended rows with it,
+/// tiled builds each tile's rows.
+pub(crate) fn fill_lower_rows(
+    ctx: &PairContext<'_>,
+    rows: Range<usize>,
+    out: &mut [f64],
     threads: usize,
 ) {
-    let n = segments.len();
-    let penalty = params.effective_penalty();
-    let lut = CanberraLut::global();
-    let key_table = KeyTable::new(segments);
-    let data_ptr = SendPtr(data.as_mut_ptr());
-    // The last row has no pairs (j > i required), so n - 1 rows.
-    parkit::for_each_chunk(threads, n.saturating_sub(1), 1, |rows| {
-        let data_ptr = &data_ptr;
-        for i in rows {
-            let row_start = condensed_index(n, i, i + 1);
-            // SAFETY: row i owns the condensed range [row_start,
-            // row_start + n - i - 1) of `data` exclusively, and the
-            // scheduler hands out each row exactly once, so the slices
-            // never alias.
-            let row =
-                unsafe { std::slice::from_raw_parts_mut(data_ptr.0.add(row_start), n - i - 1) };
-            fill_row(i, segments, row, buckets, penalty, lut, &key_table);
+    let base = tri(rows.start);
+    assert_eq!(out.len(), tri(rows.end) - base, "one slot per cell");
+    let out_ptr = SendPtr(out.as_mut_ptr());
+    parkit::for_each_chunk(threads, rows.len(), 1, |chunk| {
+        let out_ptr = &out_ptr;
+        for r in chunk {
+            let j = rows.start + r;
+            // SAFETY: row j owns the range [tri(j) − base, tri(j + 1) −
+            // base) of `out`, inside it by the assertion above; rows are
+            // disjoint and the scheduler hands out each row exactly once,
+            // so the slices never alias.
+            let row = unsafe { std::slice::from_raw_parts_mut(out_ptr.0.add(tri(j) - base), j) };
+            ctx.fill_lower_row(j, row);
         }
     });
 }
 
 /// A raw pointer wrapper asserting cross-thread transferability for the
-/// disjoint-row-write pattern in [`fill_rows`].
+/// disjoint-row-write pattern in [`fill_lower_rows`].
 struct SendPtr(*mut f64);
 unsafe impl Sync for SendPtr {}
 

@@ -1,13 +1,23 @@
 //! Condensed pairwise dissimilarity matrices.
 //!
 //! The pipeline stores all pairwise segment dissimilarities in a matrix
-//! `D` (paper §III-C). For `n` segments only the strict upper triangle is
-//! kept (`n·(n−1)/2` entries); the build is parallelized over the
-//! `parkit` work-stealing scheduler since it is the pipeline's dominant
-//! cost (O(n²) sliding-window Canberra evaluations).
+//! `D` (paper §III-C). For `n` segments only the strict lower triangle
+//! is kept (`n·(n−1)/2` entries), row-major: row `i` holds `D(i, 0..i)`
+//! at offset `i(i−1)/2`. Row `i` depends on items `0..=i` only, so the
+//! matrix over the first `m` items is the first `m(m−1)/2` cells of any
+//! larger one, and growing the item set appends rows. The build is
+//! parallelized over the `parkit` work-stealing scheduler since it is
+//! the pipeline's dominant cost (O(n²) sliding-window Canberra
+//! evaluations).
 
 use crate::cells::Cells;
 use crate::knn::{KnnAccumulator, KnnTable};
+
+/// `0 + 1 + … + (x − 1)`: the cells of lower-triangle rows `0..x`, and
+/// the offset of row `x`.
+pub(crate) fn tri(x: usize) -> usize {
+    x * x.saturating_sub(1) / 2
+}
 
 /// A symmetric zero-diagonal dissimilarity matrix in condensed form.
 ///
@@ -31,11 +41,11 @@ pub struct CondensedMatrix {
 
 impl CondensedMatrix {
     /// Builds the matrix by evaluating `f(i, j)` for every pair `i < j`
-    /// on the current thread.
+    /// on the current thread, row by row of the lower triangle.
     pub fn build(n: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
-        let mut data = Vec::with_capacity(n * (n.saturating_sub(1)) / 2);
-        for i in 0..n {
-            for j in (i + 1)..n {
+        let mut data = Vec::with_capacity(tri(n));
+        for j in 0..n {
+            for i in 0..j {
                 data.push(f(i, j));
             }
         }
@@ -48,7 +58,7 @@ impl CondensedMatrix {
     /// Builds the pairwise Canberra dissimilarity matrix directly from
     /// the segment byte slices via the kernel layer ([`crate::kernel`]):
     /// byte-pair LUT, early-abandon sliding windows, and length-bucketed
-    /// pair scheduling over contiguous row blocks.
+    /// pair scheduling over lower-triangle rows.
     ///
     /// Bit-identical to
     /// `CondensedMatrix::build(segments.len(),
@@ -70,40 +80,37 @@ impl CondensedMatrix {
     /// Wraps an already-filled condensed buffer (`data.len()` must be
     /// `n·(n−1)/2`).
     pub(crate) fn from_raw(n: usize, data: Cells) -> Self {
-        debug_assert_eq!(data.len(), n * n.saturating_sub(1) / 2);
+        debug_assert_eq!(data.len(), tri(n));
         Self { n, data }
     }
 
-    /// Adopts an already-filled condensed buffer as is, on the heap:
-    /// `None` unless `data.len()` is exactly `n·(n−1)/2`, so a
-    /// mismatched buffer is refused instead of corrupting every later
-    /// index computation.
+    /// Adopts an already-filled condensed buffer (lower triangle,
+    /// row-major) as is, on the heap: `None` unless `data.len()` is
+    /// exactly `n·(n−1)/2`, so a mismatched buffer is refused instead of
+    /// corrupting every later index computation.
     pub fn from_condensed(n: usize, data: Vec<f64>) -> Option<Self> {
-        if data.len() == n * n.saturating_sub(1) / 2 {
-            Some(Self {
-                n,
-                data: data.into(),
-            })
-        } else {
-            None
-        }
+        (data.len() == tri(n)).then(|| Self {
+            n,
+            data: data.into(),
+        })
     }
 
-    /// Lets `fill` write the `n·(n−1)/2` condensed entries, row by row,
-    /// straight into the matrix's own buffer; `None` if `fill` returns
-    /// `None`. The artifact store decodes matrices this way, in one
-    /// pass, so a decoded matrix is placed like a built one.
+    /// Lets `fill` write the `n·(n−1)/2` condensed entries (lower
+    /// triangle, row-major) straight into the matrix's own buffer;
+    /// `None` if `fill` returns `None`. The artifact store decodes
+    /// matrices this way, in one pass, so a decoded matrix is placed
+    /// like a built one.
     pub fn try_filled(n: usize, fill: impl FnOnce(&mut [f64]) -> Option<()>) -> Option<Self> {
-        let mut data = Cells::zeroed(n * n.saturating_sub(1) / 2);
+        let mut data = Cells::zeroed(tri(n));
         fill(&mut data)?;
         Some(Self { n, data })
     }
 
     /// Extends this matrix (built over the first `self.len()` of
-    /// `segments`) to cover all of `segments`: existing condensed
-    /// entries are spliced over verbatim and only pairs involving at
-    /// least one appended segment are computed, through the same kernel
-    /// layer as [`build_segments`](Self::build_segments).
+    /// `segments`) to cover all of `segments`: the existing cells are
+    /// copied over as one slice and only the appended rows are
+    /// computed, through the same kernel layer as
+    /// [`build_segments`](Self::build_segments).
     ///
     /// Bit-identical to a cold
     /// `CondensedMatrix::build_segments(segments, params, threads)` —
@@ -138,10 +145,10 @@ impl CondensedMatrix {
         self.prefix(self.n)
     }
 
-    /// The matrix over the first `n` items, read in place: the leading
-    /// `n × n` block. A matrix [extended](Self::extend_segments) from
-    /// the matrix of its first `n` items holds that matrix as exactly
-    /// this block.
+    /// The matrix over the first `n` items, read in place: the first
+    /// `n·(n−1)/2` cells. A matrix [extended](Self::extend_segments)
+    /// from the matrix of its first `n` items holds that matrix as
+    /// exactly these cells.
     ///
     /// # Panics
     ///
@@ -152,8 +159,7 @@ impl CondensedMatrix {
             "a prefix cannot cover more items than the matrix"
         );
         MatrixView {
-            data: &self.data,
-            stride: self.n,
+            data: &self.data[..tri(n)],
             n,
         }
     }
@@ -187,18 +193,18 @@ impl CondensedMatrix {
     }
 
     /// Row `i` split at the diagonal, both halves in index order: the
-    /// column part `D(j, i)` for `j < i` and the tail `D(i, j)` for
-    /// `j > i`.
+    /// stored row `D(i, j)` for `j < i`, contiguous, and the column
+    /// below the diagonal, `D(j, i)` for `j > i`.
     ///
-    /// Walks the two condensed-triangle ranges directly: the column part
-    /// is a strided walk with stride `n − j − 2`, the tail a contiguous
-    /// slice — no per-element index arithmetic or bounds-checked
-    /// [`Self::get`] calls.
+    /// Walks the two condensed-triangle ranges directly: the head is a
+    /// slice, the column a walk whose step from `j` to `j + 1` is `j` —
+    /// no per-element index arithmetic or bounds-checked [`Self::get`]
+    /// calls.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
-    pub fn row_parts(&self, i: usize) -> (impl Iterator<Item = f64> + '_, &[f64]) {
+    pub fn row_parts(&self, i: usize) -> (&[f64], impl Iterator<Item = f64> + '_) {
         self.view().row_parts(i)
     }
 
@@ -232,7 +238,7 @@ impl CondensedMatrix {
         self.view().knn_table(k_max)
     }
 
-    /// All condensed (upper-triangle) values.
+    /// All condensed values: the lower triangle, row-major.
     pub fn values(&self) -> &[f64] {
         &self.data
     }
@@ -250,15 +256,13 @@ impl CondensedMatrix {
 }
 
 /// The matrix over the first `len()` items of a [`CondensedMatrix`],
-/// read in place ([`CondensedMatrix::prefix`]). Row `i` of the block is
-/// the head of the underlying row `i`, so every reader here answers bit
-/// for bit what the same reader of the block's own matrix answers, and
-/// visits pairs in the same order.
+/// read in place ([`CondensedMatrix::prefix`]): the leading cells of
+/// the underlying buffer, which are exactly the block's own matrix, so
+/// every reader here answers bit for bit what the same reader of the
+/// block's own matrix answers, and visits pairs in the same order.
 #[derive(Debug, Clone, Copy)]
 pub struct MatrixView<'a> {
     data: &'a [f64],
-    /// Items of the underlying matrix: its rows' stride.
-    stride: usize,
     n: usize,
 }
 
@@ -279,6 +283,11 @@ impl<'a> MatrixView<'a> {
         self.n == 0
     }
 
+    /// The block's condensed values: the lower triangle, row-major.
+    pub fn values(self) -> &'a [f64] {
+        self.data
+    }
+
     /// See [`CondensedMatrix::get`].
     ///
     /// # Panics
@@ -289,8 +298,7 @@ impl<'a> MatrixView<'a> {
         if i == j {
             return 0.0;
         }
-        let (a, b) = if i < j { (i, j) } else { (j, i) };
-        self.data[condensed_index(self.stride, a, b)]
+        self.data[condensed_index(i.max(j), i.min(j))]
     }
 
     /// See [`CondensedMatrix::row`].
@@ -306,10 +314,10 @@ impl<'a> MatrixView<'a> {
         if self.n == 0 {
             return;
         }
-        let (column, tail) = self.row_parts(i);
+        let (head, column) = self.row_parts(i);
         buf.reserve(self.n - 1);
+        buf.extend_from_slice(head);
         buf.extend(column);
-        buf.extend_from_slice(tail);
     }
 
     /// See [`CondensedMatrix::row_parts`].
@@ -317,39 +325,59 @@ impl<'a> MatrixView<'a> {
     /// # Panics
     ///
     /// Panics if `i` is outside the block.
-    pub fn row_parts(self, i: usize) -> (impl Iterator<Item = f64> + 'a, &'a [f64]) {
+    pub fn row_parts(self, i: usize) -> (&'a [f64], impl Iterator<Item = f64> + 'a) {
         assert!(i < self.n, "index out of bounds");
-        let (data, stride) = (self.data, self.stride);
-        // Pairs (j, i) with j < i sit at condensed_index(stride, j, i),
-        // whose step from j to j + 1 is stride − j − 2.
-        let mut idx = if i > 0 {
-            condensed_index(stride, 0, i)
-        } else {
-            0
-        };
-        let column = (0..i).map(move |j| {
-            let d = data[idx];
-            idx += stride - j - 2;
-            d
-        });
-        (column, self.tail(i))
+        (self.lower_row(i), self.column_below(i))
     }
 
-    /// The pairs `(i, j)` for `i < j < len()`, contiguous: the head of
-    /// the underlying row `i`.
-    fn tail(self, i: usize) -> &'a [f64] {
-        if i + 1 < self.n {
-            let start = condensed_index(self.stride, i, i + 1);
-            &self.data[start..start + (self.n - i - 1)]
-        } else {
-            &[]
+    /// Writes the full rows of `items` back to back into `out`, clearing
+    /// it first: `out[k·len() + j] = D(items[k], j)`, 0 on the diagonal.
+    ///
+    /// The stored part of each row is one slice copy. The parts below
+    /// the diagonal are read in one pass over the later rows, each row
+    /// read at every item's column at once: items with nearby indices
+    /// share the row's cache lines, where walking each column on its own
+    /// would touch one line per row per item.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an item is outside the block.
+    pub fn gather_rows(self, items: &[usize], out: &mut Vec<f64>) {
+        let n = self.n;
+        out.clear();
+        out.resize(items.len() * n, 0.0);
+        for (row, &s) in out.chunks_exact_mut(n.max(1)).zip(items) {
+            row[..s].copy_from_slice(self.lower_row(s));
+        }
+        let mut by_item: Vec<usize> = (0..items.len()).collect();
+        by_item.sort_unstable_by_key(|&k| items[k]);
+        let mut active = 0;
+        for j in 1..n {
+            while active < by_item.len() && items[by_item[active]] < j {
+                active += 1;
+            }
+            let row = self.lower_row(j);
+            for &k in &by_item[..active] {
+                out[k * n + j] = row[items[k]];
+            }
         }
     }
 
-    /// Every condensed value of the block in condensed order: row by
-    /// row, each row's pairs with the later items.
-    pub fn cells(self) -> impl Iterator<Item = f64> + 'a {
-        (0..self.n).flat_map(move |i| self.tail(i).iter().copied())
+    /// Lower-triangle row `i`: `D(i, j)` for every `j < i`, contiguous.
+    fn lower_row(self, i: usize) -> &'a [f64] {
+        &self.data[tri(i)..tri(i + 1)]
+    }
+
+    /// `D(j, i)` for `j = i + 1 .. len()`: entry `i` of every later row,
+    /// whose offset steps by `j` from row `j` to row `j + 1`.
+    fn column_below(self, i: usize) -> impl Iterator<Item = f64> + 'a {
+        let data = self.data;
+        let mut idx = tri(i + 1) + i;
+        (i + 1..self.n).map(move |j| {
+            let d = data[idx];
+            idx += j;
+            d
+        })
     }
 
     /// See [`CondensedMatrix::knn_dissimilarities`].
@@ -372,7 +400,9 @@ impl<'a> MatrixView<'a> {
             .collect()
     }
 
-    /// See [`CondensedMatrix::knn_table`].
+    /// See [`CondensedMatrix::knn_table`]. The k smallest values of a
+    /// multiset do not depend on the order they arrive in, so the sweep
+    /// reads the cells in storage order.
     ///
     /// # Panics
     ///
@@ -380,23 +410,27 @@ impl<'a> MatrixView<'a> {
     pub fn knn_table(self, k_max: usize) -> KnnTable {
         let mut acc = KnnAccumulator::new(self.n, k_max);
         for i in 0..self.n {
-            for (off, &d) in self.tail(i).iter().enumerate() {
+            for (j, &d) in self.lower_row(i).iter().enumerate() {
+                acc.push(j, d);
                 acc.push(i, d);
-                acc.push(i + 1 + off, d);
             }
         }
         acc.finish()
     }
 
-    /// See [`CondensedMatrix::mean`].
+    /// See [`CondensedMatrix::mean`]. The sum runs over the pairs
+    /// `(i, j)`, `i < j`, ordered by `i` and then `j` — the order
+    /// [`crate::pairwise_mean`] streams them in — so both agree bit for
+    /// bit.
     pub fn mean(self) -> Option<f64> {
-        let pairs = self.n * self.n.saturating_sub(1) / 2;
-        (pairs > 0).then(|| self.cells().sum::<f64>() / pairs as f64)
+        let pairs = tri(self.n);
+        (pairs > 0)
+            .then(|| (0..self.n).flat_map(|i| self.column_below(i)).sum::<f64>() / pairs as f64)
     }
 
     /// See [`CondensedMatrix::max`].
     pub fn max(self) -> Option<f64> {
-        self.cells().fold(None, |acc, v| match acc {
+        self.data.iter().copied().fold(None, |acc, v| match acc {
             None => Some(v),
             Some(a) => Some(a.max(v)),
         })
@@ -406,15 +440,15 @@ impl<'a> MatrixView<'a> {
     pub fn to_matrix(self) -> CondensedMatrix {
         CondensedMatrix {
             n: self.n,
-            data: self.cells().collect::<Vec<_>>().into(),
+            data: Cells::copy_of(self.data),
         }
     }
 }
 
-/// Index of pair `(i, j)` with `i < j` in the condensed upper triangle.
-pub(crate) fn condensed_index(n: usize, i: usize, j: usize) -> usize {
-    debug_assert!(i < j && j < n);
-    i * (2 * n - i - 1) / 2 + (j - i - 1)
+/// Index of pair `(i, j)` with `j < i` in the condensed lower triangle.
+fn condensed_index(i: usize, j: usize) -> usize {
+    debug_assert!(j < i);
+    tri(i) + j
 }
 
 #[cfg(test)]
@@ -431,8 +465,8 @@ mod tests {
         let n = 7;
         let mut seen = std::collections::HashSet::new();
         for i in 0..n {
-            for j in (i + 1)..n {
-                assert!(seen.insert(condensed_index(n, i, j)));
+            for j in 0..i {
+                assert!(seen.insert(condensed_index(i, j)));
             }
         }
         assert_eq!(seen.len(), n * (n - 1) / 2);
@@ -545,6 +579,21 @@ mod tests {
         let mut buf = vec![1.0];
         empty.row_into(0, &mut buf);
         assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn gather_rows_reads_full_rows() {
+        let m = CondensedMatrix::build(9, |i, j| ((i * 31 + j * 17) % 97) as f64 / 97.0);
+        let mut out = vec![5.0];
+        for items in [vec![], vec![0], vec![8], vec![3, 0, 8, 3, 5, 1]] {
+            m.view().gather_rows(&items, &mut out);
+            let want: Vec<f64> = items
+                .iter()
+                .flat_map(|&s| (0..9).map(move |j| (s, j)))
+                .map(|(s, j)| m.get(s, j))
+                .collect();
+            assert_eq!(out, want, "items {items:?}");
+        }
     }
 
     #[test]

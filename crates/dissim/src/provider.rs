@@ -198,13 +198,13 @@ impl NeighborProvider for MatrixProvider<'_> {
 
     fn neighbors_within(&self, i: usize, eps: f64, out: &mut Vec<(f64, u32)>) {
         out.clear();
-        let (column, tail) = self.matrix.row_parts(i);
-        for (j, d) in column.enumerate() {
+        let (head, column) = self.matrix.row_parts(i);
+        for (j, &d) in head.iter().enumerate() {
             if d <= eps {
                 out.push((d, j as u32));
             }
         }
-        for (off, &d) in tail.iter().enumerate() {
+        for (off, d) in column.enumerate() {
             if d <= eps {
                 out.push((d, (i + 1 + off) as u32));
             }

@@ -9,16 +9,16 @@
 //! Tiles block the **lower triangle** by row: tile `t` of a build with
 //! `tile_rows = R` owns rows `t·R .. min((t+1)·R, n)`, where
 //! lower-triangle row `j` holds the `j` entries `D(i, j)` for `i < j`.
-//! Because `D` is symmetric this is the same value set as the condensed
-//! upper triangle, just sliced differently: a lower-triangle row depends
+//! That is the layout of [`CondensedMatrix`] itself, so a tile is a
+//! contiguous run of the condensed cells. A lower-triangle row depends
 //! only on items `0 ..= j`, so a tile's content is a pure function of
 //! the *item prefix* `segments[..rows.end]` — it does not depend on `n`
 //! at all. That is what makes extension a **pure tile append**: growing
 //! the item set leaves every complete tile's content (and therefore its
 //! cache key) unchanged; only the boundary tile (whose row range was
 //! clamped by the old `n`) is recomputed and wholly-new tiles are
-//! appended. The row-block prefix property mirrors
-//! [`CondensedMatrix::extend_segments`]'s splice, expressed per tile.
+//! appended — [`CondensedMatrix::extend_segments`]'s row append,
+//! expressed per tile.
 //!
 //! # Bit-identity
 //!
@@ -41,9 +41,9 @@ use std::ops::Range;
 
 use crate::canberra::DissimParams;
 use crate::cells::Cells;
-use crate::kernel::PairContext;
+use crate::kernel::{fill_lower_rows, PairContext};
 use crate::knn::{KnnAccumulator, KnnTable};
-use crate::matrix::{condensed_index, CondensedMatrix};
+use crate::matrix::{tri, CondensedMatrix};
 
 /// FNV-1a 64 over the little-endian bits of the entries — the same
 /// checksum primitive the artifact store uses for file framing, applied
@@ -59,11 +59,6 @@ fn fnv64_entries(data: &[f64]) -> u64 {
         }
     }
     h
-}
-
-/// `0 + 1 + … + (x − 1)`: entries in lower-triangle rows `0..x`.
-fn tri(x: usize) -> usize {
-    x * x.saturating_sub(1) / 2
 }
 
 /// One row-block tile: lower-triangle rows `rows.start .. rows.end`,
@@ -82,28 +77,12 @@ impl MatrixTile {
         tri(rows.end) - tri(rows.start)
     }
 
-    /// Computes the tile for `rows`, fanning the rows out over the
-    /// `parkit` scheduler. Each row writes its own disjoint slice, so
-    /// the result is bit-identical regardless of scheduling.
+    /// Computes the tile for `rows` through the row filler every matrix
+    /// build shares, so the result is bit-identical regardless of
+    /// scheduling.
     pub(crate) fn compute(ctx: &PairContext<'_>, rows: Range<usize>, threads: usize) -> Self {
-        let base = rows.start;
         let mut data = vec![0.0f64; Self::entries_for(&rows)];
-        let span = rows.len();
-        if span > 0 {
-            let data_ptr = SendPtr(data.as_mut_ptr());
-            parkit::for_each_chunk(threads, span, 1, |chunk| {
-                let data_ptr = &data_ptr;
-                for r in chunk {
-                    let j = base + r;
-                    let off = tri(j) - tri(base);
-                    // SAFETY: lower-triangle row j owns the tile-local
-                    // range [off, off + j); rows are disjoint and the
-                    // scheduler hands out each row exactly once.
-                    let out = unsafe { std::slice::from_raw_parts_mut(data_ptr.0.add(off), j) };
-                    ctx.fill_lower_row(j, out);
-                }
-            });
-        }
+        fill_lower_rows(ctx, rows.clone(), &mut data, threads);
         let checksum = fnv64_entries(&data);
         Self {
             rows,
@@ -171,11 +150,6 @@ impl MatrixTile {
         }
     }
 }
-
-/// A raw pointer wrapper asserting cross-thread transferability for the
-/// disjoint-row-write pattern in [`MatrixTile::compute`].
-struct SendPtr(*mut f64);
-unsafe impl Sync for SendPtr {}
 
 /// The condensed matrix as a sequence of row-block tiles.
 #[derive(Debug, Clone, PartialEq)]
@@ -333,20 +307,18 @@ impl TiledMatrix {
         self.tiles[hi / self.tile_rows].row(hi)[lo]
     }
 
-    /// Scatters the tiles into a [`CondensedMatrix`] — bit-identical to
-    /// [`CondensedMatrix::build_segments`] over the same segments, since
-    /// every tile entry is the exact kernel value of its pair.
+    /// Concatenates the tiles into a [`CondensedMatrix`]: tiles are
+    /// runs of lower-triangle rows in row order, which is the condensed
+    /// layout. Bit-identical to [`CondensedMatrix::build_segments`] over
+    /// the same segments, since every tile entry is the exact kernel
+    /// value of its pair.
     pub fn assemble(&self) -> CondensedMatrix {
-        let n = self.n;
-        let mut data = Cells::zeroed(n * n.saturating_sub(1) / 2);
+        let mut data = Cells::zeroed(tri(self.n));
         for tile in &self.tiles {
-            for j in tile.rows() {
-                for (i, &d) in tile.row(j).iter().enumerate() {
-                    data[condensed_index(n, i, j)] = d;
-                }
-            }
+            let rows = tile.rows();
+            data[tri(rows.start)..tri(rows.end)].copy_from_slice(tile.data());
         }
-        CondensedMatrix::from_raw(n, data)
+        CondensedMatrix::from_raw(self.n, data)
     }
 
     /// Builds the per-item k-nearest-neighbor table by folding per-tile

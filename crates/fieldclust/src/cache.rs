@@ -32,8 +32,8 @@
 //! time: each message is fed as its sequence of segment values,
 //! snapshotted per message count. A pair's alignment cost depends only
 //! on the two value sequences and the parameters, so a cached matrix
-//! over the first messages of a grown trace is the top-left block of
-//! the grown matrix, and only pairs with an appended message align.
+//! over the first messages of a grown trace is the leading rows of the
+//! grown matrix, and only the rows of appended messages align.
 //! [`cached_prefix`] is the one manifest walk all three prefix
 //! families (segment matrix, strata index, message matrix) search.
 
@@ -327,16 +327,17 @@ pub(crate) fn message_family_key(
 /// manifest entry of `family` whose item count `u` lies in `min_u..n`,
 /// whose recorded key is the caller's own key for its first `u` items
 /// (`keys_at` computes those keys for ascending counts in one pass),
-/// and whose artifact loads and passes `accept(u, &artifact)`. Several
-/// streams may share a family; recomputing the expected key is what
-/// tells this stream's entries apart. Probes do not count as store
-/// hits or misses.
-pub(crate) fn cached_prefix<T: Persist>(
+/// and whose artifact `load` reads and passes `accept(u, &artifact)`.
+/// Several streams may share a family; recomputing the expected key is
+/// what tells this stream's entries apart. `load` should be a quiet
+/// read: probes do not count as store hits or misses.
+pub(crate) fn cached_prefix<T>(
     store: &ArtifactStore,
     family: &Key,
     min_u: usize,
     n: usize,
     keys_at: impl FnOnce(&[usize]) -> Vec<Key>,
+    load: impl Fn(&Key) -> Option<T>,
     accept: impl Fn(usize, &T) -> bool,
 ) -> Option<T> {
     let entries = store.manifest_entries(family);
@@ -353,7 +354,7 @@ pub(crate) fn cached_prefix<T: Persist>(
         .rev()
         .filter(|&(&u, key)| entries.contains(&(u, *key)))
         .find_map(|(&u, key)| {
-            let artifact = store.get_quiet::<T>(key)?;
+            let artifact = load(key)?;
             accept(u, &artifact).then_some(artifact)
         })
 }

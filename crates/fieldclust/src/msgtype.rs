@@ -159,6 +159,13 @@ pub(crate) fn cluster_messages(
 /// sweeps waste more cells on lanes shorter than the longest.
 const LANES: usize = 4;
 
+/// Bytes of full substitution rows one alignment build gathers up front
+/// for its recurring segments ([`RowCache`]): 256 KiB, about 20 rows at
+/// u ≈ 1.7k unique segments. The most widely held segments account for
+/// most of the repeated walks; a larger cache measured no faster on
+/// fixed-width NTP and added its size to the report's peak memory.
+const ROW_CACHE_BYTES: usize = 256 << 10;
+
 /// The message dissimilarity matrix: the normalized global alignment
 /// cost of every message pair's segment-id sequences. Substitution
 /// costs come from `seg_matrix`, gaps cost `gap`, and each total is
@@ -168,26 +175,31 @@ const LANES: usize = 4;
 ///
 /// `prefix` holds the costs among the first `prefix.len()` messages,
 /// from an earlier build over messages with the same segment-value
-/// sequences: those entries are spliced in verbatim and only pairs
-/// `(a, b)` with `b ≥ prefix.len()` are aligned. A cold build is the
-/// extension of the empty prefix. A pair's cost is a pure function of
-/// its two segment-value sequences, `seg_matrix`'s parameters and
-/// `gap`, so the result is bit-identical to a cold build over the same
-/// messages whenever the prefix was built from matching inputs.
+/// sequences: they are the leading cells of the grown lower triangle,
+/// copied as one slice, and only the appended rows `b ≥ prefix.len()`
+/// are aligned. A cold build is the extension of the empty prefix. A
+/// pair's cost is a pure function of its two segment-value sequences,
+/// `seg_matrix`'s parameters and `gap`, so the result is bit-identical
+/// to a cold build over the same messages whenever the prefix was built
+/// from matching inputs.
 ///
-/// Per outer message `a` the substitution rows of its segments are
-/// gathered once into a contiguous `len(a) × u` buffer, and the inner
-/// messages `b > a` still to align, in ascending length order, are
-/// aligned against it [`LANES`] pairs per DP sweep over two rolling
-/// rows. Every cell performs the same f64 operations in the same order
-/// as the textbook pairwise DP — `sub`, `del`, `ins`, then the minimum
-/// of the three ([`dp_min`], exact for DP cells) — and a lane's cells
-/// never read past its own length, so the result is bit-identical to
-/// the pairwise DP for any lane grouping and thread count, given
-/// substitution costs that are non-negative numbers and a positive gap.
+/// The appended message `b` of a row is the outer message: the
+/// substitution rows of its segments are gathered once into a
+/// contiguous `len(b) × u` buffer (the rows of recurring segments from
+/// a [`RowCache`] built once per call), and every earlier message `a < b`,
+/// in ascending length order, is aligned against it [`LANES`] pairs per
+/// DP sweep over two rolling rows. Every cell performs the same f64
+/// operations as the textbook pairwise DP of `(a, b)` transposed —
+/// `sub`, the two gap moves, then the minimum of the three ([`dp_min`],
+/// exact for DP cells) — and the minimum of the same three sums does
+/// not depend on their order, while `D(i, j) = D(j, i)` makes the
+/// substitution costs the same; a lane's cells never read past its own
+/// length. So the result is bit-identical to the pairwise DP for any
+/// lane grouping and thread count, given substitution costs that are
+/// non-negative numbers and a positive gap.
 ///
-/// `stop` is polled before every outer row; once it returns `true` the
-/// build abandons its partial matrix and returns
+/// `stop` is polled before every appended row; once it returns `true`
+/// the build abandons its partial matrix and returns
 /// [`MessageTypeError::Cancelled`].
 ///
 /// # Panics
@@ -211,53 +223,61 @@ pub(crate) fn alignment_matrix(
     let (mut by_length, empty): (Vec<usize>, Vec<usize>) =
         (0..n).partition(|&b| !sequences[b].is_empty());
     by_length.sort_by_key(|&b| (sequences[b].len(), b));
+    // Row 0 of the lower triangle holds no pairs.
+    let first = n_old.max(1).min(n);
     let aligner = Aligner {
         sequences,
         by_length: &by_length,
         empty: &empty,
         seg_matrix,
+        recurring: RowCache::new(&sequences[first..], seg_matrix),
         gap,
     };
     // A flag only; the result is read after the workers are joined.
     let stopped = AtomicBool::new(false);
-    // Each chunk of consecutive outer rows fills one contiguous block of
-    // the condensed triangle; blocks are placed by their first row.
-    let data = parkit::map_blocks(
+    // Each chunk of consecutive appended rows fills one contiguous block
+    // of the condensed triangle; blocks are placed by their first row.
+    let rows = parkit::map_blocks(
         threads,
-        n.saturating_sub(1),
+        n - first,
         1,
         Scratch::default,
-        |scratch, rows, block| {
-            block.reserve(rows.clone().map(|a| n - a - 1).sum());
-            for a in rows {
+        |scratch, chunk, block| {
+            block.reserve(chunk.clone().map(|r| first + r).sum());
+            for r in chunk {
                 if stopped.load(Ordering::Relaxed) || stop() {
                     stopped.store(true, Ordering::Relaxed);
                     return;
                 }
+                let b = first + r;
                 let start = block.len();
-                block.resize(start + n - a - 1, 0.0);
-                let out = &mut block[start..];
-                // Row `a` of the prefix is the contiguous run of its
-                // pairs `(a, a + 1..n_old)`: the head of the new row.
-                if a < n_old {
-                    let (_, spliced) = prefix.row_parts(a);
-                    out[..spliced.len()].copy_from_slice(spliced);
-                }
-                aligner.row(a, n_old.max(a + 1), scratch, out);
+                block.resize(start + b, 0.0);
+                aligner.row(b, scratch, &mut block[start..]);
             }
         },
     );
     if stopped.into_inner() {
         return Err(MessageTypeError::Cancelled);
     }
-    Ok(CondensedMatrix::from_condensed(n, data).expect("blocks cover every outer row"))
+    let data = if n_old == 0 {
+        rows
+    } else {
+        let mut data = Vec::with_capacity(prefix.values().len() + rows.len());
+        data.extend_from_slice(prefix.values());
+        data.extend_from_slice(&rows);
+        data
+    };
+    Ok(CondensedMatrix::from_condensed(n, data).expect("blocks cover every appended row"))
 }
 
 /// Per-worker buffers of [`alignment_matrix`], reused across rows.
 #[derive(Default)]
 struct Scratch {
-    /// The outer message's gathered substitution rows, `len(a) × u`.
+    /// The outer message's gathered substitution rows, `len(b) × u`.
     gathered: Vec<f64>,
+    /// The earlier non-empty messages of the current row, by ascending
+    /// length.
+    inner: Vec<usize>,
     lanes: Lanes,
 }
 
@@ -279,60 +299,115 @@ struct Aligner<'a> {
     /// Empty messages, ascending.
     empty: &'a [usize],
     seg_matrix: &'a CondensedMatrix,
+    recurring: RowCache,
     gap: f64,
 }
 
+/// Full substitution rows of the segments that recur most across the
+/// messages an alignment build aligns, gathered once for the build.
+///
+/// In the lower-triangle layout the row of segment `s` is stored for
+/// the columns before `s`; the columns after it are one entry per later
+/// row. Segments that recur across messages have small ids (ids follow
+/// first occurrence), so their rows are mostly such columns, and they
+/// would be walked again for every message holding them. The cache
+/// walks them once, all in one pass over the matrix
+/// ([`MatrixView::gather_rows`](dissim::MatrixView::gather_rows)), and
+/// every later use is a slice copy. The values are copied, never
+/// computed, so the cache cannot change a result.
+struct RowCache {
+    /// Slot of each segment id in `rows`, `u32::MAX` when not cached.
+    slot: Vec<u32>,
+    rows: Vec<f64>,
+}
+
+impl RowCache {
+    /// Caches the segments held by at least two of `outer`'s messages,
+    /// most held first, up to [`ROW_CACHE_BYTES`].
+    fn new(outer: &[Vec<usize>], seg_matrix: &CondensedMatrix) -> Self {
+        let u = seg_matrix.len();
+        let mut holders = vec![0u32; u];
+        let mut seen = vec![usize::MAX; u];
+        for (m, seq) in outer.iter().enumerate() {
+            for &s in seq {
+                if seen[s] != m {
+                    seen[s] = m;
+                    holders[s] += 1;
+                }
+            }
+        }
+        let mut ids: Vec<usize> = (0..u).filter(|&s| holders[s] >= 2).collect();
+        ids.sort_unstable_by_key(|&s| (std::cmp::Reverse(holders[s]), s));
+        ids.truncate(ROW_CACHE_BYTES / (8 * u.max(1)));
+        let mut slot = vec![u32::MAX; u];
+        for (k, &s) in ids.iter().enumerate() {
+            slot[s] = k as u32;
+        }
+        let mut rows = Vec::new();
+        seg_matrix.view().gather_rows(&ids, &mut rows);
+        Self { slot, rows }
+    }
+
+    /// The full row of segment `s`, if cached.
+    fn row(&self, s: usize) -> Option<&[f64]> {
+        let u = self.slot.len();
+        match self.slot[s] {
+            u32::MAX => None,
+            k => Some(&self.rows[k as usize * u..][..u]),
+        }
+    }
+}
+
 impl Aligner<'_> {
-    /// Fills `out[b − a − 1]` with the alignment cost of messages `a`
-    /// and `b` for every `b ≥ lo` (`lo > a`); the slots before are left
-    /// as they are.
-    fn row(&self, a: usize, lo: usize, scratch: &mut Scratch, out: &mut [f64]) {
-        let seq_a = &self.sequences[a];
-        if seq_a.is_empty() {
-            for (slot, b) in out[lo - a - 1..].iter_mut().zip(lo..) {
-                *slot = if self.sequences[b].is_empty() {
-                    0.0
-                } else {
-                    1.0
-                };
+    /// Fills lower-triangle row `b`: `out[a]` is the alignment cost of
+    /// messages `a` and `b` for every `a < b` (`out.len() == b`).
+    fn row(&self, b: usize, scratch: &mut Scratch, out: &mut [f64]) {
+        let seq_b = &self.sequences[b];
+        if seq_b.is_empty() {
+            for (slot, seq_a) in out.iter_mut().zip(self.sequences) {
+                *slot = if seq_a.is_empty() { 0.0 } else { 1.0 };
             }
             return;
         }
-        for &b in &self.empty[self.empty.partition_point(|&b| b < lo)..] {
-            out[b - a - 1] = 1.0;
+        for &a in &self.empty[..self.empty.partition_point(|&a| a < b)] {
+            out[a] = 1.0;
         }
-        let inner: Vec<usize> = self
-            .by_length
-            .iter()
-            .copied()
-            .filter(|&b| b >= lo)
-            .collect();
+        let Scratch {
+            gathered,
+            inner,
+            lanes,
+        } = scratch;
+        inner.clear();
+        inner.extend(self.by_length.iter().copied().filter(|&a| a < b));
         if inner.is_empty() {
             return;
         }
-        let Scratch { gathered, lanes } = scratch;
         gathered.clear();
-        for &s in seq_a {
-            let (column, tail) = self.seg_matrix.row_parts(s);
-            gathered.extend(column);
+        for &s in seq_b {
+            if let Some(row) = self.recurring.row(s) {
+                gathered.extend_from_slice(row);
+                continue;
+            }
+            let (head, column) = self.seg_matrix.row_parts(s);
+            gathered.extend_from_slice(head);
             gathered.push(0.0);
-            gathered.extend_from_slice(tail);
+            gathered.extend(column);
         }
-        self.align_inner(a, &inner, gathered, lanes, out);
+        self.align_inner(b, inner, gathered, lanes, out);
     }
 
-    /// Aligns message `a` against every message of `inner` (non-empty,
+    /// Aligns message `b` against every message of `inner` (non-empty,
     /// ascending length), [`LANES`] at a time; row `i` of `gathered`
-    /// holds the substitution costs of `a`'s `i`-th segment.
+    /// holds the substitution costs of `b`'s `i`-th segment.
     fn align_inner(
         &self,
-        a: usize,
+        b: usize,
         inner: &[usize],
         gathered: &[f64],
         lanes: &mut Lanes,
         out: &mut [f64],
     ) {
-        let la = self.sequences[a].len();
+        let lb = self.sequences[b].len();
         for chunk in inner.chunks(LANES) {
             // Lanes past a partial chunk repeat its last pair, and a lane
             // shorter than the chunk's longest repeats its last id: cells
@@ -347,8 +422,8 @@ impl Aligner<'_> {
                 })
             }));
             let totals = self.sweep(gathered, lanes);
-            for (l, &b) in chunk.iter().enumerate() {
-                out[b - a - 1] = totals[lens[l]][l] / la.max(lens[l]) as f64;
+            for (l, &a) in chunk.iter().enumerate() {
+                out[a] = totals[lens[l]][l] / lb.max(lens[l]) as f64;
             }
         }
     }
@@ -521,14 +596,26 @@ mod tests {
         );
         let full = alignment_matrix(&sequences, &empty, &seg_matrix, 0.8, 1, &|| false).unwrap();
         assert_eq!(full.len(), 9);
-        // An extension polls the same way: rows of the spliced prefix
-        // count too.
+        // An extension polls once per appended row: the rows of the
+        // copied prefix are not visited.
         let prefix =
             alignment_matrix(&sequences[..6], &empty, &seg_matrix, 0.8, 1, &|| false).unwrap();
         polls.store(0, Ordering::Relaxed);
-        let stopped = alignment_matrix(&sequences, &prefix, &seg_matrix, 0.8, 1, &after_three_rows);
+        let grown = alignment_matrix(&sequences, &prefix, &seg_matrix, 0.8, 1, &|| {
+            polls.fetch_add(1, Ordering::Relaxed);
+            false
+        });
+        assert_eq!(grown, Ok(full));
+        assert_eq!(
+            polls.load(Ordering::Relaxed),
+            3,
+            "one poll per appended row"
+        );
+        polls.store(0, Ordering::Relaxed);
+        let after_two_rows = || polls.fetch_add(1, Ordering::Relaxed) >= 2;
+        let stopped = alignment_matrix(&sequences, &prefix, &seg_matrix, 0.8, 1, &after_two_rows);
         assert_eq!(stopped, Err(MessageTypeError::Cancelled));
-        assert_eq!(polls.load(Ordering::Relaxed), 4);
+        assert_eq!(polls.load(Ordering::Relaxed), 3);
     }
 
     #[test]

@@ -105,7 +105,7 @@ use dissim::{
     NeighborProvider, QueryCounters, RegionTable, StrataIndex, StratifiedProvider, TiledMatrix,
 };
 use segment::{SegmentError, Segmenter, TraceSegmentation};
-use store::{ArtifactStore, Key, Kind, StoreStats};
+use store::{ArtifactStore, Key, Kind, StoreStats, StoredMatrix};
 use trace::{Preprocessor, Trace};
 
 /// A staged run of the analysis pipeline over one trace.
@@ -617,8 +617,9 @@ impl<'t> AnalysisSession<'t> {
     /// segment-value sequences (`cache::message_key`). A hit skips even
     /// the segment matrix. On a miss, the largest cached
     /// matrix over a prefix of the messages (found through the
-    /// per-family manifest) is extended: only pairs with a message
-    /// past the prefix are aligned.
+    /// per-family manifest) is extended: only the rows of messages past
+    /// the prefix are aligned, and only they are written, as a tail link
+    /// onto the prefix ([`ArtifactStore::put_matrix`]).
     fn message_matrix_until(
         &mut self,
         gap_penalty: f64,
@@ -641,8 +642,9 @@ impl<'t> AnalysisSession<'t> {
                 let values = store.all_values();
                 let params = &self.config.dissim;
                 let key = cache::message_key(&sequences, &values, params, gap_penalty);
-                if let Some(a) = cache.get::<DissimArtifact>(&key).filter(|a| a.len() == n) {
-                    self.msg_dissim = Some((gap_penalty, a));
+                if let Some(stored) = cache.get_matrix(&key).filter(|s| s.matrix.len() == n) {
+                    self.msg_dissim =
+                        Some((gap_penalty, DissimArtifact::from_matrix(stored.matrix)));
                     return Ok(self.msg_dissim.as_ref().expect("just fetched").1.matrix());
                 }
                 let family = cache::message_family_key(&sequences, &values, params, gap_penalty);
@@ -652,7 +654,8 @@ impl<'t> AnalysisSession<'t> {
                     1,
                     n,
                     |at| cache::message_keys_at(&sequences, &values, params, gap_penalty, at),
-                    |u, a: &DissimArtifact| a.len() == u,
+                    |k| cache.get_matrix_quiet(k),
+                    |u, s: &StoredMatrix| s.matrix.len() == u,
                 );
                 probe = Some((key, family, prefix));
             }
@@ -661,7 +664,7 @@ impl<'t> AnalysisSession<'t> {
             let prefix = probe
                 .as_ref()
                 .and_then(|(_, _, p)| p.as_ref())
-                .map_or(&empty, DissimArtifact::matrix);
+                .map_or(&empty, |s| &s.matrix);
             let artifact = DissimArtifact::from_matrix(msgtype::alignment_matrix(
                 &sequences,
                 prefix,
@@ -674,7 +677,8 @@ impl<'t> AnalysisSession<'t> {
                 if prefix.is_some() {
                     cache.record_extension();
                 }
-                cache.put(key, &artifact);
+                let parent = prefix.as_ref().map(|s| &s.tip);
+                cache.put_matrix(key, artifact.matrix().view(), parent);
                 cache.manifest_add(family, n, key);
             }
             self.msg_dissim = Some((gap_penalty, artifact));
@@ -854,12 +858,13 @@ impl<'t> AnalysisSession<'t> {
     /// one condensed matrix computed in memory — or, with a store
     /// attached, the field block fetched, or extended from the largest
     /// cached prefix of the field values (found through the per-family
-    /// manifest, computing only the entries that touch appended
-    /// segments), and then extended by the excluded rows. All paths are
-    /// bit-identical. Only the field block is persisted, written from
-    /// the matrix in place, under the field key and family, so a grown
-    /// trace extends it; the excluded rows are never persisted, nor
-    /// probed for under a key of their own.
+    /// manifest, computing only the rows of appended segments), and
+    /// then extended by the excluded rows. All paths are bit-identical.
+    /// Only the field block is persisted, written from the matrix in
+    /// place under the field key and family, so a grown trace extends
+    /// it: an extended block as a tail link holding the rows it adds to
+    /// the prefix ([`ArtifactStore::put_matrix`]). The excluded rows are
+    /// never persisted, nor probed for under a key of their own.
     fn build_dissim_monolithic(&self, values: &[&[u8]], n_field: usize) -> DissimArtifact {
         let params = &self.config.dissim;
         let threads = self.config.threads;
@@ -868,11 +873,11 @@ impl<'t> AnalysisSession<'t> {
         };
         let field = &values[..n_field];
         let key = cache::dissim_key(field, params);
-        if let Some(artifact) = cache.get::<DissimArtifact>(&key) {
+        if let Some(stored) = cache.get_matrix(&key).filter(|s| s.matrix.len() == n_field) {
             if values.len() == n_field {
-                return artifact;
+                return DissimArtifact::from_matrix(stored.matrix);
             }
-            let extended = artifact.matrix().extend_segments(values, params, threads);
+            let extended = stored.matrix.extend_segments(values, params, threads);
             return DissimArtifact::from_matrix(extended);
         }
         let family = cache::dissim_family_key(field, params);
@@ -882,18 +887,23 @@ impl<'t> AnalysisSession<'t> {
             2,
             n_field,
             |at| cache::dissim_keys_at(field, params, at),
-            |u, a: &DissimArtifact| a.len() == u,
+            |k| cache.get_matrix_quiet(k),
+            |u, s: &StoredMatrix| s.matrix.len() == u,
         );
-        let matrix = match prefix {
-            // The incremental warm-start: splice the cached matrix over
-            // `values[..u]` and compute only the new rows.
+        let (matrix, parent) = match prefix {
+            // The incremental warm-start: copy the cached matrix over
+            // `values[..u]` and compute only the appended rows.
             Some(prev) => {
                 cache.record_extension();
-                prev.matrix().extend_segments(values, params, threads)
+                let matrix = prev.matrix.extend_segments(values, params, threads);
+                (matrix, Some(prev.tip))
             }
-            None => CondensedMatrix::build_segments(values, params, threads),
+            None => (
+                CondensedMatrix::build_segments(values, params, threads),
+                None,
+            ),
         };
-        cache.put(&key, &matrix.prefix(n_field));
+        cache.put_matrix(&key, matrix.prefix(n_field), parent.as_ref());
         cache.manifest_add(&family, n_field, &key);
         DissimArtifact::from_matrix(matrix)
     }
@@ -969,6 +979,7 @@ impl<'t> AnalysisSession<'t> {
             1,
             n,
             |at| cache::strata_keys_at(values, params, chunk, at),
+            |k| cache.get_quiet::<StrataIndex>(k),
             |u, prev: &StrataIndex| prev.chunk() == chunk && prev.matches(&values[..u]),
         );
         let index = match prefix {
@@ -1700,8 +1711,8 @@ mod tests {
             let values = s.store.as_ref().expect("collected").values();
             let field = CondensedMatrix::build_segments(&values, params, 1);
             store
-                .get_quiet::<DissimArtifact>(&cache::dissim_key(&values, params))
-                .is_some_and(|a| bits(a.matrix()) == bits(&field))
+                .get_matrix_quiet(&cache::dissim_key(&values, params))
+                .is_some_and(|s| bits(&s.matrix) == bits(&field))
         }
 
         proptest! {
@@ -2054,6 +2065,84 @@ mod tests {
     }
 
     #[test]
+    fn damaged_chain_links_recompute_the_same_report() {
+        let (trace, seg, _) = grown_pair(90, 60, 5);
+        let report_of = |n: usize, store: Option<&ArtifactStore>| {
+            let t = Trace::new(trace.name(), trace.messages()[..n].to_vec());
+            let mut s = AnalysisSession::new(&t, FieldTypeClusterer::default());
+            s.set_segmentation(TraceSegmentation {
+                messages: seg.messages[..n].to_vec(),
+            });
+            if let Some(store) = store {
+                s.set_store(store.clone());
+            }
+            crate::report::standard_report(&t, &mut s).unwrap()
+        };
+        let cold = report_of(90, None);
+        let matrix_files = |dir: &std::path::Path| -> Vec<std::path::PathBuf> {
+            let mut files: Vec<_> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| {
+                    p.file_name()
+                        .unwrap()
+                        .to_string_lossy()
+                        .starts_with("dissim-")
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        type Damage = fn(&std::path::Path);
+        let damages: [(&str, Damage); 3] = [
+            ("flip", |p| {
+                let mut b = std::fs::read(p).unwrap();
+                let mid = b.len() / 2;
+                b[mid] ^= 0x20;
+                std::fs::write(p, b).unwrap();
+            }),
+            ("truncate", |p| {
+                let b = std::fs::read(p).unwrap();
+                std::fs::write(p, &b[..b.len() - 3]).unwrap();
+            }),
+            ("delete", |p| std::fs::remove_file(p).unwrap()),
+        ];
+        for (what, damage) in damages {
+            let dir = std::env::temp_dir()
+                .join(format!("fieldclust-chain-{what}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = ArtifactStore::open(&dir).expect("open store");
+            let mut links = Vec::new();
+            for n in [60, 70, 80, 90] {
+                let before = matrix_files(&dir);
+                let extended = store.stats().extended;
+                assert_eq!(
+                    report_of(n, Some(&store)),
+                    report_of(n, None),
+                    "{what}: n = {n}"
+                );
+                if n > 60 {
+                    assert_eq!(store.stats().extended, extended + 2, "{what}: n = {n}");
+                }
+                if n == 70 {
+                    links = matrix_files(&dir);
+                    links.retain(|p| !before.contains(p));
+                }
+            }
+            // The field block's and the message matrix's links at 70
+            // messages sit mid-chain under both 90-message tips.
+            assert_eq!(links.len(), 2, "{what}");
+            for link in &links {
+                damage(link);
+            }
+            let misses = store.stats().misses;
+            assert_eq!(report_of(90, Some(&store)), cold, "{what}: recomputed");
+            assert!(store.stats().misses > misses, "{what}: the tips missed");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
     fn stopped_extension_caches_nothing_and_resumes_identically() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let dir = std::env::temp_dir().join(format!(
@@ -2076,7 +2165,8 @@ mod tests {
         grown.segment_matrix().unwrap();
         let at_stop = store.stats();
         let polls = AtomicUsize::new(0);
-        let mid_extension = || polls.fetch_add(1, Ordering::Relaxed) >= 35;
+        // The extension aligns the 20 appended rows, polling before each.
+        let mid_extension = || polls.fetch_add(1, Ordering::Relaxed) >= 10;
         assert!(matches!(
             grown.message_matrix_until(0.8, &mid_extension),
             Err(MessageTypeError::Cancelled)

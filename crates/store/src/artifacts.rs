@@ -10,6 +10,7 @@
 //! encoder. Any violation is `None` — a cache miss, never a panic.
 
 use crate::codec::{Reader, Writer};
+use crate::Key;
 use cluster::{Clustering, Label, SelectedParams};
 use dissim::strata::DEFAULT_PIVOTS;
 use dissim::vptree::VpNode;
@@ -36,7 +37,8 @@ impl Kind {
         tag: 2,
         name: "segstore",
     };
-    /// A [`DissimArtifact`] (its condensed matrix).
+    /// A condensed matrix ([`DissimArtifact`]): whole, or a tail link
+    /// holding the rows it adds to a parent matrix.
     pub const DISSIM: Kind = Kind {
         tag: 3,
         name: "dissim",
@@ -131,11 +133,11 @@ pub trait Persist: Sized {
 }
 
 /// What [`ArtifactStore::put`](crate::ArtifactStore::put) writes: an
-/// encoding that decodes as a [`Persist`] artifact of kind
-/// [`STORED_AS`](Self::STORED_AS). Every `Persist` artifact is one; a
-/// borrowed [`MatrixView`] writes the [`DissimArtifact`] of its block,
-/// so the leading block of a larger matrix is stored without being
-/// copied out first.
+/// encoding stored as kind [`STORED_AS`](Self::STORED_AS). Every
+/// `Persist` artifact is one; a borrowed [`MatrixView`] writes the whole
+/// matrix of its block, so the leading block of a larger matrix is
+/// stored without being copied out first, and a tail link
+/// ([`crate::chain`]) writes only the rows its matrix adds.
 pub trait Encode {
     /// The kind the payload decodes as.
     const STORED_AS: Kind;
@@ -159,17 +161,125 @@ impl<T: Persist> Encode for T {
     }
 }
 
-/// The [`DissimArtifact`] of the block's own matrix, written from the
-/// block in place.
+/// Last byte of a whole matrix payload: the item count, every
+/// condensed value (lower triangle, row-major), then this tag.
+const WHOLE: u8 = 0;
+/// Last byte of a tail link payload: the item count `n`, the cells of
+/// rows `n_old..n`, the parent's key, the parent's item count `n_old`,
+/// then this tag (see [`crate::chain`]).
+const LINK: u8 = 1;
+/// Bytes between a tail link's cells and its tag: parent key, `n_old`.
+const LINK_TRAILER: usize = 16 + 8;
+
+/// `n·(n−1)/2`: the cells of a matrix over `n` items, and the offset
+/// of row `n` in a larger one.
+fn tri(n: usize) -> usize {
+    n * n.saturating_sub(1) / 2
+}
+
+/// [`tri`], or `None` on overflow (hostile counts).
+fn checked_tri(n: usize) -> Option<usize> {
+    Some(n.checked_mul(n.saturating_sub(1))? / 2)
+}
+
+/// What a stored matrix payload says about itself besides its cells:
+/// the rows it holds and, for a tail link, the key of the matrix that
+/// holds the rows before them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct MatrixHead {
+    /// The parent's key; `None` for a whole matrix.
+    pub parent: Option<Key>,
+    /// The parent's item count (0 for a whole matrix): the first row
+    /// the payload holds.
+    pub n_old: usize,
+    /// The matrix's item count: one past the last row.
+    pub n: usize,
+}
+
+impl MatrixHead {
+    /// Splits a matrix payload into its head and its cell bytes: `None`
+    /// unless the payload is exactly a whole matrix or a tail link that
+    /// grows its parent (`n_old < n`), with exactly the cells of its
+    /// rows and counts that do not overflow. The last byte tells the two
+    /// shapes apart.
+    pub(crate) fn parse(payload: &[u8]) -> Option<(Self, &[u8])> {
+        let (&tag, rest) = payload.split_last()?;
+        let n = Reader::new(rest).usize()?;
+        let body = &rest[8..];
+        let (head, cells) = match tag {
+            WHOLE => {
+                let head = Self {
+                    parent: None,
+                    n_old: 0,
+                    n,
+                };
+                (head, body)
+            }
+            LINK => {
+                let (cells, trailer) = body.split_at(body.len().checked_sub(LINK_TRAILER)?);
+                let mut key = [0u8; 16];
+                key.copy_from_slice(&trailer[..16]);
+                let n_old = Reader::new(&trailer[16..]).usize()?;
+                if n_old >= n {
+                    return None;
+                }
+                let head = Self {
+                    parent: Some(Key(key)),
+                    n_old,
+                    n,
+                };
+                (head, cells)
+            }
+            _ => return None,
+        };
+        let count = checked_tri(n)? - checked_tri(head.n_old)?;
+        (count.checked_mul(8)? == cells.len()).then_some((head, cells))
+    }
+
+    /// The range of the condensed cells the payload holds.
+    pub(crate) fn cells(self) -> std::ops::Range<usize> {
+        tri(self.n_old)..tri(self.n)
+    }
+}
+
+/// A whole matrix payload, written from the view in place.
+fn encode_whole(view: MatrixView<'_>, w: &mut Writer) {
+    w.usize(view.len());
+    w.f64s(view.values());
+    w.u8(WHOLE);
+}
+
+/// The length of [`encode_whole`]'s payload over `n` items.
+fn whole_payload_len(n: usize) -> usize {
+    8 + 8 * tri(n) + 1
+}
+
+/// A tail link payload: the cells of `view` past its parent's first
+/// `n_old` items.
+pub(crate) fn encode_link(view: MatrixView<'_>, parent: &Key, n_old: usize, w: &mut Writer) {
+    w.usize(view.len());
+    w.f64s(&view.values()[tri(n_old)..]);
+    w.raw(&parent.0);
+    w.usize(n_old);
+    w.u8(LINK);
+}
+
+/// The length of [`encode_link`]'s payload.
+pub(crate) fn link_payload_len(n: usize, n_old: usize) -> usize {
+    8 + 8 * (tri(n) - tri(n_old)) + LINK_TRAILER + 1
+}
+
+/// A whole matrix. A block of a larger matrix is the leading cells of
+/// its buffer, so it encodes exactly as the matrix over its items.
 impl Encode for MatrixView<'_> {
     const STORED_AS: Kind = Kind::DISSIM;
 
     fn encode_payload(&self, w: &mut Writer) {
-        encode_dissim(*self, w);
+        encode_whole(*self, w);
     }
 
     fn encoded_len_hint(&self) -> usize {
-        matrix_payload_len(self.len()) + 1
+        whole_payload_len(self.len())
     }
 }
 
@@ -232,66 +342,43 @@ impl Persist for TraceSegmentation {
     }
 }
 
-/// The matrix payload: the item count, then the condensed values row
-/// by row. A block of a larger matrix writes its own rows' heads, so it
-/// encodes exactly as the matrix over its items.
-fn encode_matrix(view: MatrixView<'_>, w: &mut Writer) {
-    w.usize(view.len());
-    for i in 0..view.len() {
-        w.f64s(view.row_parts(i).1);
-    }
-}
-
-/// The length of [`encode_matrix`]'s payload over `n` items.
-fn matrix_payload_len(n: usize) -> usize {
-    8 + 8 * (n * n.saturating_sub(1) / 2)
-}
-
-/// The [`DissimArtifact`] layout: the matrix payload and a zero byte.
-fn encode_dissim(view: MatrixView<'_>, w: &mut Writer) {
-    encode_matrix(view, w);
-    w.u8(0);
-}
-
+/// A whole matrix. A tail link decodes as `None` here: only
+/// [`ArtifactStore::get_matrix`](crate::ArtifactStore::get_matrix),
+/// which reads its parents, can assemble it.
 impl Persist for CondensedMatrix {
     const KIND: Kind = Kind::DISSIM;
 
     fn encode(&self, w: &mut Writer) {
-        encode_matrix(self.view(), w);
+        encode_whole(self.view(), w);
     }
 
     fn payload_hint(&self) -> usize {
-        matrix_payload_len(self.len())
+        whole_payload_len(self.len())
     }
 
     fn decode(r: &mut Reader) -> Option<Self> {
-        let n = r.usize()?;
-        let m = n.checked_mul(n.saturating_sub(1))? / 2;
-        if m.checked_mul(8)? > r.remaining() {
+        let (head, cells) = MatrixHead::parse(r.take(r.remaining())?)?;
+        if head.parent.is_some() {
             return None;
         }
-        CondensedMatrix::try_filled(n, |cells| r.f64s_into(cells))
+        CondensedMatrix::try_filled(head.n, |out| Reader::new(cells).f64s_into(out))
     }
 }
 
-/// The matrix followed by a zero byte. Files written before the
-/// presorted neighbor index was retired carry a `1` there, followed by
-/// the index; they decode as a miss, so the session rebuilds the
-/// artifact and overwrites them under the same key.
+/// Stored as its matrix ([`CondensedMatrix`]'s payload).
 impl Persist for DissimArtifact {
     const KIND: Kind = Kind::DISSIM;
 
     fn encode(&self, w: &mut Writer) {
-        encode_dissim(self.matrix().view(), w);
+        self.matrix().encode(w);
     }
 
     fn payload_hint(&self) -> usize {
-        matrix_payload_len(self.len()) + 1
+        self.matrix().payload_hint()
     }
 
     fn decode(r: &mut Reader) -> Option<Self> {
-        let matrix = CondensedMatrix::decode(r)?;
-        (r.u8()? == 0).then(|| DissimArtifact::from_matrix(matrix))
+        CondensedMatrix::decode(r).map(DissimArtifact::from_matrix)
     }
 }
 
@@ -606,6 +693,7 @@ mod tests {
             for &v in matrix.values() {
                 w.f64(v);
             }
+            w.u8(WHOLE);
             assert!(
                 w.as_slice() == &payload[..],
                 "n = {n}: bulk encoding differs"
@@ -620,7 +708,57 @@ mod tests {
         for i in 0..9 {
             w.f64(i as f64);
         }
+        w.u8(WHOLE);
         assert!(decode_payload::<CondensedMatrix>(&w.into_inner()).is_none());
+    }
+
+    #[test]
+    fn link_heads_parse_and_never_decode_as_a_whole_matrix() {
+        let full = CondensedMatrix::build(7, |i, j| (i * 5 + j) as f64);
+        let mut w = Writer::new();
+        encode_link(full.view(), &Key([3; 16]), 4, &mut w);
+        let link = w.into_inner();
+        assert_eq!(link.len(), link_payload_len(7, 4));
+        let (head, cells) = MatrixHead::parse(&link).expect("a link parses");
+        assert_eq!(
+            head,
+            MatrixHead {
+                parent: Some(Key([3; 16])),
+                n_old: 4,
+                n: 7
+            }
+        );
+        assert_eq!(cells.len(), 8 * (21 - 6));
+        assert!(decode_payload::<CondensedMatrix>(&link).is_none());
+        // A link that does not grow its parent, one whose parent is
+        // larger, one a cell short, and an unknown trailer tag.
+        let link_with = |cells: &[f64], tag: u8, n_old: usize| {
+            let mut w = Writer::new();
+            w.usize(7);
+            w.f64s(cells);
+            w.raw(&[3; 16]);
+            w.usize(n_old);
+            w.u8(tag);
+            w.into_inner()
+        };
+        let rows = &full.values()[tri(4)..];
+        for bad in [
+            link_with(&[], LINK, 7),
+            link_with(&[], LINK, 9),
+            link_with(&rows[1..], LINK, 4),
+            link_with(rows, 2, 4),
+        ] {
+            assert!(MatrixHead::parse(&bad).is_none());
+        }
+        assert!(MatrixHead::parse(&link_with(rows, LINK, 4)).is_some());
+        // A link over 3 prefix items is exactly as long as a whole
+        // matrix of the same `n`; the tag alone tells them apart.
+        let mut w = Writer::new();
+        encode_link(full.view(), &Key([0; 16]), 3, &mut w);
+        let link = w.into_inner();
+        assert_eq!(link.len(), full.payload_hint());
+        assert_eq!(MatrixHead::parse(&link).map(|(h, _)| h.n_old), Some(3));
+        assert!(decode_payload::<CondensedMatrix>(&link).is_none());
     }
 
     #[test]
@@ -631,8 +769,9 @@ mod tests {
         }));
         let payload = encode_payload(&a);
         assert_eq!(decode_payload::<DissimArtifact>(&payload), Some(a.clone()));
-        // The retired layout with an attached neighbor index (tag 1 and
-        // one `(dissimilarity, neighbor)` list per item) is a miss.
+        // The retired layout with an attached neighbor index (a `1` byte
+        // and one `(dissimilarity, neighbor)` list per item after the
+        // matrix) is a miss.
         let mut w = Writer::new();
         a.matrix().encode(&mut w);
         w.u8(1);

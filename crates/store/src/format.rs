@@ -29,8 +29,10 @@ pub const MAGIC: [u8; 4] = *b"FTCA";
 
 /// Format version. Bumping it invalidates every existing cache file
 /// (and, via [`crate::KeyDigest::new`], every existing cache key).
-/// Version 2 replaced the byte-serial FNV-1a trailer with [`checksum`].
-pub const FORMAT_VERSION: u32 = 2;
+/// Version 2 replaced the byte-serial FNV-1a trailer with [`checksum`];
+/// version 3 stores condensed matrices as the lower triangle, row-major,
+/// and adds tail links (`crate::chain`).
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Bytes before the payload: magic, version, kind and payload length.
 pub const HEADER_LEN: usize = 17;

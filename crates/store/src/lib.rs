@@ -28,12 +28,14 @@
 //! when to probe lives with the callers (`fieldclust::AnalysisSession`).
 
 pub mod artifacts;
+pub mod chain;
 pub mod codec;
 pub mod digest;
 pub mod format;
 pub mod mmap;
 
 pub use artifacts::{decode_payload, encode_payload, Encode, Kind, Persist};
+pub use chain::{ChainTip, StoredMatrix, MAX_TAIL_LINKS};
 pub use codec::{Reader, Writer};
 pub use digest::{checksum, fnv64, Key, KeyDigest};
 pub use format::{decode_file, encode_file, encode_with, FORMAT_VERSION, MAGIC};
@@ -182,6 +184,29 @@ impl Drop for ManifestLock {
     }
 }
 
+/// An artifact file whose frame verified, held while its payload is
+/// decoded.
+enum Loaded {
+    /// Served from a mapping of the file.
+    #[cfg(all(feature = "mmap", unix))]
+    Mapped(mmap::MappedArtifact),
+    /// The whole file on the heap, and where its payload lies.
+    Heap {
+        bytes: Vec<u8>,
+        payload: std::ops::Range<usize>,
+    },
+}
+
+impl Loaded {
+    fn payload(&self) -> &[u8] {
+        match self {
+            #[cfg(all(feature = "mmap", unix))]
+            Loaded::Mapped(mapped) => mapped.payload(),
+            Loaded::Heap { bytes, payload } => &bytes[payload.clone()],
+        }
+    }
+}
+
 /// A content-addressed artifact cache rooted at one directory.
 ///
 /// Cloning is cheap and clones share the statistics counters, so a
@@ -279,17 +304,26 @@ impl ArtifactStore {
     /// cannot change on a re-read); only a failure to *map* falls back
     /// to the byte-identical heap read.
     pub fn get_quiet<T: Persist>(&self, key: &Key) -> Option<T> {
-        let path = self.file_path(T::KIND, key);
+        decode_payload(self.load(T::KIND, key)?.payload())
+    }
+
+    /// The file of `kind` under `key` with its frame verified, mapped or
+    /// read onto the heap (see [`get_quiet`](Self::get_quiet)); `None`
+    /// if it is absent or its frame is damaged.
+    fn load(&self, kind: Kind, key: &Key) -> Option<Loaded> {
+        let path = self.file_path(kind, key);
         #[cfg(all(feature = "mmap", unix))]
         if mmap::enabled() {
-            if let Ok(verdict) = mmap::MappedArtifact::open(&path, T::KIND) {
+            if let Ok(verdict) = mmap::MappedArtifact::open(&path, kind) {
                 self.counters.mmap_reads.fetch_add(1, Ordering::Relaxed);
-                return verdict.and_then(|mapped| decode_payload(mapped.payload()));
+                return verdict.map(Loaded::Mapped);
             }
         }
         let bytes = std::fs::read(path).ok()?;
-        let payload = format::decode_file(T::KIND, &bytes)?;
-        decode_payload(payload)
+        let payload = format::decode_file(kind, &bytes)?;
+        let start = payload.as_ptr() as usize - bytes.as_ptr() as usize;
+        let payload = start..start + payload.len();
+        Some(Loaded::Heap { bytes, payload })
     }
 
     /// Whether an artifact file exists under `key` (no decode).

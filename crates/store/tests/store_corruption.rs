@@ -2,7 +2,10 @@
 //! on-disk store: for every artifact type, a stored file reads back
 //! bit-identically, and a damaged file — truncated, header bit flipped,
 //! body bit flipped, or re-framed under a different format version —
-//! reads as a clean cache miss, never a panic or an error.
+//! reads as a clean cache miss, never a panic or an error. A matrix
+//! stored as a chain of tail links reads as a miss when any link is
+//! damaged, missing or inconsistent with its parent, or when the chain
+//! is longer than the cap.
 
 use cluster::{Clustering, Label, SelectedParams};
 use dissim::{CondensedMatrix, DissimArtifact};
@@ -210,4 +213,148 @@ fn stats_track_the_degraded_path() {
     let _ = store.get::<CondensedMatrix>(&k); // corrupt -> miss
     let s = store.stats();
     assert_eq!((s.hits, s.misses, s.writes), (1, 2, 1));
+}
+
+/// A whole matrix over the first 10 items of `m`, then tail links at 14
+/// and 19 items: keys 1, 2 and 3.
+fn chain_of_three(store: &ArtifactStore, m: &CondensedMatrix) -> [Key; 3] {
+    let keys = [key(1), key(2), key(3)];
+    let mut tip = None;
+    for (k, n) in keys.iter().zip([10, 14, 19]) {
+        assert!(store.put_matrix(k, m.prefix(n), tip.as_ref()));
+        tip = Some(store.get_matrix_quiet(k).expect("chain reads back").tip);
+    }
+    assert_eq!(tip.map(|t| t.links), Some(2));
+    keys
+}
+
+fn chain_matrix() -> CondensedMatrix {
+    CondensedMatrix::build(30, |i, j| ((i * 13 + j * 7) as f64).sqrt() / 9.0)
+}
+
+fn matrix_bits(m: &CondensedMatrix) -> Vec<u64> {
+    m.values().iter().map(|v| v.to_bits()).collect()
+}
+
+/// The tip at 19 items reads as one miss; recomputing it (written whole)
+/// reads back bit for bit.
+fn assert_tip_misses_then_recomputes(store: &ArtifactStore, m: &CondensedMatrix, what: &str) {
+    let misses = store.stats().misses;
+    assert!(store.get_matrix(&key(3)).is_none(), "{what}: must miss");
+    assert_eq!(store.stats().misses, misses + 1, "{what}: one miss");
+    assert!(store.put_matrix(&key(3), m.prefix(19), None));
+    let back = store.get_matrix(&key(3)).expect("recomputed matrix hits");
+    assert_eq!(back.tip.links, 0, "{what}: recomputed whole");
+    assert_eq!(
+        matrix_bits(&back.matrix),
+        matrix_bits(&m.prefix(19).to_matrix()),
+        "{what}"
+    );
+}
+
+#[test]
+fn damaged_links_read_as_misses_and_recompute_identically() {
+    let m = chain_matrix();
+    type Damage = fn(&mut Vec<u8>);
+    let damages: [(&str, Damage); 3] = [
+        ("flipped bit", |b| {
+            let mid = b.len() / 2;
+            b[mid] ^= 0x08;
+        }),
+        ("truncated", |b| b.truncate(b.len() - 9)),
+        ("emptied", |b| b.clear()),
+    ];
+    for (what, damage) in damages {
+        // Damage the mid-chain link and, separately, the tip itself.
+        for damaged in [key(2), key(3)] {
+            let store = temp_store(&format!(
+                "chain-{}-{}",
+                what.replace(' ', "-"),
+                damaged.0[0]
+            ));
+            chain_of_three(&store, &m);
+            let path = store.file_path(Kind::DISSIM, &damaged);
+            let mut bytes = std::fs::read(&path).unwrap();
+            damage(&mut bytes);
+            std::fs::write(&path, &bytes).unwrap();
+            assert_tip_misses_then_recomputes(&store, &m, what);
+        }
+    }
+}
+
+#[test]
+fn a_missing_or_evicted_parent_is_a_miss() {
+    let m = chain_matrix();
+    let store = temp_store("chain-missing");
+    chain_of_three(&store, &m);
+    std::fs::remove_file(store.file_path(Kind::DISSIM, &key(2))).unwrap();
+    assert_tip_misses_then_recomputes(&store, &m, "missing parent");
+
+    // Under a byte budget the root is the least recently used file, so
+    // the next write evicts it.
+    let sized = temp_store("chain-sized");
+    chain_of_three(&sized, &m);
+    let budget = sized.total_bytes() + 64;
+    let store = temp_store("chain-evicted").with_budget(store::StoreBudget { max_bytes: budget });
+    chain_of_three(&store, &m);
+    let filler = Clustering::from_labels(vec![Label::Noise; 40]);
+    assert!(store.put(&key(9), &filler));
+    assert!(!store.contains::<CondensedMatrix>(&key(1)), "root evicted");
+    assert!(store.contains::<CondensedMatrix>(&key(3)), "tip kept");
+    assert_tip_misses_then_recomputes(&store, &m, "evicted root");
+}
+
+#[test]
+fn inconsistent_parents_are_misses() {
+    let m = chain_matrix();
+    let forged = |parent: Key, len: usize| store::ChainTip {
+        key: parent,
+        len,
+        links: 0,
+    };
+    let cases = [
+        // The root holds 10 items, not the 14 the link grows.
+        ("parent of the wrong length", forged(key(1), 14)),
+        // The link names itself: its own 19 items are not 14.
+        ("link naming itself", forged(key(3), 14)),
+        // A parent over more items than the link.
+        ("larger parent", forged(key(7), 14)),
+    ];
+    for (what, tip) in cases {
+        let store = temp_store(&format!("chain-{}", what.replace(' ', "-")));
+        chain_of_three(&store, &m);
+        assert!(store.put_matrix(&key(7), m.prefix(25), None));
+        assert!(store.put_matrix(&key(3), m.prefix(19), Some(&tip)));
+        assert_tip_misses_then_recomputes(&store, &m, what);
+    }
+}
+
+#[test]
+fn a_chain_longer_than_the_cap_is_a_miss() {
+    let m = chain_matrix();
+    let store = temp_store("chain-overlong");
+    // Tips that understate their depth let the writer chain past the
+    // cap: a whole root and then one link more than a read may follow.
+    assert!(store.put_matrix(&key(10), m.prefix(8), None));
+    let mut n_old = 8;
+    for (i, n) in (9..).take(store::MAX_TAIL_LINKS + 1).enumerate() {
+        let parent = store::ChainTip {
+            key: key(10 + i as u8),
+            len: n_old,
+            links: 0,
+        };
+        assert!(store.put_matrix(&key(11 + i as u8), m.prefix(n), Some(&parent)));
+        n_old = n;
+    }
+    let deepest = key(10 + store::MAX_TAIL_LINKS as u8);
+    assert_eq!(
+        store.get_matrix(&deepest).map(|s| s.tip.links),
+        Some(store::MAX_TAIL_LINKS),
+        "a chain at the cap reads"
+    );
+    let over = key(11 + store::MAX_TAIL_LINKS as u8);
+    assert!(
+        store.get_matrix(&over).is_none(),
+        "one link past the cap misses"
+    );
 }

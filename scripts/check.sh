@@ -56,6 +56,37 @@ cmp "$tmp/append-warm.md" "$tmp/append-cold.md"
 grep -Eq 'extended=[1-9]' "$tmp/append-warm.err"
 echo "append smoke test: the grown capture extended cached matrices and matched a cache-less report"
 
+# Append-chain smoke test: the DNS capture grows in three steps against
+# one cache directory (80 -> 100 -> 120 -> 140 messages), so each step
+# stores its grown segment and message matrices as tail links onto the
+# previous step's. After every step the warm report must equal a
+# cache-less one, and every grown step must extend. Deleting the links
+# written at 100 messages (one in the middle of each matrix chain) must
+# then read as a miss and still reproduce the cache-less report.
+for n in 80 100 120 140; do
+    cargo run --release -q -p cli -- generate dns "$n" "$tmp/chain$n.pcap" --seed 51
+    before="$(ls "$tmp/chain-cache" 2>/dev/null | grep '^dissim-' || true)"
+    cargo run --release -q -p cli -- analyze "$tmp/chain$n.pcap" --cache-dir "$tmp/chain-cache" \
+        --report "$tmp/chain-warm$n.md" 2>"$tmp/chain$n.err"
+    cargo run --release -q -p cli -- analyze "$tmp/chain$n.pcap" --report "$tmp/chain-cold$n.md"
+    cmp "$tmp/chain-warm$n.md" "$tmp/chain-cold$n.md"
+    if [ "$n" -gt 80 ]; then
+        grep -Eq 'extended=[1-9]' "$tmp/chain$n.err"
+    fi
+    if [ "$n" = 100 ]; then
+        mid_links="$(comm -13 <(echo "$before") <(ls "$tmp/chain-cache" | grep '^dissim-'))"
+    fi
+done
+[ "$(wc -l <<<"$mid_links")" = 2 ] || { echo "expected two links at 100 messages" >&2; exit 1; }
+for link in $mid_links; do
+    rm "$tmp/chain-cache/$link"
+done
+cargo run --release -q -p cli -- analyze "$tmp/chain140.pcap" --cache-dir "$tmp/chain-cache" \
+    --report "$tmp/chain-broken.md" 2>"$tmp/chain-broken.err"
+cmp "$tmp/chain-broken.md" "$tmp/chain-cold140.md"
+grep -Eq 'misses=[1-9]' "$tmp/chain-broken.err"
+echo "append-chain smoke test: three growth steps matched cache-less reports, and so did a run with mid-chain links deleted"
+
 # Neighbor-backend equivalence smoke test: the same capture analyzed
 # through every neighbor backend (matrix row scans + k-NN table, tiled
 # build + merged k-NN table, length-stratified forests) must produce
