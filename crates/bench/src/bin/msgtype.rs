@@ -10,7 +10,10 @@
 //! alignment of every message pair over NEMESYS segments, one thread,
 //! best of [`ALIGN_REPS`] builds) and upserts it into
 //! `BENCH_trajectory.json` as `msgtype_align{proto=..}`; each record's
-//! peak RSS is the process high-water mark up to that protocol.
+//! peak RSS is the process high-water mark up to that protocol. Before
+//! the protocols it times the same build over 400 NTP messages cut into
+//! 4-byte chunks (about 1.7k unique segments, numbered by first
+//! occurrence), recorded as `msgtype_align{proto=ntp,seg=fixed}`.
 //!
 //! Run with: `cargo run --release -p bench --bin msgtype`
 
@@ -20,7 +23,8 @@ use evalkit::{pair_counts, ClusterMetrics};
 use fieldclust::msgtype::{identify_message_types, MessageTypeConfig};
 use fieldclust::truth::truth_segmentation;
 use fieldclust::{AnalysisSession, FieldTypeClusterer};
-use protocols::{corpus, ProtocolSpec};
+use protocols::{corpus, Protocol, ProtocolSpec};
+use segment::fixed::FixedChunks;
 use segment::nemesys::Nemesys;
 use segment::{Segmenter, TraceSegmentation};
 use serde::Serialize;
@@ -28,6 +32,9 @@ use trace::Trace;
 
 /// Message-matrix builds per protocol; the fastest one is recorded.
 const ALIGN_REPS: usize = 7;
+
+/// Messages of the fixed-width NTP alignment timing.
+const FIXED_NTP_MESSAGES: usize = 400;
 
 #[derive(Serialize)]
 struct MsgTypeRow {
@@ -66,6 +73,14 @@ fn time_alignment(trace: &Trace, seg: &TraceSegmentation) -> Option<Duration> {
 fn main() {
     let mut rows: Vec<MsgTypeRow> = Vec::new();
     let mut align: Vec<(String, usize, Duration)> = Vec::new();
+    let ntp = corpus::build_trace(Protocol::Ntp, FIXED_NTP_MESSAGES, 1);
+    let fixed_seg = FixedChunks::default()
+        .segment_trace(&ntp)
+        .expect("fixed chunking never fails");
+    let fixed_align = time_alignment(&ntp, &fixed_seg);
+    if let Some(wall) = fixed_align {
+        bench::append_trajectory("msgtype_align{proto=ntp,seg=fixed}", wall);
+    }
     println!("MESSAGE TYPE IDENTIFICATION (extension; cf. NEMETYL [10])");
     println!("proto  msgs  segm     types found   P     R     F1/4");
     for spec in corpus::small_specs() {
@@ -146,5 +161,11 @@ fn main() {
     println!("proto  msgs   build ms");
     for (proto, messages, wall) in &align {
         println!("{proto:6} {messages:5} {:10.3}", wall.as_secs_f64() * 1e3);
+    }
+    if let Some(wall) = fixed_align {
+        println!(
+            "ntp    {FIXED_NTP_MESSAGES:5} {:10.3}  (fixed 4-byte segments)",
+            wall.as_secs_f64() * 1e3
+        );
     }
 }

@@ -48,13 +48,13 @@ pub(crate) struct ExactSum {
 }
 
 impl ExactSum {
-    /// Adds `x`, which must be finite and non-negative.
-    #[inline]
-    pub(crate) fn add(&mut self, x: f64) {
+    /// Adds `x`, which must be finite and non-negative, through the
+    /// window in memory: the term-by-term reference that
+    /// [`add_all`](Self::add_all) is pinned against.
+    #[cfg(test)]
+    fn add(&mut self, x: f64) {
         debug_assert!(x.is_finite() && x >= 0.0, "exact sum of {x}");
         let bits = x.to_bits() & MAGNITUDE;
-        // x = significand · 2^(biased − 1075) = significand · 2^shift
-        // units of 2⁻⁶³.
         let shift = ((bits >> 52) as u32).wrapping_sub(FAST_LOW);
         if shift <= 11 {
             let (low, carry) = self
@@ -63,12 +63,39 @@ impl ExactSum {
             self.low = low;
             self.high += u64::from(carry);
         } else {
-            // The window goes by value, so that only `wide` escapes to
-            // the call and a caller's loop can keep the window in
-            // registers.
             let window = add_slow(self.window(), bits, &mut self.wide);
             self.set_window(window);
         }
+    }
+
+    /// Adds every term of `xs`, each finite and non-negative. The
+    /// window stays in locals across the slice, so a row of terms adds
+    /// without a store per term.
+    #[inline]
+    pub(crate) fn add_all(&mut self, xs: &[f64]) {
+        let (mut low, mut high) = (self.low, self.high);
+        for &x in xs {
+            debug_assert!(x.is_finite() && x >= 0.0, "exact sum of {x}");
+            let bits = x.to_bits() & MAGNITUDE;
+            // x = significand · 2^(biased − 1075) = significand · 2^shift
+            // units of 2⁻⁶³.
+            let shift = ((bits >> 52) as u32).wrapping_sub(FAST_LOW);
+            if shift <= 11 {
+                let (sum, carry) = low.overflowing_add(((bits & FRACTION) | (1 << 52)) << shift);
+                low = sum;
+                high += u64::from(carry);
+            } else {
+                // The window goes by value, so that only `wide` escapes
+                // to the call.
+                let window = add_slow(
+                    u128::from(high) << 64 | u128::from(low),
+                    bits,
+                    &mut self.wide,
+                );
+                (low, high) = (window as u64, (window >> 64) as u64);
+            }
+        }
+        (self.low, self.high) = (low, high);
     }
 
     /// Adds every term of `other`.
@@ -393,6 +420,39 @@ mod tests {
                 merged.merge(&part);
             }
             prop_assert_eq!(merged.value().to_bits(), want.to_bits());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// Adding slices equals adding their terms one by one — the
+        /// window, the wide part and the rounded sum — whatever the
+        /// slices: zeros, subnormals, terms below 2⁻¹¹ and above 2
+        /// among the terms, and empty slices among the cuts.
+        #[test]
+        fn slice_adds_equal_repeated_adds(
+            xs in prop::collection::vec(term(), 0..48),
+            cuts in prop::collection::vec(0usize..48, 0..6),
+        ) {
+            let mut one = ExactSum::default();
+            for &x in &xs {
+                one.add(x);
+            }
+            let mut bounds: Vec<usize> = cuts.into_iter().map(|c| c.min(xs.len())).collect();
+            bounds.extend([0, xs.len()]);
+            bounds.sort_unstable();
+            let mut sliced = ExactSum::default();
+            for w in bounds.windows(2) {
+                sliced.add_all(&xs[w[0]..w[1]]);
+            }
+            prop_assert_eq!(sliced.window(), one.window());
+            let limbs = |s: &ExactSum| s.wide.as_ref().map(|w| {
+                let mut w = (**w).clone();
+                w.carry();
+                w.limbs
+            });
+            prop_assert_eq!(limbs(&sliced), limbs(&one));
+            prop_assert_eq!(sliced.value().to_bits(), one.value().to_bits());
         }
     }
 

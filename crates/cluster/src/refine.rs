@@ -420,9 +420,13 @@ struct Dissims {
 const _: () = assert!(std::mem::size_of::<Dissims>() == 32);
 
 impl Dissims {
-    fn add(&mut self, d: f64) {
-        self.sum.add(d);
-        self.max_bits = self.max_bits.max(d.to_bits() & (u64::MAX >> 1));
+    /// Folds a row of pair dissimilarities: one exact slice add, and
+    /// the row's maximum in a fold of its own.
+    fn add_row(&mut self, row: &[f64]) {
+        self.sum.add_all(row);
+        self.max_bits = row
+            .iter()
+            .fold(self.max_bits, |m, d| m.max(d.to_bits() & (u64::MAX >> 1)));
     }
 
     fn absorb(&mut self, other: &Dissims) {
@@ -450,10 +454,10 @@ impl Dissims {
         let mut pairs = Self::default();
         for bi in 0..members.len() {
             provider.pairs_from(members[bi], &members[..bi], row);
+            pairs.add_row(row);
             let (earlier, rest) = nearest.split_at_mut(bi);
             let mine = &mut rest[0];
             for (near, &d) in earlier.iter_mut().zip(row.iter()) {
-                pairs.add(d);
                 if d < *mine {
                     *mine = d;
                 }
@@ -558,6 +562,7 @@ impl LinkTable {
                 column.extend(cq.iter().map(|&b| Link::new(nearest[b], b, b)));
                 for &a in cp {
                     provider.pairs_from(a, cq, row);
+                    across.add_row(row);
                     let mut near = Link::new(nearest[a], a, a);
                     for ((&b, &d), col) in cq.iter().zip(row.iter()).zip(column.iter_mut()) {
                         // Members ascend, so a strict `<` keeps the first
@@ -570,7 +575,6 @@ impl LinkTable {
                         if rev.precedes(&qp) {
                             qp = rev;
                         }
-                        across.add(d);
                         if d < near.d {
                             near = Link::new(d, a, b);
                         }

@@ -21,10 +21,13 @@
 pub struct KnnAccumulator {
     n: usize,
     k_max: usize,
-    /// Flattened `n × k_max`; row `i` keeps `lens[i]` values sorted
-    /// ascending.
+    /// Flattened `n × k_max`; row `i` keeps the smallest values seen,
+    /// ascending, padded with `f64::INFINITY`.
     lists: Vec<f64>,
-    lens: Vec<usize>,
+    /// The last entry of each row: the k-th smallest value once
+    /// `k_max` values were seen, ∞ before. A candidate not below it is
+    /// rejected by one read of this dense array.
+    worst: Vec<f64>,
 }
 
 impl KnnAccumulator {
@@ -39,23 +42,51 @@ impl KnnAccumulator {
             n,
             k_max,
             lists: vec![f64::INFINITY; n * k_max],
-            lens: vec![0; n],
+            worst: vec![f64::INFINITY; n],
         }
     }
 
     /// Records dissimilarity `d` as a neighbor candidate of `item`.
+    #[inline]
     pub fn push(&mut self, item: usize, d: f64) {
-        let k = self.k_max;
-        let len = self.lens[item];
-        let row = &mut self.lists[item * k..item * k + k];
-        if len == k && d >= row[k - 1] {
-            return;
+        if d < self.worst[item] {
+            self.insert(item, d);
         }
-        let pos = row[..len].partition_point(|&x| x <= d);
-        let end = (len + 1).min(k);
-        row.copy_within(pos..end - 1, pos + 1);
+    }
+
+    /// Records every pair of lower-triangle row `i` (`row[j] = D(i, j)`
+    /// for `j < i`) as a candidate of both its endpoints, exactly as
+    /// `push(j, d)` then `push(i, d)` per pair would. Item `i`'s own
+    /// threshold is kept in a local across the row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is longer than `i`.
+    #[inline]
+    pub fn push_lower_row(&mut self, i: usize, row: &[f64]) {
+        assert!(row.len() <= i, "a lower row holds only earlier items");
+        let mut own = self.worst[i];
+        for (j, &d) in row.iter().enumerate() {
+            if d < self.worst[j] {
+                self.insert(j, d);
+            }
+            if d < own {
+                own = self.insert(i, d);
+            }
+        }
+    }
+
+    /// Inserts `d`, below `item`'s threshold, into its sorted list;
+    /// returns the new threshold.
+    #[inline]
+    fn insert(&mut self, item: usize, d: f64) -> f64 {
+        let k = self.k_max;
+        let row = &mut self.lists[item * k..item * k + k];
+        let pos = row.partition_point(|&x| x <= d);
+        row.copy_within(pos..k - 1, pos + 1);
         row[pos] = d;
-        self.lens[item] = end;
+        self.worst[item] = row[k - 1];
+        row[k - 1]
     }
 
     /// Merges another accumulator covering the same items: each item's
@@ -71,8 +102,8 @@ impl KnnAccumulator {
             self.n == other.n && self.k_max == other.k_max,
             "accumulator shapes differ"
         );
-        for item in 0..self.n {
-            let o = &other.lists[item * self.k_max..item * self.k_max + other.lens[item]];
+        // The padding of `other`'s lists is ∞, which no threshold admits.
+        for (item, o) in other.lists.chunks_exact(self.k_max).enumerate() {
             for &d in o {
                 self.push(item, d);
             }

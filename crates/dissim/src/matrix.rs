@@ -364,7 +364,7 @@ impl<'a> MatrixView<'a> {
     }
 
     /// Lower-triangle row `i`: `D(i, j)` for every `j < i`, contiguous.
-    fn lower_row(self, i: usize) -> &'a [f64] {
+    pub(crate) fn lower_row(self, i: usize) -> &'a [f64] {
         &self.data[tri(i)..tri(i + 1)]
     }
 
@@ -410,10 +410,7 @@ impl<'a> MatrixView<'a> {
     pub fn knn_table(self, k_max: usize) -> KnnTable {
         let mut acc = KnnAccumulator::new(self.n, k_max);
         for i in 0..self.n {
-            for (j, &d) in self.lower_row(i).iter().enumerate() {
-                acc.push(j, d);
-                acc.push(i, d);
-            }
+            acc.push_lower_row(i, self.lower_row(i));
         }
         acc.finish()
     }

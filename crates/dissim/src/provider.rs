@@ -40,20 +40,28 @@
 //! instead of querying item by item: the table is built at one radius
 //! and answers any smaller radius by filtering. The default fills each
 //! row from a [`neighbors_within`](NeighborProvider::neighbors_within)
-//! scan (the matrix backend's path); the stratified index overrides it
-//! to evaluate each cross-stratum pair from one end only. The batch
-//! query above stays for sampled query sets.
+//! scan. Both backends override it to read each pair from one end only
+//! and mirror it into the other row: the matrix filters each item's
+//! stored lower row, which is contiguous, so no column below the
+//! diagonal is walked; the stratified index evaluates each
+//! cross-stratum pair once. The batch query above stays for sampled
+//! query sets.
 //!
 //! **k-NN tables.** Algorithm 1 reads every item's k-th nearest
 //! dissimilarity for each `k` up to `round(ln n)`, and §III-E's trimmed
 //! rerun reads them again. [`NeighborProvider::knn_table`] answers all
-//! of that at once: the matrix sweeps its triangle, the stratified index
-//! runs one `k_max`-deep k-NN query per item. A `k_max`-deep search is exact, so
-//! its j-th smallest value is the j-th nearest dissimilarity for every
-//! `j <= k_max`; only values are kept, so ties cannot matter.
+//! of that at once: the matrix sweeps its triangle row by row, each
+//! candidate rejected against its item's current k-th value
+//! ([`KnnAccumulator::push_lower_row`](crate::KnnAccumulator::push_lower_row)),
+//! and the stratified index runs one `k_max`-deep k-NN query per item.
+//! A `k_max`-deep search is exact, so its j-th smallest value is the
+//! j-th nearest dissimilarity for every `j <= k_max`; only values are
+//! kept, so ties cannot matter.
+
+use std::cmp::Ordering;
 
 use crate::knn::KnnTable;
-use crate::matrix::MatrixView;
+use crate::matrix::{tri, MatrixView};
 use crate::region::RegionTable;
 
 /// Minimum queries per stolen work chunk in the batch fan-out: small
@@ -170,7 +178,8 @@ pub trait NeighborProvider {
 /// other backend is pinned against, and the matrix backend's query
 /// path.
 ///
-/// Region queries walk one condensed row and emit in *index* order;
+/// Region queries walk one condensed row and emit in *index* order, and
+/// so do the rows of its [`region_table`](NeighborProvider::region_table);
 /// k-NN queries select the order statistic off a row scan, exactly as
 /// [`CondensedMatrix::knn_dissimilarities`](crate::CondensedMatrix::knn_dissimilarities)
 /// does. Hot k-NN sweeps should read a
@@ -226,6 +235,47 @@ impl NeighborProvider for MatrixProvider<'_> {
 
     fn pair(&self, i: usize, j: usize) -> f64 {
         self.matrix.get(i, j)
+    }
+
+    /// Reads `D(i, j)` for `j < i` from row `i`'s stored slice, and
+    /// `D(j, i)` for `j > i` at its cell of row `j`: the cells
+    /// [`pair`](NeighborProvider::pair) reads, without its per-call
+    /// index checks.
+    fn pairs_from(&self, i: usize, js: &[usize], out: &mut Vec<f64>) {
+        assert!(i < self.matrix.len(), "index out of bounds");
+        let (head, cells) = (self.matrix.lower_row(i), self.matrix.values());
+        out.clear();
+        out.extend(js.iter().map(|&j| match j.cmp(&i) {
+            Ordering::Less => head[j],
+            Ordering::Equal => 0.0,
+            Ordering::Greater => cells[tri(j) + i],
+        }));
+    }
+
+    /// Each row's query entries are its stored lower row filtered to
+    /// `d <= eps`, read contiguously on `threads` workers; each entry is
+    /// then mirrored into the row of its earlier item
+    /// ([`RegionTable::mirror_from_one_side`]), rows visited in index
+    /// order. So row `i` lists its neighbors in index order, the
+    /// sequence [`neighbors_within`](NeighborProvider::neighbors_within)
+    /// emits, without walking the column below the diagonal.
+    fn region_table(&self, eps: f64, threads: usize) -> RegionTable {
+        let matrix = self.matrix;
+        let mut table = RegionTable::from_rows(
+            matrix.len(),
+            eps,
+            threads,
+            || (),
+            |i, _, sink| {
+                for (j, &d) in matrix.lower_row(i).iter().enumerate() {
+                    if d <= eps {
+                        sink.push(d, j as u32);
+                    }
+                }
+            },
+        );
+        table.mirror_from_one_side(|i, j| j < i);
+        table
     }
 
     /// One serial sweep of the condensed triangle
@@ -331,6 +381,83 @@ mod tests {
             oracle.pairs_from(i, &js, &mut b);
             assert_eq!(a, b, "row {i}");
             assert_eq!(view.knn(i, 3).to_bits(), oracle.knn(i, 3).to_bits());
+        }
+    }
+
+    mod oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A matrix of `n` items whose cells are multiples of ⅛: ties
+        /// among a row's values, and with a radius drawn from them, are
+        /// common.
+        fn coarse(n: usize, cells: &[u8]) -> CondensedMatrix {
+            let values = (0..tri(n)).map(|c| f64::from(cells[c % cells.len()] % 9) / 8.0);
+            CondensedMatrix::from_condensed(n, values.collect()).expect("triangle length")
+        }
+
+        proptest! {
+            /// The stored-row region table holds, row for row, the pairs
+            /// of a `neighbors_within` scan, compared as sorted (bits,
+            /// id) sets — over full matrices and prefix views, at 1 and
+            /// 4 threads, with radii exactly at cell values.
+            #[test]
+            fn region_table_rows_match_scans(
+                n in 0usize..40,
+                cells in prop::collection::vec(any::<u8>(), 1..64),
+                cut in 0usize..40,
+                pick in any::<u8>(),
+            ) {
+                let m = coarse(n, &cells);
+                let eps = f64::from(pick % 10) / 8.0;
+                for view in [m.view(), m.prefix(cut.min(n))] {
+                    let provider = MatrixProvider::new(view);
+                    for threads in [1, 4] {
+                        let table = provider.region_table(eps, threads);
+                        prop_assert_eq!(table.len(), view.len());
+                        let mut scan = Vec::new();
+                        let mut total = 0;
+                        for i in 0..view.len() {
+                            provider.neighbors_within(i, eps, &mut scan);
+                            total += scan.len();
+                            let row: Vec<_> = table.row(i).collect();
+                            prop_assert_eq!(
+                                sorted_bits(&row), sorted_bits(&scan),
+                                "row {} of {}, eps {}, threads {}", i, view.len(), eps, threads
+                            );
+                        }
+                        prop_assert_eq!(table.entries(), total);
+                    }
+                }
+            }
+
+            /// The thresholded sweep equals the per-row order statistic
+            /// for every `k <= k_max`, and reads ∞ past the pair count:
+            /// duplicate values, `k_max >= n`, full matrices and prefix
+            /// views.
+            #[test]
+            fn knn_table_matches_knn_dissimilarities(
+                n in 1usize..30,
+                cells in prop::collection::vec(any::<u8>(), 1..64),
+                cut in 1usize..30,
+                k_max in 1usize..12,
+            ) {
+                let m = coarse(n, &cells);
+                for view in [m.view(), m.prefix(cut.min(n))] {
+                    let table = MatrixProvider::new(view).knn_table(k_max, 1);
+                    prop_assert_eq!(table.len(), view.len());
+                    for k in 1..=k_max {
+                        if k < view.len() {
+                            let want = view.knn_dissimilarities(k);
+                            let got = table.knn_dissimilarities(k);
+                            let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                            prop_assert_eq!(bits(&got), bits(&want), "k {} of n {}", k, view.len());
+                        } else {
+                            prop_assert!(table.knn_dissimilarities(k).iter().all(|d| d.is_infinite()));
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -20,9 +20,10 @@
 //!   buffers are kept as written, so no block is ever copied into a
 //!   second table;
 //! - the row's *mirrored entries*, a CSR (`offsets`, `dists`, `ids`) of
-//!   pairs another item's query found, for backends that evaluate a
-//!   pair from one end only and emit it into both rows
-//!   (the stratified index's cross-stratum pairs).
+//!   pairs another item's query found, for backends that read a pair
+//!   from one end only and emit it into both rows: the matrix backend's
+//!   every pair, read from the later item's stored row, and the
+//!   stratified index's cross-stratum pairs.
 //!
 //! Which buffer holds a row depends on the schedule; a row's content,
 //! and its emission order, do not. Emission order carries no meaning:

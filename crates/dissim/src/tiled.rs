@@ -143,10 +143,7 @@ impl MatrixTile {
     /// the tile updates both endpoints' lists.
     pub fn feed(&self, acc: &mut KnnAccumulator) {
         for j in self.rows() {
-            for (i, &d) in self.row(j).iter().enumerate() {
-                acc.push(i, d);
-                acc.push(j, d);
-            }
+            acc.push_lower_row(j, self.row(j));
         }
     }
 }

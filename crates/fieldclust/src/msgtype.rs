@@ -185,8 +185,11 @@ const ROW_CACHE_BYTES: usize = 256 << 10;
 ///
 /// The appended message `b` of a row is the outer message: the
 /// substitution rows of its segments are gathered once into a
-/// contiguous `len(b) × u` buffer (the rows of recurring segments from
-/// a [`RowCache`] built once per call), and every earlier message `a < b`,
+/// contiguous `len(b) × limit` buffer, where `limit` is 1 + the largest
+/// segment id of the messages before `b`: the DP reads no cost at a
+/// larger id, so it reads the same values as from full rows. The rows
+/// of recurring segments come from a [`RowCache`] built once per call.
+/// Every earlier message `a < b`,
 /// in ascending length order, is aligned against it [`LANES`] pairs per
 /// DP sweep over two rolling rows. Every cell performs the same f64
 /// operations as the textbook pairwise DP of `(a, b)` transposed —
@@ -225,10 +228,18 @@ pub(crate) fn alignment_matrix(
     by_length.sort_by_key(|&b| (sequences[b].len(), b));
     // Row 0 of the lower triangle holds no pairs.
     let first = n_old.max(1).min(n);
+    // limits[b]: 1 + the largest segment id of the messages before `b`.
+    let mut limits = Vec::with_capacity(n);
+    let mut limit = 0;
+    for seq in sequences {
+        limits.push(limit);
+        limit = seq.iter().fold(limit, |l, &s| l.max(s + 1));
+    }
     let aligner = Aligner {
         sequences,
         by_length: &by_length,
         empty: &empty,
+        limits: &limits,
         seg_matrix,
         recurring: RowCache::new(&sequences[first..], seg_matrix),
         gap,
@@ -273,7 +284,8 @@ pub(crate) fn alignment_matrix(
 /// Per-worker buffers of [`alignment_matrix`], reused across rows.
 #[derive(Default)]
 struct Scratch {
-    /// The outer message's gathered substitution rows, `len(b) × u`.
+    /// The outer message's gathered substitution rows, `len(b) ×
+    /// limit`.
     gathered: Vec<f64>,
     /// The earlier non-empty messages of the current row, by ascending
     /// length.
@@ -298,6 +310,10 @@ struct Aligner<'a> {
     by_length: &'a [usize],
     /// Empty messages, ascending.
     empty: &'a [usize],
+    /// Per message `b`: 1 + the largest segment id of the messages
+    /// before it, so row `b`'s alignments read substitution costs at
+    /// ids below it only.
+    limits: &'a [usize],
     seg_matrix: &'a CondensedMatrix,
     recurring: RowCache,
     gap: f64,
@@ -382,28 +398,39 @@ impl Aligner<'_> {
         if inner.is_empty() {
             return;
         }
+        // The earlier messages hold ids below `limit` only, so each
+        // substitution row is gathered over `[0, limit)`: the stored head
+        // alone for a segment at or past it, such as every segment `b`
+        // is the first to hold.
+        let limit = self.limits[b];
         gathered.clear();
         for &s in seq_b {
             if let Some(row) = self.recurring.row(s) {
-                gathered.extend_from_slice(row);
+                gathered.extend_from_slice(&row[..limit]);
                 continue;
             }
             let (head, column) = self.seg_matrix.row_parts(s);
-            gathered.extend_from_slice(head);
-            gathered.push(0.0);
-            gathered.extend(column);
+            if s >= limit {
+                gathered.extend_from_slice(&head[..limit]);
+            } else {
+                gathered.extend_from_slice(head);
+                gathered.push(0.0);
+                gathered.extend(column.take(limit - s - 1));
+            }
         }
-        self.align_inner(b, inner, gathered, lanes, out);
+        self.align_inner(b, inner, gathered, limit, lanes, out);
     }
 
     /// Aligns message `b` against every message of `inner` (non-empty,
-    /// ascending length), [`LANES`] at a time; row `i` of `gathered`
-    /// holds the substitution costs of `b`'s `i`-th segment.
+    /// ascending length), [`LANES`] at a time; row `i` of `gathered`,
+    /// `width` long, holds the substitution costs of `b`'s `i`-th
+    /// segment.
     fn align_inner(
         &self,
         b: usize,
         inner: &[usize],
         gathered: &[f64],
+        width: usize,
         lanes: &mut Lanes,
         out: &mut [f64],
     ) {
@@ -421,7 +448,7 @@ impl Aligner<'_> {
                     seq[j.min(seq.len() - 1)]
                 })
             }));
-            let totals = self.sweep(gathered, lanes);
+            let totals = self.sweep(gathered, width, lanes);
             for (l, &a) in chunk.iter().enumerate() {
                 out[a] = totals[lens[l]][l] / lb.max(lens[l]) as f64;
             }
@@ -429,19 +456,23 @@ impl Aligner<'_> {
     }
 
     /// One DP sweep of the outer message, one DP row per gathered
-    /// substitution row, against the [`LANES`] inner sequences in
-    /// `lanes.ids`; returns the last DP row, whose column `j` holds each
-    /// lane's cost against its first `j` segments.
-    fn sweep<'l>(&self, gathered: &[f64], lanes: &'l mut Lanes) -> &'l [[f64; LANES]] {
+    /// substitution row (`width` long), against the [`LANES`] inner
+    /// sequences in `lanes.ids`; returns the last DP row, whose column
+    /// `j` holds each lane's cost against its first `j` segments.
+    fn sweep<'l>(
+        &self,
+        gathered: &[f64],
+        width: usize,
+        lanes: &'l mut Lanes,
+    ) -> &'l [[f64; LANES]] {
         let Lanes { ids, prev, cur } = lanes;
         let (gap, lb) = (self.gap, ids.len());
-        let u = self.seg_matrix.len();
         prev.clear();
         prev.push([0.0; LANES]);
         prev.extend((1..=lb).map(|j| [j as f64 * gap; LANES]));
         cur.clear();
         cur.resize(lb + 1, [0.0; LANES]);
-        for (i, subst) in gathered.chunks_exact(u).enumerate() {
+        for (i, subst) in gathered.chunks_exact(width).enumerate() {
             let mut left = [(i + 1) as f64 * gap; LANES];
             cur[0] = left;
             for ((out, above), id) in cur[1..].iter_mut().zip(prev.windows(2)).zip(ids.iter()) {
@@ -692,6 +723,69 @@ mod tests {
                                 threads
                             );
                         }
+                    }
+                }
+            }
+
+            /// With segment ids numbered by first occurrence, as the
+            /// segment store numbers them, a message's earlier messages
+            /// hold only ids below its own new ones, so the gathered rows
+            /// are cut short of `u`. The builder still matches the
+            /// pairwise DP bit for bit, cold and extended from every
+            /// prefix, at 1 and 4 threads.
+            #[test]
+            fn first_occurrence_ids_bound_the_gather(
+                extra in 0usize..4,
+                costs in prop::collection::vec(0.0f64..1.0, 91),
+                raw in prop::collection::vec(prop::collection::vec(0usize..10, 0..6), 0..14),
+                gap in 0.05f64..1.5,
+            ) {
+                let mut first_seen: Vec<Option<usize>> = vec![None; 10];
+                let mut next = 0;
+                let sequences: Vec<Vec<usize>> = raw
+                    .into_iter()
+                    .map(|seq| {
+                        seq.into_iter()
+                            .map(|id| {
+                                *first_seen[id].get_or_insert_with(|| {
+                                    next += 1;
+                                    next - 1
+                                })
+                            })
+                            .collect()
+                    })
+                    .collect();
+                // Ids no message holds may follow, as excluded segments do.
+                let u = (next + extra).max(1);
+                let seg_matrix =
+                    CondensedMatrix::from_condensed(u, costs[..u * (u - 1) / 2].to_vec())
+                        .expect("triangle length");
+                let n = sequences.len();
+                let empty = CondensedMatrix::build(0, |_, _| 0.0);
+                let never = || false;
+                let cold = alignment_matrix(&sequences, &empty, &seg_matrix, gap, 1, &never)
+                    .expect("never stopped");
+                for a in 0..n {
+                    for b in a + 1..n {
+                        let want = align_cost(&sequences[a], &sequences[b], &seg_matrix, gap);
+                        prop_assert_eq!(cold.get(a, b).to_bits(), want.to_bits(), "pair ({}, {})", a, b);
+                    }
+                }
+                let bits = |m: &CondensedMatrix| {
+                    m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                };
+                for n_old in 0..=n {
+                    let prefix =
+                        alignment_matrix(&sequences[..n_old], &empty, &seg_matrix, gap, 1, &never)
+                            .expect("never stopped");
+                    for threads in [1, 4] {
+                        let grown =
+                            alignment_matrix(&sequences, &prefix, &seg_matrix, gap, threads, &never)
+                                .expect("never stopped");
+                        prop_assert!(
+                            bits(&grown) == bits(&cold),
+                            "prefix {} at {} threads", n_old, threads
+                        );
                     }
                 }
             }
